@@ -23,6 +23,6 @@ from .simulator import (
     invoke_host_api,
     sharing_digest,
 )
-from .testgen import TestCase, TestgenConfig, generate_suite, order_suite, resolve_parameters
+from .testgen import TestCase, generate_suite, order_suite, resolve_parameters
 
 __version__ = "0.1.0"

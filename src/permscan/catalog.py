@@ -162,7 +162,7 @@ class ValidationReport:
         self.problems.append(Problem(kind, detail))
 
     def __str__(self) -> str:
-        return "\n".join(f"{p.kind}: {p.detail}" for p in self.problems) or "ok"
+        return "; ".join(f"{p.kind}: {p.detail}" for p in self.problems) or "ok"
 
 
 def _expect_str(value, where: str) -> str:
@@ -171,7 +171,16 @@ def _expect_str(value, where: str) -> str:
     return value
 
 
+def expect(value, kind: type, where: str):
+    """Return `value` if it is a `kind`; raise TypeError naming `where` if not."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{where} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _parse_api(entry: dict, host_app: str) -> ApiSpec:
+    if not isinstance(entry, dict):
+        raise SchemaViolation(f"bad api entry {entry!r}")
     for key in ("id", "parent_class", "method", "description", "params", "returns"):
         if key not in entry:
             raise SchemaViolation(f"api entry missing field {key!r}: {entry.get('id')!r}")
@@ -186,7 +195,9 @@ def _parse_api(entry: dict, host_app: str) -> ApiSpec:
             raise SchemaViolation(f"{api_id}: bad param entry {p!r}")
         if p["kind"] not in PARAM_KINDS:
             raise SchemaViolation(f"{api_id}: unknown param kind {p['kind']!r}")
-        params.append(ParamSpec(_expect_str(p["name"], "param.name"), p["kind"], p["type"]))
+        params.append(ParamSpec(
+            _expect_str(p["name"], "param.name"), p["kind"], _expect_str(p["type"], "param.type")
+        ))
     tutorial = entry.get("tutorial")
     if tutorial is not None:
         if not isinstance(tutorial, list) or not all(isinstance(s, str) for s in tutorial):
@@ -302,6 +313,47 @@ def validate_catalog(catalog: Catalog) -> ValidationReport:
     return report
 
 
+def read_json(path: str | Path, build, *, lines: bool = False):
+    """Read `path` as one JSON document, or with `lines` as JSONL (one
+    document per non-blank line), and return `build(doc)` for each document:
+    one value for JSON, a list for JSONL.
+
+    This is the only place input files are parsed.  Unparseable text raises
+    MalformedFile; a KeyError, TypeError or ValueError raised by `build`
+    becomes SchemaViolation naming the file and, for JSONL, the line.
+    `build` checks the top-level type of its document itself.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: {exc}") from exc
+    return parse_json(text, build, str(path), lines=lines)
+
+
+def parse_json(text: str, build, source: str, *, lines: bool = False):
+    """`read_json` for text already in memory; `source` names it in errors."""
+    if not lines:
+        return _build_document(text, build, source)
+    return [
+        _build_document(line, build, f"{source}:{n}")
+        for n, line in enumerate(text.splitlines(), 1)
+        if line.strip()
+    ]
+
+
+def _build_document(text: str, build, where: str):
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedFile(f"{where}: {exc}") from exc
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise SchemaViolation(f"{where}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaViolation(f"{where}: {exc}") from exc
+
+
 def load_catalog(path: str | Path) -> Catalog:
     """Load and validate a single-app catalog file.
 
@@ -309,12 +361,7 @@ def load_catalog(path: str | Path) -> Catalog:
     ids, and SchemaViolation for any other structural problem (including
     dangling type references found by validation).
     """
-    raw = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{path}: {exc}") from exc
-    catalog = parse_catalog(doc)
+    catalog = read_json(path, parse_catalog)
     report = validate_catalog(catalog)
     if not report.empty:
         raise SchemaViolation(f"{path}: {report}")

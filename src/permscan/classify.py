@@ -9,11 +9,10 @@ consulted for low-confidence labels; it is off unless configured.
 from __future__ import annotations
 
 import enum
+import json
 import os
 import re
 from dataclasses import dataclass, field
-
-import requests
 
 from .catalog import ApiSpec, Catalog
 from .errors import RemoteUnavailable, ResponseUnparseable
@@ -34,7 +33,10 @@ class Operation(enum.IntEnum):
 
     @staticmethod
     def parse(text: str) -> "Operation":
-        return Operation[text.strip().upper()]
+        name = text.strip().upper() if isinstance(text, str) else None
+        if name not in Operation.__members__:
+            raise ValueError(f"unknown operation {text!r}")
+        return Operation[name]
 
 
 @dataclass(frozen=True)
@@ -187,24 +189,29 @@ def classify_with_remote(
     """
     if config.remote is None:
         raise RemoteUnavailable("no remote endpoint configured")
+    # imported here so that importing permscan does not pay for the HTTP stack
+    import urllib.request
+    from http.client import HTTPException
+
     ep = config.remote
     prompt = ep.prompt_template.format(
         api_name=spec.id,
         description=spec.description,
         hierarchy=_hierarchy_context(spec, catalog) if catalog else spec.parent_class,
     )
-    headers = {}
+    headers = {"Content-Type": "application/json"}
     token = os.environ.get(ep.token_env, "")
     if token:
         headers["Authorization"] = f"Bearer {token}"
+    body = json.dumps({"prompt": prompt}).encode()
     try:
-        resp = requests.post(
-            ep.base_url, json={"prompt": prompt}, headers=headers, timeout=ep.timeout
-        )
-        resp.raise_for_status()
-        text = resp.json().get("text", "")
-    except (requests.RequestException, ValueError) as exc:
+        request = urllib.request.Request(ep.base_url, data=body, headers=headers, method="POST")
+        # HTTPError (any 4xx/5xx), URLError and socket timeouts are OSErrors
+        with urllib.request.urlopen(request, timeout=ep.timeout) as resp:
+            reply = json.load(resp)
+    except (OSError, HTTPException, ValueError) as exc:
         raise RemoteUnavailable(str(exc)) from exc
+    text = str(reply.get("text", "")) if isinstance(reply, dict) else ""
 
     match = re.search(r"\b(create|view|comment|modify|delete)\b", text.lower())
     if not match:

@@ -12,24 +12,26 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .catalog import load_catalog, object_census, validate_catalog
+from .catalog import expect, load_catalog, object_census, read_json
 from .classify import classify_catalog
 from .detector import build_report, detect_full, report_to_json
 from .errors import PermscanError
 from .executor import (
+    ExecutionRecord,
     SimulatorBackend,
-    records_from_jsonl,
     records_to_jsonl,
     run_role_matrix,
     run_scope_ladder,
 )
 from .graph import build_graph, to_dot
 from .simulator import instantiate_template, load_capability_matrix, load_faults
-from .testgen import TestgenConfig, generate_suite, suite_from_jsonl, suite_to_jsonl
+from .testgen import TestCase, generate_suite, suite_to_jsonl
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FINDINGS = 2
+
+SEED_HELP = "ignored: generation is deterministic (kept so existing scripts still run)"
 
 
 def default_matrix_path() -> Path:
@@ -41,13 +43,9 @@ def _load_matrix(path):
 
 
 def cmd_ingest(args) -> int:
-    catalog = load_catalog(args.catalog)
-    report = validate_catalog(catalog)
-    census = object_census(catalog)
+    # load_catalog validates: a catalog with problems never gets here
+    census = object_census(load_catalog(args.catalog))
     print(json.dumps({"census": census, "total": sum(census.values())}, indent=2))
-    if not report.empty:
-        print(str(report), file=sys.stderr)
-        return EXIT_ERROR
     return EXIT_OK
 
 
@@ -72,8 +70,7 @@ def cmd_gen(args) -> int:
     catalog = load_catalog(args.catalog)
     labels = classify_catalog(catalog)
     graph = build_graph(catalog)
-    config = TestgenConfig(seed=args.seed)
-    result = generate_suite(graph, labels, config)
+    result = generate_suite(graph, labels)
     Path(args.out).write_text(suite_to_jsonl(result.cases), encoding="utf-8")
     print(
         f"generated {len(result.cases)} cases "
@@ -84,7 +81,7 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     catalog = load_catalog(args.catalog)
-    suite = suite_from_jsonl(Path(args.suite).read_text(encoding="utf-8"))
+    suite = read_json(args.suite, TestCase.from_json, lines=True)
     matrix = _load_matrix(args.matrix)
     faults = load_faults(args.faults) if args.faults else []
     backend = SimulatorBackend(catalog, args.template, matrix, faults)
@@ -101,7 +98,7 @@ def cmd_report(args) -> int:
     catalog = load_catalog(args.catalog)
     labels = classify_catalog(catalog)
     matrix = _load_matrix(args.matrix)
-    records = records_from_jsonl(Path(args.records).read_text(encoding="utf-8"))
+    records = read_json(args.records, ExecutionRecord.from_json, lines=True)
     ground_truth = None
     if args.template:
         ground_truth = instantiate_template(args.template, catalog, matrix)
@@ -112,16 +109,22 @@ def cmd_report(args) -> int:
     return EXIT_FINDINGS if report.findings else EXIT_OK
 
 
+def _pipeline_config(doc: dict) -> dict:
+    """Keys: catalog, template, faults, out_dir (paths; flags take precedence)
+    and seed (accepted and ignored)."""
+    expect(doc, dict, "config")
+    for key in ("catalog", "template", "faults", "out_dir"):
+        if doc.get(key) is not None:
+            expect(doc[key], str, key)
+    return doc
+
+
 def cmd_pipeline(args) -> int:
-    if args.config:
-        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        cfg = {}
+    cfg = read_json(args.config, _pipeline_config) if args.config else {}
     catalog_path = args.catalog or cfg.get("catalog")
     template_path = args.template or cfg.get("template")
     faults_path = args.faults or cfg.get("faults")
     out_dir = Path(args.out_dir or cfg.get("out_dir", "."))
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     if not catalog_path or not template_path:
         print("pipeline: --catalog and --template are required", file=sys.stderr)
         return EXIT_ERROR
@@ -131,7 +134,7 @@ def cmd_pipeline(args) -> int:
     catalog = load_catalog(catalog_path)
     labels = classify_catalog(catalog)
     graph = build_graph(catalog)
-    result = generate_suite(graph, labels, TestgenConfig(seed=seed))
+    result = generate_suite(graph, labels)
     (out_dir / "suite.jsonl").write_text(suite_to_jsonl(result.cases), encoding="utf-8")
 
     matrix = _load_matrix(args.matrix)
@@ -181,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate the ordered test suite")
     p.add_argument("--catalog", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("run", help="execute a suite against the simulator")
@@ -209,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--faults")
     p.add_argument("--matrix")
     p.add_argument("--out-dir")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help=SEED_HELP)
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -219,10 +222,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PermscanError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except (PermscanError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -4,12 +4,13 @@ campaigns, per-session dependency pruning (Pruning #2), outcome records."""
 from __future__ import annotations
 
 import itertools
-import time
+import json
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .classify import Operation
-from .errors import BackendUnavailable
+from .catalog import expect, parse_json
+from .classify import classify_api
+from .errors import BackendUnavailable, NotFound
 from .graph import CallChain
 from .simulator import (
     GRANT_FULL,
@@ -34,7 +35,7 @@ from .testgen import (
     TestCase,
 )
 
-CASE_TIMEOUT_SECONDS = 10.0
+COMBO_CAP = 4  # value combinations tried per case before it counts as failed
 
 OUTCOME_SUCCESS = "Success"
 OUTCOME_PERMISSION_ERROR = "PermissionError"
@@ -79,6 +80,9 @@ class ExecutionRecord:
 
     @staticmethod
     def from_json(obj: dict) -> "ExecutionRecord":
+        expect(obj, dict, "record")
+        for key in ("case", "api", "installer", "digest_before", "digest_after"):
+            expect(obj[key], str, key)
         return ExecutionRecord(
             case_id=obj["case"],
             api=obj["api"],
@@ -100,7 +104,7 @@ class ExecutionRecord:
 class Backend(Protocol):
     """Adapter surface a real-platform driver would implement."""
 
-    def start_session(self, installer: str, grant: frozenset) -> "Session": ...
+    def start_session(self, installer: str, grant: frozenset, mode: str) -> "Session": ...
 
     def user_with_role(self, role: Role) -> str: ...
 
@@ -187,9 +191,9 @@ def _run_chain(session: Session, chain: CallChain, combo: dict, touched: list) -
     receiver: ObjectNode | None = None
     result = InvocationResult(True)
     for i, step in enumerate(chain.steps):
-        api = session.state.catalog.apis[step.api_id]
-        from .classify import classify_api  # local import to avoid a cycle
-
+        api = session.state.catalog.apis.get(step.api_id)
+        if api is None:
+            raise NotFound(f"case step names unknown API {step.api_id!r}")
         label, _ = classify_api(api, session.state.catalog)
         plan = step.args or ArgPlan()
         is_final = i == len(chain.steps) - 1
@@ -207,8 +211,8 @@ def _run_chain(session: Session, chain: CallChain, combo: dict, touched: list) -
     return result
 
 
-def _combos(case: TestCase, cap: int) -> list:
-    """Up to `cap` value combinations for the final step's enumerated params;
+def _combos(case: TestCase) -> list:
+    """Up to COMBO_CAP value combinations for the final step's enumerated params;
     first values preferred."""
     final = case.chain.steps[-1] if case.chain.steps else None
     if final is None or final.args is None:
@@ -222,7 +226,7 @@ def _combos(case: TestCase, cap: int) -> list:
         return [{}]
     names = [n for n, _ in enum_params]
     products = itertools.product(*(v for _, v in enum_params))
-    return [dict(zip(names, values)) for values in itertools.islice(products, cap)]
+    return [dict(zip(names, values)) for values in itertools.islice(products, COMBO_CAP)]
 
 
 def _dependency_failed(session: Session, case: TestCase, suite_index: dict) -> bool:
@@ -237,9 +241,7 @@ def _dependency_failed(session: Session, case: TestCase, suite_index: dict) -> b
     return False
 
 
-def run_case(
-    session: Session, case: TestCase, suite_index: dict | None = None, cap: int = 4
-) -> ExecutionRecord:
+def run_case(session: Session, case: TestCase, suite_index: dict | None = None) -> ExecutionRecord:
     """Execute one case in a session.  Cases whose dependency prefix already
     failed are recorded as Pruned and never sent to the backend."""
     suite_index = suite_index or {}
@@ -257,12 +259,11 @@ def run_case(
 
     digest_before = sharing_digest(session.state)
     touched: list = []
-    started = time.monotonic()
     last_failure: InvocationResult | None = None
     result: InvocationResult | None = None
     final_receiver: str | None = None
     final_produced: str | None = None
-    for combo in _combos(case, cap):
+    for combo in _combos(case):
         touched.clear()
         try:
             result = _run_chain(session, case.chain, combo, touched)
@@ -271,19 +272,12 @@ def run_case(
         except _StepFailure as exc:
             last_failure = exc.result
             result = None
-    elapsed = time.monotonic() - started
     digest_after = sharing_digest(session.state)
 
     if touched:
         final_produced = touched[-1][0]
         final_receiver = touched[-2][0] if len(touched) >= 2 else touched[-1][0]
 
-    if elapsed > CASE_TIMEOUT_SECONDS:
-        session.failed_cases.add(case.id)
-        return ExecutionRecord(
-            outcome=OUTCOME_OTHER_ERROR, error="Timeout", digest_before=digest_before,
-            digest_after=digest_after, touched=list(touched), **base,
-        )
     if result is not None:
         return ExecutionRecord(
             outcome=OUTCOME_SUCCESS,
@@ -337,16 +331,8 @@ def run_scope_ladder(suite: list, backend) -> list:
 
 
 def records_to_jsonl(records: list) -> str:
-    import json
-
     return "".join(json.dumps(r.to_json()) + "\n" for r in records)
 
 
 def records_from_jsonl(text: str) -> list:
-    import json
-
-    return [
-        ExecutionRecord.from_json(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    return parse_json(text, ExecutionRecord.from_json, "<records>", lines=True)

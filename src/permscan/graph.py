@@ -7,7 +7,6 @@ class along producer APIs until the requested class is reached.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .catalog import ApiSpec, Catalog, TypeRef
@@ -36,10 +35,6 @@ class CallChain:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    @property
-    def api_ids(self) -> tuple[str, ...]:
-        return tuple(s.api_id for s in self.steps)
 
     def to_json(self) -> dict:
         return {"steps": [s.to_json() for s in self.steps], "produces": self.produces.to_json()}
@@ -114,14 +109,11 @@ def _chain_key(graph: DepGraph, ids: tuple[str, ...]) -> tuple:
     return (len(ids), n_params, ids)
 
 
-def shortest_producer_path(
-    graph: DepGraph, target: str, rng: random.Random | None = None
-) -> CallChain:
+def shortest_producer_path(graph: DepGraph, target: str) -> CallChain:
     """Minimum-length chain from the root to an API producing `target`.
 
     Deterministic tie-break: parameterless steps preferred, then the
-    lexicographically smallest id sequence.  Pass `rng` to instead pick
-    uniformly among the minimum-length chains.
+    lexicographically smallest id sequence.
     """
     if target not in graph.class_nodes:
         raise NoProducer(f"{target!r} is not an internal class")
@@ -145,35 +137,11 @@ def shortest_producer_path(
     if target not in best or not best[target]:
         raise NoProducer(f"no chain from {graph.root} produces {target!r}")
 
-    if rng is not None:
-        chains = _all_chains_to(graph, target, len(best[target]))
-        ids = rng.choice(sorted(chains))
-    else:
-        ids = best[target]
+    ids = best[target]
     steps = tuple(_step_for(graph, i) for i in ids)
     ret = graph.return_edges[ids[-1]]
     produces = TypeRef("class", ret.name)
     return CallChain(steps=steps, produces=produces)
-
-
-def _all_chains_to(graph: DepGraph, target: str, length: int) -> list:
-    out: list = []
-
-    def walk(cls: str, ids: tuple) -> None:
-        if len(ids) == length:
-            return
-        for api_id in graph.method_edges.get(cls, ()):
-            if not eligible_producer(graph, api_id):
-                continue
-            nxt = producible_class(graph, api_id)
-            if nxt is None:
-                continue
-            if nxt == target and len(ids) + 1 == length:
-                out.append(ids + (api_id,))
-            walk(nxt, ids + (api_id,))
-
-    walk(graph.root, ())
-    return out
 
 
 def to_dot(graph: DepGraph) -> str:

@@ -17,11 +17,10 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .catalog import ApiSpec, Catalog
+from .catalog import ApiSpec, Catalog, expect, read_json
 from .classify import Operation, PermissionLabel
 from .errors import (
     DuplicateResourceId,
-    MalformedFile,
     NotFound,
     PatternMatchesNothing,
     SchemaViolation,
@@ -45,7 +44,10 @@ class Role(enum.IntEnum):
 
     @staticmethod
     def parse(text: str) -> "Role":
-        return Role[text.strip().upper()]
+        name = text.strip().upper() if isinstance(text, str) else None
+        if name not in Role.__members__:
+            raise ValueError(f"unknown role {text!r}")
+        return Role[name]
 
 
 # OAuth scope lattice: {read} < {read, edit} < {read, edit, delete}
@@ -56,8 +58,6 @@ SCOPE_DELETE = "delete"
 GRANT_READ = frozenset({SCOPE_READ})
 GRANT_READ_EDIT = frozenset({SCOPE_READ, SCOPE_EDIT})
 GRANT_FULL = frozenset({SCOPE_READ, SCOPE_EDIT, SCOPE_DELETE})
-
-_VALID_GRANTS = (GRANT_READ, GRANT_READ_EDIT, GRANT_FULL, frozenset())
 
 _SCOPE_FOR_OPERATION = {
     Operation.VIEW: SCOPE_READ,
@@ -164,11 +164,11 @@ class RoleCapabilityMatrix:
     @staticmethod
     def from_json(doc: dict) -> "RoleCapabilityMatrix":
         table: dict = {}
-        for role_name, ops in doc.items():
+        for role_name, ops in expect(doc, dict, "capability matrix").items():
             role = Role.parse(role_name)
-            for op_name, kinds in ops.items():
+            for op_name, kinds in expect(ops, dict, role_name).items():
                 op = Operation.parse(op_name)
-                for kind, allowed in kinds.items():
+                for kind, allowed in expect(kinds, dict, f"{role_name}.{op_name}").items():
                     table[(role, op, kind)] = bool(allowed)
         matrix = RoleCapabilityMatrix(table)
         matrix._check_invariants()
@@ -189,11 +189,7 @@ class RoleCapabilityMatrix:
 
 
 def load_capability_matrix(path: str | Path) -> RoleCapabilityMatrix:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{path}: {exc}") from exc
-    return RoleCapabilityMatrix.from_json(doc)
+    return read_json(path, RoleCapabilityMatrix.from_json)
 
 
 @dataclass(frozen=True)
@@ -250,17 +246,6 @@ class WorkspaceState:
                 return values[0]
         return None
 
-    def state_digest(self) -> str:
-        payload = {
-            "resources": {rid: n.to_json() for rid, n in sorted(self.resources.items())},
-            "sharing": {
-                rid: {"roles": {u: r.label for u, r in sorted(c.roles.items())},
-                      "flags": c.copy_download_print_allowed}
-                for rid, c in sorted(self.sharing.items())
-            },
-        }
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
     def faults_for(self, api_id: str) -> set:
         return {f.kind for f in self.faults if f.matches(api_id)}
 
@@ -269,7 +254,7 @@ class WorkspaceState:
 
 
 def _parse_node(entry: dict, catalog: Catalog, seen: set) -> ObjectNode:
-    kind = entry.get("kind")
+    kind = expect(entry, dict, "template node").get("kind")
     if kind not in catalog.classes:
         raise UnknownKind(f"template names unknown kind {kind!r}")
     node_id = entry.get("id")
@@ -278,7 +263,7 @@ def _parse_node(entry: dict, catalog: Catalog, seen: set) -> ObjectNode:
     if node_id in seen:
         raise DuplicateResourceId(f"duplicate resource id {node_id!r}")
     seen.add(node_id)
-    attrs = entry.get("attrs", {})
+    attrs = expect(entry.get("attrs", {}), dict, f"{node_id} attrs")
     hidden = bool(attrs.get("hidden", False))
     if hidden and kind not in HIDEABLE_KINDS:
         raise SchemaViolation(f"{node_id}: kind {kind!r} is not hideable")
@@ -304,19 +289,20 @@ def instantiate_template(
 ) -> WorkspaceState:
     """Fresh workspace from a template file: resources, sharing, seeded
     attribute table, no faults."""
-    try:
-        doc = json.loads(Path(template).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{template}: {exc}") from exc
+    return read_json(template, lambda doc: _build_workspace(doc, catalog, matrix))
+
+
+def _build_workspace(doc: dict, catalog: Catalog, matrix: RoleCapabilityMatrix) -> WorkspaceState:
     state = WorkspaceState(catalog=catalog, matrix=matrix)
     seen: set = set()
-    for entry in doc.get("resources", []):
+    for entry in expect(doc, dict, "template").get("resources", []):
         node = _parse_node(entry, catalog, seen)
         state.resources[node.id] = node
-    for rid, cfg in doc.get("sharing", {}).items():
+    for rid, cfg in expect(doc.get("sharing", {}), dict, "sharing").items():
         if rid not in state.resources:
             raise NotFound(f"sharing entry for unknown resource {rid!r}")
-        roles = {u: Role.parse(r) for u, r in cfg.get("roles", {}).items()}
+        cfg = expect(cfg, dict, f"sharing of {rid}")
+        roles = {u: Role.parse(r) for u, r in expect(cfg.get("roles", {}), dict, "roles").items()}
         owners = [u for u, r in roles.items() if r == Role.OWNER]
         if len(owners) != 1:
             raise SchemaViolation(f"{rid}: sharing must name exactly one owner")
@@ -539,7 +525,7 @@ def _apply_effect(
             for rid, root in list(state.resources.items()):
                 if root is target:
                     del state.resources[rid]
-                    self_cfg = state.sharing.pop(rid, None)
+                    state.sharing.pop(rid, None)
                     removed = root
                     break
         name = removed.id if removed is not None else target.id
@@ -613,14 +599,16 @@ def inject_fault(state: WorkspaceState, fault: FaultSpec) -> WorkspaceState:
 
 
 def load_faults(path: str | Path) -> list:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{path}: {exc}") from exc
-    return [
-        FaultSpec(kind=e["kind"], api_pattern=e["api_pattern"], note=e.get("note", ""))
-        for e in doc
-    ]
+    return read_json(path, _faults_from_json)
+
+
+def _faults_from_json(doc: list) -> list:
+    faults = []
+    for entry in expect(doc, list, "faults"):
+        e = expect(entry, dict, "fault entry")
+        pattern = expect(e["api_pattern"], str, "api_pattern")
+        faults.append(FaultSpec(kind=e["kind"], api_pattern=pattern, note=e.get("note", "")))
+    return faults
 
 
 def sharing_digest(state: WorkspaceState, resource_id: str | None = None) -> str:

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import heapq
 import json
-import random
 import re
 from dataclasses import dataclass, field
 
-from .catalog import ApiSpec, TypeRef
+from .catalog import ApiSpec, TypeRef, expect, parse_json
 from .classify import Operation, PermissionLabel
 from .errors import CyclicDependency, NoProducer, UnresolvableParameter
 from .graph import CallChain, ChainStep, DepGraph, producible_class, shortest_producer_path
@@ -17,9 +16,6 @@ from .graph import CallChain, ChainStep, DepGraph, producible_class, shortest_pr
 INTEGER_VALUES = (0, 1, 5, 10)
 BOOLEAN_VALUES = (True, False)
 PAIR_FALLBACK = (1, 2)
-COMBO_CAP = 4
-
-ATTR_ROLES = ("id", "url", "name")
 
 
 # --- parameter strategies ----------------------------------------------------
@@ -85,9 +81,6 @@ class ArgPlan:
         return out
 
 
-_STRATEGY_PARSERS = {}
-
-
 def _plan_from_json(obj: dict):
     kind = obj["strategy"]
     if kind == "producer":
@@ -103,7 +96,8 @@ def _plan_from_json(obj: dict):
 
 def _argplan_from_json(obj: dict) -> ArgPlan:
     tutorial = _chain_from_json(obj["tutorial"]) if "tutorial" in obj else None
-    params = tuple((name, _plan_from_json(s)) for name, s in obj["params"].items())
+    plans = expect(obj["params"], dict, "params")
+    params = tuple((name, _plan_from_json(s)) for name, s in plans.items())
     return ArgPlan(tutorial=tutorial, params=params)
 
 
@@ -111,7 +105,7 @@ def _chain_from_json(obj: dict) -> CallChain:
     steps = []
     for s in obj["steps"]:
         args = _argplan_from_json(s["args"]) if "args" in s else None
-        steps.append(ChainStep(s["api"], s.get("index_zero", False), args))
+        steps.append(ChainStep(expect(s["api"], str, "api"), s.get("index_zero", False), args))
     ret = obj["produces"]
     return CallChain(steps=tuple(steps), produces=TypeRef.from_json(ret))
 
@@ -140,6 +134,11 @@ class TestCase:
 
     @staticmethod
     def from_json(obj: dict) -> "TestCase":
+        expect(obj, dict, "test case")
+        for key in ("id", "target_api"):
+            expect(obj[key], str, key)
+        if obj["depends_on"] is not None:
+            expect(obj["depends_on"], str, "depends_on")
         return TestCase(
             id=obj["id"],
             target_api=obj["target_api"],
@@ -154,16 +153,6 @@ class GenResult:
     cases: list = field(default_factory=list)
     excluded: list = field(default_factory=list)  # (api id, reason)
     pruned: list = field(default_factory=list)  # api ids of unreached classes
-
-
-@dataclass(frozen=True)
-class TestgenConfig:
-    __test__ = False  # keep pytest from collecting this as a test class
-
-    seed: int = 0
-    random_tiebreak: bool = False
-    integer_values: tuple = INTEGER_VALUES
-    combo_cap: int = COMBO_CAP
 
 
 # --- parameter resolution ------------------------------------------------------
@@ -219,15 +208,12 @@ def _parse_tutorial(api: ApiSpec, graph: DepGraph) -> CallChain:
     return CallChain(steps=tuple(steps), produces=produces)
 
 
-def resolve_parameters(
-    api: ApiSpec, graph: DepGraph, config: TestgenConfig | None = None
-) -> ArgPlan:
+def resolve_parameters(api: ApiSpec, graph: DepGraph) -> ArgPlan:
     """Pick a strategy per parameter, in the fixed priority order.
 
     Raises UnresolvableParameter for enum or external-class parameters with
     no producer; callers exclude the API from the suite.
     """
-    config = config or TestgenConfig()
     if api.tutorial:
         return ArgPlan(tutorial=_parse_tutorial(api, graph))
 
@@ -241,7 +227,7 @@ def resolve_parameters(
                 chain = shortest_producer_path(graph, p.type)
             except NoProducer as exc:
                 raise UnresolvableParameter(api.id, p.name, f"({exc})") from exc
-            params.append((p.name, ProducerPlan(_attach_plans(chain, graph, config))))
+            params.append((p.name, ProducerPlan(_attach_plans(chain, graph))))
         elif p.kind == "enum":
             raise UnresolvableParameter(api.id, p.name, "(enum type)")
         elif p.kind == "string":
@@ -251,17 +237,17 @@ def resolve_parameters(
                 partner, position = pairs[p.name]
                 params.append((p.name, PairPlan(partner, position)))
             else:
-                params.append((p.name, PrimitivePlan(config.integer_values)))
+                params.append((p.name, PrimitivePlan(INTEGER_VALUES)))
         elif p.kind == "boolean":
             params.append((p.name, PrimitivePlan(BOOLEAN_VALUES)))
     return ArgPlan(params=tuple(params))
 
 
-def _attach_plans(chain: CallChain, graph: DepGraph, config: TestgenConfig) -> CallChain:
+def _attach_plans(chain: CallChain, graph: DepGraph) -> CallChain:
     """Producer chains carry only primitive/string params; resolve each step."""
     steps = []
     for step in chain.steps:
-        plan = resolve_parameters(graph.api(step.api_id), graph, config)
+        plan = resolve_parameters(graph.api(step.api_id), graph)
         steps.append(ChainStep(step.api_id, step.index_zero, plan))
     return CallChain(steps=tuple(steps), produces=chain.produces)
 
@@ -269,13 +255,9 @@ def _attach_plans(chain: CallChain, graph: DepGraph, config: TestgenConfig) -> C
 # --- generation -----------------------------------------------------------------
 
 
-def generate_cases(
-    graph: DepGraph, labels: dict, config: TestgenConfig | None = None
-) -> GenResult:
+def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
     """BFS from the root; every method of an expanded class is emitted once,
     but an already-visited return class is never re-expanded (Pruning #1)."""
-    config = config or TestgenConfig()
-    rng = random.Random(config.seed) if config.random_tiebreak else None
     result = GenResult()
     visited = {graph.root}
     queue = [graph.root]
@@ -289,7 +271,7 @@ def generate_cases(
         for api_id in graph.method_edges.get(cls, ()):
             api = graph.api(api_id)
             try:
-                plan = resolve_parameters(api, graph, config)
+                plan = resolve_parameters(api, graph)
             except UnresolvableParameter as exc:
                 result.excluded.append((api_id, str(exc)))
                 continue
@@ -312,7 +294,7 @@ def generate_cases(
             if nxt is not None and nxt not in visited:
                 visited.add(nxt)
                 queue.append(nxt)
-                class_chain[nxt] = _class_chain_for(nxt, chain, graph, config, rng)
+                class_chain[nxt] = _class_chain_for(nxt, chain, graph)
 
     for cls in sorted(graph.class_nodes - visited):
         result.pruned.extend(graph.method_edges.get(cls, ()))
@@ -323,12 +305,12 @@ def _produced_type(ret: TypeRef) -> TypeRef:
     return TypeRef("class", ret.name) if ret.is_class else ret
 
 
-def _class_chain_for(cls, fallback_chain, graph, config, rng) -> CallChain:
+def _class_chain_for(cls, fallback_chain, graph) -> CallChain:
     """Prefer the shortest producer chain; fall back to the BFS emission chain
     when the class is only reachable through parameterized producers."""
     try:
-        chain = shortest_producer_path(graph, cls, rng=rng)
-        return _attach_plans(chain, graph, config)
+        chain = shortest_producer_path(graph, cls)
+        return _attach_plans(chain, graph)
     except (NoProducer, UnresolvableParameter):
         return fallback_chain
 
@@ -389,11 +371,9 @@ def order_suite(cases: list) -> list:
     return out
 
 
-def generate_suite(
-    graph: DepGraph, labels: dict, config: TestgenConfig | None = None
-) -> GenResult:
+def generate_suite(graph: DepGraph, labels: dict) -> GenResult:
     """Full generation: BFS emission followed by suite ordering."""
-    result = generate_cases(graph, labels, config)
+    result = generate_cases(graph, labels)
     result.cases = order_suite(result.cases)
     return result
 
@@ -406,4 +386,4 @@ def suite_to_jsonl(cases: list) -> str:
 
 
 def suite_from_jsonl(text: str) -> list:
-    return [TestCase.from_json(json.loads(line)) for line in text.splitlines() if line.strip()]
+    return parse_json(text, TestCase.from_json, "<suite>", lines=True)

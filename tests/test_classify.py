@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from importlib import resources
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permscan
 from permscan.catalog import load_catalog
 from permscan.classify import (
     CONF_DESCRIPTION,
@@ -198,3 +202,17 @@ def test_catalog_falls_back_on_dead_remote():
     )
     labels = classify_catalog(CORPUS, cfg)
     assert labels["Spreadsheet.renameActiveSheet"].operation is Operation.MODIFY
+
+
+def test_import_leaves_http_stack_unloaded():
+    src = os.path.dirname(os.path.dirname(permscan.__file__))
+    probe = "import sys, permscan.cli; print(sorted({'requests', 'urllib.request'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out.strip() == "[]"

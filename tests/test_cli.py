@@ -1,12 +1,17 @@
 import json
 from importlib import resources
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from permscan.cli import main
 
 DATA = resources.files("permscan.data")
 CATALOG = str(DATA / "spreadsheet.json")
 TEMPLATE = str(DATA / "template_spreadsheet.json")
 FAULTS = str(DATA / "faults_seeded.json")
+MATRIX = str(DATA / "capability_matrix.json")
 
 
 def test_ingest_prints_census(capsys):
@@ -87,3 +92,95 @@ def test_pipeline_determinism(tmp_path):
         ]) == 2
     for name in ("suite.jsonl", "records.jsonl", "report.json", "report.txt"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# --- the input boundary ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def bundled(tmp_path_factory):
+    """First lines of a valid suite and records file from the bundled data."""
+    out = tmp_path_factory.mktemp("bundled")
+    main(["pipeline", "--catalog", CATALOG, "--template", TEMPLATE, "--out-dir", str(out)])
+    return {
+        name: (out / f"{name}.jsonl").read_text().splitlines()[0] for name in ("suite", "records")
+    }
+
+
+def _argv(kind: str, path: str, tmp) -> list:
+    """A command that reads `path` as its `kind` input and the bundled data otherwise."""
+    pipeline = ["pipeline", "--catalog", CATALOG, "--out-dir", str(tmp / "out")]
+    return {
+        "faults": pipeline + ["--template", TEMPLATE, "--faults", path],
+        "config": pipeline + ["--template", TEMPLATE, "--config", path],
+        "template": pipeline + ["--template", path],
+        "matrix": pipeline + ["--template", TEMPLATE, "--matrix", path],
+        "suite": ["run", "--suite", path, "--catalog", CATALOG, "--template", TEMPLATE,
+                  "--mode", "role-matrix", "--out", str(tmp / "records.jsonl")],
+        "records": ["report", "--records", path, "--catalog", CATALOG,
+                    "--out", str(tmp / "report.json")],
+    }[kind]
+
+
+def _without(line: str, key: str) -> str:
+    doc = json.loads(line)
+    del doc[key]
+    return json.dumps(doc)
+
+
+def _unknown_api(line: str) -> str:
+    doc = json.loads(line)
+    for step in doc["chain"]["steps"]:
+        step["api"] = "Spreadsheet.noSuchMethod"
+    return json.dumps(doc)
+
+
+def _superuser_matrix(_) -> str:
+    doc = json.loads((DATA / "capability_matrix.json").read_text())
+    doc["superuser"] = doc["owner"]
+    return json.dumps(doc)
+
+
+MALFORMED = {
+    "faults entry without api_pattern": ("faults", lambda ok: '[{"kind": "SkipRoleCheck"}]'),
+    "faults file is [1,2]": ("faults", lambda ok: "[1,2]"),
+    "suite is not JSON": ("suite", lambda ok: "{not json\n"),
+    "suite line without target_api": ("suite", lambda ok: _without(ok["suite"], "target_api")),
+    "records are not JSON": ("records", lambda ok: "{not json\n"),
+    "records line without case": ("records", lambda ok: _without(ok["records"], "case")),
+    "config file is [1,2]": ("config", lambda ok: "[1,2]"),
+    "config is not JSON": ("config", lambda ok: "{not json"),
+    "template file is [1,2]": ("template", lambda ok: "[1,2]"),
+    "matrix with role superuser": ("matrix", _superuser_matrix),
+    "suite step names an unknown API": ("suite", lambda ok: _unknown_api(ok["suite"])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_one_line_exit_1(case, bundled, tmp_path, capsys):
+    kind, content = MALFORMED[case]
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(content(bundled))
+    argv = _argv(kind, str(path), tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"{argv[0]}:"), err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@pytest.mark.parametrize("kind", ["faults", "config", "suite", "records"])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=JSON_VALUES)
+def test_any_json_input_exits_cleanly(kind, value, tmp_path, capsys):
+    path = tmp_path / f"input.{kind}"
+    path.write_text(json.dumps(value) + "\n")
+    code = main(_argv(kind, str(path), tmp_path))
+    assert code in (0, 1, 2)
+    assert len(capsys.readouterr().err.splitlines()) <= 1

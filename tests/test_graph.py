@@ -126,11 +126,3 @@ def test_tie_break_is_deterministic():
                 runs.append(None)
         assert runs[0] == runs[1] == runs[2]
 
-
-def test_seeded_random_tie_break_stays_minimal():
-    g = build_graph(MINI)
-    lengths = set()
-    for seed in range(10):
-        chain = shortest_producer_path(g, "Document", rng=random.Random(seed))
-        lengths.add(len(chain.steps))
-    assert lengths == {1}

@@ -13,7 +13,6 @@ from permscan.testgen import (
     PairPlan,
     PrimitivePlan,
     ProducerPlan,
-    TestgenConfig,
     generate_cases,
     generate_suite,
     order_suite,
@@ -185,6 +184,6 @@ def test_suite_jsonl_round_trip():
 
 
 def test_generation_is_deterministic():
-    a = suite_to_jsonl(generate_suite(GRAPH, LABELS, TestgenConfig(seed=5)).cases)
-    b = suite_to_jsonl(generate_suite(GRAPH, LABELS, TestgenConfig(seed=5)).cases)
+    a = suite_to_jsonl(generate_suite(GRAPH, LABELS).cases)
+    b = suite_to_jsonl(generate_suite(GRAPH, LABELS).cases)
     assert a == b
