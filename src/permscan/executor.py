@@ -6,10 +6,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Protocol
 
 from .catalog import expect, parse_json
-from .classify import classify_api
+from .classify import classify_catalog
 from .errors import BackendUnavailable, NotFound
 from .graph import CallChain
 from .simulator import (
@@ -41,6 +42,8 @@ OUTCOME_SUCCESS = "Success"
 OUTCOME_PERMISSION_ERROR = "PermissionError"
 OUTCOME_OTHER_ERROR = "OtherError"
 OUTCOME_PRUNED = "Pruned"
+OUTCOMES = (OUTCOME_SUCCESS, OUTCOME_PERMISSION_ERROR, OUTCOME_OTHER_ERROR, OUTCOME_PRUNED)
+MODES = ("role-matrix", "scope-ladder")
 
 
 @dataclass
@@ -83,13 +86,20 @@ class ExecutionRecord:
         expect(obj, dict, "record")
         for key in ("case", "api", "installer", "digest_before", "digest_after"):
             expect(obj[key], str, key)
+        if obj["outcome"] not in OUTCOMES:
+            raise ValueError(f"unknown outcome {obj['outcome']!r}")
+        if obj["mode"] not in MODES:
+            raise ValueError(f"unknown mode {obj['mode']!r}")
+        grant = frozenset(obj["grant"])
+        if not grant <= GRANT_FULL:
+            raise ValueError(f"unknown grant scope in {sorted(map(str, grant))}")
         return ExecutionRecord(
             case_id=obj["case"],
             api=obj["api"],
             mode=obj["mode"],
             role=Role.parse(obj["role"]),
             installer=obj["installer"],
-            grant=frozenset(obj["grant"]),
+            grant=grant,
             outcome=obj["outcome"],
             error=obj["error"],
             digest_before=obj["digest_before"],
@@ -115,6 +125,7 @@ class Session:
     ctx: Subject
     role: Role
     mode: str
+    labels: dict  # api id -> PermissionLabel
     failed_cases: set = field(default_factory=set)  # case ids that did not succeed
 
 
@@ -126,12 +137,16 @@ class SimulatorBackend:
         self.template_path = template_path
         self.matrix = matrix
         self.faults = list(faults)
+        self.labels = classify_catalog(catalog)
+
+    @cached_property
+    def _template_roles(self) -> tuple:
+        """(user, role) for every sharing entry of the template."""
+        probe = instantiate_template(self.template_path, self.catalog, self.matrix)
+        return tuple((u, r) for cfg in probe.sharing.values() for u, r in cfg.roles.items())
 
     def user_with_role(self, role: Role) -> str:
-        probe = instantiate_template(self.template_path, self.catalog, self.matrix)
-        candidates = sorted(
-            u for cfg in probe.sharing.values() for u, r in cfg.roles.items() if r == role
-        )
+        candidates = sorted(u for u, r in self._template_roles if r == role)
         if not candidates:
             raise BackendUnavailable(f"template has no user with role {role.label}")
         return candidates[0]
@@ -147,7 +162,9 @@ class SimulatorBackend:
                 break
         if role is None:
             raise BackendUnavailable(f"installer {installer!r} is not a collaborator")
-        return Session(state=state, ctx=Subject(installer, grant), role=role, mode=mode)
+        return Session(
+            state=state, ctx=Subject(installer, grant), role=role, mode=mode, labels=self.labels
+        )
 
 
 # --- chain execution -----------------------------------------------------------
@@ -191,10 +208,9 @@ def _run_chain(session: Session, chain: CallChain, combo: dict, touched: list) -
     receiver: ObjectNode | None = None
     result = InvocationResult(True)
     for i, step in enumerate(chain.steps):
-        api = session.state.catalog.apis.get(step.api_id)
-        if api is None:
+        label = session.labels.get(step.api_id)
+        if label is None:
             raise NotFound(f"case step names unknown API {step.api_id!r}")
-        label, _ = classify_api(api, session.state.catalog)
         plan = step.args or ArgPlan()
         is_final = i == len(chain.steps) - 1
         args = _resolve_args(session, plan, combo if is_final else {}, touched)

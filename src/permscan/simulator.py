@@ -10,6 +10,7 @@ known ground truth.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import fnmatch
 import hashlib
@@ -204,6 +205,96 @@ class Subject:
         return self.grant is not None
 
 
+class WorkspaceIndex:
+    """Lookups over the trees attached to a workspace's resources.
+
+    Every attached node has a DFS key: the sequence number of its resource
+    (resources are numbered in `resources` dict order) followed by the
+    sequence number of each child on the path down to it (children are
+    numbered in `children` order).  Sorted keys are DFS order over all
+    resources, and a node's subtree is the run of keys it prefixes.  Numbers
+    are never reused (a root that replaces a resource under the same id takes
+    over its number), so appending a child or removing one keeps the keys of
+    every other node.  Nodes are keyed by identity because `ObjectNode`
+    compares by value.  Only `attach_child`, `set_root` and `detach` change
+    the trees' shape; a tree edited any other way is not reflected.
+    """
+
+    def __init__(self):
+        self._place: dict = {}  # id(node) -> (resource id, DFS key)
+        self._by_id: dict = {}  # node id -> nodes in DFS order
+        self._by_kind: dict = {}  # kind -> nodes in DFS order
+        self._next_root = 0
+
+    def _key(self, node: ObjectNode) -> tuple:
+        return self._place[id(node)][1]
+
+    def _add(self, node: ObjectNode, rid: str, key: tuple) -> None:
+        self._place[id(node)] = (rid, key)
+        for table, name in ((self._by_id, node.id), (self._by_kind, node.kind)):
+            nodes = table.setdefault(name, [])
+            if nodes and self._key(nodes[-1]) > key:
+                bisect.insort(nodes, node, key=self._key)
+            else:
+                nodes.append(node)
+        for seq, child in enumerate(node.children):
+            self._add(child, rid, key + (seq,))
+
+    def set_root(self, rid: str, root: ObjectNode, replaced: ObjectNode | None = None) -> None:
+        """Index `root` as the tree of resource `rid`.  A root that replaces
+        `replaced` under the same id keeps its dict position."""
+        if replaced is not None:
+            key = self._key(replaced)
+            self.detach(replaced)
+        else:
+            key = (self._next_root,)
+            self._next_root += 1
+        self._add(root, rid, key)
+
+    def attach_child(self, parent: ObjectNode, child: ObjectNode) -> None:
+        """Index `child`, just appended to `parent.children`.  A child of a
+        detached parent stays detached."""
+        place = self._place.get(id(parent))
+        if place is None:
+            return
+        rid, key = place
+        siblings = parent.children
+        seq = self._key(siblings[-2])[-1] + 1 if len(siblings) > 1 else 0
+        self._add(child, rid, key + (seq,))
+
+    def detach(self, node: ObjectNode) -> None:
+        """Forget `node` and its subtree."""
+        if id(node) not in self._place:
+            return
+        for n in node.walk():
+            key = self._key(n)
+            for nodes in (self._by_id[n.id], self._by_kind[n.kind]):
+                del nodes[bisect.bisect_left(nodes, key, key=self._key)]
+            del self._place[id(n)]
+
+    def first(self, node_id: str) -> ObjectNode | None:
+        nodes = self._by_id.get(node_id)
+        return nodes[0] if nodes else None
+
+    def resource_of(self, node: ObjectNode) -> str | None:
+        place = self._place.get(id(node))
+        return place[0] if place else None
+
+    def first_of_kind(self, kind: str, within: ObjectNode | None = None) -> ObjectNode | None:
+        """First `kind` node strictly inside attached `within`'s subtree, or
+        with `within` None, the first in the workspace; DFS order."""
+        nodes = self._by_kind.get(kind)
+        if not nodes:
+            return None
+        if within is None:
+            return nodes[0]
+        key = self._key(within)
+        i = bisect.bisect_right(nodes, key, key=self._key)
+        if i < len(nodes) and self._key(nodes[i])[: len(key)] == key:
+            return nodes[i]
+        return None
+
+
 @dataclass
 class WorkspaceState:
     catalog: Catalog
@@ -212,38 +303,37 @@ class WorkspaceState:
     resources: dict = field(default_factory=dict)  # resource id -> ObjectNode
     sharing: dict = field(default_factory=dict)  # resource id -> SharingConfig
     faults: list = field(default_factory=list)
-    attribute_table: dict = field(default_factory=dict)  # (kind, role) -> [values]
+    attribute_table: dict = field(default_factory=dict)  # (kind, role) -> {value: None}
+    index: WorkspaceIndex = field(default_factory=WorkspaceIndex, repr=False, compare=False)
     _fresh_counter: int = 0
 
     # --- indexing -----------------------------------------------------------
 
     def node(self, node_id: str) -> ObjectNode:
-        for root in self.resources.values():
-            for n in root.walk():
-                if n.id == node_id:
-                    return n
-        raise NotFound(f"no object with id {node_id!r}")
+        """First node with this id in DFS order over `resources`."""
+        node = self.index.first(node_id)
+        if node is None:
+            raise NotFound(f"no object with id {node_id!r}")
+        return node
 
     def resource_of(self, node: ObjectNode) -> str:
-        for rid, root in self.resources.items():
-            for n in root.walk():
-                if n is node:
-                    return rid
-        raise NotFound(f"object {node.id!r} not attached to any resource")
+        rid = self.index.resource_of(node)
+        if rid is None:
+            raise NotFound(f"object {node.id!r} not attached to any resource")
+        return rid
 
     def role_of(self, user: str, resource_id: str) -> Role | None:
         cfg = self.sharing.get(resource_id)
         return cfg.roles.get(user) if cfg else None
 
     def record_attribute(self, kind: str, role: str, value: str) -> None:
-        self.attribute_table.setdefault((kind, role), [])
-        if value not in self.attribute_table[(kind, role)]:
-            self.attribute_table[(kind, role)].append(value)
+        # a dict used as an insertion-ordered set: re-recording keeps the position
+        self.attribute_table.setdefault((kind, role), {})[value] = None
 
     def lookup_attribute(self, role: str, kind: str | None = None) -> str | None:
         for (k, r), values in sorted(self.attribute_table.items()):
             if r == role and (kind is None or k == kind) and values:
-                return values[0]
+                return next(iter(values))
         return None
 
     def faults_for(self, api_id: str) -> set:
@@ -298,6 +388,7 @@ def _build_workspace(doc: dict, catalog: Catalog, matrix: RoleCapabilityMatrix) 
     for entry in expect(doc, dict, "template").get("resources", []):
         node = _parse_node(entry, catalog, seen)
         state.resources[node.id] = node
+        state.index.set_root(node.id, node)
     for rid, cfg in expect(doc.get("sharing", {}), dict, "sharing").items():
         if rid not in state.resources:
             raise NotFound(f"sharing entry for unknown resource {rid!r}")
@@ -404,15 +495,15 @@ def _deny() -> InvocationResult:
 
 
 def _find_of_kind(state: WorkspaceState, kind: str, receiver: ObjectNode | None):
+    """First `kind` node below the receiver, else the first in the workspace."""
+    found = None
     if receiver is not None:
-        for n in receiver.walk():
-            if n.kind == kind and n is not receiver:
-                return n
-    for root in state.resources.values():
-        for n in root.walk():
-            if n.kind == kind:
-                return n
-    return None
+        if state.index.resource_of(receiver) is not None:
+            found = state.index.first_of_kind(kind, receiver)
+        else:
+            # a detached receiver is outside the index: search its own subtree
+            found = next((n for n in receiver.walk() if n.kind == kind and n is not receiver), None)
+    return found if found is not None else state.index.first_of_kind(kind)
 
 
 _VIEW_STEMS = ("get", "is", "has", "find", "list", "read", "open", "wait")
@@ -480,8 +571,13 @@ def _apply_effect(
             new = ObjectNode(kind=kind, id=f"{kind.lower()}-{state._fresh_counter}")
             if parent is not None:
                 parent.children.append(new)
+                state.index.attach_child(parent, new)
             else:
+                # a fresh id may equal an existing resource id: the new root
+                # then replaces that resource in its dict position
+                replaced = state.resources.get(new.id)
                 state.resources[new.id] = new
+                state.index.set_root(new.id, new, replaced)
                 state.sharing[new.id] = SharingConfig(roles={ctx.user: Role.OWNER})
             state.record_attribute(new.kind, "id", new.id)
             state.record_attribute(new.kind, "name", new.id)
@@ -516,16 +612,15 @@ def _apply_effect(
         if target is None:
             return InvocationResult(True, "deleted nothing")
         removed = None
-        if receiver is not None:
-            for child in list(receiver.children):
-                removed = child
-                receiver.children.remove(child)
-                break
+        if receiver is not None and receiver.children:
+            removed = receiver.children.pop(0)
+            state.index.detach(removed)
         if removed is None:
             for rid, root in list(state.resources.items()):
                 if root is target:
                     del state.resources[rid]
                     state.sharing.pop(rid, None)
+                    state.index.detach(root)
                     removed = root
                     break
         name = removed.id if removed is not None else target.id

@@ -8,10 +8,11 @@ be checked against them.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import deque
 
-from permscan.catalog import Catalog, parse_catalog
+from permscan.catalog import ApiSpec, Catalog, TypeRef, parse_catalog
 
 # primitive-only params keep the oracle's resolvability rule trivial:
 # string/integer/boolean resolve, enum does not
@@ -154,3 +155,94 @@ def oracle_shortest_chain(catalog: Catalog, target: str, limit: int = 4) -> int 
                 nxt.add((ret, depth + 1))
         frontier = nxt
     return best
+
+
+# --- workspaces and the oracle for the workspace index --------------------------------
+
+
+def with_creators(catalog: Catalog) -> Catalog:
+    """The catalog plus `P.insertK`, returning a K, for every pair of
+    classes.  `make_catalog`'s producers are accessors (get/find/open), which
+    the simulator runs as views, so without these a create makes nothing."""
+    creators = {
+        f"{p}.insert{k}": ApiSpec(
+            id=f"{p}.insert{k}", host_app="drive", parent_class=p, method=f"insert{k}",
+            description="", params=(), returns=TypeRef("class", k),
+        )
+        for p in catalog.classes
+        for k in catalog.classes
+    }
+    return dataclasses.replace(catalog, apis={**catalog.apis, **creators})
+
+
+def make_template(rng: random.Random, catalog: Catalog, max_nodes: int = 12) -> dict:
+    """Random template document: one to three resources of random kinds, each
+    a random tree, every resource owned by user "o"."""
+    kinds = sorted(catalog.classes)
+    ids = iter(range(max_nodes * 3))
+    budget = rng.randint(1, max_nodes)
+
+    def tree(depth: int) -> dict:
+        nonlocal budget
+        budget -= 1
+        children = []
+        while depth < 4 and budget > 0 and rng.random() < 0.6:
+            children.append(tree(depth + 1))
+        return {"kind": rng.choice(kinds), "id": f"n{next(ids)}", "children": children}
+
+    resources = [tree(0) for _ in range(rng.randint(1, 3))]
+    return {
+        "resources": resources,
+        "sharing": {r["id"]: {"roles": {"o": "owner"}} for r in resources},
+    }
+
+
+def with_fresh_like_ids(doc: dict, rng: random.Random) -> dict:
+    """Rename about half the template's nodes to ids of the form the
+    simulator gives created objects (`<kind>-<n>`, small n), so creates in a
+    short run collide with template ids, roots included."""
+    taken: set = set()
+
+    def rename(node: dict) -> None:
+        if rng.random() < 0.5:
+            for n in range(1, 5):
+                fresh = f"{node['kind'].lower()}-{n}"
+                if fresh not in taken:
+                    node["id"] = fresh
+                    break
+        taken.add(node["id"])
+        for child in node.get("children", []):
+            rename(child)
+
+    for root in doc["resources"]:
+        old = root["id"]
+        rename(root)
+        if old in doc.get("sharing", {}):
+            doc["sharing"][root["id"]] = doc["sharing"].pop(old)
+    return doc
+
+
+def _dfs(state):
+    """(resource id, node) over every attached node, in DFS order over
+    `resources` in dict order."""
+    for rid, root in state.resources.items():
+        for n in root.walk():
+            yield rid, n
+
+
+def oracle_node(state, node_id: str):
+    return next((n for _, n in _dfs(state) if n.id == node_id), None)
+
+
+def oracle_resource_of(state, node):
+    return next((rid for rid, n in _dfs(state) if n is node), None)
+
+
+def oracle_find_of_kind(state, kind: str, receiver):
+    """First `kind` node strictly below `receiver`, else the first `kind`
+    node in the workspace."""
+    if receiver is not None:
+        for n in receiver.walk():
+            if n.kind == kind and n is not receiver:
+                return n
+    return next((n for _, n in _dfs(state) if n.kind == kind), None)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 
@@ -94,6 +95,23 @@ def test_pipeline_determinism(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+# sha256 of the bundled pipeline's outputs: changes that keep behaviour keep these bytes
+BUNDLED_DIGESTS = {
+    "suite.jsonl": "750af9b9590640aadc9a304526a55e1cfb2eb33aa42bfa554c846eae0abe88b4",
+    "records.jsonl": "30b965affcf171d7a39038cd57cf7c2ce11f508b50f7b47d96db783b82e2c7f2",
+    "report.json": "a42d1bd6287173fb8709e123c30b0b43fab9aecb7b4cab4fbedb8dc2791f1697",
+}
+
+
+def test_bundled_pipeline_outputs_are_pinned(tmp_path):
+    assert main([
+        "pipeline", "--catalog", CATALOG, "--template", TEMPLATE,
+        "--faults", FAULTS, "--out-dir", str(tmp_path),
+    ]) == 2
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in BUNDLED_DIGESTS}
+    assert digests == BUNDLED_DIGESTS
+
+
 # --- the input boundary ----------------------------------------------------------
 
 
@@ -128,6 +146,12 @@ def _without(line: str, key: str) -> str:
     return json.dumps(doc)
 
 
+def _with(line: str, key: str, value) -> str:
+    doc = json.loads(line)
+    doc[key] = value
+    return json.dumps(doc)
+
+
 def _unknown_api(line: str) -> str:
     doc = json.loads(line)
     for step in doc["chain"]["steps"]:
@@ -148,6 +172,11 @@ MALFORMED = {
     "suite line without target_api": ("suite", lambda ok: _without(ok["suite"], "target_api")),
     "records are not JSON": ("records", lambda ok: "{not json\n"),
     "records line without case": ("records", lambda ok: _without(ok["records"], "case")),
+    "records line with unknown outcome": ("records", lambda ok: _with(ok["records"], "outcome", "Maybe")),
+    "records line with unknown mode": ("records", lambda ok: _with(ok["records"], "mode", "sideways")),
+    "records line with unknown grant scope": (
+        "records", lambda ok: _with(ok["records"], "grant", ["read", "admin"])
+    ),
     "config file is [1,2]": ("config", lambda ok: "[1,2]"),
     "config is not JSON": ("config", lambda ok: "{not json"),
     "template file is [1,2]": ("template", lambda ok: "[1,2]"),

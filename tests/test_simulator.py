@@ -1,4 +1,5 @@
 import json
+import random
 from importlib import resources
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from permscan.catalog import load_catalog
 from permscan.classify import Operation, PermissionLabel
-from permscan.errors import PatternMatchesNothing, SchemaViolation
+from permscan.errors import NotFound, PatternMatchesNothing, SchemaViolation
 from permscan.simulator import (
     GRANT_FULL,
     GRANT_READ,
@@ -26,7 +27,11 @@ from permscan.simulator import (
     scope_covers,
     sharing_digest,
     validate_grant,
+    _build_workspace,
+    _find_of_kind,
 )
+
+import synth
 
 DATA = resources.files("permscan.data")
 SHEETS = load_catalog(str(DATA / "spreadsheet.json"))
@@ -325,3 +330,79 @@ def test_setowner_transfers_and_demotes():
     cfg = state.sharing["spreadsheet1"]
     assert cfg.owner == "alice.editor"
     assert cfg.roles["olivia.owner"] is Role.EDITOR
+
+
+# --- the workspace index against tree walks -------------------------------------------
+
+
+def _or_none(lookup, *args):
+    try:
+        return lookup(*args)
+    except NotFound:
+        return None
+
+
+def _check_index(state, kinds, known):
+    for node_id in {n.id for n in known} | {"no-such-id"}:
+        assert _or_none(state.node, node_id) is synth.oracle_node(state, node_id), node_id
+    for n in known:
+        assert _or_none(state.resource_of, n) == synth.oracle_resource_of(state, n), n.id
+    for kind in kinds:
+        for receiver in [None, *known]:
+            got = _find_of_kind(state, kind, receiver)
+            assert got is synth.oracle_find_of_kind(state, kind, receiver), (kind, receiver)
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=st.sampled_from(["bundled", "synth"]), seed=st.integers(0, 2**32), data=st.data())
+def test_workspace_index_matches_tree_walks(source, seed, data):
+    """Differential test: after every create or delete, node, resource_of and
+    _find_of_kind answer as a walk over the current trees does, for every id,
+    every node ever seen (attached or detached) and every (kind, receiver)."""
+    rng = random.Random(seed)
+    if source == "bundled":
+        catalog, doc = SHEETS, json.loads((DATA / "template_spreadsheet.json").read_text())
+    else:
+        catalog = synth.with_creators(synth.make_catalog(rng, max_classes=6, max_apis=30))
+        doc = synth.make_template(rng, catalog)
+    state = _build_workspace(synth.with_fresh_like_ids(doc, rng), catalog, MATRIX)
+    # with the role check skipped, calls also reach receivers already detached
+    inject_fault(state, FaultSpec("SkipRoleCheck", "*"))
+    known = [n for root in state.resources.values() for n in root.walk()]
+    apis = sorted(catalog.apis.values(), key=lambda a: a.id)
+    _check_index(state, catalog.classes, known)
+    for _ in range(data.draw(st.integers(1, 16), label="steps")):
+        op = data.draw(st.sampled_from([Operation.CREATE, Operation.DELETE]), label="op")
+        receiver = data.draw(st.none() | st.sampled_from(known), label="receiver")
+        # without a receiver, only a class-typed API creates or deletes a root
+        fitting = [
+            a for a in apis
+            if (a.parent_class == receiver.kind if receiver is not None else a.returns.is_class)
+        ]
+        api = data.draw(st.sampled_from(fitting or apis), label="api")
+        label = PermissionLabel(op, api.parent_class, False)
+        result = invoke_host_api(state, Subject("o"), api.id, label, receiver)
+        if result.node is not None and all(result.node is not n for n in known):
+            known.append(result.node)
+        _check_index(state, catalog.classes, known)
+
+
+def test_created_root_replaces_resource_with_the_same_id():
+    """A fresh id equal to a resource id replaces that resource in its dict
+    position; its old tree, and a child created in it, become detached."""
+    doc = json.loads((DATA / "template_spreadsheet.json").read_text())
+    root = doc["resources"][0]
+    root["id"], root["children"][0]["children"][0]["id"] = "chart-2", "row-1"
+    doc["sharing"] = {"chart-2": doc["sharing"]["spreadsheet1"]}
+    state = _build_workspace(doc, SHEETS, MATRIX)
+    known = list(state.node("chart-2").walk())
+    owner = Subject("olivia.owner")
+    for api_id, receiver in [("Sheet.insertRow", state.node("sheet1")), ("Sheet.addChart", None)]:
+        label = PermissionLabel(Operation.CREATE, "Sheet", False)
+        known.append(invoke_host_api(state, owner, api_id, label, receiver).node)
+        _check_index(state, SHEETS.classes, known)
+    assert [n.id for n in known[-2:]] == ["row-1", "chart-2"]
+    assert list(state.resources) == ["chart-2"]
+    assert state.node("chart-2") is known[-1]
+    with pytest.raises(NotFound):
+        state.node("row-1")
