@@ -81,10 +81,11 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     catalog = load_catalog(args.catalog)
+    labels = classify_catalog(catalog)
     suite = read_json(args.suite, TestCase.from_json, lines=True)
     matrix = _load_matrix(args.matrix)
     faults = load_faults(args.faults) if args.faults else []
-    backend = SimulatorBackend(catalog, args.template, matrix, faults)
+    backend = SimulatorBackend(catalog, args.template, matrix, labels, faults)
     if args.mode == "role-matrix":
         records = run_role_matrix(suite, backend)
     else:
@@ -139,7 +140,7 @@ def cmd_pipeline(args) -> int:
 
     matrix = _load_matrix(args.matrix)
     faults = load_faults(faults_path) if faults_path else []
-    backend = SimulatorBackend(catalog, template_path, matrix, faults)
+    backend = SimulatorBackend(catalog, template_path, matrix, labels, faults)
     records = run_role_matrix(result.cases, backend)
     records += run_scope_ladder(result.cases, backend)
     (out_dir / "records.jsonl").write_text(records_to_jsonl(records), encoding="utf-8")

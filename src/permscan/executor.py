@@ -10,7 +10,6 @@ from functools import cached_property
 from typing import Protocol
 
 from .catalog import expect, parse_json
-from .classify import classify_catalog
 from .errors import BackendUnavailable, NotFound
 from .graph import CallChain
 from .simulator import (
@@ -130,14 +129,18 @@ class Session:
 
 
 class SimulatorBackend:
-    """Runs suites against the in-process workspace simulator."""
+    """Runs suites against the in-process workspace simulator.
 
-    def __init__(self, catalog, template_path, matrix, faults=()):
+    `labels` (api id -> PermissionLabel) are the caller's labels of the
+    catalog, the same ones its suite and detector use.
+    """
+
+    def __init__(self, catalog, template_path, matrix, labels, faults=()):
         self.catalog = catalog
         self.template_path = template_path
         self.matrix = matrix
+        self.labels = labels
         self.faults = list(faults)
-        self.labels = classify_catalog(catalog)
 
     @cached_property
     def _template_roles(self) -> tuple:

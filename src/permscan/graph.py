@@ -2,12 +2,14 @@
 
 The graph connects every class to the APIs it owns and every API to its
 return type.  Call chains are synthesized by walking from the root app
-class along producer APIs until the requested class is reached.
+class along producer APIs until the requested class is reached; the best
+chain of every class is computed once, when the graph is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass, field, replace
 
 from .catalog import ApiSpec, Catalog, TypeRef
 from .errors import NoProducer, UnresolvableReturn
@@ -46,6 +48,7 @@ class DepGraph:
     method_edges: dict  # class name -> tuple of api ids, sorted
     return_edges: dict  # api id -> TypeRef
     root: str
+    producer_chains: dict  # internal class -> api ids of its best chain from the root
     catalog: Catalog = field(repr=False, compare=False, default=None)
 
     def api(self, api_id: str) -> ApiSpec:
@@ -75,13 +78,15 @@ def build_graph(catalog: Catalog, host_app: str | None = None) -> DepGraph:
             if ret.is_class and not (ret.name in class_nodes or ret.name in catalog.external_types):
                 raise UnresolvableReturn(f"{api_id}: returns unknown class {ret.name!r}")
             return_edges[api_id] = ret
-    return DepGraph(
+    graph = DepGraph(
         class_nodes=class_nodes,
         method_edges={k: tuple(v) for k, v in method_edges.items()},
         return_edges=return_edges,
         root=root,
+        producer_chains={},
         catalog=catalog,
     )
+    return replace(graph, producer_chains=_best_chains(graph))
 
 
 def producible_class(graph: DepGraph, api_id: str) -> str | None:
@@ -103,45 +108,46 @@ def _step_for(graph: DepGraph, api_id: str) -> ChainStep:
     return ChainStep(api_id, index_zero=(ret.kind == "array"))
 
 
-def _chain_key(graph: DepGraph, ids: tuple[str, ...]) -> tuple:
-    # shorter first, then fewer parameterized steps, then lexicographic
-    n_params = sum(1 for i in ids if graph.api(i).params)
-    return (len(ids), n_params, ids)
+def _best_chains(graph: DepGraph) -> dict:
+    """Best chain (api ids) from the root to every reachable internal class.
+
+    Single-source shortest paths (Dijkstra) keyed by (length, number of
+    parameterized steps, ids): shorter first, then fewer parameterized
+    steps, then the lexicographically smallest id sequence.  Appending a
+    step grows the key and keeps the order of any two keys, so a class is
+    final when first popped.  Each reachable class is expanded once, so
+    each of its APIs is checked once.  The root maps to the empty chain.
+    """
+    best: dict = {}
+    heap = [(0, 0, (), graph.root)]
+    while heap:
+        length, n_params, ids, cls = heapq.heappop(heap)
+        if cls in best:
+            continue
+        best[cls] = ids
+        for api_id in graph.method_edges.get(cls, ()):
+            nxt = producible_class(graph, api_id)
+            if nxt is None or nxt in best or not eligible_producer(graph, api_id):
+                continue
+            parameterized = 1 if graph.api(api_id).params else 0
+            heapq.heappush(heap, (length + 1, n_params + parameterized, ids + (api_id,), nxt))
+    return best
 
 
 def shortest_producer_path(graph: DepGraph, target: str) -> CallChain:
     """Minimum-length chain from the root to an API producing `target`.
 
     Deterministic tie-break: parameterless steps preferred, then the
-    lexicographically smallest id sequence.
+    lexicographically smallest id sequence.  A lookup into the chains
+    `build_graph` computed; the root is ambient, so it has no producer.
     """
     if target not in graph.class_nodes:
         raise NoProducer(f"{target!r} is not an internal class")
-    best: dict = {graph.root: ()}  # class -> best id tuple
-    # small graphs: relax to a fixpoint
-    changed = True
-    while changed:
-        changed = False
-        for cls in sorted(best, key=lambda c: _chain_key(graph, best[c])):
-            base = best[cls]
-            for api_id in graph.method_edges.get(cls, ()):
-                if not eligible_producer(graph, api_id):
-                    continue
-                nxt = producible_class(graph, api_id)
-                if nxt is None:
-                    continue
-                cand = base + (api_id,)
-                if nxt not in best or _chain_key(graph, cand) < _chain_key(graph, best[nxt]):
-                    best[nxt] = cand
-                    changed = True
-    if target not in best or not best[target]:
+    ids = graph.producer_chains.get(target)
+    if not ids:
         raise NoProducer(f"no chain from {graph.root} produces {target!r}")
-
-    ids = best[target]
     steps = tuple(_step_for(graph, i) for i in ids)
-    ret = graph.return_edges[ids[-1]]
-    produces = TypeRef("class", ret.name)
-    return CallChain(steps=steps, produces=produces)
+    return CallChain(steps=steps, produces=TypeRef("class", target))
 
 
 def to_dot(graph: DepGraph) -> str:

@@ -331,10 +331,12 @@ class WorkspaceState:
         self.attribute_table.setdefault((kind, role), {})[value] = None
 
     def lookup_attribute(self, role: str, kind: str | None = None) -> str | None:
-        for (k, r), values in sorted(self.attribute_table.items()):
-            if r == role and (kind is None or k == kind) and values:
-                return next(iter(values))
-        return None
+        """First value recorded under the smallest matching (kind, role) key."""
+        keys = [
+            key for key, values in self.attribute_table.items()
+            if key[1] == role and (kind is None or key[0] == kind) and values
+        ]
+        return next(iter(self.attribute_table[min(keys)])) if keys else None
 
     def faults_for(self, api_id: str) -> set:
         return {f.kind for f in self.faults if f.matches(api_id)}

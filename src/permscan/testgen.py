@@ -6,6 +6,7 @@ from __future__ import annotations
 import heapq
 import json
 import re
+from collections import deque
 from dataclasses import dataclass, field
 
 from .catalog import ApiSpec, TypeRef, expect, parse_json
@@ -208,11 +209,12 @@ def _parse_tutorial(api: ApiSpec, graph: DepGraph) -> CallChain:
     return CallChain(steps=tuple(steps), produces=produces)
 
 
-def resolve_parameters(api: ApiSpec, graph: DepGraph) -> ArgPlan:
+def resolve_parameters(api: ApiSpec, graph: DepGraph, attached: dict | None = None) -> ArgPlan:
     """Pick a strategy per parameter, in the fixed priority order.
 
     Raises UnresolvableParameter for enum or external-class parameters with
-    no producer; callers exclude the API from the suite.
+    no producer; callers exclude the API from the suite.  `attached` keeps
+    each class's producer chain (see `_attached_chain`) across calls.
     """
     if api.tutorial:
         return ArgPlan(tutorial=_parse_tutorial(api, graph))
@@ -224,10 +226,10 @@ def resolve_parameters(api: ApiSpec, graph: DepGraph) -> ArgPlan:
             if p.type not in graph.class_nodes:
                 raise UnresolvableParameter(api.id, p.name, f"(external class {p.type})")
             try:
-                chain = shortest_producer_path(graph, p.type)
+                chain = _attached_chain(p.type, graph, {} if attached is None else attached)
             except NoProducer as exc:
                 raise UnresolvableParameter(api.id, p.name, f"({exc})") from exc
-            params.append((p.name, ProducerPlan(_attach_plans(chain, graph))))
+            params.append((p.name, ProducerPlan(chain)))
         elif p.kind == "enum":
             raise UnresolvableParameter(api.id, p.name, "(enum type)")
         elif p.kind == "string":
@@ -252,6 +254,21 @@ def _attach_plans(chain: CallChain, graph: DepGraph) -> CallChain:
     return CallChain(steps=tuple(steps), produces=chain.produces)
 
 
+def _attached_chain(cls: str, graph: DepGraph, attached: dict) -> CallChain:
+    """The class's producer chain with every step's plan attached, built at
+    most once per `attached` map, which also keeps a failure to re-raise:
+    NoProducer, or UnresolvableParameter from a step's tutorial."""
+    if cls not in attached:
+        try:
+            attached[cls] = _attach_plans(shortest_producer_path(graph, cls), graph)
+        except (NoProducer, UnresolvableParameter) as exc:
+            attached[cls] = exc
+    found = attached[cls]
+    if isinstance(found, Exception):
+        raise found
+    return found
+
+
 # --- generation -----------------------------------------------------------------
 
 
@@ -260,18 +277,19 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
     but an already-visited return class is never re-expanded (Pruning #1)."""
     result = GenResult()
     visited = {graph.root}
-    queue = [graph.root]
+    queue = deque([graph.root])
     class_chain: dict = {graph.root: CallChain((), TypeRef("class", graph.root))}
     case_by_api: dict = {}
+    attached: dict = {}  # class -> producer chain with plans, or its failure
 
     while queue:
-        cls = queue.pop(0)
+        cls = queue.popleft()
         base = class_chain[cls]
         producer_case = case_by_api.get(base.steps[-1].api_id) if base.steps else None
         for api_id in graph.method_edges.get(cls, ()):
             api = graph.api(api_id)
             try:
-                plan = resolve_parameters(api, graph)
+                plan = resolve_parameters(api, graph, attached)
             except UnresolvableParameter as exc:
                 result.excluded.append((api_id, str(exc)))
                 continue
@@ -294,7 +312,7 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
             if nxt is not None and nxt not in visited:
                 visited.add(nxt)
                 queue.append(nxt)
-                class_chain[nxt] = _class_chain_for(nxt, chain, graph)
+                class_chain[nxt] = _class_chain_for(nxt, chain, graph, attached)
 
     for cls in sorted(graph.class_nodes - visited):
         result.pruned.extend(graph.method_edges.get(cls, ()))
@@ -305,12 +323,11 @@ def _produced_type(ret: TypeRef) -> TypeRef:
     return TypeRef("class", ret.name) if ret.is_class else ret
 
 
-def _class_chain_for(cls, fallback_chain, graph) -> CallChain:
+def _class_chain_for(cls, fallback_chain, graph, attached) -> CallChain:
     """Prefer the shortest producer chain; fall back to the BFS emission chain
     when the class is only reachable through parameterized producers."""
     try:
-        chain = shortest_producer_path(graph, cls)
-        return _attach_plans(chain, graph)
+        return _attached_chain(cls, graph, attached)
     except (NoProducer, UnresolvableParameter):
         return fallback_chain
 

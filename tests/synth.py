@@ -157,6 +157,35 @@ def oracle_shortest_chain(catalog: Catalog, target: str, limit: int = 4) -> int 
     return best
 
 
+def oracle_best_chain(catalog: Catalog, target: str, limit: int = 4) -> tuple | None:
+    """Api ids of the best chain from the root to an API producing `target`:
+    the minimum under (length, parameterised steps, ids) over every chain of
+    at most `limit` calls, by exhaustive enumeration.  A chain that produces
+    some class twice is skipped, because cutting out the loop gives a
+    smaller key.  None when there is no such chain; the root is never
+    produced."""
+    root = next(iter(catalog.roots.values()))
+    producers: dict = {}  # class -> [(api id, produced class, parameterised)]
+    for api in catalog.apis.values():
+        ret = _internal_return(catalog, api)
+        if ret is not None and _resolvable(api):
+            producers.setdefault(api.parent_class, []).append((api.id, ret, bool(api.params)))
+    found = []
+
+    def extend(cls: str, seen: frozenset, ids: tuple, n_params: int) -> None:
+        for api_id, ret, parameterised in producers.get(cls, ()):
+            if ret in seen:
+                continue
+            chain, n = ids + (api_id,), n_params + parameterised
+            if ret == target:
+                found.append((len(chain), n, chain))
+            elif len(chain) < limit:
+                extend(ret, seen | {ret}, chain, n)
+
+    extend(root, frozenset({root}), (), 0)
+    return min(found)[2] if found else None
+
+
 # --- workspaces and the oracle for the workspace index --------------------------------
 
 

@@ -134,7 +134,7 @@ def test_acceptance_03_seeded_fault_detection(capsys):
         recall = 0
         false_positives = 0
         for fault in faults:
-            backend = SimulatorBackend(SHEETS, TEMPLATE, MATRIX, faults=[fault])
+            backend = SimulatorBackend(SHEETS, TEMPLATE, MATRIX, classify_catalog(SHEETS), faults=[fault])
             records = run_role_matrix(SUITE, backend) + run_scope_ladder(SUITE, backend)
             result = detect_full(records, LABELS, MATRIX, ground_truth)
             found = {(f.kind, f.api) for f in result.findings}
@@ -142,7 +142,7 @@ def test_acceptance_03_seeded_fault_detection(capsys):
             recall += want in found
             false_positives += len(found - {want})
         # fault-free control run must stay silent
-        backend = SimulatorBackend(SHEETS, TEMPLATE, MATRIX, faults=[])
+        backend = SimulatorBackend(SHEETS, TEMPLATE, MATRIX, classify_catalog(SHEETS), faults=[])
         records = run_role_matrix(SUITE, backend) + run_scope_ladder(SUITE, backend)
         clean = detect_full(records, LABELS, MATRIX, ground_truth)
         false_positives += len(clean.findings) + len(clean.potential_only)
@@ -174,7 +174,7 @@ def test_acceptance_04_pruning_one_oracle(capsys):
 
 def test_acceptance_05_pruning_two_record_audit(capsys):
     def check():
-        backend = SimulatorBackend(SHEETS, TEMPLATE, MATRIX)
+        backend = SimulatorBackend(SHEETS, TEMPLATE, MATRIX, classify_catalog(SHEETS))
         session = backend.start_session("victor.viewer", GRANT_FULL)
         index = {c.id: c for c in SUITE}
         records = {c.id: run_case(session, c, index) for c in SUITE}

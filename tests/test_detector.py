@@ -29,7 +29,7 @@ ALL_FAULTS = load_faults(str(DATA / "faults_seeded.json"))
 
 
 def run_with(faults):
-    backend = SimulatorBackend(SHEETS, TEMPLATE, MATRIX, faults=faults)
+    backend = SimulatorBackend(SHEETS, TEMPLATE, MATRIX, classify_catalog(SHEETS), faults=faults)
     return run_role_matrix(SUITE, backend) + run_scope_ladder(SUITE, backend)
 
 

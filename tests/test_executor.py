@@ -35,7 +35,7 @@ SUITE = generate_suite(build_graph(SHEETS), classify_catalog(SHEETS)).cases
 
 
 def backend(faults=()):
-    return SimulatorBackend(SHEETS, TEMPLATE, MATRIX, faults=faults)
+    return SimulatorBackend(SHEETS, TEMPLATE, MATRIX, classify_catalog(SHEETS), faults=faults)
 
 
 def _by_api(records, role=None):

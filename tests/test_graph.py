@@ -3,7 +3,8 @@ from importlib import resources
 
 import pytest
 
-from synth import make_catalog, oracle_shortest_chain
+import permscan.graph as graph_module
+from synth import make_catalog, oracle_best_chain, oracle_shortest_chain
 from permscan.catalog import load_catalog, parse_catalog
 from permscan.errors import NoProducer, UnresolvableReturn
 from permscan.graph import (
@@ -126,3 +127,48 @@ def test_tie_break_is_deterministic():
                 runs.append(None)
         assert runs[0] == runs[1] == runs[2]
 
+
+
+def test_best_chain_equals_exhaustive_oracle():
+    # limit = number of classes: every simple chain is enumerated, so a
+    # class the oracle cannot produce is unreachable and must raise
+    rng = random.Random(20261018)
+    chains = unreachable = 0
+    for _ in range(150):
+        # more APIs per catalog make more chains and ties; much denser
+        # catalogs make the enumeration too slow for a unit test
+        cat = make_catalog(rng, max_classes=rng.randint(2, 40), max_apis=rng.randint(60, 120))
+        g = build_graph(cat)
+        for cls in sorted(cat.classes):
+            want = oracle_best_chain(cat, cls, limit=len(cat.classes))
+            if want is None:
+                with pytest.raises(NoProducer):
+                    shortest_producer_path(g, cls)
+                unreachable += 1
+            else:
+                got = shortest_producer_path(g, cls)
+                assert tuple(s.api_id for s in got.steps) == want, cls
+                assert got.produces.name == cls
+                chains += 1
+    assert chains > 0 and unreachable > 0
+
+
+def test_chains_are_computed_once_per_graph(monkeypatch):
+    checked = []
+    original = graph_module.eligible_producer
+
+    def counting(graph, api_id):
+        checked.append(api_id)
+        return original(graph, api_id)
+
+    monkeypatch.setattr(graph_module, "eligible_producer", counting)
+    cat = make_catalog(random.Random(5), max_classes=40, max_apis=200)
+    g = build_graph(cat)
+    built = len(checked)
+    assert built > 0 and len(set(checked)) == built  # each API checked at most once
+    for cls in sorted(cat.classes):
+        try:
+            shortest_producer_path(g, cls)
+        except NoProducer:
+            pass
+    assert len(checked) == built
