@@ -2,7 +2,9 @@
 
 Rules (one kind per record, precedence E1 > E3 > E2):
   E1 - the grant did not cover the operation, yet the call succeeded.
-  E3 - the sharing configuration changed under a non-owner installer.
+  E3 - the sharing configuration of a resource that exists both before
+       and after the case changed under a non-owner installer; creating or
+       deleting a root resource is not a sharing change.
   E2 - scope was fine but the installer's role (or an object constraint)
        forbids the operation; confirmed only when the record carries
        non-empty evidence, otherwise kept as potential-only for triage.

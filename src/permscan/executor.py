@@ -3,11 +3,11 @@ campaigns, per-session dependency pruning (Pruning #2), outcome records."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Protocol
 
 from .catalog import expect, parse_json
 from .errors import BackendUnavailable, NotFound
@@ -108,14 +108,6 @@ class ExecutionRecord:
             target_object=obj.get("target_object"),
             produced_object=obj.get("produced_object"),
         )
-
-
-class Backend(Protocol):
-    """Adapter surface a real-platform driver would implement."""
-
-    def start_session(self, installer: str, grant: frozenset, mode: str) -> "Session": ...
-
-    def user_with_role(self, role: Role) -> str: ...
 
 
 @dataclass
@@ -260,6 +252,11 @@ def _dependency_failed(session: Session, case: TestCase, suite_index: dict) -> b
     return False
 
 
+def _combined_digest(configs: dict) -> str:
+    """One digest over resource id -> sharing-configuration digest."""
+    return hashlib.sha256(json.dumps(configs, sort_keys=True).encode()).hexdigest()
+
+
 def run_case(session: Session, case: TestCase, suite_index: dict | None = None) -> ExecutionRecord:
     """Execute one case in a session.  Cases whose dependency prefix already
     failed are recorded as Pruned and never sent to the backend."""
@@ -276,7 +273,7 @@ def run_case(session: Session, case: TestCase, suite_index: dict | None = None) 
         session.failed_cases.add(case.id)
         return ExecutionRecord(outcome=OUTCOME_PRUNED, **base)
 
-    digest_before = sharing_digest(session.state)
+    configs_before = sharing_digest(session.state)
     touched: list = []
     last_failure: InvocationResult | None = None
     result: InvocationResult | None = None
@@ -291,7 +288,16 @@ def run_case(session: Session, case: TestCase, suite_index: dict | None = None) 
         except _StepFailure as exc:
             last_failure = exc.result
             result = None
-    digest_after = sharing_digest(session.state)
+    configs_after = sharing_digest(session.state)
+    if configs_after.keys() != configs_before.keys():
+        # a root was created or deleted: only the resources that exist both
+        # before and after the case can show a change of sharing
+        configs_before = {r: d for r, d in configs_before.items() if r in configs_after}
+        configs_after = {r: d for r, d in configs_after.items() if r in configs_before}
+    digest_before = _combined_digest(configs_before)
+    digest_after = (
+        digest_before if configs_after == configs_before else _combined_digest(configs_after)
+    )
 
     if touched:
         final_produced = touched[-1][0]

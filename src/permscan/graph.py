@@ -35,9 +35,6 @@ class CallChain:
     steps: tuple[ChainStep, ...]
     produces: TypeRef
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def to_json(self) -> dict:
         return {"steps": [s.to_json() for s in self.steps], "produces": self.produces.to_json()}
 

@@ -3,9 +3,9 @@ resources.
 
 Level 1 checks the add-on's granted OAuth scope, level 2 the installer's
 role on the target resource plus object-level constraints (hidden objects,
-protected ranges, sharing mutation).  Fault injection selectively skips a
-check level for matching APIs so the detector can be validated against
-known ground truth.
+protected ranges, sharing mutation).  `check_access` makes every decision;
+fault injection names the checks it skips for matching APIs, so the
+detector can be validated against known ground truth.
 """
 
 from __future__ import annotations
@@ -105,17 +105,6 @@ class ObjectNode:
         yield self
         for c in self.children:
             yield from c.walk()
-
-    def to_json(self) -> dict:
-        attrs: dict = {"content": self.content, "hidden": self.hidden}
-        if self.protection is not None:
-            attrs["protection"] = sorted(self.protection)
-        return {
-            "kind": self.kind,
-            "id": self.id,
-            "attrs": attrs,
-            "children": [c.to_json() for c in self.children],
-        }
 
 
 @dataclass
@@ -467,13 +456,24 @@ def check_access(
     label: PermissionLabel,
     target: ObjectNode,
     produced: ObjectNode | None = None,
+    skipped: frozenset | set = frozenset(),
 ) -> Decision:
-    """Fault-free reference decision for one (subject, operation, object)."""
-    if subject.is_addon and not scope_covers(subject.grant, label.operation):
+    """The decision for one (subject, operation, object).  `skipped` holds
+    the fault kinds whose check is left out; without any, this is the
+    fault-free reference."""
+    if (
+        subject.is_addon
+        and "SkipScopeCheck" not in skipped
+        and not scope_covers(subject.grant, label.operation)
+    ):
         return Decision.DENY_SCOPE
-    if _role_level_denies(state, subject.user, label, target, produced):
+    if "SkipRoleCheck" not in skipped and _role_level_denies(
+        state, subject.user, label, target, produced
+    ):
         return Decision.DENY_ROLE
-    if _sharing_denies(state, subject.user, label, target):
+    if "AllowSharingMutation" not in skipped and _sharing_denies(
+        state, subject.user, label, target
+    ):
         return Decision.DENY_ROLE
     return Decision.ALLOW
 
@@ -506,9 +506,6 @@ def _find_of_kind(state: WorkspaceState, kind: str, receiver: ObjectNode | None)
             # a detached receiver is outside the index: search its own subtree
             found = next((n for n in receiver.walk() if n.kind == kind and n is not receiver), None)
     return found if found is not None else state.index.first_of_kind(kind)
-
-
-_VIEW_STEMS = ("get", "is", "has", "find", "list", "read", "open", "wait")
 
 
 def _apply_effect(
@@ -555,25 +552,23 @@ def _apply_effect(
         names = ",".join(sorted(cfg.roles))
         return InvocationResult(True, names)
 
-    if label.operation == Operation.VIEW or any(low.startswith(s) for s in _VIEW_STEMS):
+    if label.operation == Operation.VIEW:
         if produced is not None:
             value = produced.content or produced.id
             state.record_attribute(produced.kind, "id", produced.id)
             state.record_attribute(produced.kind, "name", produced.id)
             return InvocationResult(True, value, node=produced)
-        target = receiver
-        value = (target.content or target.id) if target is not None else ""
+        value = (receiver.content or receiver.id) if receiver is not None else ""
         return InvocationResult(True, value, node=receiver)
 
     if label.operation == Operation.CREATE:
         kind = api.returns.class_name
-        parent = receiver if receiver is not None else None
         state._fresh_counter += 1
         if kind is not None and kind in state.catalog.classes:
             new = ObjectNode(kind=kind, id=f"{kind.lower()}-{state._fresh_counter}")
-            if parent is not None:
-                parent.children.append(new)
-                state.index.attach_child(parent, new)
+            if receiver is not None:
+                receiver.children.append(new)
+                state.index.attach_child(receiver, new)
             else:
                 # a fresh id may equal an existing resource id: the new root
                 # then replaces that resource in its dict position
@@ -587,27 +582,25 @@ def _apply_effect(
         return InvocationResult(True, f"created item {state._fresh_counter}")
 
     if label.operation == Operation.COMMENT:
-        target = receiver
-        if target is not None:
-            target.content = (target.content + " [comment]").strip()
+        if receiver is not None:
+            receiver.content = (receiver.content + " [comment]").strip()
         return InvocationResult(True, "comment added", node=receiver)
 
     if label.operation == Operation.MODIFY:
-        target = receiver
-        if target is None:
+        if receiver is None:
             return InvocationResult(True, "modified")
         if low.startswith("unhide"):
-            unhidden = [n for n in target.walk() if n.hidden]
+            unhidden = [n for n in receiver.walk() if n.hidden]
             for n in unhidden:
                 n.hidden = False
-            which = ",".join(n.id for n in unhidden) or target.id
-            return InvocationResult(True, f"unhid {which}", node=target)
+            which = ",".join(n.id for n in unhidden) or receiver.id
+            return InvocationResult(True, f"unhid {which}", node=receiver)
         if low.startswith("hide"):
-            target.hidden = target.kind in HIDEABLE_KINDS
-            return InvocationResult(True, f"hid {target.id}", node=target)
+            receiver.hidden = receiver.kind in HIDEABLE_KINDS
+            return InvocationResult(True, f"hid {receiver.id}", node=receiver)
         new_value = next((str(v) for v in args.values()), "updated")
-        target.content = new_value
-        return InvocationResult(True, f"set {target.id} content={new_value}", node=target)
+        receiver.content = new_value
+        return InvocationResult(True, f"set {receiver.id} content={new_value}", node=receiver)
 
     if label.operation == Operation.DELETE:
         target = produced if produced is not None else receiver
@@ -639,8 +632,11 @@ def invoke_host_api(
     receiver: ObjectNode | None = None,
     args: dict | None = None,
 ) -> InvocationResult:
-    """Execute one chain step: fault-aware two-level check, then the
-    semantic effect.  Denials never mutate state."""
+    """Execute one chain step: the two-level check with this API's faults
+    skipped, then the semantic effect.  The check's target is the receiver,
+    else the produced object, else the root of the first resource (an
+    app-level call); with none of these the call is denied.  Denials never
+    mutate state."""
     args = args or {}
     api = state.catalog.apis.get(api_id)
     if api is None:
@@ -652,26 +648,18 @@ def invoke_host_api(
             error_kind="TypeError",
         )
 
-    faults = state.faults_for(api_id)
-
     produced: ObjectNode | None = None
     is_create = label.operation == Operation.CREATE
     if api.returns.is_class and not is_create:
         produced = _find_of_kind(state, api.returns.name, receiver)
 
-    check_target = receiver if receiver is not None else produced
-
-    if ctx.is_addon and "SkipScopeCheck" not in faults:
-        if not scope_covers(ctx.grant, label.operation):
-            return _deny()
-
-    if check_target is not None:
-        if "SkipRoleCheck" not in faults:
-            if _role_level_denies(state, ctx.user, label, check_target, produced):
-                return _deny()
-        if "AllowSharingMutation" not in faults:
-            if _sharing_denies(state, ctx.user, label, check_target):
-                return _deny()
+    target = receiver if receiver is not None else produced
+    if target is None:
+        target = next(iter(state.resources.values()), None)
+    if target is None or check_access(
+        state, ctx, label, target, produced, state.faults_for(api_id)
+    ) is not Decision.ALLOW:
+        return _deny()
 
     if api.returns.is_class and not is_create and produced is None:
         return InvocationResult(
@@ -708,12 +696,8 @@ def _faults_from_json(doc: list) -> list:
     return faults
 
 
-def sharing_digest(state: WorkspaceState, resource_id: str | None = None) -> str:
-    """Order-insensitive digest of the sharing configuration.  Without a
-    resource id, digests the whole sharing map (campaign-level tracking)."""
-    if resource_id is not None:
-        if resource_id not in state.sharing:
-            raise NotFound(f"no resource {resource_id!r}")
-        return state.sharing[resource_id].digest()
-    combined = {rid: cfg.digest() for rid, cfg in sorted(state.sharing.items())}
-    return hashlib.sha256(json.dumps(combined, sort_keys=True).encode()).hexdigest()
+def sharing_digest(state: WorkspaceState) -> dict:
+    """Resource id -> order-insensitive digest of its sharing configuration:
+    two calls differ exactly where a resource's sharing changed, appeared or
+    went away."""
+    return {rid: cfg.digest() for rid, cfg in state.sharing.items()}

@@ -204,9 +204,16 @@ def with_creators(catalog: Catalog) -> Catalog:
     return dataclasses.replace(catalog, apis={**catalog.apis, **creators})
 
 
-def make_template(rng: random.Random, catalog: Catalog, max_nodes: int = 12) -> dict:
+# one collaborator per role, the same on every resource
+ALL_ROLES = (("o", "owner"), ("e", "editor"), ("c", "commenter"), ("v", "viewer"))
+
+
+def make_template(
+    rng: random.Random, catalog: Catalog, max_nodes: int = 12, roles: tuple = (("o", "owner"),)
+) -> dict:
     """Random template document: one to three resources of random kinds, each
-    a random tree, every resource owned by user "o"."""
+    a random tree, every resource shared with `roles` ((user, role) pairs;
+    by default owned by user "o" alone)."""
     kinds = sorted(catalog.classes)
     ids = iter(range(max_nodes * 3))
     budget = rng.randint(1, max_nodes)
@@ -222,7 +229,7 @@ def make_template(rng: random.Random, catalog: Catalog, max_nodes: int = 12) -> 
     resources = [tree(0) for _ in range(rng.randint(1, 3))]
     return {
         "resources": resources,
-        "sharing": {r["id"]: {"roles": {"o": "owner"}} for r in resources},
+        "sharing": {r["id"]: {"roles": dict(roles)} for r in resources},
     }
 
 

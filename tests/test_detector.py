@@ -1,13 +1,21 @@
 import json
+import random
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permscan.catalog import load_catalog
+from permscan.catalog import load_catalog, parse_catalog
 from permscan.classify import classify_catalog
 from permscan.detector import build_report, detect, detect_full, report_to_json
 from permscan.errors import MissingLabel
-from permscan.executor import SimulatorBackend, run_role_matrix, run_scope_ladder
+from permscan.executor import (
+    OUTCOME_SUCCESS,
+    SimulatorBackend,
+    run_role_matrix,
+    run_scope_ladder,
+)
 from permscan.graph import build_graph
 from permscan.simulator import (
     FaultSpec,
@@ -17,6 +25,8 @@ from permscan.simulator import (
     load_faults,
 )
 from permscan.testgen import generate_suite
+
+import synth
 
 DATA = resources.files("permscan.data")
 SHEETS = load_catalog(str(DATA / "spreadsheet.json"))
@@ -119,3 +129,70 @@ def test_report_shape_and_serialization():
     doc = json.loads(report_to_json(report))
     assert doc["per_kind"] == {"E1": 3, "E2": 5, "E3": 4}
     assert doc["exclusions"] == {"Sheet.appendChart": "enum"}
+
+
+# --- fault-free silence on synthetic catalogs and templates ---------------------------
+
+
+def _fault_free_detection(catalog, doc, directory):
+    """Role-matrix and scope-ladder with no faults over `catalog` and template
+    document `doc`, then detection against the template's ground truth."""
+    path = directory / "template.json"
+    path.write_text(json.dumps(doc))
+    labels = classify_catalog(catalog)
+    suite = generate_suite(build_graph(catalog), labels).cases
+    backend = SimulatorBackend(catalog, path, MATRIX, labels)
+    records = run_role_matrix(suite, backend) + run_scope_ladder(suite, backend)
+    ground_truth = instantiate_template(path, catalog, MATRIX)
+    return records, detect_full(records, labels, MATRIX, ground_truth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), creators=st.booleans())
+def test_fault_free_campaign_is_silent(tmp_path_factory, seed, creators):
+    """With no fault injected, a campaign over any synthetic catalog and any
+    template shared with one user per role confirms nothing and leaves
+    nothing for triage."""
+    rng = random.Random(seed)
+    catalog = synth.make_catalog(rng, max_classes=12, max_apis=120)
+    if creators:
+        catalog = synth.with_creators(catalog)
+    doc = synth.make_template(rng, catalog, roles=synth.ALL_ROLES)
+    _, result = _fault_free_detection(catalog, doc, tmp_path_factory.mktemp("silence"))
+    assert result.findings == []
+    assert result.potential_only == []
+
+
+def test_root_create_and_delete_are_not_sharing_changes(tmp_path):
+    """An editor creating a root resource of its own, or deleting a root it
+    may delete, changes the sharing of no resource that exists both before
+    and after the case: no E3."""
+    def api(api_id, returns, *params):
+        parent, method = api_id.split(".")
+        params = [{"name": p, "kind": "string", "type": "string"} for p in params]
+        return {"id": api_id, "parent_class": parent, "method": method, "description": "",
+                "params": params, "returns": returns, "tutorial": None}
+
+    catalog = parse_catalog({
+        "host_app": "drive",
+        "root": "App",
+        "classes": [{"name": "App", "children": ["Book"]}, {"name": "Book", "children": []}],
+        "apis": [
+            # a parameter makes openBook, not createBook, Book's producer
+            api("App.createBook", {"class": "Book"}, "title"),
+            api("App.openBook", {"class": "Book"}),
+            api("Book.deleteBook", {"void": True}),
+        ],
+    })
+    doc = {
+        "resources": [{"kind": "Book", "id": "b0"}, {"kind": "Book", "id": "b1"}],
+        "sharing": {rid: {"roles": dict(synth.ALL_ROLES)} for rid in ("b0", "b1")},
+    }
+    records, result = _fault_free_detection(catalog, doc, tmp_path)
+    editor = {r.api: r for r in records if r.role is Role.EDITOR}
+    create, delete = editor["App.createBook"], editor["Book.deleteBook"]
+    assert create.outcome == delete.outcome == OUTCOME_SUCCESS
+    assert create.evidence.startswith("created book-") and delete.evidence == "deleted b0"
+    assert create.digest_before == create.digest_after
+    assert delete.digest_before == delete.digest_after
+    assert result.findings == [] and result.potential_only == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permscan.catalog import load_catalog
-from permscan.classify import Operation, PermissionLabel
+from permscan.classify import Operation, PermissionLabel, classify_catalog
 from permscan.errors import NotFound, PatternMatchesNothing, SchemaViolation
 from permscan.simulator import (
     GRANT_FULL,
@@ -330,6 +330,66 @@ def test_setowner_transfers_and_demotes():
     cfg = state.sharing["spreadsheet1"]
     assert cfg.owner == "alice.editor"
     assert cfg.roles["olivia.owner"] is Role.EDITOR
+
+
+# --- fail closed: app-level calls are checked against the first resource -------------
+
+SYNTH = synth.with_creators(synth.make_catalog(random.Random(7), max_classes=60, max_apis=600))
+SYNTH_LABELS = classify_catalog(SYNTH)
+
+
+def _synth_state(resources):
+    """Workspace over SYNTH whose resources are shared with owner "o" and viewer "v"."""
+    doc = {
+        "resources": resources,
+        "sharing": {r["id"]: {"roles": {"o": "owner", "v": "viewer"}} for r in resources},
+    }
+    return _build_workspace(doc, SYNTH, MATRIX)
+
+
+def _snapshot(state):
+    trees = {
+        rid: [(n.id, n.kind, n.content, n.hidden) for n in root.walk()]
+        for rid, root in state.resources.items()
+    }
+    return trees, sharing_digest(state), state._fresh_counter
+
+
+@pytest.mark.parametrize("api_id", ["C0.setThing28", "C0.deleteThing69", "C0.insertC1"])
+def test_app_level_call_is_checked_against_the_first_resource(api_id):
+    """A call on the root class has no receiver; the role check still runs,
+    against the first resource: a viewer's modify, delete or create is denied
+    and changes nothing, the owner's is allowed."""
+    state = _synth_state([{"kind": "C1", "id": "r0", "children": [{"kind": "C2", "id": "r0a"}]}])
+    label = SYNTH_LABELS[api_id]
+    assert label.operation is not Operation.VIEW
+    before = _snapshot(state)
+    denied = invoke_host_api(state, Subject("v", GRANT_FULL), api_id, label, None, {})
+    assert (denied.ok, denied.error_kind) == (False, "PermissionError")
+    assert _snapshot(state) == before
+    assert invoke_host_api(state, Subject("o", GRANT_FULL), api_id, label, None, {}).ok
+
+
+@pytest.mark.parametrize("api_id", ["C0.setThing28", "C0.deleteThing69", "C0.insertC1"])
+def test_empty_workspace_denies(api_id):
+    state = _synth_state([])
+    for subject in (Subject("o", GRANT_FULL), Subject("o")):
+        result = invoke_host_api(state, subject, api_id, SYNTH_LABELS[api_id])
+        assert (result.ok, result.error_kind) == (False, "PermissionError")
+    assert state.resources == {} and state._fresh_counter == 0
+
+
+def test_effect_follows_the_label_not_the_method_name():
+    """A view-like name with a CREATE label creates an object."""
+    state = fresh_state()
+    label = _label(Operation.CREATE, "Sheet")
+    result = invoke_host_api(
+        state, Subject("olivia.owner", GRANT_FULL), "Spreadsheet.getActiveSheet", label,
+        state.node("spreadsheet1"),
+    )
+    assert result.ok and result.node.kind == "Sheet" and result.node.id != "sheet1"
+    assert state.node(result.node.id) is result.node
+    assert state.node("spreadsheet1").children[-1] is result.node
 
 
 # --- the workspace index against tree walks -------------------------------------------
