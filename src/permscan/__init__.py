@@ -21,7 +21,6 @@ from .simulator import (
     inject_fault,
     instantiate_template,
     invoke_host_api,
-    sharing_digest,
 )
 from .testgen import TestCase, generate_suite, order_suite, resolve_parameters
 

@@ -2,9 +2,9 @@
 
 Rules (one kind per record, precedence E1 > E3 > E2):
   E1 - the grant did not cover the operation, yet the call succeeded.
-  E3 - the sharing configuration of a resource that exists both before
-       and after the case changed under a non-owner installer; creating or
-       deleting a root resource is not a sharing change.
+  E3 - under a non-owner installer, some user's role changed on a resource
+       shared both before and after the case (the record's sharing changes);
+       creating or deleting a root resource is not a sharing change.
   E2 - scope was fine but the installer's role (or an object constraint)
        forbids the operation; confirmed only when the record carries
        non-empty evidence, otherwise kept as potential-only for triage.
@@ -83,6 +83,12 @@ def _fault_free_decision(
     return check_access(ground_truth, subject, label, target, produced)
 
 
+def _sharing_evidence(changes: list) -> str:
+    """`resource: user old->new` per change; `none` is no role."""
+    label = {None: "none", **{role: role.label for role in Role}}
+    return "; ".join(f"{rid}: {user} {label[old]}->{label[new]}" for rid, user, old, new in changes)
+
+
 def detect_full(
     records: list,
     labels: dict,
@@ -97,9 +103,7 @@ def detect_full(
         if label is None:
             raise MissingLabel(f"record {record.case_id}: no label for {record.api}")
 
-        sharing_mutated = (
-            record.digest_before != record.digest_after and record.role != Role.OWNER
-        )
+        sharing_mutated = bool(record.sharing_changes) and record.role != Role.OWNER
 
         if not scope_covers(record.grant, label.operation):
             note = "scope bypass"
@@ -114,7 +118,7 @@ def detect_full(
             result.findings.append(
                 Finding(
                     KIND_E3, record.api, record.role, record.grant,
-                    f"{record.digest_before[:12]} -> {record.digest_after[:12]}",
+                    _sharing_evidence(record.sharing_changes),
                     "sharing configuration changed without administrator action",
                 )
             )

@@ -3,7 +3,6 @@ campaigns, per-session dependency pruning (Pruning #2), outcome records."""
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -24,7 +23,6 @@ from .simulator import (
     inject_fault,
     instantiate_template,
     invoke_host_api,
-    sharing_digest,
 )
 from .testgen import (
     ArgPlan,
@@ -55,8 +53,7 @@ class ExecutionRecord:
     grant: frozenset
     outcome: str
     error: str | None = None
-    digest_before: str = ""
-    digest_after: str = ""
+    sharing_changes: list = field(default_factory=list)  # net (resource, user, old, new role)
     touched: list = field(default_factory=list)  # [(object id, kind), ...]
     evidence: str | None = None  # present only on Success
     target_object: str | None = None  # final-step receiver id
@@ -72,8 +69,10 @@ class ExecutionRecord:
             "grant": sorted(self.grant),
             "outcome": self.outcome,
             "error": self.error,
-            "digest_before": self.digest_before,
-            "digest_after": self.digest_after,
+            "sharing_changes": [
+                [rid, user, *(None if r is None else r.label for r in (old, new))]
+                for rid, user, old, new in self.sharing_changes
+            ],
             "touched": [list(t) for t in self.touched],
             "evidence": self.evidence,
             "target_object": self.target_object,
@@ -83,7 +82,7 @@ class ExecutionRecord:
     @staticmethod
     def from_json(obj: dict) -> "ExecutionRecord":
         expect(obj, dict, "record")
-        for key in ("case", "api", "installer", "digest_before", "digest_after"):
+        for key in ("case", "api", "installer"):
             expect(obj[key], str, key)
         if obj["outcome"] not in OUTCOMES:
             raise ValueError(f"unknown outcome {obj['outcome']!r}")
@@ -101,13 +100,22 @@ class ExecutionRecord:
             grant=grant,
             outcome=obj["outcome"],
             error=obj["error"],
-            digest_before=obj["digest_before"],
-            digest_after=obj["digest_after"],
+            sharing_changes=[
+                _sharing_change_from_json(c)
+                for c in expect(obj["sharing_changes"], list, "sharing_changes")
+            ],
             touched=[tuple(t) for t in obj["touched"]],
             evidence=obj["evidence"],
             target_object=obj.get("target_object"),
             produced_object=obj.get("produced_object"),
         )
+
+
+def _sharing_change_from_json(entry: list) -> tuple:
+    rid, user, old, new = expect(entry, list, "sharing change")
+    for name in (rid, user):
+        expect(name, str, "sharing change resource or user")
+    return (rid, user, *(None if r is None else Role.parse(r) for r in (old, new)))
 
 
 @dataclass
@@ -138,7 +146,7 @@ class SimulatorBackend:
     def _template_roles(self) -> tuple:
         """(user, role) for every sharing entry of the template."""
         probe = instantiate_template(self.template_path, self.catalog, self.matrix)
-        return tuple((u, r) for cfg in probe.sharing.values() for u, r in cfg.roles.items())
+        return tuple((u, r) for roles in probe.sharing.values() for u, r in roles.items())
 
     def user_with_role(self, role: Role) -> str:
         candidates = sorted(u for u, r in self._template_roles if r == role)
@@ -150,11 +158,7 @@ class SimulatorBackend:
         state = instantiate_template(self.template_path, self.catalog, self.matrix)
         for fault in self.faults:
             inject_fault(state, fault)
-        role = None
-        for cfg in state.sharing.values():
-            if installer in cfg.roles:
-                role = cfg.roles[installer]
-                break
+        role = next((r[installer] for r in state.sharing.values() if installer in r), None)
         if role is None:
             raise BackendUnavailable(f"installer {installer!r} is not a collaborator")
         return Session(
@@ -252,9 +256,20 @@ def _dependency_failed(session: Session, case: TestCase, suite_index: dict) -> b
     return False
 
 
-def _combined_digest(configs: dict) -> str:
-    """One digest over resource id -> sharing-configuration digest."""
-    return hashlib.sha256(json.dumps(configs, sort_keys=True).encode()).hexdigest()
+def sharing_changes(state: WorkspaceState, start: int) -> list:
+    """Net (resource, user, old role, new role) changes in
+    `state.sharing_log[start:]`, sorted, on the resources shared both then
+    and now: creating or deleting a root resource is not a sharing change."""
+    then: dict = {}  # resource -> {logged user: role at `start`}
+    for rid, user, old, _ in state.sharing_log[start:]:
+        then.setdefault(rid, {}).setdefault(user, old)
+    changes = []
+    for rid, users in then.items():
+        now = state.sharing.get(rid, {})
+        # shared then: a logged user had a role, or an unlogged one has it now
+        if now and (any(r is not None for r in users.values()) or now.keys() - users.keys()):
+            changes += [(rid, u, old, now.get(u)) for u, old in users.items() if old != now.get(u)]
+    return sorted(changes)
 
 
 def run_case(session: Session, case: TestCase, suite_index: dict | None = None) -> ExecutionRecord:
@@ -273,7 +288,7 @@ def run_case(session: Session, case: TestCase, suite_index: dict | None = None) 
         session.failed_cases.add(case.id)
         return ExecutionRecord(outcome=OUTCOME_PRUNED, **base)
 
-    configs_before = sharing_digest(session.state)
+    log_start = len(session.state.sharing_log)
     touched: list = []
     last_failure: InvocationResult | None = None
     result: InvocationResult | None = None
@@ -288,16 +303,7 @@ def run_case(session: Session, case: TestCase, suite_index: dict | None = None) 
         except _StepFailure as exc:
             last_failure = exc.result
             result = None
-    configs_after = sharing_digest(session.state)
-    if configs_after.keys() != configs_before.keys():
-        # a root was created or deleted: only the resources that exist both
-        # before and after the case can show a change of sharing
-        configs_before = {r: d for r, d in configs_before.items() if r in configs_after}
-        configs_after = {r: d for r, d in configs_after.items() if r in configs_before}
-    digest_before = _combined_digest(configs_before)
-    digest_after = (
-        digest_before if configs_after == configs_before else _combined_digest(configs_after)
-    )
+    changes = sharing_changes(session.state, log_start)
 
     if touched:
         final_produced = touched[-1][0]
@@ -306,8 +312,7 @@ def run_case(session: Session, case: TestCase, suite_index: dict | None = None) 
     if result is not None:
         return ExecutionRecord(
             outcome=OUTCOME_SUCCESS,
-            digest_before=digest_before,
-            digest_after=digest_after,
+            sharing_changes=changes,
             touched=list(touched),
             evidence=result.value,
             target_object=final_receiver,
@@ -320,8 +325,7 @@ def run_case(session: Session, case: TestCase, suite_index: dict | None = None) 
     return ExecutionRecord(
         outcome=OUTCOME_PERMISSION_ERROR if is_permission else OUTCOME_OTHER_ERROR,
         error=last_failure.error,
-        digest_before=digest_before,
-        digest_after=digest_after,
+        sharing_changes=changes,
         touched=list(touched),
         target_object=final_receiver,
         produced_object=final_produced,

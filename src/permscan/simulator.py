@@ -13,8 +13,6 @@ from __future__ import annotations
 import bisect
 import enum
 import fnmatch
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -105,25 +103,6 @@ class ObjectNode:
         yield self
         for c in self.children:
             yield from c.walk()
-
-
-@dataclass
-class SharingConfig:
-    roles: dict  # user id -> Role
-    copy_download_print_allowed: bool = True
-
-    @property
-    def owner(self) -> str:
-        owners = [u for u, r in self.roles.items() if r == Role.OWNER]
-        return owners[0]
-
-    def digest(self) -> str:
-        payload = {
-            "roles": {u: r.label for u, r in sorted(self.roles.items())},
-            "copy_download_print_allowed": self.copy_download_print_allowed,
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -290,7 +269,8 @@ class WorkspaceState:
     matrix: RoleCapabilityMatrix
     users: set = field(default_factory=set)
     resources: dict = field(default_factory=dict)  # resource id -> ObjectNode
-    sharing: dict = field(default_factory=dict)  # resource id -> SharingConfig
+    sharing: dict = field(default_factory=dict)  # resource id -> {user: Role}
+    sharing_log: list = field(default_factory=list)  # (resource, user, old, new); None = no role
     faults: list = field(default_factory=list)
     attribute_table: dict = field(default_factory=dict)  # (kind, role) -> {value: None}
     index: WorkspaceIndex = field(default_factory=WorkspaceIndex, repr=False, compare=False)
@@ -312,8 +292,22 @@ class WorkspaceState:
         return rid
 
     def role_of(self, user: str, resource_id: str) -> Role | None:
-        cfg = self.sharing.get(resource_id)
-        return cfg.roles.get(user) if cfg else None
+        return self.sharing[resource_id].get(user)
+
+    def set_role(self, resource_id: str, user: str, role: Role | None) -> None:
+        """The only writer of `sharing`: give `user` `role` on the resource
+        (None removes the user) and log the change, if any, to `sharing_log`.
+        A resource's entry goes with its last role."""
+        roles = self.sharing.setdefault(resource_id, {})
+        old = roles.get(user)
+        if role is None:
+            roles.pop(user, None)
+            if not roles:
+                del self.sharing[resource_id]
+        else:
+            roles[user] = role
+        if old != role:
+            self.sharing_log.append((resource_id, user, old, role))
 
     def record_attribute(self, kind: str, role: str, value: str) -> None:
         # a dict used as an insertion-ordered set: re-recording keeps the position
@@ -380,6 +374,7 @@ def _build_workspace(doc: dict, catalog: Catalog, matrix: RoleCapabilityMatrix) 
         node = _parse_node(entry, catalog, seen)
         state.resources[node.id] = node
         state.index.set_root(node.id, node)
+    # keys of a sharing entry other than its roles are accepted and ignored
     for rid, cfg in expect(doc.get("sharing", {}), dict, "sharing").items():
         if rid not in state.resources:
             raise NotFound(f"sharing entry for unknown resource {rid!r}")
@@ -388,11 +383,12 @@ def _build_workspace(doc: dict, catalog: Catalog, matrix: RoleCapabilityMatrix) 
         owners = [u for u, r in roles.items() if r == Role.OWNER]
         if len(owners) != 1:
             raise SchemaViolation(f"{rid}: sharing must name exactly one owner")
-        state.sharing[rid] = SharingConfig(
-            roles=roles,
-            copy_download_print_allowed=bool(cfg.get("copy_download_print_allowed", True)),
-        )
+        for user, role in roles.items():
+            state.set_role(rid, user, role)
         state.users.update(roles)
+    unshared = [rid for rid in state.resources if rid not in state.sharing]
+    if unshared:
+        raise SchemaViolation(f"resource {unshared[0]!r} has no sharing entry")
     for root in state.resources.values():
         for n in root.walk():
             state.record_attribute(n.kind, "id", n.id)
@@ -520,37 +516,36 @@ def _apply_effect(
     method = api.method
     low = method.lower()
 
-    if label.touches_sharing and label.operation != Operation.VIEW:
+    if label.touches_sharing:
         rid = state.resource_of(receiver) if receiver is not None else next(iter(state.resources))
-        cfg = state.sharing[rid]
+        roles = state.sharing[rid]
+        if label.operation == Operation.VIEW:
+            return InvocationResult(True, ",".join(sorted(roles)))
         subject_user = str(args.get(api.params[0].name)) if api.params else "collaborator-1"
         if low.startswith(("set", "transfer")) and "owner" in low:
-            old_owner = cfg.owner
-            cfg.roles[old_owner] = Role.EDITOR
-            cfg.roles[subject_user] = Role.OWNER
+            old_owner = next(u for u, r in roles.items() if r == Role.OWNER)
+            state.set_role(rid, old_owner, Role.EDITOR)
+            state.set_role(rid, subject_user, Role.OWNER)
             return InvocationResult(True, f"ownership transferred to {subject_user}")
         if low.startswith("add"):
+            # the one owner stays, so no removal leaves a resource unshared
+            if roles.get(subject_user) == Role.OWNER:
+                return InvocationResult(True, f"{subject_user} stays owner")
             new_role = Role.EDITOR if "editor" in low else (
                 Role.VIEWER if "viewer" in low else Role.COMMENTER
             )
-            cfg.roles[subject_user] = new_role
+            state.set_role(rid, subject_user, new_role)
             return InvocationResult(True, f"added {subject_user} as {new_role.label}")
         if low.startswith(("remove", "revoke", "delete")):
             # unknown collaborator ids resolve to an arbitrary existing
             # non-owner collaborator so revocation paths stay exercisable
-            if subject_user not in cfg.roles or cfg.roles[subject_user] == Role.OWNER:
-                others = sorted(u for u, r in cfg.roles.items() if r != Role.OWNER)
+            if subject_user not in roles or roles[subject_user] == Role.OWNER:
+                others = sorted(u for u, r in roles.items() if r != Role.OWNER)
                 subject_user = others[0] if others else None
             if subject_user is not None:
-                del cfg.roles[subject_user]
+                state.set_role(rid, subject_user, None)
                 return InvocationResult(True, f"removed {subject_user}")
             return InvocationResult(True, "no collaborator removed")
-
-    if label.touches_sharing and label.operation == Operation.VIEW:
-        rid = state.resource_of(receiver) if receiver is not None else next(iter(state.resources))
-        cfg = state.sharing[rid]
-        names = ",".join(sorted(cfg.roles))
-        return InvocationResult(True, names)
 
     if label.operation == Operation.VIEW:
         if produced is not None:
@@ -571,11 +566,14 @@ def _apply_effect(
                 state.index.attach_child(receiver, new)
             else:
                 # a fresh id may equal an existing resource id: the new root
-                # then replaces that resource in its dict position
+                # then replaces that resource in its dict position, and its
+                # sharing too
                 replaced = state.resources.get(new.id)
                 state.resources[new.id] = new
                 state.index.set_root(new.id, new, replaced)
-                state.sharing[new.id] = SharingConfig(roles={ctx.user: Role.OWNER})
+                state.set_role(new.id, ctx.user, Role.OWNER)
+                for user in [u for u in state.sharing[new.id] if u != ctx.user]:
+                    state.set_role(new.id, user, None)
             state.record_attribute(new.kind, "id", new.id)
             state.record_attribute(new.kind, "name", new.id)
             return InvocationResult(True, f"created {new.id}", node=new)
@@ -614,7 +612,8 @@ def _apply_effect(
             for rid, root in list(state.resources.items()):
                 if root is target:
                     del state.resources[rid]
-                    state.sharing.pop(rid, None)
+                    for user in list(state.sharing[rid]):
+                        state.set_role(rid, user, None)
                     state.index.detach(root)
                     removed = root
                     break
@@ -694,10 +693,3 @@ def _faults_from_json(doc: list) -> list:
         pattern = expect(e["api_pattern"], str, "api_pattern")
         faults.append(FaultSpec(kind=e["kind"], api_pattern=pattern, note=e.get("note", "")))
     return faults
-
-
-def sharing_digest(state: WorkspaceState) -> dict:
-    """Resource id -> order-insensitive digest of its sharing configuration:
-    two calls differ exactly where a resource's sharing changed, appeared or
-    went away."""
-    return {rid: cfg.digest() for rid, cfg in state.sharing.items()}

@@ -282,3 +282,43 @@ def oracle_find_of_kind(state, kind: str, receiver):
             if n.kind == kind and n is not receiver:
                 return n
     return next((n for _, n in _dfs(state) if n.kind == kind), None)
+
+
+# --- sharing: role maps and the oracle for the sharing change log ----------------------
+
+
+def api_doc(api_id: str, returns: dict, *params: str) -> dict:
+    """Catalog entry for `api_id` taking the string parameters `params`."""
+    parent, method = api_id.split(".")
+    return {
+        "id": api_id, "parent_class": parent, "method": method, "description": "",
+        "params": [{"name": p, "kind": "string", "type": "string"} for p in params],
+        "returns": returns, "tutorial": None,
+    }
+
+
+def books_catalog_doc(*apis: dict) -> dict:
+    """Catalog document: root class App with child class Book, and `apis`."""
+    return {
+        "host_app": "drive",
+        "root": "App",
+        "classes": [{"name": "App", "children": ["Book"]}, {"name": "Book", "children": []}],
+        "apis": list(apis),
+    }
+
+
+def role_maps(state) -> dict:
+    """A copy of the workspace's sharing: resource id -> {user: Role}."""
+    return {rid: dict(roles) for rid, roles in state.sharing.items()}
+
+
+def oracle_sharing_changes(before: dict, after: dict) -> list:
+    """Sorted (resource, user, old role, new role) for every user whose role
+    differs between two role maps, on the resources present in both; None
+    is no role."""
+    return sorted(
+        (rid, user, before[rid].get(user), after[rid].get(user))
+        for rid in before.keys() & after.keys()
+        for user in before[rid].keys() | after[rid].keys()
+        if before[rid].get(user) != after[rid].get(user)
+    )

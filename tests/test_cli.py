@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from permscan.cli import main
 
+import synth
+
 DATA = resources.files("permscan.data")
 CATALOG = str(DATA / "spreadsheet.json")
 TEMPLATE = str(DATA / "template_spreadsheet.json")
@@ -98,8 +100,8 @@ def test_pipeline_determinism(tmp_path):
 # sha256 of the bundled pipeline's outputs: changes that keep behaviour keep these bytes
 BUNDLED_DIGESTS = {
     "suite.jsonl": "750af9b9590640aadc9a304526a55e1cfb2eb33aa42bfa554c846eae0abe88b4",
-    "records.jsonl": "30b965affcf171d7a39038cd57cf7c2ce11f508b50f7b47d96db783b82e2c7f2",
-    "report.json": "a42d1bd6287173fb8709e123c30b0b43fab9aecb7b4cab4fbedb8dc2791f1697",
+    "records.jsonl": "c6a6e34361dc424dbeb49e1e19eebe0bd618e78642cd8871fdb14df9cb6ab1d7",
+    "report.json": "7a7ce2c9a7620001aa27447421702839a5623c9b8606af5cd0e5d9e76ffa82dd",
 }
 
 
@@ -125,8 +127,27 @@ def bundled(tmp_path_factory):
     }
 
 
+# App.addEditor with its role and sharing checks skipped: an app-level call
+# whose effect reaches the first resource's sharing
+APP_CATALOG = synth.books_catalog_doc(
+    synth.api_doc("App.addEditor", {"void": True}, "emailAddress"),
+    synth.api_doc("App.openBook", {"class": "Book"}),
+)
+APP_FAULTS = [
+    {"kind": kind, "api_pattern": "App.addEditor"}
+    for kind in ("SkipRoleCheck", "AllowSharingMutation")
+]
+
+
 def _argv(kind: str, path: str, tmp) -> list:
-    """A command that reads `path` as its `kind` input and the bundled data otherwise."""
+    """A command that reads `path` as its `kind` input and the bundled data
+    otherwise; an `app-template` is read with APP_CATALOG and APP_FAULTS."""
+    if kind == "app-template":
+        catalog, faults = tmp / "app.json", tmp / "app_faults.json"
+        catalog.write_text(json.dumps(APP_CATALOG))
+        faults.write_text(json.dumps(APP_FAULTS))
+        return ["pipeline", "--catalog", str(catalog), "--template", path,
+                "--faults", str(faults), "--out-dir", str(tmp / "out")]
     pipeline = ["pipeline", "--catalog", CATALOG, "--out-dir", str(tmp / "out")]
     return {
         "faults": pipeline + ["--template", TEMPLATE, "--faults", path],
@@ -149,6 +170,14 @@ def _without(line: str, key: str) -> str:
 def _with(line: str, key: str, value) -> str:
     doc = json.loads(line)
     doc[key] = value
+    return json.dumps(doc)
+
+
+def _digest_schema(line: str) -> str:
+    """A records line in the schema before the sharing change log."""
+    doc = json.loads(line)
+    del doc["sharing_changes"]
+    doc["digest_before"] = doc["digest_after"] = "0" * 64
     return json.dumps(doc)
 
 
@@ -177,6 +206,24 @@ MALFORMED = {
     "records line with unknown grant scope": (
         "records", lambda ok: _with(ok["records"], "grant", ["read", "admin"])
     ),
+    "records line whose sharing_changes is not a list": (
+        "records", lambda ok: _with(ok["records"], "sharing_changes", "spreadsheet1")
+    ),
+    "records line with a sharing change of 3 elements": (
+        "records",
+        lambda ok: _with(ok["records"], "sharing_changes", [["spreadsheet1", "mallory", "editor"]]),
+    ),
+    "records line with an unknown role in a sharing change": (
+        "records",
+        lambda ok: _with(ok["records"], "sharing_changes", [["spreadsheet1", "m", None, "superuser"]]),
+    ),
+    "records line with digests and no sharing_changes": (
+        "records", lambda ok: _digest_schema(ok["records"])
+    ),
+    "template resource without a sharing entry": ("app-template", lambda ok: json.dumps({
+        "resources": [{"kind": "Book", "id": "b0"}, {"kind": "Book", "id": "b1"}],
+        "sharing": {"b1": {"roles": dict(synth.ALL_ROLES)}},
+    })),
     "config file is [1,2]": ("config", lambda ok: "[1,2]"),
     "config is not JSON": ("config", lambda ok: "{not json"),
     "template file is [1,2]": ("template", lambda ok: "[1,2]"),

@@ -167,23 +167,12 @@ def test_root_create_and_delete_are_not_sharing_changes(tmp_path):
     """An editor creating a root resource of its own, or deleting a root it
     may delete, changes the sharing of no resource that exists both before
     and after the case: no E3."""
-    def api(api_id, returns, *params):
-        parent, method = api_id.split(".")
-        params = [{"name": p, "kind": "string", "type": "string"} for p in params]
-        return {"id": api_id, "parent_class": parent, "method": method, "description": "",
-                "params": params, "returns": returns, "tutorial": None}
-
-    catalog = parse_catalog({
-        "host_app": "drive",
-        "root": "App",
-        "classes": [{"name": "App", "children": ["Book"]}, {"name": "Book", "children": []}],
-        "apis": [
-            # a parameter makes openBook, not createBook, Book's producer
-            api("App.createBook", {"class": "Book"}, "title"),
-            api("App.openBook", {"class": "Book"}),
-            api("Book.deleteBook", {"void": True}),
-        ],
-    })
+    catalog = parse_catalog(synth.books_catalog_doc(
+        # a parameter makes openBook, not createBook, Book's producer
+        synth.api_doc("App.createBook", {"class": "Book"}, "title"),
+        synth.api_doc("App.openBook", {"class": "Book"}),
+        synth.api_doc("Book.deleteBook", {"void": True}),
+    ))
     doc = {
         "resources": [{"kind": "Book", "id": "b0"}, {"kind": "Book", "id": "b1"}],
         "sharing": {rid: {"roles": dict(synth.ALL_ROLES)} for rid in ("b0", "b1")},
@@ -193,6 +182,5 @@ def test_root_create_and_delete_are_not_sharing_changes(tmp_path):
     create, delete = editor["App.createBook"], editor["Book.deleteBook"]
     assert create.outcome == delete.outcome == OUTCOME_SUCCESS
     assert create.evidence.startswith("created book-") and delete.evidence == "deleted b0"
-    assert create.digest_before == create.digest_after
-    assert delete.digest_before == delete.digest_after
+    assert create.sharing_changes == delete.sharing_changes == []
     assert result.findings == [] and result.potential_only == []

@@ -82,7 +82,7 @@ def test_permission_error_keeps_digest_and_marks_failed():
     denied = [r for r in records if r.outcome == OUTCOME_PERMISSION_ERROR]
     assert denied
     for rec in denied:
-        assert rec.digest_before == rec.digest_after
+        assert rec.sharing_changes == []
         assert rec.evidence is None
         assert rec.error and rec.error.startswith("Exception:")
 
@@ -95,7 +95,7 @@ def test_pruning_two_skips_dependents_of_failed_case():
     # viewer cannot view the hidden column, so its dependent leaf is pruned
     assert records["Sheet.getColumn"].outcome == OUTCOME_PERMISSION_ERROR
     assert records["Column.getValues"].outcome == OUTCOME_PRUNED
-    # pruned cases never executed: no digests, no evidence, no touched objects
+    # pruned cases never executed: no sharing changes, no evidence, no touched objects
     pruned = records["Column.getValues"]
     assert pruned.evidence is None and pruned.touched == []
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permscan.catalog import load_catalog
+from permscan.catalog import load_catalog, parse_catalog
 from permscan.classify import Operation, PermissionLabel, classify_catalog
 from permscan.errors import NotFound, PatternMatchesNothing, SchemaViolation
+from permscan.executor import sharing_changes
 from permscan.simulator import (
     GRANT_FULL,
     GRANT_READ,
@@ -25,7 +26,6 @@ from permscan.simulator import (
     load_capability_matrix,
     load_faults,
     scope_covers,
-    sharing_digest,
     validate_grant,
     _build_workspace,
     _find_of_kind,
@@ -94,7 +94,7 @@ def test_template_loads_nodes_and_sharing():
     assert state.node("c_salary").hidden
     assert state.node("rng_protected").protection == frozenset({"olivia.owner"})
     assert state.role_of("victor.viewer", "spreadsheet1") is Role.VIEWER
-    assert state.sharing["spreadsheet1"].owner == "olivia.owner"
+    assert state.sharing["spreadsheet1"]["olivia.owner"] is Role.OWNER
 
 
 def test_template_seeds_attribute_table():
@@ -275,24 +275,18 @@ def test_skip_role_fault_bypasses_level_two_only():
 
 
 def test_sharing_fault_and_digest():
+    """The faulty add is allowed and is the one entry it logs."""
     state = fresh_state()
     inject_fault(state, FaultSpec("AllowSharingMutation", "Spreadsheet.addEditor"))
     label = _label(Operation.MODIFY, "Spreadsheet", sharing=True)
-    before = sharing_digest(state)
+    start = len(state.sharing_log)
     result = invoke_host_api(
         state, Subject("alice.editor", GRANT_FULL), "Spreadsheet.addEditor", label,
         state.node("spreadsheet1"), {"emailAddress": "mallory"},
     )
     assert result.ok
-    assert sharing_digest(state) != before
+    assert state.sharing_log[start:] == [("spreadsheet1", "mallory", None, Role.EDITOR)]
     assert state.role_of("mallory", "spreadsheet1") is Role.EDITOR
-
-
-def test_sharing_digest_is_order_insensitive():
-    a = fresh_state()
-    b = fresh_state()
-    b.sharing["spreadsheet1"].roles = dict(reversed(list(b.sharing["spreadsheet1"].roles.items())))
-    assert sharing_digest(a) == sharing_digest(b)
 
 
 def test_fault_pattern_must_match():
@@ -327,9 +321,9 @@ def test_setowner_transfers_and_demotes():
         state.node("spreadsheet1"), {"emailAddress": "alice.editor"},
     )
     assert result.ok
-    cfg = state.sharing["spreadsheet1"]
-    assert cfg.owner == "alice.editor"
-    assert cfg.roles["olivia.owner"] is Role.EDITOR
+    roles = state.sharing["spreadsheet1"]
+    assert roles["alice.editor"] is Role.OWNER
+    assert roles["olivia.owner"] is Role.EDITOR
 
 
 # --- fail closed: app-level calls are checked against the first resource -------------
@@ -352,7 +346,7 @@ def _snapshot(state):
         rid: [(n.id, n.kind, n.content, n.hidden) for n in root.walk()]
         for rid, root in state.resources.items()
     }
-    return trees, sharing_digest(state), state._fresh_counter
+    return trees, synth.role_maps(state), state._fresh_counter
 
 
 @pytest.mark.parametrize("api_id", ["C0.setThing28", "C0.deleteThing69", "C0.insertC1"])
@@ -466,3 +460,140 @@ def test_created_root_replaces_resource_with_the_same_id():
     assert state.node("chart-2") is known[-1]
     with pytest.raises(NotFound):
         state.node("row-1")
+
+
+# --- the sharing change log against role-map diffs -------------------------------------
+
+BOOKS = parse_catalog(synth.books_catalog_doc(
+    synth.api_doc("App.openBook", {"class": "Book"}),
+    synth.api_doc("App.addEditor", {"void": True}, "emailAddress"),
+    synth.api_doc("Book.addEditor", {"void": True}, "emailAddress"),
+    synth.api_doc("Book.addViewer", {"void": True}, "emailAddress"),
+    synth.api_doc("Book.removeEditor", {"void": True}, "emailAddress"),
+    synth.api_doc("Book.setOwner", {"void": True}, "emailAddress"),
+    synth.api_doc("Book.deleteBook", {"void": True}),
+))
+BOOKS_TEMPLATE = {
+    "resources": [{"kind": "Book", "id": f"b{i}"} for i in range(3)],
+    "sharing": {f"b{i}": {"roles": dict(synth.ALL_ROLES)} for i in range(3)},
+}
+
+
+def _workspace_for(source, rng):
+    """Catalog, labels, users and a workspace whose root ids collide with
+    the fresh ids of created roots."""
+    if source == "bundled":
+        catalog, labels = SHEETS, classify_catalog(SHEETS)
+        doc = json.loads((DATA / "template_spreadsheet.json").read_text())
+        users = [*_USERS, "mallory"]
+    else:
+        catalog, labels = BOOKS, classify_catalog(BOOKS)
+        doc = json.loads(json.dumps(BOOKS_TEMPLATE))
+        users = [u for u, _ in synth.ALL_ROLES] + ["m"]
+    state = _build_workspace(synth.with_fresh_like_ids(doc, rng), catalog, MATRIX)
+    return catalog, labels, users, state
+
+
+def _draw_call(data, state, catalog, labels, users):
+    """(api id, label, receiver, args) of a sharing mutation, a root create
+    or a call on a root, which deletes it when it has no children."""
+    apis = sorted(catalog.apis.values(), key=lambda a: a.id)
+    op = data.draw(st.sampled_from(["share", "create", "delete"]), label="op")
+    if op == "create":
+        api = data.draw(st.sampled_from([a for a in apis if a.returns.is_class]), label="api")
+        return api.id, PermissionLabel(Operation.CREATE, api.parent_class, False), None, {}
+    attached = [n for root in state.resources.values() for n in root.walk()]
+    if op == "share":
+        mutators = [
+            a for a in apis
+            if labels[a.id].touches_sharing and labels[a.id].operation is not Operation.VIEW
+        ]
+        api = data.draw(st.sampled_from(mutators), label="api")
+        fitting = [n for n in attached if n.kind == api.parent_class]
+        receiver = data.draw(st.sampled_from(fitting), label="receiver") if fitting else None
+        user = data.draw(st.sampled_from(users), label="user")
+        return api.id, labels[api.id], receiver, {p.name: user for p in api.params}
+    roots = list(state.resources.values())
+    receiver = data.draw(st.sampled_from(roots), label="root") if roots else None
+    fitting = [a for a in apis if receiver is not None and a.parent_class == receiver.kind]
+    api = data.draw(st.sampled_from(fitting or apis), label="api")
+    kind = receiver.kind if receiver is not None else api.parent_class
+    return api.id, PermissionLabel(Operation.DELETE, kind, False), receiver if fitting else None, {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=st.sampled_from(["bundled", "books"]), seed=st.integers(0, 2**32), data=st.data())
+def test_sharing_changes_match_role_map_diffs(source, seed, data):
+    """Differential test: after every window of calls (sharing mutations,
+    root creates whose ids collide with template roots, root deletes), the
+    net changes read from the log equal the diff of the role maps taken
+    before and after it, on the resources present in both."""
+    catalog, labels, users, state = _workspace_for(source, random.Random(seed))
+    for kind, pattern in data.draw(st.lists(st.tuples(
+        st.sampled_from(["SkipRoleCheck", "AllowSharingMutation"]),
+        st.sampled_from(["*", *sorted(catalog.apis)]),
+    ), max_size=3), label="faults"):
+        inject_fault(state, FaultSpec(kind, pattern))
+    for _ in range(data.draw(st.integers(1, 4), label="windows")):
+        start, before = len(state.sharing_log), synth.role_maps(state)
+        for _ in range(data.draw(st.integers(1, 6), label="calls")):
+            api_id, label, receiver, args = _draw_call(data, state, catalog, labels, users)
+            subject = Subject(data.draw(st.sampled_from(users), label="subject"), GRANT_FULL)
+            invoke_host_api(state, subject, api_id, label, receiver, args)
+            # every resource keeps one owner, so it keeps its sharing entry
+            assert state.sharing.keys() == state.resources.keys()
+            for roles in state.sharing.values():
+                assert list(roles.values()).count(Role.OWNER) == 1
+        after = synth.role_maps(state)
+        assert sharing_changes(state, start) == synth.oracle_sharing_changes(before, after)
+
+
+def _share(state, user, api_id, email):
+    label = _label(Operation.MODIFY, "Spreadsheet", sharing=True)
+    result = invoke_host_api(
+        state, Subject(user, GRANT_FULL), api_id, label, state.node("spreadsheet1"),
+        {"emailAddress": email},
+    )
+    assert result.ok
+    return result
+
+
+def test_add_then_remove_is_no_sharing_change():
+    state = fresh_state()
+    start = len(state.sharing_log)
+    _share(state, "olivia.owner", "Spreadsheet.addEditor", "mallory")
+    _share(state, "olivia.owner", "Spreadsheet.removeEditor", "mallory")
+    assert len(state.sharing_log) == start + 2
+    assert sharing_changes(state, start) == []
+
+
+def test_adding_the_owner_keeps_the_owner():
+    state = fresh_state()
+    start = len(state.sharing_log)
+    assert _share(state, "olivia.owner", "Spreadsheet.addEditor", "olivia.owner").value == (
+        "olivia.owner stays owner"
+    )
+    assert state.sharing_log[start:] == []
+    assert state.role_of("olivia.owner", "spreadsheet1") is Role.OWNER
+
+
+def test_colliding_root_create_replaces_the_sharing_entry():
+    """A created root that takes over a template resource's id takes over
+    its sharing too: the creator owns it and no one else has a role."""
+    doc = json.loads((DATA / "template_spreadsheet.json").read_text())
+    doc["resources"][0]["id"] = "spreadsheet-1"
+    doc["sharing"] = {"spreadsheet-1": doc["sharing"]["spreadsheet1"]}
+    state = _build_workspace(doc, SHEETS, MATRIX)
+    start = len(state.sharing_log)
+    label = PermissionLabel(Operation.CREATE, "SpreadsheetApp", False)
+    result = invoke_host_api(
+        state, Subject("alice.editor", GRANT_FULL), "SpreadsheetApp.getActiveSpreadsheet", label
+    )
+    assert result.ok and result.node.id == "spreadsheet-1"
+    assert state.sharing == {"spreadsheet-1": {"alice.editor": Role.OWNER}}
+    assert sharing_changes(state, start) == [
+        ("spreadsheet-1", "alice.editor", Role.EDITOR, Role.OWNER),
+        ("spreadsheet-1", "carol.commenter", Role.COMMENTER, None),
+        ("spreadsheet-1", "olivia.owner", Role.OWNER, None),
+        ("spreadsheet-1", "victor.viewer", Role.VIEWER, None),
+    ]
