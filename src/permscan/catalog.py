@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DuplicateApi, MalformedFile, SchemaViolation
+from .errors import DuplicateApi, MalformedFile, PermscanError, SchemaViolation
 
 HOST_APPS = ("calendar", "document", "drive", "form", "gmail", "spreadsheet", "slide")
 
@@ -76,7 +76,6 @@ class ParamSpec:
 @dataclass(frozen=True)
 class ApiSpec:
     id: str
-    host_app: str
     parent_class: str
     method: str
     description: str
@@ -98,43 +97,22 @@ class ApiSpec:
 
 @dataclass(frozen=True)
 class Catalog:
-    """Immutable index over one or more host-app catalog files."""
+    """Immutable index over one host-app catalog file."""
 
+    host_app: str
+    root: str  # the app class every other class descends from
     apis: dict  # id -> ApiSpec
     classes: dict  # class name -> tuple of child class names
-    class_apps: dict  # class name -> host_app
-    roots: dict  # host_app -> root class name
     external_types: frozenset
-
-    def apis_of(self, class_name: str) -> list[ApiSpec]:
-        return sorted(
-            (a for a in self.apis.values() if a.parent_class == class_name),
-            key=lambda a: a.id,
-        )
 
     def resolves(self, class_name: str) -> bool:
         return class_name in self.classes or class_name in self.external_types
 
-    def merge(self, other: "Catalog") -> "Catalog":
-        dup = set(self.apis) & set(other.apis)
-        if dup:
-            raise DuplicateApi(f"duplicate API ids across catalogs: {sorted(dup)}")
-        return Catalog(
-            apis={**self.apis, **other.apis},
-            classes={**self.classes, **other.classes},
-            class_apps={**self.class_apps, **other.class_apps},
-            roots={**self.roots, **other.roots},
-            external_types=self.external_types | other.external_types,
-        )
-
     def to_json(self) -> dict:
-        """Serialize a single-app catalog back to the file schema."""
-        if len(self.roots) != 1:
-            raise ValueError("to_json only supports single-app catalogs")
-        host_app, root = next(iter(self.roots.items()))
+        """Serialize the catalog back to the file schema."""
         return {
-            "host_app": host_app,
-            "root": root,
+            "host_app": self.host_app,
+            "root": self.root,
             "external_types": sorted(self.external_types),
             "classes": [
                 {"name": name, "children": list(self.classes[name])}
@@ -178,7 +156,7 @@ def expect(value, kind: type, where: str):
     return value
 
 
-def _parse_api(entry: dict, host_app: str) -> ApiSpec:
+def _parse_api(entry: dict) -> ApiSpec:
     if not isinstance(entry, dict):
         raise SchemaViolation(f"bad api entry {entry!r}")
     for key in ("id", "parent_class", "method", "description", "params", "returns"):
@@ -205,7 +183,6 @@ def _parse_api(entry: dict, host_app: str) -> ApiSpec:
         tutorial = tuple(tutorial)
     return ApiSpec(
         id=api_id,
-        host_app=host_app,
         parent_class=parent,
         method=method,
         description=str(entry["description"]),
@@ -246,16 +223,16 @@ def parse_catalog(doc: dict) -> Catalog:
 
     apis: dict = {}
     for entry in doc["apis"]:
-        api = _parse_api(entry, host_app)
+        api = _parse_api(entry)
         if api.id in apis:
             raise DuplicateApi(f"duplicate API id {api.id!r}")
         apis[api.id] = api
 
     return Catalog(
+        host_app=host_app,
+        root=root,
         apis=apis,
         classes=classes,
-        class_apps={name: host_app for name in classes},
-        roots={host_app: root},
         external_types=frozenset(external),
     )
 
@@ -264,7 +241,7 @@ def validate_catalog(catalog: Catalog) -> ValidationReport:
     """Report dangling type refs, orphan classes and hierarchy cycles."""
     report = ValidationReport()
 
-    referenced: set = set(catalog.roots.values())
+    referenced: set = {catalog.root}
     for api in catalog.apis.values():
         if api.parent_class not in catalog.classes:
             report.add("DanglingTypeRef", f"{api.id}: parent class {api.parent_class!r} unknown")
@@ -320,8 +297,9 @@ def read_json(path: str | Path, build, *, lines: bool = False):
 
     This is the only place input files are parsed.  Unparseable text raises
     MalformedFile; a KeyError, TypeError or ValueError raised by `build`
-    becomes SchemaViolation naming the file and, for JSONL, the line.
-    `build` checks the top-level type of its document itself.
+    becomes SchemaViolation, and a PermscanError keeps its class.  Every
+    such error names the file and, for JSONL, the line.  `build` checks the
+    top-level type of its document itself.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -352,10 +330,13 @@ def _build_document(text: str, build, where: str):
         raise SchemaViolation(f"{where}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise SchemaViolation(f"{where}: {exc}") from exc
+    except PermscanError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    """Load and validate a single-app catalog file.
+    """Load and validate a catalog file.
 
     Raises MalformedFile for unparseable input, DuplicateApi for repeated
     ids, and SchemaViolation for any other structural problem (including
@@ -368,20 +349,6 @@ def load_catalog(path: str | Path) -> Catalog:
     return catalog
 
 
-def load_catalogs(paths) -> Catalog:
-    """Load several catalog files and merge them into one index."""
-    merged: Catalog | None = None
-    for p in paths:
-        cat = load_catalog(p)
-        merged = cat if merged is None else merged.merge(cat)
-    if merged is None:
-        raise ValueError("no catalog paths given")
-    return merged
-
-
 def object_census(catalog: Catalog) -> dict:
-    """Distinct object classes per host app (external types do not count)."""
-    counts: dict = {}
-    for name, app in catalog.class_apps.items():
-        counts[app] = counts.get(app, 0) + 1
-    return dict(sorted(counts.items()))
+    """Distinct object classes of the host app (external types do not count)."""
+    return {catalog.host_app: len(catalog.classes)}

@@ -124,11 +124,11 @@ def _stem_of(token: str, lexicon: dict) -> Operation | None:
 
 
 def _shareable_classes(catalog: Catalog) -> set:
-    """Classes that can carry a sharing configuration: the root apps and
-    their directly produced resource classes."""
-    shareable = set(catalog.roots.values())
+    """Classes that can carry a sharing configuration: the root app and
+    its directly produced resource classes."""
+    shareable = {catalog.root}
     for api in catalog.apis.values():
-        if api.parent_class in catalog.roots.values() and api.returns.is_class:
+        if api.parent_class == catalog.root and api.returns.is_class:
             shareable.add(api.returns.name)
     return shareable
 

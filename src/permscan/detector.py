@@ -195,37 +195,17 @@ def build_report(
     catalog: Catalog,
     exclusions: dict | None = None,
 ) -> Report:
-    per_app: dict = {}
-    api_app = {api_id: api.host_app for api_id, api in catalog.apis.items()}
-    for app in sorted(set(api_app.values())):
-        per_app[app] = {"apis": 0, "tested": 0, "potential": 0, "confirmed": 0}
-    for api_id, app in api_app.items():
-        per_app[app]["apis"] += 1
-
-    tested: dict = {app: set() for app in per_app}
-    for record in records:
-        if record.outcome == OUTCOME_PRUNED:
-            continue
-        app = api_app.get(record.api)
-        if app is not None:
-            tested[app].add(record.api)
-    for app in per_app:
-        per_app[app]["tested"] = len(tested[app])
-
-    confirmed_apis: dict = {app: set() for app in per_app}
-    potential_apis: dict = {app: set() for app in per_app}
-    for f in detection.findings:
-        app = api_app.get(f.api)
-        if app is not None:
-            confirmed_apis[app].add(f.api)
-            potential_apis[app].add(f.api)
-    for f in detection.potential_only:
-        app = api_app.get(f.api)
-        if app is not None:
-            potential_apis[app].add(f.api)
-    for app in per_app:
-        per_app[app]["confirmed"] = len(confirmed_apis[app])
-        per_app[app]["potential"] = len(potential_apis[app])
+    # APIs outside the catalog are not counted
+    apis = catalog.apis.keys()
+    tested = {r.api for r in records if r.outcome != OUTCOME_PRUNED} & apis
+    confirmed = {f.api for f in detection.findings} & apis
+    potential = confirmed | ({f.api for f in detection.potential_only} & apis)
+    per_app = {catalog.host_app: {
+        "apis": len(apis),
+        "tested": len(tested),
+        "potential": len(potential),
+        "confirmed": len(confirmed),
+    }}
 
     per_kind: dict = {KIND_E1: set(), KIND_E2: set(), KIND_E3: set()}
     for f in detection.findings:

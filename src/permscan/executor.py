@@ -192,7 +192,7 @@ def _resolve_args(session: Session, plan: ArgPlan, combo: dict, touched: list) -
                 # cold start: mint a fresh resource so the lookup can succeed
                 state = session.state
                 state._fresh_counter += 1
-                kind = next(iter(state.catalog.roots.values()))
+                kind = state.catalog.root
                 value = f"fresh-{kind.lower()}-{state._fresh_counter}"
                 state.record_attribute(kind, strat.role, value)
             args[name] = value

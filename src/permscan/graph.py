@@ -52,34 +52,25 @@ class DepGraph:
         return self.catalog.apis[api_id]
 
 
-def build_graph(catalog: Catalog, host_app: str | None = None) -> DepGraph:
+def build_graph(catalog: Catalog) -> DepGraph:
     """One node per class, one method edge per API, one return edge per
     non-void API.  Raises UnresolvableReturn for undeclared return classes."""
-    if host_app is None:
-        if len(catalog.roots) != 1:
-            raise ValueError("catalog spans several apps; pass host_app")
-        host_app = next(iter(catalog.roots))
-    root = catalog.roots[host_app]
-    class_nodes = frozenset(
-        name for name, app in catalog.class_apps.items() if app == host_app
-    )
+    class_nodes = frozenset(catalog.classes)
     method_edges: dict = {name: [] for name in class_nodes}
     return_edges: dict = {}
     for api_id in sorted(catalog.apis):
         api = catalog.apis[api_id]
-        if api.host_app != host_app:
-            continue
         method_edges[api.parent_class].append(api_id)
         ret = api.returns
         if ret.kind != "void":
-            if ret.is_class and not (ret.name in class_nodes or ret.name in catalog.external_types):
+            if ret.is_class and not catalog.resolves(ret.name):
                 raise UnresolvableReturn(f"{api_id}: returns unknown class {ret.name!r}")
             return_edges[api_id] = ret
     graph = DepGraph(
         class_nodes=class_nodes,
         method_edges={k: tuple(v) for k, v in method_edges.items()},
         return_edges=return_edges,
-        root=root,
+        root=catalog.root,
         producer_chains={},
         catalog=catalog,
     )

@@ -313,12 +313,9 @@ class WorkspaceState:
         # a dict used as an insertion-ordered set: re-recording keeps the position
         self.attribute_table.setdefault((kind, role), {})[value] = None
 
-    def lookup_attribute(self, role: str, kind: str | None = None) -> str | None:
-        """First value recorded under the smallest matching (kind, role) key."""
-        keys = [
-            key for key, values in self.attribute_table.items()
-            if key[1] == role and (kind is None or key[0] == kind) and values
-        ]
+    def lookup_attribute(self, role: str) -> str | None:
+        """First value recorded under the smallest (kind, role) key for `role`."""
+        keys = [key for key, values in self.attribute_table.items() if key[1] == role and values]
         return next(iter(self.attribute_table[min(keys)])) if keys else None
 
     def faults_for(self, api_id: str) -> set:

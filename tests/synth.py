@@ -106,7 +106,7 @@ def oracle_bfs_emission(catalog: Catalog) -> tuple:
     """Brute-force rederivation of generation: FIFO queue from the root,
     explicit visited set, per-class APIs in sorted-id order.  Returns
     (emitted api ids in order, excluded ids, pruned ids)."""
-    root = next(iter(catalog.roots.values()))
+    root = catalog.root
     visited = {root}
     queue = deque([root])
     emitted, excluded = [], []
@@ -137,7 +137,7 @@ def oracle_bfs_emission(catalog: Catalog) -> tuple:
 def oracle_shortest_chain(catalog: Catalog, target: str, limit: int = 4) -> int | None:
     """Minimum chain length from the root to an API producing `target`,
     found by exhaustive enumeration of all chains up to `limit` calls."""
-    root = next(iter(catalog.roots.values()))
+    root = catalog.root
     best = None
     frontier = {(root, 0)}
     for _ in range(limit):
@@ -164,7 +164,7 @@ def oracle_best_chain(catalog: Catalog, target: str, limit: int = 4) -> tuple | 
     some class twice is skipped, because cutting out the loop gives a
     smaller key.  None when there is no such chain; the root is never
     produced."""
-    root = next(iter(catalog.roots.values()))
+    root = catalog.root
     producers: dict = {}  # class -> [(api id, produced class, parameterised)]
     for api in catalog.apis.values():
         ret = _internal_return(catalog, api)
@@ -195,7 +195,7 @@ def with_creators(catalog: Catalog) -> Catalog:
     the simulator runs as views, so without these a create makes nothing."""
     creators = {
         f"{p}.insert{k}": ApiSpec(
-            id=f"{p}.insert{k}", host_app="drive", parent_class=p, method=f"insert{k}",
+            id=f"{p}.insert{k}", parent_class=p, method=f"insert{k}",
             description="", params=(), returns=TypeRef("class", k),
         )
         for p in catalog.classes

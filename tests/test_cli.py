@@ -148,6 +148,8 @@ def _argv(kind: str, path: str, tmp) -> list:
         faults.write_text(json.dumps(APP_FAULTS))
         return ["pipeline", "--catalog", str(catalog), "--template", path,
                 "--faults", str(faults), "--out-dir", str(tmp / "out")]
+    if kind == "catalog":
+        return ["pipeline", "--catalog", path, "--template", TEMPLATE, "--out-dir", str(tmp / "out")]
     pipeline = ["pipeline", "--catalog", CATALOG, "--out-dir", str(tmp / "out")]
     return {
         "faults": pipeline + ["--template", TEMPLATE, "--faults", path],
@@ -185,6 +187,13 @@ def _unknown_api(line: str) -> str:
     doc = json.loads(line)
     for step in doc["chain"]["steps"]:
         step["api"] = "Spreadsheet.noSuchMethod"
+    return json.dumps(doc)
+
+
+def _template_with(change) -> str:
+    """The bundled template after `change(doc)`."""
+    doc = json.loads((DATA / "template_spreadsheet.json").read_text())
+    change(doc)
     return json.dumps(doc)
 
 
@@ -228,8 +237,22 @@ MALFORMED = {
     "config is not JSON": ("config", lambda ok: "{not json"),
     "template file is [1,2]": ("template", lambda ok: "[1,2]"),
     "matrix with role superuser": ("matrix", _superuser_matrix),
+    "catalog without host_app": (
+        "catalog", lambda ok: _without((DATA / "spreadsheet.json").read_text(), "host_app")
+    ),
+    "template with an unknown kind": (
+        "template", lambda ok: _template_with(lambda doc: doc["resources"][0].update(kind="Nope"))
+    ),
+    "template whose sharing names no owner": (
+        "template",
+        lambda ok: _template_with(lambda doc: doc["sharing"]["spreadsheet1"]["roles"].pop("olivia.owner")),
+    ),
     "suite step names an unknown API": ("suite", lambda ok: _unknown_api(ok["suite"])),
 }
+
+
+# found when the case runs, after every input has loaded, so no file is named
+RUN_TIME_ERRORS = {"suite step names an unknown API"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -242,6 +265,8 @@ def test_malformed_input_is_one_line_exit_1(case, bundled, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert err[0].startswith(f"{argv[0]}:"), err
+    if case not in RUN_TIME_ERRORS:
+        assert str(path) in err[0], err
 
 
 JSON_VALUES = st.recursive(

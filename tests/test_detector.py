@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from importlib import resources
@@ -11,6 +12,7 @@ from permscan.classify import classify_catalog
 from permscan.detector import build_report, detect, detect_full, report_to_json
 from permscan.errors import MissingLabel
 from permscan.executor import (
+    OUTCOME_PRUNED,
     OUTCOME_SUCCESS,
     SimulatorBackend,
     run_role_matrix,
@@ -119,7 +121,13 @@ def test_full_manifest_counts():
 def test_report_shape_and_serialization():
     records = run_with(ALL_FAULTS)
     result = detect_full(records, LABELS, MATRIX, GROUND_TRUTH)
-    report = build_report(result, records, SHEETS, exclusions={"Sheet.appendChart": "enum"})
+    # neither an API outside the catalog nor a pruned case counts as tested
+    extra = [
+        dataclasses.replace(records[0], api="Nowhere.call"),
+        dataclasses.replace(records[0], api="Sheet.appendChart", outcome=OUTCOME_PRUNED),
+    ]
+    report = build_report(result, records + extra, SHEETS, exclusions={"Sheet.appendChart": "enum"})
+    assert report.per_app.keys() == {"spreadsheet"}
     row = report.per_app["spreadsheet"]
     assert row["apis"] == 28
     assert row["tested"] == 27

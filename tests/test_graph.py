@@ -36,13 +36,6 @@ def test_producible_and_eligible():
     assert not eligible_producer(g, "Sheet.appendChart")  # enum param
 
 
-def test_multi_app_graph_selects_host():
-    merged = MINI.merge(SHEETS)
-    g = build_graph(merged, host_app="document")
-    assert g.root == "DocumentApp"
-    assert "Sheet" not in g.class_nodes
-
-
 def test_shortest_path_mini_document():
     g = build_graph(MINI)
     chain = shortest_producer_path(g, "Document")

@@ -99,8 +99,8 @@ def test_template_loads_nodes_and_sharing():
 
 def test_template_seeds_attribute_table():
     state = fresh_state()
-    assert state.lookup_attribute("id", "Sheet") == "sheet1"
-    assert state.lookup_attribute("url", "Spreadsheet").startswith("https://")
+    assert next(iter(state.attribute_table[("Sheet", "id")])) == "sheet1"
+    assert next(iter(state.attribute_table[("Spreadsheet", "url")])).startswith("https://")
 
 
 def test_template_owner_required(tmp_path):
