@@ -15,7 +15,7 @@ from pathlib import Path
 from .catalog import expect, load_catalog, object_census, read_json
 from .classify import classify_catalog
 from .detector import build_report, detect_full, report_to_json
-from .errors import PermscanError
+from .errors import NotFound, PermscanError
 from .executor import (
     ExecutionRecord,
     SimulatorBackend,
@@ -25,7 +25,7 @@ from .executor import (
 )
 from .graph import build_graph, to_dot
 from .simulator import instantiate_template, load_capability_matrix, load_faults
-from .testgen import TestCase, generate_suite, suite_to_jsonl
+from .testgen import TestCase, chain_api_ids, generate_suite, suite_to_jsonl
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -79,10 +79,24 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _suite_case(catalog):
+    """Builder for one suite line: the case, once every API it calls,
+    producer and tutorial chains included, is in `catalog`."""
+
+    def build(doc):
+        case = TestCase.from_json(doc)
+        for api_id in chain_api_ids(case.chain):
+            if api_id not in catalog.apis:
+                raise NotFound(f"case {case.id!r} step names unknown API {api_id!r}")
+        return case
+
+    return build
+
+
 def cmd_run(args) -> int:
     catalog = load_catalog(args.catalog)
     labels = classify_catalog(catalog)
-    suite = read_json(args.suite, TestCase.from_json, lines=True)
+    suite = read_json(args.suite, _suite_case(catalog), lines=True)
     matrix = _load_matrix(args.matrix)
     faults = load_faults(args.faults) if args.faults else []
     backend = SimulatorBackend(catalog, args.template, matrix, labels, faults)
@@ -145,8 +159,8 @@ def cmd_pipeline(args) -> int:
     records += run_scope_ladder(result.cases, backend)
     (out_dir / "records.jsonl").write_text(records_to_jsonl(records), encoding="utf-8")
 
-    ground_truth = instantiate_template(template_path, catalog, matrix)
-    detection = detect_full(records, labels, matrix, ground_truth)
+    # sessions ran on copies, so the backend's template is still the unmodified workspace
+    detection = detect_full(records, labels, matrix, backend.template)
     exclusions = {
         "generated": len(result.cases),
         "excluded": len(result.excluded),

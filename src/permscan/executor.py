@@ -143,19 +143,21 @@ class SimulatorBackend:
         self.faults = list(faults)
 
     @cached_property
-    def _template_roles(self) -> tuple:
-        """(user, role) for every sharing entry of the template."""
-        probe = instantiate_template(self.template_path, self.catalog, self.matrix)
-        return tuple((u, r) for roles in probe.sharing.values() for u, r in roles.items())
+    def template(self) -> WorkspaceState:
+        """The template's workspace, read and validated once and never run
+        on or given faults: every session starts from a copy of it."""
+        return instantiate_template(self.template_path, self.catalog, self.matrix)
 
     def user_with_role(self, role: Role) -> str:
-        candidates = sorted(u for u, r in self._template_roles if r == role)
+        candidates = sorted(
+            u for roles in self.template.sharing.values() for u, r in roles.items() if r == role
+        )
         if not candidates:
             raise BackendUnavailable(f"template has no user with role {role.label}")
         return candidates[0]
 
     def start_session(self, installer: str, grant: frozenset, mode: str = "role-matrix") -> Session:
-        state = instantiate_template(self.template_path, self.catalog, self.matrix)
+        state = self.template.copy()
         for fault in self.faults:
             inject_fault(state, fault)
         role = next((r[installer] for r in state.sharing.values() if installer in r), None)
@@ -341,7 +343,7 @@ def _run_session(backend, installer: str, grant: frozenset, suite: list, mode: s
 
 def run_role_matrix(suite: list, backend) -> list:
     """Viewer, commenter and editor sessions, each with the full grant and a
-    fresh template."""
+    fresh copy of the template."""
     records: list = []
     for role in (Role.VIEWER, Role.COMMENTER, Role.EDITOR):
         installer = backend.user_with_role(role)

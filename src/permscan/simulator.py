@@ -104,6 +104,13 @@ class ObjectNode:
         for c in self.children:
             yield from c.walk()
 
+    def copy(self) -> "ObjectNode":
+        """A deep copy of this subtree; `protection` is immutable and shared."""
+        return ObjectNode(
+            self.kind, self.id, self.content, self.hidden, self.protection,
+            [c.copy() for c in self.children],
+        )
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -275,6 +282,31 @@ class WorkspaceState:
     attribute_table: dict = field(default_factory=dict)  # (kind, role) -> {value: None}
     index: WorkspaceIndex = field(default_factory=WorkspaceIndex, repr=False, compare=False)
     _fresh_counter: int = 0
+    # derived: role -> smallest (kind, role) key of attribute_table, and
+    # api id -> kinds of the injected faults whose pattern matches it
+    _least_attribute_key: dict = field(default_factory=dict, repr=False)
+    _fault_kinds: dict = field(default_factory=dict, repr=False)
+
+    def copy(self) -> "WorkspaceState":
+        """An independent copy: it shares no node, role map or attribute set
+        with this state, and its index gives the DFS order of this one."""
+        state = WorkspaceState(
+            catalog=self.catalog,
+            matrix=self.matrix,
+            users=set(self.users),
+            sharing={rid: dict(roles) for rid, roles in self.sharing.items()},
+            sharing_log=list(self.sharing_log),
+            faults=list(self.faults),
+            attribute_table={key: dict(values) for key, values in self.attribute_table.items()},
+            _fresh_counter=self._fresh_counter,
+            _least_attribute_key=dict(self._least_attribute_key),
+            _fault_kinds=dict(self._fault_kinds),  # values are frozensets
+        )
+        for rid, root in self.resources.items():
+            tree = root.copy()
+            state.resources[rid] = tree
+            state.index.set_root(rid, tree)
+        return state
 
     # --- indexing -----------------------------------------------------------
 
@@ -310,16 +342,22 @@ class WorkspaceState:
             self.sharing_log.append((resource_id, user, old, role))
 
     def record_attribute(self, kind: str, role: str, value: str) -> None:
+        """The only writer of `attribute_table`, which only ever grows."""
+        key = (kind, role)
         # a dict used as an insertion-ordered set: re-recording keeps the position
-        self.attribute_table.setdefault((kind, role), {})[value] = None
+        self.attribute_table.setdefault(key, {})[value] = None
+        least = self._least_attribute_key.get(role)
+        if least is None or key < least:
+            self._least_attribute_key[role] = key
 
     def lookup_attribute(self, role: str) -> str | None:
         """First value recorded under the smallest (kind, role) key for `role`."""
-        keys = [key for key, values in self.attribute_table.items() if key[1] == role and values]
-        return next(iter(self.attribute_table[min(keys)])) if keys else None
+        key = self._least_attribute_key.get(role)
+        return next(iter(self.attribute_table[key])) if key is not None else None
 
-    def faults_for(self, api_id: str) -> set:
-        return {f.kind for f in self.faults if f.matches(api_id)}
+    def faults_for(self, api_id: str) -> frozenset:
+        """Kinds of the injected faults whose pattern matches `api_id`."""
+        return self._fault_kinds.get(api_id, frozenset())
 
 
 # --- template loading -------------------------------------------------------
@@ -669,13 +707,17 @@ def invoke_host_api(
 
 
 def inject_fault(state: WorkspaceState, fault: FaultSpec) -> WorkspaceState:
-    """Record a fault; idempotent; pattern must match at least one API."""
+    """Record a fault and the APIs it applies to; idempotent; pattern must
+    match at least one API."""
     if fault.kind not in FAULT_KINDS:
         raise SchemaViolation(f"unknown fault kind {fault.kind!r}")
-    if not any(fault.matches(api_id) for api_id in state.catalog.apis):
+    matched = [api_id for api_id in state.catalog.apis if fault.matches(api_id)]
+    if not matched:
         raise PatternMatchesNothing(f"pattern {fault.api_pattern!r} matches no API")
     if fault not in state.faults:
         state.faults.append(fault)
+        for api_id in matched:
+            state._fault_kinds[api_id] = state.faults_for(api_id) | {fault.kind}
     return state
 
 

@@ -111,6 +111,20 @@ def _chain_from_json(obj: dict) -> CallChain:
     return CallChain(steps=tuple(steps), produces=TypeRef.from_json(ret))
 
 
+def chain_api_ids(chain: CallChain):
+    """Every API the chain names: each step's, then those of the step's
+    tutorial and producer chains, depth first."""
+    for step in chain.steps:
+        yield step.api_id
+        if step.args is None:
+            continue
+        if step.args.tutorial is not None:
+            yield from chain_api_ids(step.args.tutorial)
+        for _, strat in step.args.params:
+            if isinstance(strat, ProducerPlan):
+                yield from chain_api_ids(strat.chain)
+
+
 # --- test cases ---------------------------------------------------------------
 
 

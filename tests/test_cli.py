@@ -190,6 +190,16 @@ def _unknown_api(line: str) -> str:
     return json.dumps(doc)
 
 
+UNKNOWN_CHAIN = {"steps": [{"api": "Spreadsheet.noSuchMethod"}], "produces": {"class": "Sheet"}}
+
+
+def _unknown_api_in_plan(line: str, plan: dict) -> str:
+    """The suite line with `plan` as its first step's argument plan."""
+    doc = json.loads(line)
+    doc["chain"]["steps"][0]["args"] = plan
+    return json.dumps(doc)
+
+
 def _template_with(change) -> str:
     """The bundled template after `change(doc)`."""
     doc = json.loads((DATA / "template_spreadsheet.json").read_text())
@@ -248,11 +258,13 @@ MALFORMED = {
         lambda ok: _template_with(lambda doc: doc["sharing"]["spreadsheet1"]["roles"].pop("olivia.owner")),
     ),
     "suite step names an unknown API": ("suite", lambda ok: _unknown_api(ok["suite"])),
+    "suite producer chain names an unknown API": ("suite", lambda ok: _unknown_api_in_plan(
+        ok["suite"], {"params": {"sheet": {"strategy": "producer", "chain": UNKNOWN_CHAIN}}}
+    )),
+    "suite tutorial names an unknown API": ("suite", lambda ok: _unknown_api_in_plan(
+        ok["suite"], {"tutorial": UNKNOWN_CHAIN, "params": {}}
+    )),
 }
-
-
-# found when the case runs, after every input has loaded, so no file is named
-RUN_TIME_ERRORS = {"suite step names an unknown API"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -265,8 +277,10 @@ def test_malformed_input_is_one_line_exit_1(case, bundled, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert err[0].startswith(f"{argv[0]}:"), err
-    if case not in RUN_TIME_ERRORS:
-        assert str(path) in err[0], err
+    assert str(path) in err[0], err
+    if kind == "suite":
+        # rejected at load time, before any case runs
+        assert not (tmp_path / "records.jsonl").exists()
 
 
 JSON_VALUES = st.recursive(

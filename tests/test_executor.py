@@ -22,6 +22,7 @@ from permscan.simulator import (
     GRANT_READ,
     FaultSpec,
     Role,
+    instantiate_template,
     load_capability_matrix,
     load_faults,
 )
@@ -147,6 +148,16 @@ def test_faulty_backend_changes_outcomes():
     assert plain["Range.getCell"].outcome == OUTCOME_PERMISSION_ERROR
     assert faulty["Range.getCell"].outcome == OUTCOME_SUCCESS
     assert "salary" in faulty["Range.getCell"].evidence
+
+
+def test_campaign_leaves_the_template_as_built():
+    """Sessions run on copies: after a faulty role-matrix and scope-ladder
+    campaign the backend's template is still a fresh, fault-free build."""
+    b = backend(load_faults(str(DATA / "faults_seeded.json")))
+    records = run_role_matrix(SUITE, b) + run_scope_ladder(SUITE, b)
+    assert any(r.sharing_changes for r in records)
+    assert b.template == instantiate_template(TEMPLATE, SHEETS, MATRIX)
+    assert b.template.faults == []
 
 
 def test_records_jsonl_round_trip():

@@ -103,6 +103,35 @@ def test_template_seeds_attribute_table():
     assert next(iter(state.attribute_table[("Spreadsheet", "url")])).startswith("https://")
 
 
+def _scan_attribute(state, role):
+    """The reference lookup: a scan of the whole attribute table."""
+    keys = [key for key, values in state.attribute_table.items() if key[1] == role and values]
+    return next(iter(state.attribute_table[min(keys)])) if keys else None
+
+
+ATTRIBUTE_ROLES = ("id", "name", "url", "email")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seeded=st.booleans(),
+    calls=st.lists(st.tuples(
+        st.sampled_from(["A", "Cell", "Sheet", "Spreadsheet", "Zeta"]),
+        st.sampled_from(ATTRIBUTE_ROLES),
+        st.sampled_from(["v0", "v1", "v2"]),
+    ), max_size=30),
+)
+def test_lookup_attribute_matches_a_scan(seeded, calls):
+    """Differential test: after every record_attribute, on an empty or the
+    bundled workspace, lookup_attribute answers as a scan of the table does."""
+    state = fresh_state() if seeded else _build_workspace({}, SHEETS, MATRIX)
+    for call in [None, *calls]:
+        if call is not None:
+            state.record_attribute(*call)
+        for r in ATTRIBUTE_ROLES:
+            assert state.lookup_attribute(r) == _scan_attribute(state, r), r
+
+
 def test_template_owner_required(tmp_path):
     doc = json.loads((DATA / "template_spreadsheet.json").read_text())
     doc["sharing"]["spreadsheet1"]["roles"]["olivia.owner"] = "editor"
@@ -302,6 +331,19 @@ def test_fault_glob_and_idempotence():
     assert len(state.faults) == 1
     assert "SkipRoleCheck" in state.faults_for("Spreadsheet.setName")
     assert state.faults_for("Sheet.sort") == set()
+
+
+def test_faults_resolve_to_apis_at_injection():
+    """faults_for reads the kinds recorded at injection; they are those of
+    the faults whose pattern matches, in the state and in its copies."""
+    state = fresh_state()
+    faults = [*load_faults(str(DATA / "faults_seeded.json")), FaultSpec("SkipRoleCheck", "Sheet.*")]
+    for fault in faults:
+        inject_fault(state, fault)
+    copy = state.copy()
+    for api_id in SHEETS.apis:
+        expected = {f.kind for f in faults if f.matches(api_id)}
+        assert state.faults_for(api_id) == copy.faults_for(api_id) == expected, api_id
 
 
 def test_load_bundled_fault_manifest():
@@ -597,3 +639,63 @@ def test_colliding_root_create_replaces_the_sharing_entry():
         ("spreadsheet-1", "olivia.owner", Role.OWNER, None),
         ("spreadsheet-1", "victor.viewer", Role.VIEWER, None),
     ]
+
+
+# --- template copies ---------------------------------------------------------------
+
+
+def _nodes(state):
+    return [n for root in state.resources.values() for n in root.walk()]
+
+
+def _create_or_delete(state, rng, apis, known):
+    """One random create or delete, by the owner, on a receiver from `known`
+    or on none; returns the created node, if any."""
+    op = rng.choice([Operation.CREATE, Operation.DELETE])
+    receiver = rng.choice([None, *known])
+    fitting = [
+        a for a in apis
+        if (a.parent_class == receiver.kind if receiver is not None else a.returns.is_class)
+    ]
+    api = rng.choice(fitting or apis)
+    label = PermissionLabel(op, api.parent_class, False)
+    return invoke_host_api(state, Subject("o"), api.id, label, receiver).node
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32), creators=st.booleans(), fresh_like=st.booleans())
+def test_copy_is_independent_of_its_source(tmp_path_factory, seed, creators, fresh_like):
+    """A copy equals a fresh build of the template, its index answers as
+    tree walks do, and it shares no node with its source.  Creates and
+    deletes on the copy, roots replaced under colliding ids included, leave
+    the source as built, and a copy of the used copy is indexed correctly."""
+    rng = random.Random(seed)
+    catalog = synth.make_catalog(rng, max_classes=8, max_apis=40)
+    if creators:
+        catalog = synth.with_creators(catalog)
+    doc = synth.make_template(rng, catalog, roles=synth.ALL_ROLES)
+    if fresh_like:
+        doc = synth.with_fresh_like_ids(doc, rng)
+    path = tmp_path_factory.mktemp("copy") / "template.json"
+    path.write_text(json.dumps(doc))
+    source = instantiate_template(path, catalog, MATRIX)
+    copy = source.copy()
+    assert copy == instantiate_template(path, catalog, MATRIX)
+    assert not {id(n) for n in _nodes(source)} & {id(n) for n in _nodes(copy)}
+    _check_index(copy, catalog.classes, _nodes(copy))
+
+    # with the role check skipped, calls also reach receivers already detached
+    inject_fault(copy, FaultSpec("SkipRoleCheck", "*"))
+    apis = sorted(catalog.apis.values(), key=lambda a: a.id)
+    known = _nodes(copy)
+    for _ in range(rng.randint(1, 12)):
+        node = _create_or_delete(copy, rng, apis, known)
+        if node is not None and all(node is not n for n in known):
+            known.append(node)
+    _check_index(copy, catalog.classes, known)
+    assert source == instantiate_template(path, catalog, MATRIX)
+    _check_index(source, catalog.classes, _nodes(source))
+
+    again = copy.copy()
+    assert again == copy
+    _check_index(again, catalog.classes, _nodes(again))
