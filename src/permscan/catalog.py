@@ -295,11 +295,12 @@ def read_json(path: str | Path, build, *, lines: bool = False):
     document per non-blank line), and return `build(doc)` for each document:
     one value for JSON, a list for JSONL.
 
-    This is the only place input files are parsed.  Unparseable text raises
-    MalformedFile; a KeyError, TypeError or ValueError raised by `build`
-    becomes SchemaViolation, and a PermscanError keeps its class.  Every
-    such error names the file and, for JSONL, the line.  `build` checks the
-    top-level type of its document itself.
+    This is the only place input files are parsed.  Unparseable or too
+    deeply nested text raises MalformedFile; a KeyError, TypeError,
+    ValueError or RecursionError raised by `build` becomes SchemaViolation,
+    and a PermscanError keeps its class.  Every such error names the file
+    and, for JSONL, the line.  `build` checks the top-level type of its
+    document itself.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -322,13 +323,13 @@ def parse_json(text: str, build, source: str, *, lines: bool = False):
 def _build_document(text: str, build, where: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedFile(f"{where}: {exc}") from exc
     try:
         return build(doc)
     except KeyError as exc:
         raise SchemaViolation(f"{where}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise SchemaViolation(f"{where}: {exc}") from exc
     except PermscanError as exc:
         exc.args = (f"{where}: {exc}",)

@@ -24,7 +24,7 @@ from .executor import (
     run_scope_ladder,
 )
 from .graph import build_graph, to_dot
-from .simulator import instantiate_template, load_capability_matrix, load_faults
+from .simulator import fault_targets, faults_from_json, instantiate_template, load_capability_matrix
 from .testgen import TestCase, chain_api_ids, generate_suite, suite_to_jsonl
 
 EXIT_OK = 0
@@ -93,12 +93,25 @@ def _suite_case(catalog):
     return build
 
 
+def _load_faults(path, catalog) -> list:
+    """The faults file at `path`, if any, once each pattern matches an API
+    of `catalog`."""
+
+    def build(doc):
+        faults = faults_from_json(doc)
+        for fault in faults:
+            fault_targets(fault, catalog)
+        return faults
+
+    return read_json(path, build) if path else []
+
+
 def cmd_run(args) -> int:
     catalog = load_catalog(args.catalog)
     labels = classify_catalog(catalog)
     suite = read_json(args.suite, _suite_case(catalog), lines=True)
     matrix = _load_matrix(args.matrix)
-    faults = load_faults(args.faults) if args.faults else []
+    faults = _load_faults(args.faults, catalog)
     backend = SimulatorBackend(catalog, args.template, matrix, labels, faults)
     if args.mode == "role-matrix":
         records = run_role_matrix(suite, backend)
@@ -144,23 +157,25 @@ def cmd_pipeline(args) -> int:
         print("pipeline: --catalog and --template are required", file=sys.stderr)
         return EXIT_ERROR
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     catalog = load_catalog(catalog_path)
+    matrix = _load_matrix(args.matrix)
+    faults = _load_faults(faults_path, catalog)
     labels = classify_catalog(catalog)
+    backend = SimulatorBackend(catalog, template_path, matrix, labels, faults)
+    # read now, so a bad template stops the run before anything is written;
+    # sessions run on copies, so it stays the unmodified workspace
+    ground_truth = backend.template
+
     graph = build_graph(catalog)
     result = generate_suite(graph, labels)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "suite.jsonl").write_text(suite_to_jsonl(result.cases), encoding="utf-8")
 
-    matrix = _load_matrix(args.matrix)
-    faults = load_faults(faults_path) if faults_path else []
-    backend = SimulatorBackend(catalog, template_path, matrix, labels, faults)
     records = run_role_matrix(result.cases, backend)
     records += run_scope_ladder(result.cases, backend)
     (out_dir / "records.jsonl").write_text(records_to_jsonl(records), encoding="utf-8")
 
-    # sessions ran on copies, so the backend's template is still the unmodified workspace
-    detection = detect_full(records, labels, matrix, backend.template)
+    detection = detect_full(records, labels, matrix, ground_truth)
     exclusions = {
         "generated": len(result.cases),
         "excluded": len(result.excluded),

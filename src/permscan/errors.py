@@ -19,16 +19,6 @@ class DuplicateApi(SchemaViolation):
     """Two API specs share the same id."""
 
 
-# --- classifier ------------------------------------------------------------
-
-class RemoteUnavailable(PermscanError):
-    """The remote classifier endpoint timed out or returned an HTTP error."""
-
-
-class ResponseUnparseable(PermscanError):
-    """The remote classifier returned text that does not name an operation."""
-
-
 # --- dependency graph ------------------------------------------------------
 
 class UnresolvableReturn(PermscanError):

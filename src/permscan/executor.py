@@ -23,6 +23,7 @@ from .simulator import (
     inject_fault,
     instantiate_template,
     invoke_host_api,
+    validate_grant,
 )
 from .testgen import (
     ArgPlan,
@@ -88,7 +89,7 @@ class ExecutionRecord:
             raise ValueError(f"unknown outcome {obj['outcome']!r}")
         if obj["mode"] not in MODES:
             raise ValueError(f"unknown mode {obj['mode']!r}")
-        grant = frozenset(obj["grant"])
+        grant = validate_grant(obj["grant"])
         if not grant <= GRANT_FULL:
             raise ValueError(f"unknown grant scope in {sorted(map(str, grant))}")
         return ExecutionRecord(

@@ -706,14 +706,21 @@ def invoke_host_api(
 # --- fault injection ------------------------------------------------------------
 
 
-def inject_fault(state: WorkspaceState, fault: FaultSpec) -> WorkspaceState:
-    """Record a fault and the APIs it applies to; idempotent; pattern must
-    match at least one API."""
+def fault_targets(fault: FaultSpec, catalog: Catalog) -> list:
+    """The APIs of `catalog` that `fault` applies to; its kind must be known
+    and its pattern must match at least one API."""
     if fault.kind not in FAULT_KINDS:
         raise SchemaViolation(f"unknown fault kind {fault.kind!r}")
-    matched = [api_id for api_id in state.catalog.apis if fault.matches(api_id)]
+    matched = [api_id for api_id in catalog.apis if fault.matches(api_id)]
     if not matched:
         raise PatternMatchesNothing(f"pattern {fault.api_pattern!r} matches no API")
+    return matched
+
+
+def inject_fault(state: WorkspaceState, fault: FaultSpec) -> WorkspaceState:
+    """Record a fault and the APIs it applies to (see `fault_targets`);
+    idempotent."""
+    matched = fault_targets(fault, state.catalog)
     if fault not in state.faults:
         state.faults.append(fault)
         for api_id in matched:
@@ -722,13 +729,17 @@ def inject_fault(state: WorkspaceState, fault: FaultSpec) -> WorkspaceState:
 
 
 def load_faults(path: str | Path) -> list:
-    return read_json(path, _faults_from_json)
+    return read_json(path, faults_from_json)
 
 
-def _faults_from_json(doc: list) -> list:
+def faults_from_json(doc: list) -> list:
+    """The faults of a faults file, each of a known kind; `fault_targets`
+    checks their patterns against a catalog."""
     faults = []
     for entry in expect(doc, list, "faults"):
         e = expect(entry, dict, "fault entry")
         pattern = expect(e["api_pattern"], str, "api_pattern")
+        if e["kind"] not in FAULT_KINDS:
+            raise SchemaViolation(f"unknown fault kind {e['kind']!r}")
         faults.append(FaultSpec(kind=e["kind"], api_pattern=pattern, note=e.get("note", "")))
     return faults

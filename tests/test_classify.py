@@ -2,11 +2,8 @@ import json
 import os
 import subprocess
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from importlib import resources
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,15 +13,10 @@ from permscan.classify import (
     CONF_DESCRIPTION,
     CONF_FALLBACK,
     CONF_STEM,
-    ClassifierConfig,
     Operation,
     PermissionLabel,
-    RemoteClassifierEndpoint,
     classify_api,
-    classify_catalog,
-    classify_with_remote,
 )
-from permscan.errors import RemoteUnavailable, ResponseUnparseable
 
 DATA = resources.files("permscan.data")
 CORPUS = load_catalog(str(DATA / "corpus_catalog.json"))
@@ -121,87 +113,6 @@ def test_classifier_is_deterministic_and_total(api_id):
     label, conf = first
     assert isinstance(label.operation, Operation)
     assert conf in (CONF_STEM, CONF_DESCRIPTION, CONF_FALLBACK)
-
-
-# --- remote endpoint ------------------------------------------------------------
-
-
-class _Handler(BaseHTTPRequestHandler):
-    reply: dict = {"text": "modify, spreadsheet"}
-    status: int = 200
-    seen: list = []
-
-    def do_POST(self):
-        body = self.rfile.read(int(self.headers["Content-Length"]))
-        _Handler.seen.append((json.loads(body), self.headers.get("Authorization")))
-        self.send_response(self.status)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(json.dumps(self.reply).encode())
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def remote_server():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _Handler.seen = []
-    _Handler.reply = {"text": "modify, spreadsheet"}
-    _Handler.status = 200
-    yield f"http://127.0.0.1:{server.server_port}/"
-    server.shutdown()
-
-
-def test_remote_returns_parsed_label(remote_server, monkeypatch):
-    monkeypatch.setenv("PERMSCAN_CLASSIFIER_TOKEN", "sekrit")
-    cfg = ClassifierConfig(remote=RemoteClassifierEndpoint(base_url=remote_server))
-    label = classify_with_remote(_api("Spreadsheet.renameActiveSheet"), cfg, CORPUS)
-    assert label.operation is Operation.MODIFY
-    payload, auth = _Handler.seen[0]
-    assert "renameActiveSheet" in payload["prompt"]
-    assert auth == "Bearer sekrit"
-
-
-def test_remote_unparseable(remote_server):
-    _Handler.reply = {"text": "no idea"}
-    cfg = ClassifierConfig(remote=RemoteClassifierEndpoint(base_url=remote_server))
-    with pytest.raises(ResponseUnparseable):
-        classify_with_remote(_api("Spreadsheet.renameActiveSheet"), cfg, CORPUS)
-
-
-def test_remote_http_error(remote_server):
-    _Handler.status = 503
-    cfg = ClassifierConfig(remote=RemoteClassifierEndpoint(base_url=remote_server))
-    with pytest.raises(RemoteUnavailable):
-        classify_with_remote(_api("Spreadsheet.renameActiveSheet"), cfg, CORPUS)
-
-
-def test_remote_unconfigured():
-    with pytest.raises(RemoteUnavailable):
-        classify_with_remote(_api("Spreadsheet.renameActiveSheet"), ClassifierConfig())
-
-
-def test_catalog_escalates_only_low_confidence(remote_server):
-    _Handler.reply = {"text": "create"}
-    cfg = ClassifierConfig(remote=RemoteClassifierEndpoint(base_url=remote_server))
-    labels = classify_catalog(CORPUS, cfg)
-    # only the two fallback-confidence APIs get escalated
-    escalated = {p["prompt"].split("API: ")[1].split("\n")[0] for p, _ in _Handler.seen}
-    assert escalated == {"Spreadsheet.duplicateActiveSheet", "Spreadsheet.renameActiveSheet"}
-    assert labels["Spreadsheet.duplicateActiveSheet"].operation is Operation.CREATE
-    # high-confidence labels are untouched
-    assert labels["Sheet.clearContents"].operation is Operation.DELETE
-
-
-def test_catalog_falls_back_on_dead_remote():
-    cfg = ClassifierConfig(
-        remote=RemoteClassifierEndpoint(base_url="http://127.0.0.1:1/", timeout=0.2)
-    )
-    labels = classify_catalog(CORPUS, cfg)
-    assert labels["Spreadsheet.renameActiveSheet"].operation is Operation.MODIFY
 
 
 def test_import_leaves_http_stack_unloaded():

@@ -28,12 +28,26 @@ def test_ingest_missing_file_is_exit_1(capsys):
     assert "ingest" in capsys.readouterr().err
 
 
+# sha256 of `permscan classify` on each bundled catalog: the labels of every
+# API, including those the suite leaves out as excluded or pruned
+LABEL_DIGESTS = {
+    "spreadsheet.json": "56305b93680cd8c154b6fdf1da0667b857f32dc5633f5be56cbb5743fca96ea8",
+    "mini_document.json": "47e19edaba6803e57799745eac654a0299a43e0bdb116ec1f41796ad77318a09",
+    "corpus_catalog.json": "d71a712f07deb0991efb91a8a321e881c3a99dbb8032889257f854d729e287d6",
+}
+
+
 def test_classify_writes_labels(tmp_path, capsys):
     out = tmp_path / "labels.json"
     assert main(["classify", "--catalog", CATALOG, "--out", str(out)]) == 0
     labels = json.loads(out.read_text())
     assert labels["Spreadsheet.addEditor"]["operation"] == "modify"
     assert labels["Spreadsheet.addEditor"]["touches_sharing"] is True
+    digests = {}
+    for name in LABEL_DIGESTS:
+        assert main(["classify", "--catalog", str(DATA / name), "--out", str(out)]) == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == LABEL_DIGESTS
 
 
 def test_graph_export_dot(tmp_path):
@@ -200,6 +214,19 @@ def _unknown_api_in_plan(line: str, plan: dict) -> str:
     return json.dumps(doc)
 
 
+def _nested_producers(line: str, depth: int) -> str:
+    """The suite line with its first step's argument produced by `depth`
+    nested producer chains; built as text, since json.dumps would itself
+    hit the recursion limit."""
+    step = '{"api": "SpreadsheetApp.getActiveSpreadsheet"'
+    chain = '{"steps": [' + step + '}], "produces": {"class": "Spreadsheet"}}'
+    for _ in range(depth):
+        plan = '{"params": {"p": {"strategy": "producer", "chain": ' + chain + "}}}"
+        chain = '{"steps": [' + step + ', "args": ' + plan + '}], "produces": {"class": "Spreadsheet"}}'
+    plan = '{"params": {"p": {"strategy": "producer", "chain": ' + chain + "}}}"
+    return _unknown_api_in_plan(line, "PLAN").replace('"PLAN"', plan)
+
+
 def _template_with(change) -> str:
     """The bundled template after `change(doc)`."""
     doc = json.loads((DATA / "template_spreadsheet.json").read_text())
@@ -216,6 +243,12 @@ def _superuser_matrix(_) -> str:
 MALFORMED = {
     "faults entry without api_pattern": ("faults", lambda ok: '[{"kind": "SkipRoleCheck"}]'),
     "faults file is [1,2]": ("faults", lambda ok: "[1,2]"),
+    "faults entry with an unknown kind": (
+        "faults", lambda ok: '[{"kind": "Bogus", "api_pattern": "Sheet.*"}]'
+    ),
+    "faults pattern that matches no API": (
+        "faults", lambda ok: '[{"kind": "SkipRoleCheck", "api_pattern": "Nope.*"}]'
+    ),
     "suite is not JSON": ("suite", lambda ok: "{not json\n"),
     "suite line without target_api": ("suite", lambda ok: _without(ok["suite"], "target_api")),
     "records are not JSON": ("records", lambda ok: "{not json\n"),
@@ -224,6 +257,9 @@ MALFORMED = {
     "records line with unknown mode": ("records", lambda ok: _with(ok["records"], "mode", "sideways")),
     "records line with unknown grant scope": (
         "records", lambda ok: _with(ok["records"], "grant", ["read", "admin"])
+    ),
+    'records line with grant ["delete"]': (
+        "records", lambda ok: _with(ok["records"], "grant", ["delete"])
     ),
     "records line whose sharing_changes is not a list": (
         "records", lambda ok: _with(ok["records"], "sharing_changes", "spreadsheet1")
@@ -250,6 +286,7 @@ MALFORMED = {
     "catalog without host_app": (
         "catalog", lambda ok: _without((DATA / "spreadsheet.json").read_text(), "host_app")
     ),
+    "catalog nested 100000 deep": ("catalog", lambda ok: "[" * 100000 + "]" * 100000),
     "template with an unknown kind": (
         "template", lambda ok: _template_with(lambda doc: doc["resources"][0].update(kind="Nope"))
     ),
@@ -264,6 +301,7 @@ MALFORMED = {
     "suite tutorial names an unknown API": ("suite", lambda ok: _unknown_api_in_plan(
         ok["suite"], {"tutorial": UNKNOWN_CHAIN, "params": {}}
     )),
+    "suite case nesting 300 producer chains": ("suite", lambda ok: _nested_producers(ok["suite"], 300)),
 }
 
 
@@ -281,6 +319,9 @@ def test_malformed_input_is_one_line_exit_1(case, bundled, tmp_path, capsys):
     if kind == "suite":
         # rejected at load time, before any case runs
         assert not (tmp_path / "records.jsonl").exists()
+    if argv[0] == "pipeline":
+        # every input loads before the pipeline writes its first output
+        assert not (tmp_path / "out" / "suite.jsonl").exists()
 
 
 JSON_VALUES = st.recursive(
