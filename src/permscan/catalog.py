@@ -283,8 +283,7 @@ def validate_catalog(catalog: Catalog) -> ValidationReport:
             visit(name, ())
 
     for name in sorted(catalog.classes):
-        has_api = any(a.parent_class == name for a in catalog.apis.values())
-        if not has_api and name not in referenced and name not in child_of:
+        if name not in referenced and name not in child_of:
             report.add("OrphanClass", f"class {name!r} has no APIs and is never referenced")
 
     return report

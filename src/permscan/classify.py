@@ -12,7 +12,7 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .catalog import ApiSpec, Catalog
+from .catalog import ApiSpec, Catalog, expect
 
 
 class Operation(enum.IntEnum):
@@ -52,7 +52,9 @@ class PermissionLabel:
     @staticmethod
     def from_json(obj: dict) -> "PermissionLabel":
         return PermissionLabel(
-            Operation.parse(obj["operation"]), obj["object_kind"], obj["touches_sharing"]
+            Operation.parse(obj["operation"]),
+            expect(obj["object_kind"], str, "object_kind"),
+            expect(obj["touches_sharing"], bool, "touches_sharing"),
         )
 
 

@@ -79,16 +79,17 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _suite_case(catalog):
-    """Builder for one suite line: the case, once every API it calls,
-    producer and tutorial chains included, is in `catalog`."""
+def _known_apis(catalog, parse, api_ids):
+    """Builder for one suite or records line: `parse(doc)`, once every API
+    `api_ids` finds in it (a case's producer and tutorial chains included)
+    is in `catalog`."""
 
     def build(doc):
-        case = TestCase.from_json(doc)
-        for api_id in chain_api_ids(case.chain):
+        item = parse(doc)
+        for api_id in api_ids(item):
             if api_id not in catalog.apis:
-                raise NotFound(f"case {case.id!r} step names unknown API {api_id!r}")
-        return case
+                raise NotFound(f"unknown API {api_id!r}")
+        return item
 
     return build
 
@@ -109,7 +110,8 @@ def _load_faults(path, catalog) -> list:
 def cmd_run(args) -> int:
     catalog = load_catalog(args.catalog)
     labels = classify_catalog(catalog)
-    suite = read_json(args.suite, _suite_case(catalog), lines=True)
+    build = _known_apis(catalog, TestCase.from_json, lambda case: chain_api_ids(case.chain))
+    suite = read_json(args.suite, build, lines=True)
     matrix = _load_matrix(args.matrix)
     faults = _load_faults(args.faults, catalog)
     backend = SimulatorBackend(catalog, args.template, matrix, labels, faults)
@@ -126,7 +128,8 @@ def cmd_report(args) -> int:
     catalog = load_catalog(args.catalog)
     labels = classify_catalog(catalog)
     matrix = _load_matrix(args.matrix)
-    records = read_json(args.records, ExecutionRecord.from_json, lines=True)
+    build = _known_apis(catalog, ExecutionRecord.from_json, lambda record: (record.api,))
+    records = read_json(args.records, build, lines=True)
     ground_truth = None
     if args.template:
         ground_truth = instantiate_template(args.template, catalog, matrix)

@@ -21,22 +21,11 @@ class ChainStep:
     index_zero: bool = False  # array-typed producer: take element [0]
     args: object | None = None  # ArgPlan, attached by testgen
 
-    def to_json(self) -> dict:
-        out: dict = {"api": self.api_id}
-        if self.index_zero:
-            out["index_zero"] = True
-        if self.args is not None:
-            out["args"] = self.args.to_json()
-        return out
-
 
 @dataclass(frozen=True)
 class CallChain:
     steps: tuple[ChainStep, ...]
     produces: TypeRef
-
-    def to_json(self) -> dict:
-        return {"steps": [s.to_json() for s in self.steps], "produces": self.produces.to_json()}
 
 
 @dataclass(frozen=True)

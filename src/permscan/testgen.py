@@ -28,9 +28,6 @@ class ProducerPlan:
 
     chain: CallChain
 
-    def to_json(self) -> dict:
-        return {"strategy": "producer", "chain": self.chain.to_json()}
-
 
 @dataclass(frozen=True)
 class AttributePlan:
@@ -74,42 +71,6 @@ class ArgPlan:
     tutorial: CallChain | None = None
     params: tuple = ()  # tuple of (param name, strategy)
 
-    def to_json(self) -> dict:
-        out: dict = {}
-        if self.tutorial is not None:
-            out["tutorial"] = self.tutorial.to_json()
-        out["params"] = {name: strat.to_json() for name, strat in self.params}
-        return out
-
-
-def _plan_from_json(obj: dict):
-    kind = obj["strategy"]
-    if kind == "producer":
-        return ProducerPlan(_chain_from_json(obj["chain"]))
-    if kind == "attribute":
-        return AttributePlan(obj["role"])
-    if kind == "primitive":
-        return PrimitivePlan(tuple(obj["values"]))
-    if kind == "pair":
-        return PairPlan(obj["partner"], obj["position"], tuple(obj["fallback"]))
-    raise ValueError(f"unknown strategy {kind!r}")
-
-
-def _argplan_from_json(obj: dict) -> ArgPlan:
-    tutorial = _chain_from_json(obj["tutorial"]) if "tutorial" in obj else None
-    plans = expect(obj["params"], dict, "params")
-    params = tuple((name, _plan_from_json(s)) for name, s in plans.items())
-    return ArgPlan(tutorial=tutorial, params=params)
-
-
-def _chain_from_json(obj: dict) -> CallChain:
-    steps = []
-    for s in obj["steps"]:
-        args = _argplan_from_json(s["args"]) if "args" in s else None
-        steps.append(ChainStep(expect(s["api"], str, "api"), s.get("index_zero", False), args))
-    ret = obj["produces"]
-    return CallChain(steps=tuple(steps), produces=TypeRef.from_json(ret))
-
 
 def chain_api_ids(chain: CallChain):
     """Every API the chain names: each step's, then those of the step's
@@ -137,15 +98,6 @@ class TestCase:
     label: PermissionLabel
     chain: CallChain
     depends_on: str | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "target_api": self.target_api,
-            "label": self.label.to_json(),
-            "chain": self.chain.to_json(),
-            "depends_on": self.depends_on,
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "TestCase":
@@ -413,7 +365,88 @@ def generate_suite(graph: DepGraph, labels: dict) -> GenResult:
 
 
 def suite_to_jsonl(cases: list) -> str:
-    return "".join(json.dumps(c.to_json(), sort_keys=False) + "\n" for c in cases)
+    """The suite as JSON lines: each case as `json.dumps` writes the dict with
+    keys id, target_api, label, chain (steps, produces) and depends_on; a
+    step has api, index_zero if true and args (tutorial if any, params) if
+    planned.
+
+    Shared objects are encoded once per call: chains (a producer chain is
+    one object per class) and the steps of chains and case prefixes are
+    memoised by identity, labels, types and attribute plans by value.  A
+    case's last step, argument plans and producer-plan wrappers are used
+    once, and primitive and pair plans have no exact value key (True == 1),
+    so these are encoded inline and not kept.
+    """
+    memo: dict = {}
+    string = json.encoder.encode_basestring_ascii  # exactly what json.dumps does with a str
+
+    def value(obj) -> str:
+        return memo.get(obj) or memo.setdefault(obj, json.dumps(obj.to_json()))
+
+    def plan(p) -> str:
+        if isinstance(p, ProducerPlan):
+            return '{"strategy": "producer", "chain": ' + chain(p.chain) + "}"
+        return value(p) if isinstance(p, AttributePlan) else json.dumps(p.to_json())
+
+    def step(s: ChainStep) -> str:
+        text = '{"api": ' + string(s.api_id) + (', "index_zero": true' if s.index_zero else "")
+        if s.args is None:
+            return text + "}"
+        if s.args.tutorial is not None:
+            text += ', "args": {"tutorial": ' + chain(s.args.tutorial) + ', "params": {'
+        else:
+            text += ', "args": {"params": {'
+        # a dict, as in the schema: a repeated name keeps its first place and last plan
+        params = dict(s.args.params).items()
+        return text + ", ".join(string(n) + ": " + plan(p) for n, p in params) + "}}}"
+
+    def steps(c: CallChain, shared: tuple, inline: list) -> str:
+        texts = [memo.get(id(s)) or memo.setdefault(id(s), step(s)) for s in shared] + inline
+        return '{"steps": [' + ", ".join(texts) + '], "produces": ' + value(c.produces) + "}"
+
+    def chain(c: CallChain) -> str:
+        return memo.get(id(c)) or memo.setdefault(id(c), steps(c, c.steps, []))
+
+    def case(c: TestCase) -> str:
+        text = steps(c.chain, c.chain.steps[:-1], [step(s) for s in c.chain.steps[-1:]])
+        depends_on = "null" if c.depends_on is None else string(c.depends_on)
+        return (
+            f'{{"id": {string(c.id)}, "target_api": {string(c.target_api)}, '
+            f'"label": {value(c.label)}, "chain": {text}, "depends_on": {depends_on}}}\n'
+        )
+
+    lines = [case(c) for c in cases]
+    memo.clear()  # before the join: the texts and the whole suite are never held together
+    return "".join(lines)
+
+
+def _plan_from_json(obj: dict):
+    kind = obj["strategy"]
+    if kind == "producer":
+        return ProducerPlan(_chain_from_json(obj["chain"]))
+    if kind == "attribute":
+        return AttributePlan(expect(obj["role"], str, "role"))
+    if kind == "primitive":
+        return PrimitivePlan(tuple(obj["values"]))
+    if kind == "pair":
+        return PairPlan(obj["partner"], obj["position"], tuple(obj["fallback"]))
+    raise ValueError(f"unknown strategy {kind!r}")
+
+
+def _argplan_from_json(obj: dict) -> ArgPlan:
+    tutorial = _chain_from_json(obj["tutorial"]) if "tutorial" in obj else None
+    plans = expect(obj["params"], dict, "params")
+    params = tuple((name, _plan_from_json(s)) for name, s in plans.items())
+    return ArgPlan(tutorial=tutorial, params=params)
+
+
+def _chain_from_json(obj: dict) -> CallChain:
+    steps = []
+    for s in obj["steps"]:
+        args = _argplan_from_json(s["args"]) if "args" in s else None
+        steps.append(ChainStep(expect(s["api"], str, "api"), s.get("index_zero", False), args))
+    ret = obj["produces"]
+    return CallChain(steps=tuple(steps), produces=TypeRef.from_json(ret))
 
 
 def suite_from_jsonl(text: str) -> list:

@@ -9,10 +9,13 @@ be checked against them.
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
+import re
 from collections import deque
 
 from permscan.catalog import ApiSpec, Catalog, TypeRef, parse_catalog
+from permscan.testgen import ProducerPlan
 
 # primitive-only params keep the oracle's resolvability rule trivial:
 # string/integer/boolean resolve, enum does not
@@ -321,4 +324,107 @@ def oracle_sharing_changes(before: dict, after: dict) -> list:
         for rid in before.keys() & after.keys()
         for user in before[rid].keys() | after[rid].keys()
         if before[rid].get(user) != after[rid].get(user)
+    )
+
+
+# --- suites: random catalogs for the writer and its dict oracle -------------------------
+
+# a quote, a backslash, a control character and non-ASCII text: JSON escapes each
+ODD_NAMES = ('say"hi"', "back\\slash", "naïve", "名前", "tab\tline ")
+
+
+def make_rich_catalog(rng: random.Random, max_classes: int = 8, max_apis: int = 30) -> Catalog:
+    """Random catalog with everything a suite line can hold: array returns,
+    class-typed parameters, (x, xEnd) integer pairs, tutorials, repeated
+    parameter names, and class, method and parameter names from ODD_NAMES.
+    Every class has an accessor on an earlier class, so all are reachable;
+    tutorials call APIs of classes with plain names."""
+
+    def odd(p: float) -> str:
+        return rng.choice(ODD_NAMES) if rng.random() < p else ""
+
+    names = ["App"] + [f"K{i}{odd(0.4)}" for i in range(1, rng.randint(2, max_classes))]
+    children: dict = {name: [] for name in names}
+    apis: list = []
+
+    def add(parent: str, method: str, params: list, returns: dict) -> None:
+        apis.append({
+            "id": f"{parent}.{method}", "parent_class": parent, "method": method,
+            "description": f"Synthetic {method}.", "params": [
+                {"name": p, "kind": kind, "type": typ} for p, kind, typ in params
+            ], "returns": returns, "tutorial": None,
+        })
+
+    for i, name in enumerate(names[1:], 1):
+        parent = names[rng.randrange(i)]
+        children[parent].append(name)
+        returns = {"array_of": name} if rng.random() < 0.3 else {"class": name}
+        add(parent, f"get{i}", rng.choice(_PARAM_POOL), returns)
+    pool = _PARAM_POOL + [
+        [("x", "integer", "integer"), ("xEnd", "integer", "integer")],
+        [(rng.choice(ODD_NAMES), "string", "string")],
+        [("name", "string", "string"), ("name", "integer", "integer")],
+        [("mode", "enum", "SynthEnum")],
+    ]
+    for k in range(rng.randint(1, max_apis)):
+        params = list(rng.choice(pool))
+        if rng.random() < 0.3:
+            params.append(("source", "class", rng.choice(names)))
+        returns = rng.choice([
+            {"void": True}, {"primitive": "string"}, {"class": rng.choice(names)},
+            {"array_of": rng.choice(names)},
+        ])
+        add(rng.choice(names), f"{rng.choice(_VERBS)}Thing{k}{odd(0.2)}", params, returns)
+    # tutorial steps must parse as Class.method(...)
+    callable_ids = [a["id"] for a in apis if re.fullmatch(r"\w+\.\w+", a["id"], re.ASCII)]
+    for api in rng.sample(apis, k=min(3, len(apis))):
+        calls = rng.sample(callable_ids, k=min(rng.randint(1, 3), len(callable_ids)))
+        api["tutorial"] = [f'var v{n} = {call}("lit", 1)' for n, call in enumerate(calls)]
+    doc = {
+        "host_app": "drive",
+        "root": "App",
+        "external_types": ["SynthEnum"],
+        "classes": [{"name": n, "children": children[n]} for n in names],
+        "apis": apis,
+    }
+    return parse_catalog(doc)
+
+
+def _step_doc(step) -> dict:
+    out: dict = {"api": step.api_id}
+    if step.index_zero:
+        out["index_zero"] = True
+    if step.args is not None:
+        out["args"] = _args_doc(step.args)
+    return out
+
+
+def _chain_doc(chain) -> dict:
+    return {"steps": [_step_doc(s) for s in chain.steps], "produces": chain.produces.to_json()}
+
+
+def _args_doc(args) -> dict:
+    out: dict = {}
+    if args.tutorial is not None:
+        out["tutorial"] = _chain_doc(args.tutorial)
+    out["params"] = {
+        name: {"strategy": "producer", "chain": _chain_doc(plan.chain)}
+        if isinstance(plan, ProducerPlan) else plan.to_json()
+        for name, plan in args.params
+    }
+    return out
+
+
+def oracle_suite_jsonl(cases: list) -> str:
+    """The suite as `json.dumps` of each case's dict, built field by field
+    as the writer's schema describes it, nothing shared or memoised."""
+    return "".join(
+        json.dumps({
+            "id": c.id,
+            "target_api": c.target_api,
+            "label": c.label.to_json(),
+            "chain": _chain_doc(c.chain),
+            "depends_on": c.depends_on,
+        }) + "\n"
+        for c in cases
     )

@@ -78,6 +78,23 @@ def test_validation_flags_hierarchy_cycle():
     assert any(p.kind == "CycleDetected" for p in report.problems)
 
 
+def test_validation_flags_only_unused_classes_as_orphans():
+    doc = _doc()
+    doc["classes"] += [
+        {"name": "Lonely", "children": []},  # no API, never referenced: an orphan
+        {"name": "Busy", "children": []},  # owns an API
+        {"name": "Returned", "children": []},  # an API returns it
+    ]
+    doc["apis"] += [
+        {"id": "Busy.ping", "parent_class": "Busy", "method": "ping", "description": "",
+         "params": [], "returns": {"class": "Returned"}, "tutorial": None},
+    ]
+    report = validate_catalog(parse_catalog(doc))
+    assert [(p.kind, p.detail) for p in report.problems] == [
+        ("OrphanClass", "class 'Lonely' has no APIs and is never referenced")
+    ]
+
+
 def test_load_catalog_rejects_invalid(tmp_path):
     doc = _doc()
     doc["apis"][0]["returns"] = {"class": "Ghost"}

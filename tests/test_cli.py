@@ -50,6 +50,23 @@ def test_classify_writes_labels(tmp_path, capsys):
     assert digests == LABEL_DIGESTS
 
 
+# sha256 of `permscan gen` on each bundled catalog
+GEN_DIGESTS = {
+    "spreadsheet.json": "750af9b9590640aadc9a304526a55e1cfb2eb33aa42bfa554c846eae0abe88b4",
+    "mini_document.json": "096235bf89b981c0861d80f25762860e320aad5cee40971ab3a48408aa26bbcf",
+    "corpus_catalog.json": "6f4a21e192906c4173faaf7216bffcaaef52e32f3ba773d590ec32ab62270514",
+}
+
+
+def test_gen_output_is_pinned(tmp_path, capsys):
+    out = tmp_path / "suite.jsonl"
+    digests = {}
+    for name in GEN_DIGESTS:
+        assert main(["gen", "--catalog", str(DATA / name), "--out", str(out)]) == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == GEN_DIGESTS
+
+
 def test_graph_export_dot(tmp_path):
     out = tmp_path / "g.dot"
     assert main(["graph", "export", "--catalog", CATALOG, "--out", str(out)]) == 0
@@ -272,6 +289,9 @@ MALFORMED = {
         "records",
         lambda ok: _with(ok["records"], "sharing_changes", [["spreadsheet1", "m", None, "superuser"]]),
     ),
+    "records line that names an unknown API": (
+        "records", lambda ok: _with(ok["records"], "api", "Nope.nothing")
+    ),
     "records line with digests and no sharing_changes": (
         "records", lambda ok: _digest_schema(ok["records"])
     ),
@@ -300,6 +320,12 @@ MALFORMED = {
     )),
     "suite tutorial names an unknown API": ("suite", lambda ok: _unknown_api_in_plan(
         ok["suite"], {"tutorial": UNKNOWN_CHAIN, "params": {}}
+    )),
+    "suite label whose touches_sharing is 1": ("suite", lambda ok: _with(
+        ok["suite"], "label", {**json.loads(ok["suite"])["label"], "touches_sharing": 1}
+    )),
+    "suite attribute plan whose role is a list": ("suite", lambda ok: _unknown_api_in_plan(
+        ok["suite"], {"params": {"p": {"strategy": "attribute", "role": ["id"]}}}
     )),
     "suite case nesting 300 producer chains": ("suite", lambda ok: _nested_producers(ok["suite"], 300)),
 }

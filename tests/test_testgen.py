@@ -1,18 +1,23 @@
+import json
 import random
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from synth import make_catalog, oracle_bfs_emission
-from permscan.catalog import load_catalog, parse_catalog
-from permscan.classify import Operation, classify_catalog
+from synth import ODD_NAMES, make_catalog, make_rich_catalog, oracle_bfs_emission, oracle_suite_jsonl
+from permscan.catalog import TypeRef, load_catalog, parse_catalog
+from permscan.classify import Operation, PermissionLabel, classify_catalog
 from permscan.errors import UnresolvableParameter
-from permscan.graph import build_graph
+from permscan.graph import CallChain, ChainStep, build_graph
 from permscan.testgen import (
+    ArgPlan,
     AttributePlan,
     PairPlan,
     PrimitivePlan,
     ProducerPlan,
+    TestCase,
     generate_cases,
     generate_suite,
     order_suite,
@@ -187,3 +192,44 @@ def test_generation_is_deterministic():
     a = suite_to_jsonl(generate_suite(GRAPH, LABELS).cases)
     b = suite_to_jsonl(generate_suite(GRAPH, LABELS).cases)
     assert a == b
+
+
+def _rich_suite(seed: int) -> list:
+    cat = make_rich_catalog(random.Random(seed))
+    return generate_suite(build_graph(cat), classify_catalog(cat)).cases
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_suite_jsonl_matches_the_dict_oracle(seed):
+    """The writer gives, byte for byte, `json.dumps` of each case's dict."""
+    suite = _rich_suite(seed)
+    text = suite_to_jsonl(suite)
+    assert text == oracle_suite_jsonl(suite)
+    for line in text.splitlines():
+        assert json.dumps(json.loads(line)) == line
+    assert suite_to_jsonl(suite_from_jsonl(text)) == text
+
+
+def test_rich_catalogs_reach_every_part_of_a_suite_line():
+    """The property's catalogs give suites with each thing a line can hold."""
+    text = "".join(suite_to_jsonl(_rich_suite(seed)) for seed in range(30))
+    for part in ('"strategy": "producer"', '"tutorial": ', '"index_zero": true', '"strategy": "pair"'):
+        assert part in text, part
+    for name in ODD_NAMES:
+        assert json.dumps(name) in text, name
+
+
+def test_suite_jsonl_keeps_true_and_1_apart():
+    """Equal plans with different JSON (True == 1) each keep their own text."""
+    plans = [
+        PrimitivePlan((1, 0)), PrimitivePlan((True, False)),
+        PairPlan("xEnd", "lo", (True, 2)), PairPlan("xEnd", "lo", (1, 2)),
+    ]
+    label = PermissionLabel(Operation.VIEW, "Doc")
+    steps = [ChainStep("Doc.get", args=ArgPlan(params=(("x", p),))) for p in plans]
+    suite = [
+        TestCase(f"tc{n}", "Doc.get", label, CallChain((s,), TypeRef("void")))
+        for n, s in enumerate(steps)
+    ]
+    assert suite_to_jsonl(suite) == oracle_suite_jsonl(suite)
