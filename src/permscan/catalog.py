@@ -173,9 +173,10 @@ def _parse_api(entry: dict) -> ApiSpec:
             raise SchemaViolation(f"{api_id}: bad param entry {p!r}")
         if p["kind"] not in PARAM_KINDS:
             raise SchemaViolation(f"{api_id}: unknown param kind {p['kind']!r}")
-        params.append(ParamSpec(
-            _expect_str(p["name"], "param.name"), p["kind"], _expect_str(p["type"], "param.type")
-        ))
+        name = _expect_str(p["name"], "param.name")
+        if any(q.name == name for q in params):
+            raise SchemaViolation(f"{api_id}: repeated param name {name!r}")
+        params.append(ParamSpec(name, p["kind"], _expect_str(p["type"], "param.type")))
     tutorial = entry.get("tutorial")
     if tutorial is not None:
         if not isinstance(tutorial, list) or not all(isinstance(s, str) for s in tutorial):

@@ -3,7 +3,8 @@
 Labels come from one deterministic verb lexicon over method-name stems,
 with description keywords as a weaker signal and Modify as the
 last-resort fallback.  The confidence returned with each label records
-which of the three signals decided it.
+which of the three signals decided it.  Only this module reads method
+names: `effect_of` says what a call does beyond its label's operation.
 """
 
 from __future__ import annotations
@@ -93,6 +94,11 @@ CONF_FALLBACK = 0.25
 _CAMEL = re.compile(r"[A-Z]?[a-z]+|[A-Z]+(?![a-z])|\d+")
 
 
+def _first_stem(method: str) -> str:
+    stem = _CAMEL.search(method)
+    return stem.group().lower() if stem else ""
+
+
 def _shareable_classes(catalog: Catalog) -> set:
     """Classes that can carry a sharing configuration: the root app and
     its directly produced resource classes."""
@@ -105,8 +111,7 @@ def _shareable_classes(catalog: Catalog) -> set:
 
 def classify_api(spec: ApiSpec, catalog: Catalog) -> tuple[PermissionLabel, float]:
     """Label one API.  Always returns a label; confidence signals how."""
-    stem = _CAMEL.search(spec.method)
-    first = stem.group().lower() if stem else ""
+    first = _first_stem(spec.method)
 
     # builder pattern: "newXxxBuilder" has no side effect on the resource
     if first == "new" and spec.returns.is_class and spec.returns.name.endswith("Builder"):
@@ -137,6 +142,27 @@ def classify_api(spec: ApiSpec, catalog: Catalog) -> tuple[PermissionLabel, floa
         touches_sharing = False
 
     return PermissionLabel(op, spec.parent_class, touches_sharing), confidence
+
+
+def effect_of(method: str, label: PermissionLabel) -> str | None:
+    """A sharing label's effect: `share_view`, `share_add:<role>`,
+    `share_remove`, `share_transfer_owner`, or `share_other`, which changes
+    nothing; a MODIFY label's `hide` or `unhide` stem; else None, and the
+    label's operation alone decides."""
+    if not label.touches_sharing:
+        first = _first_stem(method) if label.operation == Operation.MODIFY else None
+        return first if first in ("hide", "unhide") else None
+    if label.operation == Operation.VIEW:
+        return "share_view"
+    first, low = _first_stem(method), method.lower()
+    if first == "add":
+        role = "editor" if "editor" in low else "viewer" if "viewer" in low else "commenter"
+        return f"share_add:{role}"
+    if first in ("remove", "revoke", "delete"):
+        return "share_remove"
+    if first in ("set", "transfer") and "owner" in low:
+        return "share_transfer_owner"
+    return "share_other"
 
 
 def classify_catalog(catalog: Catalog) -> dict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import ApiSpec, Catalog, expect, read_json
-from .classify import Operation, PermissionLabel
+from .classify import Operation, PermissionLabel, effect_of
 from .errors import (
     DuplicateResourceId,
     NotFound,
@@ -84,6 +84,7 @@ class Decision(enum.Enum):
     ALLOW = "allow"
     DENY_SCOPE = "deny_scope"
     DENY_ROLE = "deny_role"
+    DENY_SHARING = "deny_sharing"
 
 
 PROTECTABLE_KINDS = frozenset({"Range", "Sheet", "Row", "Column"})
@@ -505,7 +506,7 @@ def check_access(
     if "AllowSharingMutation" not in skipped and _sharing_denies(
         state, subject.user, label, target
     ):
-        return Decision.DENY_ROLE
+        return Decision.DENY_SHARING
     return Decision.ALLOW
 
 
@@ -548,30 +549,27 @@ def _apply_effect(
     produced: ObjectNode | None,
     args: dict,
 ) -> InvocationResult:
-    method = api.method
-    low = method.lower()
+    effect, _, added_role = (effect_of(api.method, label) or "").partition(":")
 
     if label.touches_sharing:
         rid = state.resource_of(receiver) if receiver is not None else next(iter(state.resources))
         roles = state.sharing[rid]
-        if label.operation == Operation.VIEW:
+        if effect == "share_view":
             return InvocationResult(True, ",".join(sorted(roles)))
         subject_user = str(args.get(api.params[0].name)) if api.params else "collaborator-1"
-        if low.startswith(("set", "transfer")) and "owner" in low:
+        if effect == "share_transfer_owner":
             old_owner = next(u for u, r in roles.items() if r == Role.OWNER)
             state.set_role(rid, old_owner, Role.EDITOR)
             state.set_role(rid, subject_user, Role.OWNER)
             return InvocationResult(True, f"ownership transferred to {subject_user}")
-        if low.startswith("add"):
+        if effect == "share_add":
             # the one owner stays, so no removal leaves a resource unshared
             if roles.get(subject_user) == Role.OWNER:
                 return InvocationResult(True, f"{subject_user} stays owner")
-            new_role = Role.EDITOR if "editor" in low else (
-                Role.VIEWER if "viewer" in low else Role.COMMENTER
-            )
+            new_role = Role.parse(added_role)
             state.set_role(rid, subject_user, new_role)
             return InvocationResult(True, f"added {subject_user} as {new_role.label}")
-        if low.startswith(("remove", "revoke", "delete")):
+        if effect == "share_remove":
             # unknown collaborator ids resolve to an arbitrary existing
             # non-owner collaborator so revocation paths stay exercisable
             if subject_user not in roles or roles[subject_user] == Role.OWNER:
@@ -581,6 +579,7 @@ def _apply_effect(
                 state.set_role(rid, subject_user, None)
                 return InvocationResult(True, f"removed {subject_user}")
             return InvocationResult(True, "no collaborator removed")
+        return InvocationResult(True, f"sharing of {rid} unchanged")  # share_other
 
     if label.operation == Operation.VIEW:
         if produced is not None:
@@ -622,13 +621,13 @@ def _apply_effect(
     if label.operation == Operation.MODIFY:
         if receiver is None:
             return InvocationResult(True, "modified")
-        if low.startswith("unhide"):
+        if effect == "unhide":
             unhidden = [n for n in receiver.walk() if n.hidden]
             for n in unhidden:
                 n.hidden = False
             which = ",".join(n.id for n in unhidden) or receiver.id
             return InvocationResult(True, f"unhid {which}", node=receiver)
-        if low.startswith("hide"):
+        if effect == "hide":
             receiver.hidden = receiver.kind in HIDEABLE_KINDS
             return InvocationResult(True, f"hid {receiver.id}", node=receiver)
         new_value = next((str(v) for v in args.values()), "updated")

@@ -10,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .catalog import ApiSpec, TypeRef, expect, parse_json
-from .classify import Operation, PermissionLabel
+from .classify import Operation, PermissionLabel, effect_of
 from .errors import CyclicDependency, NoProducer, UnresolvableParameter
 from .graph import CallChain, ChainStep, DepGraph, producible_class, shortest_producer_path
 
@@ -300,19 +300,12 @@ def _class_chain_for(cls, fallback_chain, graph, attached) -> CallChain:
 
 # --- ordering --------------------------------------------------------------------
 
-_SHARING_ADD = ("add",)
-_SHARING_REMOVE = ("remove", "delete", "revoke", "transfer")
-
-
-def _order_key(case: TestCase, seq: int, method: str) -> tuple:
-    first = re.match(r"[a-z]+", method)
-    stem = first.group(0) if first else ""
-    if case.label.touches_sharing:
-        if stem in _SHARING_ADD:
-            return (Operation.CREATE, 0, seq)
-        if stem in _SHARING_REMOVE or (stem == "set" and "owner" in method.lower()):
-            return (Operation.DELETE, 2, seq)
-        return (case.label.operation, 1, seq)
+def _order_key(case: TestCase, seq: int) -> tuple:
+    effect = (effect_of(case.target_api.split(".", 1)[1], case.label) or "").partition(":")[0]
+    if effect == "share_add":
+        return (Operation.CREATE, 0, seq)
+    if effect in ("share_remove", "share_transfer_owner"):
+        return (Operation.DELETE, 2, seq)
     return (case.label.operation, 1, seq)
 
 
@@ -332,12 +325,7 @@ def order_suite(cases: list) -> list:
             blocked[c.id] = 0
 
     seq = {c.id: i for i, c in enumerate(cases)}
-    method = {c.id: by_id[c.id].target_api.split(".", 1)[1] for c in cases}
-    heap = [
-        (_order_key(c, seq[c.id], method[c.id]), c.id)
-        for c in cases
-        if blocked[c.id] == 0
-    ]
+    heap = [(_order_key(c, seq[c.id]), c.id) for c in cases if blocked[c.id] == 0]
     heapq.heapify(heap)
     out = []
     while heap:
@@ -347,7 +335,7 @@ def order_suite(cases: list) -> list:
         for d in dependents[cid]:
             blocked[d] -= 1
             if blocked[d] == 0:
-                heapq.heappush(heap, (_order_key(by_id[d], seq[d], method[d]), d))
+                heapq.heappush(heap, (_order_key(by_id[d], seq[d]), d))
     if len(out) != len(cases):
         stuck = sorted(set(by_id) - {c.id for c in out})
         raise CyclicDependency(f"unorderable cases: {stuck}")
@@ -396,9 +384,7 @@ def suite_to_jsonl(cases: list) -> str:
             text += ', "args": {"tutorial": ' + chain(s.args.tutorial) + ', "params": {'
         else:
             text += ', "args": {"params": {'
-        # a dict, as in the schema: a repeated name keeps its first place and last plan
-        params = dict(s.args.params).items()
-        return text + ", ".join(string(n) + ": " + plan(p) for n, p in params) + "}}}"
+        return text + ", ".join(string(n) + ": " + plan(p) for n, p in s.args.params) + "}}}"
 
     def steps(c: CallChain, shared: tuple, inline: list) -> str:
         texts = [memo.get(id(s)) or memo.setdefault(id(s), step(s)) for s in shared] + inline
@@ -427,9 +413,15 @@ def _plan_from_json(obj: dict):
     if kind == "attribute":
         return AttributePlan(expect(obj["role"], str, "role"))
     if kind == "primitive":
-        return PrimitivePlan(tuple(obj["values"]))
+        values = tuple(expect(obj["values"], list, "values"))
+        if not values:
+            raise ValueError("primitive plan has no values")
+        return PrimitivePlan(values)
     if kind == "pair":
-        return PairPlan(obj["partner"], obj["position"], tuple(obj["fallback"]))
+        fallback = tuple(expect(obj["fallback"], list, "fallback"))
+        if len(fallback) != 2:
+            raise ValueError(f"pair fallback must hold 2 values, got {len(fallback)}")
+        return PairPlan(obj["partner"], obj["position"], fallback)
     raise ValueError(f"unknown strategy {kind!r}")
 
 

@@ -335,8 +335,8 @@ ODD_NAMES = ('say"hi"', "back\\slash", "naïve", "名前", "tab\tline ")
 
 def make_rich_catalog(rng: random.Random, max_classes: int = 8, max_apis: int = 30) -> Catalog:
     """Random catalog with everything a suite line can hold: array returns,
-    class-typed parameters, (x, xEnd) integer pairs, tutorials, repeated
-    parameter names, and class, method and parameter names from ODD_NAMES.
+    class-typed parameters, (x, xEnd) integer pairs, tutorials, and class,
+    method and parameter names from ODD_NAMES.
     Every class has an accessor on an earlier class, so all are reachable;
     tutorials call APIs of classes with plain names."""
 
@@ -363,7 +363,6 @@ def make_rich_catalog(rng: random.Random, max_classes: int = 8, max_apis: int = 
     pool = _PARAM_POOL + [
         [("x", "integer", "integer"), ("xEnd", "integer", "integer")],
         [(rng.choice(ODD_NAMES), "string", "string")],
-        [("name", "string", "string"), ("name", "integer", "integer")],
         [("mode", "enum", "SynthEnum")],
     ]
     for k in range(rng.randint(1, max_apis)):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permscan
-from permscan.catalog import load_catalog
+from permscan.catalog import TypeRef, load_catalog, parse_catalog
 from permscan.classify import (
     CONF_DESCRIPTION,
     CONF_FALLBACK,
@@ -16,11 +16,26 @@ from permscan.classify import (
     Operation,
     PermissionLabel,
     classify_api,
+    classify_catalog,
+    effect_of,
 )
+from permscan.graph import CallChain
+from permscan.simulator import (
+    GRANT_FULL,
+    Role,
+    Subject,
+    _build_workspace,
+    invoke_host_api,
+    load_capability_matrix,
+)
+from permscan.testgen import TestCase, _order_key
+
+import synth
 
 DATA = resources.files("permscan.data")
 CORPUS = load_catalog(str(DATA / "corpus_catalog.json"))
 LABELS = json.loads((DATA / "corpus_labels.json").read_text())
+MATRIX = load_capability_matrix(str(DATA / "capability_matrix.json"))
 
 
 def _api(api_id):
@@ -127,3 +142,117 @@ def test_import_leaves_http_stack_unloaded():
         timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+# --- the one effect function ------------------------------------------------------------
+
+EFFECT_VERBS = [
+    "add", "remove", "revoke", "delete", "set", "transfer", "clear", "hide", "unhide", "update",
+]
+# every sharing marker, some in the plural; "Row" names no marker
+EFFECT_OBJECTS = [
+    "Editor", "Editors", "Viewers", "Owner", "Collaborator", "Commenters", "Sharing", "Row",
+]
+
+
+def _expected_effect(verb: str, obj: str) -> str | None:
+    """The effect of root API `<verb><obj>`, restated from the documented rules."""
+    if obj == "Row":
+        return verb if verb in ("hide", "unhide") else None
+    if verb == "add":
+        role = "editor" if "Editor" in obj else "viewer" if "Viewer" in obj else "commenter"
+        return f"share_add:{role}"
+    if verb in ("remove", "revoke", "delete"):
+        return "share_remove"
+    if verb in ("set", "transfer") and obj == "Owner":
+        return "share_transfer_owner"
+    return "share_other"
+
+
+def _expected_log(effect: str | None, roles: dict, user: str) -> list:
+    """The sharing-log entries the owner's call with `effect` and `user` as
+    its argument writes on resource row0 with `roles`."""
+    owner = next(u for u, r in roles.items() if r is Role.OWNER)
+    if effect is None or effect in ("share_other", "hide", "unhide"):
+        return []
+    if effect == "share_remove":
+        if user not in roles or user == owner:
+            others = sorted(u for u in roles if u != owner)
+            if not others:
+                return []
+            user = others[0]
+        return [("row0", user, roles[user], None)]
+    if effect == "share_transfer_owner":
+        old = Role.EDITOR if user == owner else roles.get(user)
+        return [("row0", owner, Role.OWNER, Role.EDITOR), ("row0", user, old, Role.OWNER)]
+    added = Role.parse(effect.partition(":")[2])
+    if user == owner or roles.get(user) is added:
+        return []
+    return [("row0", user, roles.get(user), added)]
+
+
+def _shape(state) -> list:
+    return [
+        (rid, n.id, n.kind, n.content, n.hidden, len(n.children))
+        for rid, root in state.resources.items() for n in root.walk()
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    verb=st.sampled_from(EFFECT_VERBS),
+    obj=st.sampled_from(EFFECT_OBJECTS),
+    upper=st.booleans(),
+    collaborators=st.dictionaries(
+        st.sampled_from(["e", "c", "v"]),
+        st.sampled_from([Role.EDITOR, Role.COMMENTER, Role.VIEWER]),
+    ),
+    children=st.lists(st.tuples(st.booleans(), st.text("xyz", max_size=3)), min_size=1, max_size=3),
+    user=st.sampled_from(["o", "e", "c", "v", "newcomer"]),
+)
+def test_order_and_simulator_follow_the_one_effect_function(
+    verb, obj, upper, collaborators, children, user
+):
+    """One-API catalogs whose root method is a sharing or Row verb: effect_of
+    gives the documented effect, _order_key ranks by it, and the owner's
+    call writes the sharing-log entries it names; a share_* effect leaves
+    every node's content, hidden flag and the tree shape as they were."""
+    method = (verb.capitalize() if upper else verb) + obj
+    api_id = f"Row.{method}"
+    catalog = parse_catalog({
+        "host_app": "drive", "root": "Row", "classes": [{"name": "Row", "children": []}],
+        "apis": [synth.api_doc(api_id, {"void": True}, "emailAddress")],
+    })
+    label = classify_catalog(catalog)[api_id]
+    effect = effect_of(method, label)
+    assert effect == _expected_effect(verb, obj), (method, label)
+
+    case = TestCase("tc0001", api_id, label, CallChain((), TypeRef("void")))
+    rank = {
+        "share_add": (Operation.CREATE, 0),
+        "share_remove": (Operation.DELETE, 2),
+        "share_transfer_owner": (Operation.DELETE, 2),
+    }.get((effect or "").partition(":")[0], (label.operation, 1))
+    assert _order_key(case, 7) == (*rank, 7)
+
+    roles = {"o": Role.OWNER, **collaborators}
+    state = _build_workspace({
+        "resources": [{"kind": "Row", "id": "row0", "children": [
+            {"kind": "Row", "id": f"row{n}", "attrs": {"hidden": hidden, "content": text}}
+            for n, (hidden, text) in enumerate(children, 1)
+        ]}],
+        "sharing": {"row0": {"roles": {u: r.label for u, r in roles.items()}}},
+    }, catalog, MATRIX)
+    before, start = _shape(state), len(state.sharing_log)
+    receiver = state.node("row0")
+    result = invoke_host_api(
+        state, Subject("o", GRANT_FULL), api_id, label, receiver, {"emailAddress": user}
+    )
+    assert result.ok, result
+    assert state.sharing_log[start:] == _expected_log(effect, roles, user)
+    if effect is not None and effect.startswith("share_"):
+        assert _shape(state) == before
+    if effect == "hide":
+        assert receiver.hidden
+    if effect == "unhide":
+        assert not any(n.hidden for n in receiver.walk())

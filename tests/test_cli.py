@@ -145,6 +145,33 @@ def test_bundled_pipeline_outputs_are_pinned(tmp_path):
     assert digests == BUNDLED_DIGESTS
 
 
+def test_sharing_calls_outside_the_effect_verbs_change_nothing(tmp_path):
+    """setViewers and transferEditor label as sharing MODIFY but neither adds,
+    removes nor transfers ownership: with their sharing check skipped they
+    write no content and give no finding, and the seeded faults are all
+    still found with the same kinds."""
+    doc = json.loads((DATA / "spreadsheet.json").read_text())
+    added = ["Spreadsheet.setViewers", "Spreadsheet.transferEditor"]
+    doc["apis"] += [synth.api_doc(api, {"void": True}, "emailAddress") for api in added]
+    faults = json.loads((DATA / "faults_seeded.json").read_text())
+    faults += [{"kind": "AllowSharingMutation", "api_pattern": api} for api in added]
+    catalog, faults_path = tmp_path / "catalog.json", tmp_path / "faults.json"
+    catalog.write_text(json.dumps(doc))
+    faults_path.write_text(json.dumps(faults))
+    out = tmp_path / "out"
+    assert main([
+        "pipeline", "--catalog", str(catalog), "--template", TEMPLATE,
+        "--faults", str(faults_path), "--out-dir", str(out),
+    ]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["per_kind"] == {"E1": 3, "E2": 5, "E3": 4}
+    assert not [f for f in report["findings"] + report["potential_only"] if f["api"] in added]
+    records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+    ran = [r for r in records if r["api"] in added and r["outcome"] == "Success"]
+    assert ran and all(r["sharing_changes"] == [] for r in ran)
+    assert not [r for r in ran if (r["evidence"] or "").startswith("set ")]
+
+
 # --- the input boundary ----------------------------------------------------------
 
 
@@ -224,7 +251,7 @@ def _unknown_api(line: str) -> str:
 UNKNOWN_CHAIN = {"steps": [{"api": "Spreadsheet.noSuchMethod"}], "produces": {"class": "Sheet"}}
 
 
-def _unknown_api_in_plan(line: str, plan: dict) -> str:
+def _with_plan(line: str, plan: dict) -> str:
     """The suite line with `plan` as its first step's argument plan."""
     doc = json.loads(line)
     doc["chain"]["steps"][0]["args"] = plan
@@ -241,13 +268,21 @@ def _nested_producers(line: str, depth: int) -> str:
         plan = '{"params": {"p": {"strategy": "producer", "chain": ' + chain + "}}}"
         chain = '{"steps": [' + step + ', "args": ' + plan + '}], "produces": {"class": "Spreadsheet"}}'
     plan = '{"params": {"p": {"strategy": "producer", "chain": ' + chain + "}}}"
-    return _unknown_api_in_plan(line, "PLAN").replace('"PLAN"', plan)
+    return _with_plan(line, "PLAN").replace('"PLAN"', plan)
 
 
 def _template_with(change) -> str:
     """The bundled template after `change(doc)`."""
     doc = json.loads((DATA / "template_spreadsheet.json").read_text())
     change(doc)
+    return json.dumps(doc)
+
+
+def _repeated_param_catalog(_) -> str:
+    """The bundled catalog with an API's first parameter named twice."""
+    doc = json.loads((DATA / "spreadsheet.json").read_text())
+    api = next(a for a in doc["apis"] if a["params"])
+    api["params"].append({"name": api["params"][0]["name"], "kind": "integer", "type": "integer"})
     return json.dumps(doc)
 
 
@@ -307,6 +342,7 @@ MALFORMED = {
         "catalog", lambda ok: _without((DATA / "spreadsheet.json").read_text(), "host_app")
     ),
     "catalog nested 100000 deep": ("catalog", lambda ok: "[" * 100000 + "]" * 100000),
+    "catalog API that names a parameter twice": ("catalog", _repeated_param_catalog),
     "template with an unknown kind": (
         "template", lambda ok: _template_with(lambda doc: doc["resources"][0].update(kind="Nope"))
     ),
@@ -315,19 +351,26 @@ MALFORMED = {
         lambda ok: _template_with(lambda doc: doc["sharing"]["spreadsheet1"]["roles"].pop("olivia.owner")),
     ),
     "suite step names an unknown API": ("suite", lambda ok: _unknown_api(ok["suite"])),
-    "suite producer chain names an unknown API": ("suite", lambda ok: _unknown_api_in_plan(
+    "suite producer chain names an unknown API": ("suite", lambda ok: _with_plan(
         ok["suite"], {"params": {"sheet": {"strategy": "producer", "chain": UNKNOWN_CHAIN}}}
     )),
-    "suite tutorial names an unknown API": ("suite", lambda ok: _unknown_api_in_plan(
+    "suite tutorial names an unknown API": ("suite", lambda ok: _with_plan(
         ok["suite"], {"tutorial": UNKNOWN_CHAIN, "params": {}}
     )),
     "suite label whose touches_sharing is 1": ("suite", lambda ok: _with(
         ok["suite"], "label", {**json.loads(ok["suite"])["label"], "touches_sharing": 1}
     )),
-    "suite attribute plan whose role is a list": ("suite", lambda ok: _unknown_api_in_plan(
+    "suite attribute plan whose role is a list": ("suite", lambda ok: _with_plan(
         ok["suite"], {"params": {"p": {"strategy": "attribute", "role": ["id"]}}}
     )),
     "suite case nesting 300 producer chains": ("suite", lambda ok: _nested_producers(ok["suite"], 300)),
+    "suite primitive plan with no values": ("suite", lambda ok: _with_plan(
+        ok["suite"], {"params": {"p": {"strategy": "primitive", "values": []}}}
+    )),
+    "suite pair plan whose fallback holds 1 value": ("suite", lambda ok: _with_plan(
+        ok["suite"],
+        {"params": {"p": {"strategy": "pair", "partner": "q", "position": "lo", "fallback": [1]}}},
+    )),
 }
 
 

@@ -182,7 +182,8 @@ def test_sharing_mutation_is_owner_only():
     state = fresh_state()
     label = _label(Operation.MODIFY, "Spreadsheet", sharing=True)
     target = state.node("spreadsheet1")
-    assert check_access(state, Subject("alice.editor", GRANT_FULL), label, target) is Decision.DENY_ROLE
+    editor = Subject("alice.editor", GRANT_FULL)
+    assert check_access(state, editor, label, target) is Decision.DENY_SHARING
     assert check_access(state, Subject("olivia.owner", GRANT_FULL), label, target) is Decision.ALLOW
 
 
@@ -230,7 +231,7 @@ def _oracle_decision(state, user, grant, label, target):
     ):
         return Decision.DENY_ROLE
     if label.touches_sharing and label.operation is not Operation.VIEW and role is not Role.OWNER:
-        return Decision.DENY_ROLE
+        return Decision.DENY_SHARING
     return Decision.ALLOW
 
 
