@@ -24,7 +24,7 @@ from .executor import (
     run_scope_ladder,
 )
 from .graph import build_graph, to_dot
-from .simulator import fault_targets, faults_from_json, instantiate_template, load_capability_matrix
+from .simulator import fault_targets, faults_from_json, load_capability_matrix
 from .testgen import TestCase, chain_api_ids, generate_suite, suite_to_jsonl
 
 EXIT_OK = 0
@@ -32,6 +32,9 @@ EXIT_ERROR = 1
 EXIT_FINDINGS = 2
 
 SEED_HELP = "ignored: generation is deterministic (kept so existing scripts still run)"
+TEMPLATE_HELP = (
+    "ignored: each record carries what its call observed (kept so existing scripts still run)"
+)
 
 
 def default_matrix_path() -> Path:
@@ -130,10 +133,7 @@ def cmd_report(args) -> int:
     matrix = _load_matrix(args.matrix)
     build = _known_apis(catalog, ExecutionRecord.from_json, lambda record: (record.api,))
     records = read_json(args.records, build, lines=True)
-    ground_truth = None
-    if args.template:
-        ground_truth = instantiate_template(args.template, catalog, matrix)
-    detection = detect_full(records, labels, matrix, ground_truth)
+    detection = detect_full(records, labels, matrix)
     report = build_report(detection, records, catalog)
     Path(args.out).write_text(report_to_json(report), encoding="utf-8")
     print(report.to_text())
@@ -165,9 +165,7 @@ def cmd_pipeline(args) -> int:
     faults = _load_faults(faults_path, catalog)
     labels = classify_catalog(catalog)
     backend = SimulatorBackend(catalog, template_path, matrix, labels, faults)
-    # read now, so a bad template stops the run before anything is written;
-    # sessions run on copies, so it stays the unmodified workspace
-    ground_truth = backend.template
+    backend.template  # read now, so a bad template stops the run before anything is written
 
     graph = build_graph(catalog)
     result = generate_suite(graph, labels)
@@ -178,7 +176,7 @@ def cmd_pipeline(args) -> int:
     records += run_scope_ladder(result.cases, backend)
     (out_dir / "records.jsonl").write_text(records_to_jsonl(records), encoding="utf-8")
 
-    detection = detect_full(records, labels, matrix, ground_truth)
+    detection = detect_full(records, labels, matrix)
     exclusions = {
         "generated": len(result.cases),
         "excluded": len(result.excluded),
@@ -233,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="classify records into findings")
     p.add_argument("--records", required=True)
     p.add_argument("--catalog", required=True)
-    p.add_argument("--template")
+    p.add_argument("--template", help=TEMPLATE_HELP)
     p.add_argument("--matrix")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)

@@ -1,13 +1,14 @@
 """Escalation detection over execution records and campaign reporting.
 
-Rules (one kind per record, precedence E1 > E3 > E2):
-  E1 - the grant did not cover the operation, yet the call succeeded.
-  E3 - under a non-owner installer, some user's role changed on a resource
-       shared both before and after the case (the record's sharing changes);
-       creating or deleting a root resource is not a sharing change.
-  E2 - scope was fine but the installer's role (or an object constraint)
-       forbids the operation; confirmed only when the record carries
-       non-empty evidence, otherwise kept as potential-only for triage.
+Each successful record is decided again by `simulator.decide`, with no gate
+skipped, on what its call observed.  One kind per record, E1 > E3 > E2:
+  E1 - the scope gate denies, yet the call succeeded.
+  E3 - the role or sharing gate denies, and some user's role changed on a
+       resource shared both before and after the case (the record's sharing
+       changes); creating or deleting a root resource is not one.
+  E2 - the role gate (the installer's role on the target, or an object
+       constraint) denies and no sharing changed; confirmed only when the
+       record carries non-empty evidence, otherwise potential-only.
 """
 
 from __future__ import annotations
@@ -16,22 +17,16 @@ import json
 from dataclasses import dataclass, field
 
 from .catalog import Catalog
-from .classify import PermissionLabel
-from .errors import MissingLabel, NotFound
-from .executor import OUTCOME_PRUNED, OUTCOME_SUCCESS, ExecutionRecord
-from .simulator import (
-    Decision,
-    Role,
-    RoleCapabilityMatrix,
-    Subject,
-    WorkspaceState,
-    check_access,
-    scope_covers,
-)
+from .errors import MissingLabel
+from .executor import OUTCOME_PRUNED, OUTCOME_SUCCESS
+from .simulator import Decision, Role, RoleCapabilityMatrix, decide
 
 KIND_E1 = "E1"
 KIND_E2 = "E2"
 KIND_E3 = "E3"
+
+# an E1 record is noted as also E3 when, past the scope gate, it would be one
+_PAST_SCOPE = frozenset({"SkipScopeCheck"})
 
 
 @dataclass(frozen=True)
@@ -60,29 +55,6 @@ class DetectionResult:
     potential_only: list = field(default_factory=list)  # Finding-shaped, unconfirmed
 
 
-def _fault_free_decision(
-    ground_truth: WorkspaceState, record: ExecutionRecord, label: PermissionLabel
-) -> Decision | None:
-    """Re-evaluate the record against the fault-free reference model.
-
-    Returns None when the touched object no longer resolves in the fresh
-    template (e.g. it was created during the session)."""
-    if record.target_object is None:
-        return None
-    try:
-        target = ground_truth.node(record.target_object)
-    except NotFound:
-        return None
-    produced = None
-    if record.produced_object and record.produced_object != record.target_object:
-        try:
-            produced = ground_truth.node(record.produced_object)
-        except NotFound:
-            produced = None
-    subject = Subject(record.installer, record.grant)
-    return check_access(ground_truth, subject, label, target, produced)
-
-
 def _sharing_evidence(changes: list) -> str:
     """`resource: user old->new` per change; `none` is no role."""
     label = {None: "none", **{role: role.label for role in Role}}
@@ -90,11 +62,10 @@ def _sharing_evidence(changes: list) -> str:
 
 
 def detect_full(
-    records: list,
-    labels: dict,
-    matrix: RoleCapabilityMatrix,
-    ground_truth: WorkspaceState | None = None,
+    records: list, labels: dict, matrix: RoleCapabilityMatrix, ground_truth=None
 ) -> DetectionResult:
+    """Findings and potential-only findings of `records`.  `ground_truth` is
+    accepted and ignored: each record carries what its call observed."""
     result = DetectionResult()
     for record in records:
         if record.outcome != OUTCOME_SUCCESS:
@@ -102,19 +73,21 @@ def detect_full(
         label = labels.get(record.api)
         if label is None:
             raise MissingLabel(f"record {record.case_id}: no label for {record.api}")
-
-        sharing_mutated = bool(record.sharing_changes) and record.role != Role.OWNER
-
-        if not scope_covers(record.grant, label.operation):
+        if record.observed is None:  # a case with no step checked nothing
+            continue
+        decision = decide(record.observed, record.grant, label, matrix)
+        if decision is Decision.ALLOW:
+            continue
+        if decision is Decision.DENY_SCOPE:
             note = "scope bypass"
-            if sharing_mutated:
+            if record.sharing_changes and decide(
+                record.observed, record.grant, label, matrix, _PAST_SCOPE
+            ) is not Decision.ALLOW:
                 note += "; also mutated sharing configuration (E3 annotation)"
             result.findings.append(
                 Finding(KIND_E1, record.api, record.role, record.grant, record.evidence or "", note)
             )
-            continue
-
-        if sharing_mutated:
+        elif record.sharing_changes:
             result.findings.append(
                 Finding(
                     KIND_E3, record.api, record.role, record.grant,
@@ -122,36 +95,21 @@ def detect_full(
                     "sharing configuration changed without administrator action",
                 )
             )
-            continue
-
-        denied = False
-        if ground_truth is not None:
-            decision = _fault_free_decision(ground_truth, record, label)
-            denied = decision == Decision.DENY_ROLE
-        if not denied:
-            denied = not matrix.allows(record.role, label.operation, label.object_kind)
-        if denied:
+        elif decision is Decision.DENY_ROLE:
             finding = Finding(
                 KIND_E2, record.api, record.role, record.grant,
                 record.evidence or "",
                 "role-level denial bypassed",
             )
-            if record.evidence:
-                result.findings.append(finding)
-            else:
-                # mirrors manual triage of calls that return nothing sensitive
-                result.potential_only.append(finding)
+            # without evidence potential-only, as in manual triage of calls that
+            # return nothing sensitive
+            (result.findings if record.evidence else result.potential_only).append(finding)
     return result
 
 
-def detect(
-    records: list,
-    labels: dict,
-    matrix: RoleCapabilityMatrix,
-    ground_truth: WorkspaceState | None = None,
-) -> list:
+def detect(records: list, labels: dict, matrix: RoleCapabilityMatrix, ground_truth=None) -> list:
     """Confirmed findings only; see detect_full for the potential-only list."""
-    return detect_full(records, labels, matrix, ground_truth).findings
+    return detect_full(records, labels, matrix).findings
 
 
 # --- reporting ---------------------------------------------------------------

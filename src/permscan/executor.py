@@ -17,6 +17,7 @@ from .simulator import (
     GRANT_READ_EDIT,
     InvocationResult,
     ObjectNode,
+    Observed,
     Role,
     Subject,
     WorkspaceState,
@@ -57,8 +58,7 @@ class ExecutionRecord:
     sharing_changes: list = field(default_factory=list)  # net (resource, user, old, new role)
     touched: list = field(default_factory=list)  # [(object id, kind), ...]
     evidence: str | None = None  # present only on Success
-    target_object: str | None = None  # final-step receiver id
-    produced_object: str | None = None  # final-step produced id
+    observed: Observed | None = None  # the last invoked step's target; None = no check
 
     def to_json(self) -> dict:
         return {
@@ -76,8 +76,11 @@ class ExecutionRecord:
             ],
             "touched": [list(t) for t in self.touched],
             "evidence": self.evidence,
-            "target_object": self.target_object,
-            "produced_object": self.produced_object,
+            "observed": None if self.observed is None else {
+                "role": None if self.observed.role is None else self.observed.role.label,
+                "hidden": self.observed.hidden,
+                "protected": self.observed.protected,
+            },
         }
 
     @staticmethod
@@ -107,9 +110,16 @@ class ExecutionRecord:
             ],
             touched=[tuple(t) for t in obj["touched"]],
             evidence=obj["evidence"],
-            target_object=obj.get("target_object"),
-            produced_object=obj.get("produced_object"),
+            observed=_observed_from_json(obj["observed"]),
         )
+
+
+def _observed_from_json(obj: dict | None) -> Observed | None:
+    if obj is None:
+        return None
+    role = expect(obj, dict, "observed")["role"]
+    flags = (expect(obj[key], bool, key) for key in ("hidden", "protected"))
+    return Observed(None if role is None else Role.parse(role), *flags)
 
 
 def _sharing_change_from_json(entry: list) -> tuple:
@@ -295,8 +305,6 @@ def run_case(session: Session, case: TestCase, suite_index: dict | None = None) 
     touched: list = []
     last_failure: InvocationResult | None = None
     result: InvocationResult | None = None
-    final_receiver: str | None = None
-    final_produced: str | None = None
     for combo in _combos(case):
         touched.clear()
         try:
@@ -308,18 +316,13 @@ def run_case(session: Session, case: TestCase, suite_index: dict | None = None) 
             result = None
     changes = sharing_changes(session.state, log_start)
 
-    if touched:
-        final_produced = touched[-1][0]
-        final_receiver = touched[-2][0] if len(touched) >= 2 else touched[-1][0]
-
     if result is not None:
         return ExecutionRecord(
             outcome=OUTCOME_SUCCESS,
             sharing_changes=changes,
             touched=list(touched),
             evidence=result.value,
-            target_object=final_receiver,
-            produced_object=result.node.id if result.node is not None else final_produced,
+            observed=result.observed,
             **base,
         )
     session.failed_cases.add(case.id)
@@ -330,8 +333,7 @@ def run_case(session: Session, case: TestCase, suite_index: dict | None = None) 
         error=last_failure.error,
         sharing_changes=changes,
         touched=list(touched),
-        target_object=final_receiver,
-        produced_object=final_produced,
+        observed=last_failure.observed,
         **base,
     )
 

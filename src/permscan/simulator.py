@@ -3,9 +3,12 @@ resources.
 
 Level 1 checks the add-on's granted OAuth scope, level 2 the installer's
 role on the target resource plus object-level constraints (hidden objects,
-protected ranges, sharing mutation).  `check_access` makes every decision;
-fault injection names the checks it skips for matching APIs, so the
-detector can be validated against known ground truth.
+protected ranges, sharing mutation).  Each call is decided once: `observe`
+reads what the installer can see of the target, and `decide`, a pure
+function of that observation, holds every gate.  Fault injection names the
+gates it skips for matching APIs, so the detector, which re-runs `decide`
+on each record's observation with nothing skipped, can be validated
+against known ground truth.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import enum
 import fnmatch
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .catalog import ApiSpec, Catalog, expect, read_json
 from .classify import Operation, PermissionLabel, effect_of
@@ -175,10 +179,6 @@ class Subject:
 
     user: str
     grant: frozenset | None = None  # None = human subject, no scope check
-
-    @property
-    def is_addon(self) -> bool:
-        return self.grant is not None
 
 
 class WorkspaceIndex:
@@ -436,50 +436,72 @@ def _build_workspace(doc: dict, catalog: Catalog, matrix: RoleCapabilityMatrix) 
 # --- access decisions ---------------------------------------------------------
 
 
-def _unhide_privileged(state: WorkspaceState, user: str, node: ObjectNode, resource_id: str) -> bool:
-    role = state.role_of(user, resource_id)
-    if role == Role.OWNER:
-        return True
-    if node.protection is not None and user in node.protection:
-        return True
-    # editors may unhide whole sheets, but not protection-hidden finer objects
-    return role == Role.EDITOR and node.kind == "Sheet" and node.protection is None
+class Observed(NamedTuple):
+    """What the installer can see of a call's target when the call is made:
+    its role on the target's resource (None: no role, or a target outside
+    the workspace), whether the target or the produced object is hidden
+    from it, and whether either is protected against it."""
+
+    role: Role | None
+    hidden: bool
+    protected: bool
 
 
-def _role_level_denies(
-    state: WorkspaceState,
-    user: str,
-    label: PermissionLabel,
-    target: ObjectNode,
-    produced: ObjectNode | None = None,
-) -> bool:
-    resource_id = state.resource_of(target)
-    role = state.role_of(user, resource_id)
-    if role is None:
-        return True
-    if not state.matrix.allows(role, label.operation, label.object_kind):
-        return True
-    for node in filter(None, (target, produced)):
-        if node.hidden and not _unhide_privileged(state, user, node, resource_id):
-            return True
-        if (
-            node.protection is not None
-            and label.operation in (Operation.CREATE, Operation.MODIFY, Operation.DELETE)
-            and role != Role.OWNER
-            and user not in node.protection
+def observe(
+    state: WorkspaceState, user: str, target: ObjectNode, produced: ObjectNode | None = None
+) -> Observed:
+    rid = state.index.resource_of(target)
+    role = state.role_of(user, rid) if rid is not None else None
+    hidden = protected = False
+    for node in (target, produced):
+        if node is None:
+            continue
+        if node.hidden and not (
+            role == Role.OWNER
+            or (node.protection is not None and user in node.protection)
+            # editors may unhide whole sheets, but not protection-hidden finer objects
+            or (role == Role.EDITOR and node.kind == "Sheet" and node.protection is None)
         ):
-            return True
-    return False
+            hidden = True
+        if node.protection is not None and role != Role.OWNER and user not in node.protection:
+            protected = True
+    return Observed(role, hidden, protected)
 
 
-def _sharing_denies(
-    state: WorkspaceState, user: str, label: PermissionLabel, target: ObjectNode
-) -> bool:
-    if not label.touches_sharing:
-        return False
-    if label.operation == Operation.VIEW:
-        return False
-    return state.role_of(user, state.resource_of(target)) != Role.OWNER
+_WRITES = (Operation.CREATE, Operation.MODIFY, Operation.DELETE)
+
+
+def decide(
+    observed: Observed,
+    grant: frozenset | None,
+    label: PermissionLabel,
+    matrix: RoleCapabilityMatrix,
+    skipped: frozenset | set = frozenset(),
+) -> Decision:
+    """The decision for one call, from what was observed of its target:
+    the scope gate (`grant` None is a human subject, which has none), then
+    the role gate (the capability matrix, hidden and protected objects),
+    then the sharing gate.  `skipped` holds the fault kinds whose gate is
+    left out; without any, this is the fault-free reference."""
+    operation = label.operation
+    if grant is not None and "SkipScopeCheck" not in skipped and not scope_covers(grant, operation):
+        return Decision.DENY_SCOPE
+    role = observed.role
+    if "SkipRoleCheck" not in skipped and (
+        role is None
+        or not matrix.allows(role, operation, label.object_kind)
+        or observed.hidden
+        or (observed.protected and operation in _WRITES)
+    ):
+        return Decision.DENY_ROLE
+    if (
+        "AllowSharingMutation" not in skipped
+        and label.touches_sharing
+        and operation != Operation.VIEW
+        and role != Role.OWNER
+    ):
+        return Decision.DENY_SHARING
+    return Decision.ALLOW
 
 
 def check_access(
@@ -490,24 +512,9 @@ def check_access(
     produced: ObjectNode | None = None,
     skipped: frozenset | set = frozenset(),
 ) -> Decision:
-    """The decision for one (subject, operation, object).  `skipped` holds
-    the fault kinds whose check is left out; without any, this is the
-    fault-free reference."""
-    if (
-        subject.is_addon
-        and "SkipScopeCheck" not in skipped
-        and not scope_covers(subject.grant, label.operation)
-    ):
-        return Decision.DENY_SCOPE
-    if "SkipRoleCheck" not in skipped and _role_level_denies(
-        state, subject.user, label, target, produced
-    ):
-        return Decision.DENY_ROLE
-    if "AllowSharingMutation" not in skipped and _sharing_denies(
-        state, subject.user, label, target
-    ):
-        return Decision.DENY_SHARING
-    return Decision.ALLOW
+    """`decide` on what `subject` observes of `target` in `state`."""
+    observed = observe(state, subject.user, target, produced)
+    return decide(observed, subject.grant, label, state.matrix, skipped)
 
 
 # --- invocation ----------------------------------------------------------------
@@ -520,6 +527,7 @@ class InvocationResult:
     node: ObjectNode | None = None  # produced object, when class-typed
     error: str | None = None  # PermissionError message or error kind
     error_kind: str | None = None  # "PermissionError" | "TypeError" | "NotFound"
+    observed: Observed | None = None  # the call's target as checked; None = no check
 
 
 def _deny() -> InvocationResult:
@@ -689,17 +697,19 @@ def invoke_host_api(
     target = receiver if receiver is not None else produced
     if target is None:
         target = next(iter(state.resources.values()), None)
-    if target is None or check_access(
-        state, ctx, label, target, produced, state.faults_for(api_id)
-    ) is not Decision.ALLOW:
+    if target is None:
         return _deny()
-
-    if api.returns.is_class and not is_create and produced is None:
-        return InvocationResult(
+    observed = observe(state, ctx.user, target, produced)
+    if decide(observed, ctx.grant, label, state.matrix, state.faults_for(api_id)) is not Decision.ALLOW:
+        result = _deny()
+    elif api.returns.is_class and not is_create and produced is None:
+        result = InvocationResult(
             ok=False, error=f"no {api.returns.name} object available", error_kind="NotFound"
         )
-
-    return _apply_effect(state, ctx, api, label, receiver, produced, args)
+    else:
+        result = _apply_effect(state, ctx, api, label, receiver, produced, args)
+    result.observed = observed
+    return result
 
 
 # --- fault injection ------------------------------------------------------------

@@ -421,7 +421,9 @@ def _plan_from_json(obj: dict):
         fallback = tuple(expect(obj["fallback"], list, "fallback"))
         if len(fallback) != 2:
             raise ValueError(f"pair fallback must hold 2 values, got {len(fallback)}")
-        return PairPlan(obj["partner"], obj["position"], fallback)
+        if obj["position"] not in ("lo", "hi"):
+            raise ValueError(f"pair position must be lo or hi, got {obj['position']!r}")
+        return PairPlan(expect(obj["partner"], str, "partner"), obj["position"], fallback)
     raise ValueError(f"unknown strategy {kind!r}")
 
 
@@ -429,6 +431,15 @@ def _argplan_from_json(obj: dict) -> ArgPlan:
     tutorial = _chain_from_json(obj["tutorial"]) if "tutorial" in obj else None
     plans = expect(obj["params"], dict, "params")
     params = tuple((name, _plan_from_json(s)) for name, s in plans.items())
+    strategies = dict(params)
+    for name, plan in params:
+        if isinstance(plan, PairPlan):
+            other = strategies.get(plan.partner)
+            # a pair is two plans of one step, lo and hi, each naming the other
+            if not (
+                isinstance(other, PairPlan) and other.partner == name and other.position != plan.position
+            ):
+                raise ValueError(f"pair plan {name!r}: {plan.partner!r} is not its other end")
     return ArgPlan(tutorial=tutorial, params=params)
 
 

@@ -15,6 +15,8 @@ import re
 from collections import deque
 
 from permscan.catalog import ApiSpec, Catalog, TypeRef, parse_catalog
+from permscan.classify import Operation
+from permscan.simulator import HIDEABLE_KINDS, PROTECTABLE_KINDS, Role
 from permscan.testgen import ProducerPlan
 
 # primitive-only params keep the oracle's resolvability rule trivial:
@@ -207,6 +209,46 @@ def with_creators(catalog: Catalog) -> Catalog:
     return dataclasses.replace(catalog, apis={**catalog.apis, **creators})
 
 
+SHEET_KINDS = ("Sheet", "Range", "Cell", "Row", "Column")
+SHARING_METHODS = ("addEditor", "removeEditor", "setOwner", "addViewer")
+
+
+def as_sheets(catalog: Catalog, rng: random.Random) -> Catalog:
+    """The catalog with up to five random classes renamed to SHEET_KINDS, the
+    kinds a template may hide or protect, plus `K.hideK`, `K.unhideK` and the
+    SHARING_METHODS, each taking an email address, on every class K: a
+    sharing call then reaches objects created in the session, not only the
+    first resource, as a root-class call does."""
+    doc = catalog.to_json()
+    names = sorted(catalog.classes)
+    renamed = rng.sample(names, min(len(names), len(SHEET_KINDS)))
+    new = dict(zip(renamed, rng.sample(SHEET_KINDS, len(renamed))))
+
+    def name(cls: str) -> str:
+        return new.get(cls, cls)
+
+    doc["root"] = name(doc["root"])
+    doc["classes"] = [
+        {"name": name(c["name"]), "children": [name(k) for k in c["children"]]} for c in doc["classes"]
+    ]
+    for api in doc["apis"]:
+        api["parent_class"] = name(api["parent_class"])
+        api["id"] = f"{api['parent_class']}.{api['method']}"
+        for param in api["params"]:
+            if param["kind"] == "class":
+                param["type"] = name(param["type"])
+        for key in ("class", "array_of"):
+            if key in api["returns"]:
+                api["returns"][key] = name(api["returns"][key])
+    for cls in doc["classes"]:
+        k = cls["name"]
+        doc["apis"] += [api_doc(f"{k}.{verb}{k}", {"void": True}) for verb in ("hide", "unhide")]
+        doc["apis"] += [
+            api_doc(f"{k}.{method}", {"void": True}, "emailAddress") for method in SHARING_METHODS
+        ]
+    return parse_catalog(doc)
+
+
 # one collaborator per role, the same on every resource
 ALL_ROLES = (("o", "owner"), ("e", "editor"), ("c", "commenter"), ("v", "viewer"))
 
@@ -216,8 +258,11 @@ def make_template(
 ) -> dict:
     """Random template document: one to three resources of random kinds, each
     a random tree, every resource shared with `roles` ((user, role) pairs;
-    by default owned by user "o" alone)."""
+    by default owned by user "o" alone).  Nodes of a hideable kind are
+    hidden, and nodes of a protectable kind protected with a random subset
+    of the users as the privileged ones, each with probability 0.3."""
     kinds = sorted(catalog.classes)
+    users = [user for user, _ in roles]
     ids = iter(range(max_nodes * 3))
     budget = rng.randint(1, max_nodes)
 
@@ -227,7 +272,16 @@ def make_template(
         children = []
         while depth < 4 and budget > 0 and rng.random() < 0.6:
             children.append(tree(depth + 1))
-        return {"kind": rng.choice(kinds), "id": f"n{next(ids)}", "children": children}
+        node = {"kind": rng.choice(kinds), "id": f"n{next(ids)}", "children": children}
+        # no draw for other kinds, so a catalog without them gets the same trees
+        attrs = {}
+        if node["kind"] in HIDEABLE_KINDS and rng.random() < 0.3:
+            attrs["hidden"] = True
+        if node["kind"] in PROTECTABLE_KINDS and rng.random() < 0.3:
+            attrs["protection"] = rng.sample(users, rng.randint(0, len(users)))
+        if attrs:
+            node["attrs"] = attrs
+        return node
 
     resources = [tree(0) for _ in range(rng.randint(1, 3))]
     return {
@@ -285,6 +339,48 @@ def oracle_find_of_kind(state, kind: str, receiver):
             if n.kind == kind and n is not receiver:
                 return n
     return next((n for _, n in _dfs(state) if n.kind == kind), None)
+
+
+# --- oracle: the access gates, restated from the README -------------------------------
+
+_SCOPE_OF = {
+    Operation.VIEW: "read",
+    Operation.CREATE: "edit",
+    Operation.COMMENT: "edit",
+    Operation.MODIFY: "edit",
+    Operation.DELETE: "delete",
+}
+
+
+def oracle_denials(state, user: str, grant, label, target, produced) -> set:
+    """The gates, of "scope", "role" and "sharing", that deny `user` with
+    `grant` (None: a human, who has no scope) a call labelled `label` on
+    `target`, returning `produced`, in the workspace as it is now; the
+    target's resource is found by walking the trees."""
+    rid = oracle_resource_of(state, target)
+    role = state.sharing[rid].get(user) if rid is not None else None
+    op = label.operation
+    denied = set()
+    if grant is not None and _SCOPE_OF[op] not in grant:
+        denied.add("scope")
+    if role is None or not state.matrix.allows(role, op, label.object_kind):
+        denied.add("role")
+    for node in (target, produced):
+        if node is None:
+            continue
+        privileged = node.protection is not None and user in node.protection
+        if node.hidden and not (
+            role is Role.OWNER
+            or privileged
+            or (role is Role.EDITOR and node.kind == "Sheet" and node.protection is None)
+        ):
+            denied.add("role")
+        if node.protection is not None and op is not Operation.VIEW and op is not Operation.COMMENT:
+            if role is not Role.OWNER and not privileged:
+                denied.add("role")
+    if label.touches_sharing and op is not Operation.VIEW and role is not Role.OWNER:
+        denied.add("sharing")
+    return denied
 
 
 # --- sharing: role maps and the oracle for the sharing change log ----------------------

@@ -131,7 +131,7 @@ def test_pipeline_determinism(tmp_path):
 # sha256 of the bundled pipeline's outputs: changes that keep behaviour keep these bytes
 BUNDLED_DIGESTS = {
     "suite.jsonl": "750af9b9590640aadc9a304526a55e1cfb2eb33aa42bfa554c846eae0abe88b4",
-    "records.jsonl": "c6a6e34361dc424dbeb49e1e19eebe0bd618e78642cd8871fdb14df9cb6ab1d7",
+    "records.jsonl": "7f0618f8a04b1502234473eccbfd0c565597b49f7ee650e3e076c0bd5430cab5",
     "report.json": "7a7ce2c9a7620001aa27447421702839a5623c9b8606af5cd0e5d9e76ffa82dd",
 }
 
@@ -143,6 +143,26 @@ def test_bundled_pipeline_outputs_are_pinned(tmp_path):
     ]) == 2
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in BUNDLED_DIGESTS}
     assert digests == BUNDLED_DIGESTS
+
+
+def test_report_confirms_the_pipeline_findings_with_or_without_template(tmp_path):
+    """`report` on the bundled seeded records finds what `pipeline` found;
+    its `--template` is ignored."""
+    out = tmp_path / "out"
+    assert main([
+        "pipeline", "--catalog", CATALOG, "--template", TEMPLATE,
+        "--faults", FAULTS, "--out-dir", str(out),
+    ]) == 2
+    want = json.loads((out / "report.json").read_text())
+    assert len(want["findings"]) == 20
+    for template in ([], ["--template", TEMPLATE]):
+        report = tmp_path / "report.json"
+        assert main([
+            "report", "--records", str(out / "records.jsonl"), "--catalog", CATALOG,
+            *template, "--out", str(report),
+        ]) == 2
+        got = json.loads(report.read_text())
+        assert (got["findings"], got["potential_only"]) == (want["findings"], want["potential_only"])
 
 
 def test_sharing_calls_outside_the_effect_verbs_change_nothing(tmp_path):
@@ -241,6 +261,15 @@ def _digest_schema(line: str) -> str:
     return json.dumps(doc)
 
 
+def _observed(line: str, **fields) -> str:
+    """The records line with an `observed` of `fields` over a viewer's plain view."""
+    return _with(line, "observed", {"role": "viewer", "hidden": False, "protected": False, **fields})
+
+
+def _pair(partner: str, position: str) -> dict:
+    return {"strategy": "pair", "partner": partner, "position": position, "fallback": [0, 1]}
+
+
 def _unknown_api(line: str) -> str:
     doc = json.loads(line)
     for step in doc["chain"]["steps"]:
@@ -330,6 +359,11 @@ MALFORMED = {
     "records line with digests and no sharing_changes": (
         "records", lambda ok: _digest_schema(ok["records"])
     ),
+    "records line without observed": ("records", lambda ok: _without(ok["records"], "observed")),
+    "records line whose observed hidden is 1": ("records", lambda ok: _observed(ok["records"], hidden=1)),
+    "records line with an unknown observed role": (
+        "records", lambda ok: _observed(ok["records"], role="superuser")
+    ),
     "template resource without a sharing entry": ("app-template", lambda ok: json.dumps({
         "resources": [{"kind": "Book", "id": "b0"}, {"kind": "Book", "id": "b1"}],
         "sharing": {"b1": {"roles": dict(synth.ALL_ROLES)}},
@@ -370,6 +404,12 @@ MALFORMED = {
     "suite pair plan whose fallback holds 1 value": ("suite", lambda ok: _with_plan(
         ok["suite"],
         {"params": {"p": {"strategy": "pair", "partner": "q", "position": "lo", "fallback": [1]}}},
+    )),
+    "suite pair plan whose position is mid": ("suite", lambda ok: _with_plan(
+        ok["suite"], {"params": {"p": _pair("q", "mid"), "q": _pair("p", "hi")}}
+    )),
+    "suite pair of two hi plans": ("suite", lambda ok: _with_plan(
+        ok["suite"], {"params": {"p": _pair("q", "hi"), "q": _pair("p", "hi")}}
     )),
 }
 

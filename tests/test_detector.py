@@ -2,13 +2,15 @@ import dataclasses
 import json
 import random
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permscan import executor
 from permscan.catalog import load_catalog, parse_catalog
-from permscan.classify import classify_catalog
+from permscan.classify import Operation, classify_catalog
 from permscan.detector import build_report, detect, detect_full, report_to_json
 from permscan.errors import MissingLabel
 from permscan.executor import (
@@ -20,6 +22,7 @@ from permscan.executor import (
 )
 from permscan.graph import build_graph
 from permscan.simulator import (
+    FAULT_KINDS,
     FaultSpec,
     Role,
     instantiate_template,
@@ -96,10 +99,15 @@ def test_precedence_e1_over_e3():
     assert "Spreadsheet.addEditor" in by_kind.get("E1", set())
 
 
-def test_detect_without_ground_truth_degrades_to_matrix_check():
+def test_detect_without_ground_truth_equals_detect_with_it():
+    """`ground_truth` is accepted and ignored: each record carries what its
+    call observed."""
     records = run_with([FaultSpec("SkipRoleCheck", "Range.setValue")])
     findings = detect(records, LABELS, MATRIX)
     assert {(f.kind, f.api) for f in findings} == {("E2", "Range.setValue")}
+    assert findings == detect(records, LABELS, MATRIX, GROUND_TRUTH)
+    records = run_with(ALL_FAULTS)
+    assert detect_full(records, LABELS, MATRIX) == detect_full(records, LABELS, MATRIX, GROUND_TRUTH)
 
 
 def test_missing_label_raises():
@@ -142,33 +150,110 @@ def test_report_shape_and_serialization():
 # --- fault-free silence on synthetic catalogs and templates ---------------------------
 
 
-def _fault_free_detection(catalog, doc, directory):
-    """Role-matrix and scope-ladder with no faults over `catalog` and template
-    document `doc`, then detection against the template's ground truth."""
+def _campaign(catalog, doc, directory, faults=()):
+    """Role-matrix and scope-ladder over `catalog` and template document
+    `doc` with `faults` injected, then detection."""
     path = directory / "template.json"
     path.write_text(json.dumps(doc))
     labels = classify_catalog(catalog)
     suite = generate_suite(build_graph(catalog), labels).cases
-    backend = SimulatorBackend(catalog, path, MATRIX, labels)
+    backend = SimulatorBackend(catalog, path, MATRIX, labels, faults)
     records = run_role_matrix(suite, backend) + run_scope_ladder(suite, backend)
-    ground_truth = instantiate_template(path, catalog, MATRIX)
-    return records, detect_full(records, labels, MATRIX, ground_truth)
+    return records, detect_full(records, labels, MATRIX)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32), creators=st.booleans())
-def test_fault_free_campaign_is_silent(tmp_path_factory, seed, creators):
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32), creators=st.booleans(), sheets=st.booleans())
+def test_fault_free_campaign_is_silent(tmp_path_factory, seed, creators, sheets):
     """With no fault injected, a campaign over any synthetic catalog and any
     template shared with one user per role confirms nothing and leaves
-    nothing for triage."""
+    nothing for triage.  With `sheets`, the catalog has hideable and
+    protectable kinds, hide, unhide and sharing APIs, and the template
+    hidden and protected nodes."""
     rng = random.Random(seed)
     catalog = synth.make_catalog(rng, max_classes=12, max_apis=120)
+    if sheets:
+        catalog = synth.as_sheets(catalog, rng)
     if creators:
         catalog = synth.with_creators(catalog)
     doc = synth.make_template(rng, catalog, roles=synth.ALL_ROLES)
-    _, result = _fault_free_detection(catalog, doc, tmp_path_factory.mktemp("silence"))
+    _, result = _campaign(catalog, doc, tmp_path_factory.mktemp("silence"))
     assert result.findings == []
     assert result.potential_only == []
+
+
+# --- every confirmed finding against a per-call oracle -----------------------------------
+
+INSTALLER_ROLES = {user: Role.parse(role) for user, role in synth.ALL_ROLES}
+
+
+def _oracle_campaign(catalog, doc, directory, faults):
+    """`_campaign`, with the oracle's triples: each case's last call is
+    checked before it runs against `synth.oracle_denials`, from the same
+    target and produced object `invoke_host_api` picks, found by tree walks.
+    When a gate denied it and it succeeded anyway, the case gives
+    (kind, api, installer's role, required): kind E1 for a scope denial,
+    else E3 if the call changed sharing or only the sharing gate denied,
+    else E2.  A triple is required unless only the sharing gate denied and
+    nothing changed."""
+    marks, last = set(), []
+    invoke, run_case = executor.invoke_host_api, executor.run_case
+
+    def oracle_invoke(state, ctx, api_id, label, receiver=None, args=None):
+        api = state.catalog.apis[api_id]
+        denied = set()
+        if receiver is None or receiver.kind == api.parent_class:
+            produced = None
+            if api.returns.is_class and label.operation is not Operation.CREATE:
+                produced = synth.oracle_find_of_kind(state, api.returns.name, receiver)
+            target = receiver if receiver is not None else produced
+            if target is None:
+                target = next(iter(state.resources.values()), None)
+            if target is not None:
+                denied = synth.oracle_denials(state, ctx.user, ctx.grant, label, target, produced)
+        before = synth.role_maps(state)
+        result = invoke(state, ctx, api_id, label, receiver, args)
+        mark = None
+        if result.ok and denied:
+            changed = bool(synth.oracle_sharing_changes(before, synth.role_maps(state)))
+            kind = "E1" if "scope" in denied else "E3" if changed or "role" not in denied else "E2"
+            mark = (kind, api_id, INSTALLER_ROLES[ctx.user], kind != "E3" or changed)
+        last.append(mark)
+        return result
+
+    def oracle_run_case(session, case, suite_index=None):
+        last.clear()
+        record = run_case(session, case, suite_index)
+        if last and last[-1] is not None:
+            marks.add(last[-1])
+        return record
+
+    with mock.patch.object(executor, "invoke_host_api", oracle_invoke), \
+            mock.patch.object(executor, "run_case", oracle_run_case):
+        _, result = _campaign(catalog, doc, directory, faults)
+    return marks, result
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), sheets=st.booleans())
+def test_findings_match_the_per_call_oracle(tmp_path_factory, seed, sheets):
+    """With 1-4 random faults on a synthetic catalog with creates (so cases
+    reach objects made in the session), every confirmed finding is an
+    oracle triple, and every required oracle triple is confirmed or
+    potential-only."""
+    rng = random.Random(seed)
+    catalog = synth.make_catalog(rng, max_classes=8, max_apis=40)
+    if sheets:
+        catalog = synth.as_sheets(catalog, rng)
+    catalog = synth.with_creators(catalog)
+    doc = synth.make_template(rng, catalog, roles=synth.ALL_ROLES)
+    apis = sorted(catalog.apis)
+    faults = [FaultSpec(rng.choice(FAULT_KINDS), rng.choice(apis)) for _ in range(rng.randint(1, 4))]
+    marks, result = _oracle_campaign(catalog, doc, tmp_path_factory.mktemp("oracle"), faults)
+    confirmed = {(f.kind, f.api, f.role) for f in result.findings}
+    seen = confirmed | {(f.kind, f.api, f.role) for f in result.potential_only}
+    assert confirmed <= {mark[:3] for mark in marks}
+    assert {mark[:3] for mark in marks if mark[3]} <= seen
 
 
 def test_root_create_and_delete_are_not_sharing_changes(tmp_path):
@@ -185,10 +270,57 @@ def test_root_create_and_delete_are_not_sharing_changes(tmp_path):
         "resources": [{"kind": "Book", "id": "b0"}, {"kind": "Book", "id": "b1"}],
         "sharing": {rid: {"roles": dict(synth.ALL_ROLES)} for rid in ("b0", "b1")},
     }
-    records, result = _fault_free_detection(catalog, doc, tmp_path)
+    records, result = _campaign(catalog, doc, tmp_path)
     editor = {r.api: r for r in records if r.role is Role.EDITOR}
     create, delete = editor["App.createBook"], editor["Book.deleteBook"]
     assert create.outcome == delete.outcome == OUTCOME_SUCCESS
     assert create.evidence.startswith("created book-") and delete.evidence == "deleted b0"
     assert create.sharing_changes == delete.sharing_changes == []
     assert result.findings == [] and result.potential_only == []
+
+
+# --- targets created during the session ------------------------------------------------
+
+# App -> Book, Folder.  The template holds one folder; every book is created
+# in the session by its installer, who owns it.
+BOOKS_AND_FOLDER = parse_catalog({
+    **synth.books_catalog_doc(
+        synth.api_doc("App.createBook", {"class": "Book"}, "title"),
+        synth.api_doc("App.openBook", {"class": "Book"}),
+        synth.api_doc("App.openFolder", {"class": "Folder"}),
+        synth.api_doc("Book.addEditor", {"void": True}, "user"),
+        synth.api_doc("Book.setTitle", {"void": True}, "title"),
+        synth.api_doc("Folder.getName", {"primitive": "string"}),
+    ),
+    "classes": [
+        {"name": "App", "children": ["Book", "Folder"]},
+        {"name": "Book", "children": []},
+        {"name": "Folder", "children": []},
+    ],
+})
+FOLDER_TEMPLATE = {
+    "resources": [{"kind": "Folder", "id": "f0"}],
+    "sharing": {"f0": {"roles": dict(synth.ALL_ROLES)}},
+}
+
+
+def test_calls_on_a_book_the_installer_created_are_not_findings(tmp_path):
+    """An editor shares and retitles the book it created: it owns that book,
+    though it is only an editor on the template's folder."""
+    records, result = _campaign(BOOKS_AND_FOLDER, FOLDER_TEMPLATE, tmp_path)
+    editor = {r.api: r for r in records if r.role is Role.EDITOR}
+    assert editor["Book.addEditor"].outcome == OUTCOME_SUCCESS
+    assert editor["Book.addEditor"].sharing_changes
+    assert result.findings == []
+    assert result.potential_only == []
+
+
+def test_skipped_role_check_on_create_is_the_only_finding(tmp_path):
+    """With the role check skipped on App.createBook, the viewer and the
+    commenter create books they may not: those two calls are E2.  What each
+    then does to its own book is not a finding."""
+    faults = [FaultSpec("SkipRoleCheck", "App.createBook")]
+    _, result = _campaign(BOOKS_AND_FOLDER, FOLDER_TEMPLATE, tmp_path, faults)
+    found = sorted((f.kind, f.api, f.role) for f in result.findings)
+    assert found == [("E2", "App.createBook", Role.VIEWER), ("E2", "App.createBook", Role.COMMENTER)]
+    assert result.potential_only == []
