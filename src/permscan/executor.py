@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .catalog import expect, parse_json
+from .classify import Operation
 from .errors import BackendUnavailable, NotFound
 from .graph import CallChain
 from .simulator import (
@@ -137,6 +138,14 @@ class Session:
     mode: str
     labels: dict  # api id -> PermissionLabel
     failed_cases: set = field(default_factory=set)  # case ids that did not succeed
+    # (id(step), id(receiver)) -> (receiver, result, touched entries) of a step
+    # run in this session, replayed for any step but a case's own last one.
+    # Replay is exact: a call that returns ok under a non-VIEW label empties
+    # the map (a denied call never writes), so every entry is a VIEW or a
+    # failure; neither reads its arguments or the attribute table, and both
+    # depend only on the workspace, subject and faults.  Holding the receiver
+    # keeps its id from being reused.
+    reuse: dict = field(default_factory=dict)
 
 
 class SimulatorBackend:
@@ -197,7 +206,7 @@ def _resolve_args(session: Session, plan: ArgPlan, combo: dict, touched: list) -
             pair_values[strat.partner] = strat.fallback[1]
     for name, strat in plan.params:
         if isinstance(strat, ProducerPlan):
-            result = _run_chain(session, strat.chain, {}, touched)
+            result = _run_chain(session, strat.chain, {}, touched, target=False)
             args[name] = result.node
         elif isinstance(strat, AttributePlan):
             value = session.state.lookup_attribute(strat.role)
@@ -216,23 +225,39 @@ def _resolve_args(session: Session, plan: ArgPlan, combo: dict, touched: list) -
     return args
 
 
-def _run_chain(session: Session, chain: CallChain, combo: dict, touched: list) -> InvocationResult:
+def _run_chain(
+    session: Session, chain: CallChain, combo: dict, touched: list, target: bool = True
+) -> InvocationResult:
+    """Run the chain's steps in order; `target` is False for a producer
+    chain, whose last step is not the case's call and may be replayed."""
     receiver: ObjectNode | None = None
     result = InvocationResult(True)
     for i, step in enumerate(chain.steps):
-        label = session.labels.get(step.api_id)
-        if label is None:
-            raise NotFound(f"case step names unknown API {step.api_id!r}")
-        plan = step.args or ArgPlan()
         is_final = i == len(chain.steps) - 1
-        args = _resolve_args(session, plan, combo if is_final else {}, touched)
-        result = invoke_host_api(
-            session.state, session.ctx, step.api_id, label, receiver=receiver, args=args
-        )
-        if receiver is not None:
-            touched.append((receiver.id, receiver.kind))
-        if result.node is not None:
-            touched.append((result.node.id, result.node.kind))
+        key = (id(step), id(receiver))
+        reuse = session.reuse
+        hit = None if target and is_final else reuse.get(key)
+        if hit is not None:
+            _, result, entries = hit
+            touched.extend(entries)
+        else:
+            label = session.labels.get(step.api_id)
+            if label is None:
+                raise NotFound(f"case step names unknown API {step.api_id!r}")
+            start = len(touched)
+            plan = step.args or ArgPlan()
+            args = _resolve_args(session, plan, combo if is_final else {}, touched)
+            result = invoke_host_api(
+                session.state, session.ctx, step.api_id, label, receiver=receiver, args=args
+            )
+            if receiver is not None:
+                touched.append((receiver.id, receiver.kind))
+            if result.node is not None:
+                touched.append((result.node.id, result.node.kind))
+            if result.ok and label.operation is not Operation.VIEW:
+                session.reuse = {}
+            elif reuse is session.reuse:  # no call wrote while this step ran
+                session.reuse[key] = (receiver, result, touched[start:])
         if not result.ok:
             raise _StepFailure(result)
         receiver = result.node
@@ -242,8 +267,8 @@ def _run_chain(session: Session, chain: CallChain, combo: dict, touched: list) -
 def _combos(case: TestCase) -> list:
     """Up to COMBO_CAP value combinations for the final step's enumerated params;
     first values preferred."""
-    final = case.chain.steps[-1] if case.chain.steps else None
-    if final is None or final.args is None:
+    final = case.chain.steps[-1]
+    if final.args is None:
         return [{}]
     enum_params = [
         (name, strat.values)

@@ -106,11 +106,17 @@ class TestCase:
             expect(obj[key], str, key)
         if obj["depends_on"] is not None:
             expect(obj["depends_on"], str, "depends_on")
+        chain = _chain_from_json(obj["chain"])
+        # the last step is the call the case's records observe
+        if not chain.steps:
+            raise ValueError("case chain has no steps")
+        if chain.steps[-1].api_id != obj["target_api"]:
+            raise ValueError(f"case chain ends in {chain.steps[-1].api_id!r}, not its target_api")
         return TestCase(
             id=obj["id"],
             target_api=obj["target_api"],
             label=PermissionLabel.from_json(obj["label"]),
-            chain=_chain_from_json(obj["chain"]),
+            chain=chain,
             depends_on=obj["depends_on"],
         )
 
@@ -151,7 +157,8 @@ def _pair_partners(api: ApiSpec) -> dict:
 
 def _parse_tutorial(api: ApiSpec, graph: DepGraph) -> CallChain:
     """Tutorial steps are call strings 'Class.method(args)'; resource-naming
-    string literals become attribute-table markers resolved at run time."""
+    string literals become attribute-table markers resolved at run time.
+    The last step must call the API itself: it is the case's target call."""
     steps = []
     for raw in api.tutorial or ():
         m = _TUTORIAL_CALL.search(raw)
@@ -169,8 +176,9 @@ def _parse_tutorial(api: ApiSpec, graph: DepGraph) -> CallChain:
                 params.append((spec_param.name, AttributePlan(_infer_attr_role(spec_param.name))))
         ret = graph.return_edges.get(api_id, TypeRef("void"))
         steps.append(ChainStep(api_id, ret.kind == "array", ArgPlan(params=tuple(params))))
-    last = steps[-1].api_id if steps else api.id
-    ret = graph.return_edges.get(last, TypeRef("void"))
+    if steps[-1].api_id != api.id:
+        raise UnresolvableParameter(api.id, "<tutorial>", f"(ends in {steps[-1].api_id}, not itself)")
+    ret = graph.return_edges.get(api.id, TypeRef("void"))
     produces = TypeRef("class", ret.name) if ret.is_class else ret
     return CallChain(steps=tuple(steps), produces=produces)
 

@@ -434,7 +434,8 @@ def make_rich_catalog(rng: random.Random, max_classes: int = 8, max_apis: int = 
     class-typed parameters, (x, xEnd) integer pairs, tutorials, and class,
     method and parameter names from ODD_NAMES.
     Every class has an accessor on an earlier class, so all are reachable;
-    tutorials call APIs of classes with plain names."""
+    tutorials call APIs of classes with plain names, and most end in a call
+    of their own API (the others are excluded from the suite)."""
 
     def odd(p: float) -> str:
         return rng.choice(ODD_NAMES) if rng.random() < p else ""
@@ -474,6 +475,8 @@ def make_rich_catalog(rng: random.Random, max_classes: int = 8, max_apis: int = 
     callable_ids = [a["id"] for a in apis if re.fullmatch(r"\w+\.\w+", a["id"], re.ASCII)]
     for api in rng.sample(apis, k=min(3, len(apis))):
         calls = rng.sample(callable_ids, k=min(rng.randint(1, 3), len(callable_ids)))
+        if api["id"] in callable_ids and rng.random() < 0.8:
+            calls.append(api["id"])
         api["tutorial"] = [f'var v{n} = {call}("lit", 1)' for n, call in enumerate(calls)]
     doc = {
         "host_app": "drive",

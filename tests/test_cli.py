@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from importlib import resources
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from permscan.cli import main
+from permscan.simulator import FAULT_KINDS
 
 import synth
 
@@ -411,6 +413,12 @@ MALFORMED = {
     "suite pair of two hi plans": ("suite", lambda ok: _with_plan(
         ok["suite"], {"params": {"p": _pair("q", "hi"), "q": _pair("p", "hi")}}
     )),
+    "suite case whose chain has no steps": ("suite", lambda ok: _with(
+        ok["suite"], "chain", {**json.loads(ok["suite"])["chain"], "steps": []}
+    )),
+    "suite case whose last step is not its target_api": (
+        "suite", lambda ok: _with(ok["suite"], "target_api", "Sheet.insertRow")
+    ),
 }
 
 
@@ -449,3 +457,42 @@ def test_any_json_input_exits_cleanly(kind, value, tmp_path, capsys):
     code = main(_argv(kind, str(path), tmp_path))
     assert code in (0, 1, 2)
     assert len(capsys.readouterr().err.splitlines()) <= 1
+
+
+# --- gen and run against pipeline --------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32), creators=st.booleans())
+def test_gen_then_run_writes_the_pipeline_records(seed, creators, tmp_path, capsys):
+    """On a random rich catalog and template with 0-4 random faults, `gen`
+    then `run` in both modes writes the suite and records `pipeline` does.
+    A loaded suite shares no step between cases and the in-memory one does,
+    so the two replay different prefix steps."""
+    rng = random.Random(seed)
+    catalog = synth.make_rich_catalog(rng)
+    if creators:
+        catalog = synth.with_creators(catalog)
+    template = synth.make_template(rng, catalog, roles=synth.ALL_ROLES)
+    apis = sorted(catalog.apis)
+    faults = [
+        {"kind": rng.choice(FAULT_KINDS), "api_pattern": rng.choice(apis)}
+        for _ in range(rng.randint(0, 4))
+    ]
+    paths = {name: tmp_path / f"{name}.json" for name in ("catalog", "template", "faults")}
+    for name, doc in (("catalog", catalog.to_json()), ("template", template), ("faults", faults)):
+        paths[name].write_text(json.dumps(doc))
+    inputs = ["--catalog", str(paths["catalog"]), "--template", str(paths["template"])]
+    out, suite = tmp_path / "out", tmp_path / "suite.jsonl"
+    faults_arg = ["--faults", str(paths["faults"])]
+    assert main(["pipeline", *inputs, *faults_arg, "--out-dir", str(out)]) in (0, 2)
+    assert main(["gen", "--catalog", str(paths["catalog"]), "--out", str(suite)]) == 0
+    records = ""
+    for mode in ("role-matrix", "scope-ladder"):
+        path = tmp_path / f"{mode}.jsonl"
+        run = ["run", "--suite", str(suite), *inputs, *faults_arg, "--mode", mode, "--out", str(path)]
+        assert main(run) == 0
+        records += path.read_text()
+    capsys.readouterr()
+    assert suite.read_text() == (out / "suite.jsonl").read_text()
+    assert records == (out / "records.jsonl").read_text()

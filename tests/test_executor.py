@@ -1,9 +1,15 @@
+import json
+import random
 from importlib import resources
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from permscan.catalog import load_catalog
-from permscan.classify import classify_catalog
+from permscan import executor
+from permscan.catalog import TypeRef, load_catalog, parse_catalog
+from permscan.classify import Operation, classify_catalog
 from permscan.errors import BackendUnavailable
 from permscan.executor import (
     OUTCOME_PERMISSION_ERROR,
@@ -16,17 +22,21 @@ from permscan.executor import (
     run_role_matrix,
     run_scope_ladder,
 )
-from permscan.graph import build_graph
+from permscan.graph import CallChain, ChainStep, build_graph
 from permscan.simulator import (
+    FAULT_KINDS,
     GRANT_FULL,
     GRANT_READ,
     FaultSpec,
+    InvocationResult,
     Role,
     instantiate_template,
     load_capability_matrix,
     load_faults,
 )
-from permscan.testgen import generate_suite
+from permscan.testgen import ArgPlan, ProducerPlan, TestCase, generate_suite
+
+import synth
 
 DATA = resources.files("permscan.data")
 SHEETS = load_catalog(str(DATA / "spreadsheet.json"))
@@ -167,3 +177,131 @@ def test_records_jsonl_round_trip():
     assert records_to_jsonl(back) == text
     assert back[0].role is records[0].role
     assert back[0].grant == records[0].grant
+
+
+# --- prefix reuse against running every step ----------------------------------------
+
+
+def _reuse_free(calls: list):
+    """`executor._run_chain` as it was before prefix reuse: every step of
+    every chain runs.  Each call appends (step id, receiver id, whether the
+    step is the case's own last step) to `calls`."""
+
+    def run_chain(session, chain, combo, touched, target=True):
+        receiver = None
+        result = InvocationResult(True)
+        for i, step in enumerate(chain.steps):
+            is_final = i == len(chain.steps) - 1
+            plan = step.args or ArgPlan()
+            args = executor._resolve_args(session, plan, combo if is_final else {}, touched)
+            calls.append((id(step), id(receiver), target and is_final))
+            result = executor.invoke_host_api(
+                session.state, session.ctx, step.api_id, session.labels[step.api_id],
+                receiver=receiver, args=args,
+            )
+            if receiver is not None:
+                touched.append((receiver.id, receiver.kind))
+            if result.node is not None:
+                touched.append((result.node.id, result.node.kind))
+            if not result.ok:
+                raise executor._StepFailure(result)
+            receiver = result.node
+        return result
+
+    return run_chain
+
+
+def _campaign_jsonl(suite, b) -> str:
+    return records_to_jsonl(run_role_matrix(suite, b) + run_scope_ladder(suite, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), rich=st.booleans(), sheets=st.booleans(), creators=st.booleans())
+def test_reuse_gives_the_records_of_running_every_step(tmp_path_factory, seed, rich, sheets, creators):
+    """On random catalogs and templates with 0-4 random faults, a campaign
+    that replays prefix steps writes, byte for byte, the records of one
+    that runs every step of every chain."""
+    rng = random.Random(seed)
+    if rich:
+        catalog = synth.make_rich_catalog(rng)
+    else:
+        catalog = synth.make_catalog(rng, max_classes=8, max_apis=40)
+    if sheets:
+        catalog = synth.as_sheets(catalog, rng)
+    if creators:
+        catalog = synth.with_creators(catalog)
+    path = tmp_path_factory.mktemp("reuse") / "template.json"
+    path.write_text(json.dumps(synth.make_template(rng, catalog, roles=synth.ALL_ROLES)))
+    apis = sorted(catalog.apis)
+    faults = [FaultSpec(rng.choice(FAULT_KINDS), rng.choice(apis)) for _ in range(rng.randint(0, 4))]
+    labels = classify_catalog(catalog)
+    suite = generate_suite(build_graph(catalog), labels).cases
+    b = SimulatorBackend(catalog, path, MATRIX, labels, faults)
+    got = _campaign_jsonl(suite, b)
+    with mock.patch.object(executor, "_run_chain", _reuse_free([])):
+        assert got == _campaign_jsonl(suite, b)
+
+
+def test_read_only_session_invokes_each_prefix_step_once_per_receiver():
+    """With only the read scope every non-VIEW call is denied, so nothing in
+    the session writes: after its first run, a (step, receiver) pair is
+    replayed, and only the cases' own last steps run again."""
+    b = backend()
+    index = {c.id: c for c in SUITE}
+
+    def invocations() -> int:
+        count = 0
+        invoke = executor.invoke_host_api
+
+        def counting(state, ctx, api_id, label, **kwargs):
+            nonlocal count
+            count += 1
+            result = invoke(state, ctx, api_id, label, **kwargs)
+            assert not result.ok or label.operation is Operation.VIEW
+            return result
+
+        session = b.start_session(b.user_with_role(Role.OWNER), GRANT_READ, "scope-ladder")
+        with mock.patch.object(executor, "invoke_host_api", counting):
+            for case in SUITE:
+                run_case(session, case, index)
+        return count
+
+    calls: list = []
+    with mock.patch.object(executor, "_run_chain", _reuse_free(calls)):
+        assert invocations() == len(calls)
+    seen: set = set()
+    expected = 0
+    for step, receiver, final in calls:
+        expected += final or (step, receiver) not in seen
+        seen.add((step, receiver))
+    assert invocations() == expected < len(calls)
+
+
+def test_a_step_whose_producer_chain_writes_runs_again(tmp_path):
+    """A view step whose argument's producer chain creates a book is never
+    replayed: running the case again creates another book, as it does when
+    every step runs."""
+    catalog = parse_catalog(synth.books_catalog_doc(
+        synth.api_doc("App.createBook", {"class": "Book"}),
+        synth.api_doc("App.openBook", {"class": "Book"}),
+        synth.api_doc("Book.getName", {"primitive": "string"}),
+    ))
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps({
+        "resources": [{"kind": "Book", "id": "b0"}], "sharing": {"b0": {"roles": {"o": "owner"}}},
+    }))
+    labels = classify_catalog(catalog)
+    create = CallChain((ChainStep("App.createBook"),), TypeRef("class", "Book"))
+    open_book = ChainStep("App.openBook", args=ArgPlan(params=(("source", ProducerPlan(create)),)))
+    chain = CallChain((open_book, ChainStep("Book.getName")), TypeRef("primitive", "string"))
+    suite = [TestCase(f"tc{n}", "Book.getName", labels["Book.getName"], chain) for n in (1, 2)]
+    b = SimulatorBackend(catalog, path, MATRIX, labels)
+
+    def run() -> list:
+        session = b.start_session("o", GRANT_FULL)
+        return [run_case(session, case) for case in suite]
+
+    records = run()
+    assert [r.touched[0] for r in records] == [("book-1", "Book"), ("book-2", "Book")]
+    with mock.patch.object(executor, "_run_chain", _reuse_free([])):
+        assert records_to_jsonl(run()) == records_to_jsonl(records)

@@ -107,6 +107,22 @@ def test_tutorial_overrides_strategies():
     ]
 
 
+def test_tutorial_that_never_calls_its_api_is_excluded():
+    """A case's last step is its target call, so a tutorial that ends in
+    another call leaves the API unresolvable."""
+    doc = SHEETS.to_json()
+    for api in doc["apis"]:
+        if api["id"] == "Range.setValue":
+            api["tutorial"] = ['var ss = SpreadsheetApp.getActiveSpreadsheet()']
+    cat = parse_catalog(doc)
+    result = generate_suite(build_graph(cat), classify_catalog(cat))
+    assert "Range.setValue" not in {c.target_api for c in result.cases}
+    assert [reason for api, reason in result.excluded if api == "Range.setValue"] == [
+        "Range.setValue: parameter '<tutorial>' unresolvable "
+        "(ends in SpreadsheetApp.getActiveSpreadsheet, not itself)"
+    ]
+
+
 def test_accounting_invariant():
     res = generate_cases(GRAPH, LABELS)
     assert len(res.cases) + len(res.excluded) + len(res.pruned) == len(SHEETS.apis)
