@@ -61,39 +61,19 @@ class ExecutionRecord:
     evidence: str | None = None  # present only on Success
     observed: Observed | None = None  # the last invoked step's target; None = no check
 
-    def to_json(self) -> dict:
-        return {
-            "case": self.case_id,
-            "api": self.api,
-            "mode": self.mode,
-            "role": self.role.label,
-            "installer": self.installer,
-            "grant": sorted(self.grant),
-            "outcome": self.outcome,
-            "error": self.error,
-            "sharing_changes": [
-                [rid, user, *(None if r is None else r.label for r in (old, new))]
-                for rid, user, old, new in self.sharing_changes
-            ],
-            "touched": [list(t) for t in self.touched],
-            "evidence": self.evidence,
-            "observed": None if self.observed is None else {
-                "role": None if self.observed.role is None else self.observed.role.label,
-                "hidden": self.observed.hidden,
-                "protected": self.observed.protected,
-            },
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "ExecutionRecord":
         expect(obj, dict, "record")
         for key in ("case", "api", "installer"):
             expect(obj[key], str, key)
+        for key in ("error", "evidence"):
+            if obj[key] is not None:
+                expect(obj[key], str, key)
         if obj["outcome"] not in OUTCOMES:
             raise ValueError(f"unknown outcome {obj['outcome']!r}")
         if obj["mode"] not in MODES:
             raise ValueError(f"unknown mode {obj['mode']!r}")
-        grant = validate_grant(obj["grant"])
+        grant = validate_grant(expect(obj["grant"], list, "grant"))
         if not grant <= GRANT_FULL:
             raise ValueError(f"unknown grant scope in {sorted(map(str, grant))}")
         return ExecutionRecord(
@@ -109,7 +89,7 @@ class ExecutionRecord:
                 _sharing_change_from_json(c)
                 for c in expect(obj["sharing_changes"], list, "sharing_changes")
             ],
-            touched=[tuple(t) for t in obj["touched"]],
+            touched=[_touched_from_json(t) for t in expect(obj["touched"], list, "touched")],
             evidence=obj["evidence"],
             observed=_observed_from_json(obj["observed"]),
         )
@@ -121,6 +101,11 @@ def _observed_from_json(obj: dict | None) -> Observed | None:
     role = expect(obj, dict, "observed")["role"]
     flags = (expect(obj[key], bool, key) for key in ("hidden", "protected"))
     return Observed(None if role is None else Role.parse(role), *flags)
+
+
+def _touched_from_json(entry: list) -> tuple:
+    node_id, kind = expect(entry, list, "touched entry")
+    return (expect(node_id, str, "touched object id"), expect(kind, str, "touched kind"))
 
 
 def _sharing_change_from_json(entry: list) -> tuple:
@@ -345,7 +330,7 @@ def run_case(session: Session, case: TestCase, suite_index: dict | None = None) 
         return ExecutionRecord(
             outcome=OUTCOME_SUCCESS,
             sharing_changes=changes,
-            touched=list(touched),
+            touched=touched,
             evidence=result.value,
             observed=result.observed,
             **base,
@@ -357,7 +342,7 @@ def run_case(session: Session, case: TestCase, suite_index: dict | None = None) 
         outcome=OUTCOME_PERMISSION_ERROR if is_permission else OUTCOME_OTHER_ERROR,
         error=last_failure.error,
         sharing_changes=changes,
-        touched=list(touched),
+        touched=touched,
         observed=last_failure.observed,
         **base,
     )
@@ -390,7 +375,52 @@ def run_scope_ladder(suite: list, backend) -> list:
 
 
 def records_to_jsonl(records: list) -> str:
-    return "".join(json.dumps(r.to_json()) + "\n" for r in records)
+    """The records as JSON lines, byte for byte as `json.dumps` writes each
+    record's dict (keys case, api, mode, role, installer, grant, outcome,
+    error, sharing_changes, touched, evidence, observed).  One memo per call,
+    its keys of different lengths, holds the text of each session's head
+    (mode, role, installer, grant), of each touched entry of two strs and of
+    each observed value, keyed with its flags' types (True == 1).  Every
+    other field is encoded inline."""
+    memo: dict = {}
+    string = json.encoder.encode_basestring_ascii  # exactly what json.dumps does with a str
+
+    def text(value: str | None) -> str:
+        return "null" if value is None else string(value)
+
+    def entry(t: tuple) -> str:
+        if type(t) is tuple and len(t) == 2 and type(t[0]) is type(t[1]) is str:
+            return memo.get(t) or memo.setdefault(t, f"[{string(t[0])}, {string(t[1])}]")
+        return json.dumps(list(t))
+
+    def observed(o: Observed) -> str:
+        key = (o, type(o.hidden), type(o.protected))
+        role = None if o.role is None else o.role.label
+        return memo.get(key) or memo.setdefault(key, json.dumps(
+            {"role": role, "hidden": o.hidden, "protected": o.protected}
+        ))
+
+    def line(r: ExecutionRecord) -> str:
+        key = (r.mode, r.role, r.installer, r.grant)
+        head = memo.get(key) or memo.setdefault(key, (
+            f'"mode": {string(r.mode)}, "role": {string(r.role.label)}, '
+            f'"installer": {string(r.installer)}, "grant": {json.dumps(sorted(r.grant))}'
+        ))
+        changes = [
+            [rid, user, *(None if x is None else x.label for x in (old, new))]
+            for rid, user, old, new in r.sharing_changes
+        ]
+        return (
+            f'{{"case": {string(r.case_id)}, "api": {string(r.api)}, {head}, '
+            f'"outcome": {string(r.outcome)}, "error": {text(r.error)}, '
+            f'"sharing_changes": {json.dumps(changes) if changes else "[]"}, '
+            f'"touched": [{", ".join(map(entry, r.touched))}], "evidence": {text(r.evidence)}, '
+            f'"observed": {"null" if r.observed is None else observed(r.observed)}}}\n'
+        )
+
+    lines = [line(r) for r in records]
+    memo.clear()  # before the join: the texts and the whole output are never held together
+    return "".join(lines)
 
 
 def records_from_jsonl(text: str) -> list:

@@ -526,3 +526,32 @@ def oracle_suite_jsonl(cases: list) -> str:
         }) + "\n"
         for c in cases
     )
+
+
+def oracle_records_jsonl(records: list) -> str:
+    """The records as `json.dumps` of each record's dict, built field by
+    field as the writer's schema describes it, nothing shared or memoised."""
+    return "".join(
+        json.dumps({
+            "case": r.case_id,
+            "api": r.api,
+            "mode": r.mode,
+            "role": r.role.label,
+            "installer": r.installer,
+            "grant": sorted(r.grant),
+            "outcome": r.outcome,
+            "error": r.error,
+            "sharing_changes": [
+                [rid, user, *(None if x is None else x.label for x in (old, new))]
+                for rid, user, old, new in r.sharing_changes
+            ],
+            "touched": [list(t) for t in r.touched],
+            "evidence": r.evidence,
+            "observed": None if r.observed is None else {
+                "role": None if r.observed.role is None else r.observed.role.label,
+                "hidden": r.observed.hidden,
+                "protected": r.observed.protected,
+            },
+        }) + "\n"
+        for r in records
+    )

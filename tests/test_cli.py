@@ -366,6 +366,17 @@ MALFORMED = {
     "records line with an unknown observed role": (
         "records", lambda ok: _observed(ok["records"], role="superuser")
     ),
+    'records line with grant {"read": true}': (
+        "records", lambda ok: _with(ok["records"], "grant", {"read": True})
+    ),
+    "records line whose evidence is 5": ("records", lambda ok: _with(ok["records"], "evidence", 5)),
+    "records line whose error is [1]": ("records", lambda ok: _with(ok["records"], "error", [1])),
+    "records line with a touched entry [1, x]": (
+        "records", lambda ok: _with(ok["records"], "touched", [[1, "x"]])
+    ),
+    "records line with a touched entry of 3 strings": (
+        "records", lambda ok: _with(ok["records"], "touched", [["a", "b", "c"]])
+    ),
     "template resource without a sharing entry": ("app-template", lambda ok: json.dumps({
         "resources": [{"kind": "Book", "id": "b0"}, {"kind": "Book", "id": "b1"}],
         "sharing": {"b1": {"roles": dict(synth.ALL_ROLES)}},

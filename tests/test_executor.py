@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from importlib import resources
@@ -15,6 +16,7 @@ from permscan.executor import (
     OUTCOME_PERMISSION_ERROR,
     OUTCOME_PRUNED,
     OUTCOME_SUCCESS,
+    ExecutionRecord,
     SimulatorBackend,
     records_from_jsonl,
     records_to_jsonl,
@@ -29,6 +31,7 @@ from permscan.simulator import (
     GRANT_READ,
     FaultSpec,
     InvocationResult,
+    Observed,
     Role,
     instantiate_template,
     load_capability_matrix,
@@ -215,12 +218,8 @@ def _campaign_jsonl(suite, b) -> str:
     return records_to_jsonl(run_role_matrix(suite, b) + run_scope_ladder(suite, b))
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32), rich=st.booleans(), sheets=st.booleans(), creators=st.booleans())
-def test_reuse_gives_the_records_of_running_every_step(tmp_path_factory, seed, rich, sheets, creators):
-    """On random catalogs and templates with 0-4 random faults, a campaign
-    that replays prefix steps writes, byte for byte, the records of one
-    that runs every step of every chain."""
+def _random_campaign(tmp_path_factory, seed, rich, sheets, creators) -> tuple:
+    """(suite, backend) on a random catalog and template with 0-4 random faults."""
     rng = random.Random(seed)
     if rich:
         catalog = synth.make_rich_catalog(rng)
@@ -230,13 +229,25 @@ def test_reuse_gives_the_records_of_running_every_step(tmp_path_factory, seed, r
         catalog = synth.as_sheets(catalog, rng)
     if creators:
         catalog = synth.with_creators(catalog)
-    path = tmp_path_factory.mktemp("reuse") / "template.json"
+    path = tmp_path_factory.mktemp("campaign") / "template.json"
     path.write_text(json.dumps(synth.make_template(rng, catalog, roles=synth.ALL_ROLES)))
     apis = sorted(catalog.apis)
     faults = [FaultSpec(rng.choice(FAULT_KINDS), rng.choice(apis)) for _ in range(rng.randint(0, 4))]
     labels = classify_catalog(catalog)
     suite = generate_suite(build_graph(catalog), labels).cases
-    b = SimulatorBackend(catalog, path, MATRIX, labels, faults)
+    return suite, SimulatorBackend(catalog, path, MATRIX, labels, faults)
+
+
+CAMPAIGNS = dict(seed=st.integers(0, 2**32), rich=st.booleans(), sheets=st.booleans(), creators=st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(**CAMPAIGNS)
+def test_reuse_gives_the_records_of_running_every_step(tmp_path_factory, seed, rich, sheets, creators):
+    """On random catalogs and templates with 0-4 random faults, a campaign
+    that replays prefix steps writes, byte for byte, the records of one
+    that runs every step of every chain."""
+    suite, b = _random_campaign(tmp_path_factory, seed, rich, sheets, creators)
     got = _campaign_jsonl(suite, b)
     with mock.patch.object(executor, "_run_chain", _reuse_free([])):
         assert got == _campaign_jsonl(suite, b)
@@ -305,3 +316,53 @@ def test_a_step_whose_producer_chain_writes_runs_again(tmp_path):
     assert [r.touched[0] for r in records] == [("book-1", "Book"), ("book-2", "Book")]
     with mock.patch.object(executor, "_run_chain", _reuse_free([])):
         assert records_to_jsonl(run()) == records_to_jsonl(records)
+
+
+# --- the records writer against json.dumps of each record's dict ----------------
+
+# a letter, and a quote, a backslash, a tab, non-ASCII text and U+2028, which json.dumps escapes
+ODD_TEXT = st.text(st.sampled_from('a"\\\t\u00e9\u96ea\u2028'), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    **CAMPAIGNS,
+    odd=st.tuples(ODD_TEXT, ODD_TEXT, ODD_TEXT, ODD_TEXT | st.none()),
+    roleless=st.builds(Observed, st.none(), st.booleans(), st.booleans()),
+)
+def test_records_jsonl_matches_the_dict_oracle(tmp_path_factory, seed, rich, sheets, creators, odd, roleless):
+    """On random campaigns with 0-4 random faults, plus copies of some of
+    their records with odd text in case, installer, error and evidence and
+    an observed role of null, the memoised writer writes `json.dumps` of
+    each record's dict, and its records load back to the same text."""
+    suite, b = _random_campaign(tmp_path_factory, seed, rich, sheets, creators)
+    records = run_role_matrix(suite, b) + run_scope_ladder(suite, b)
+    case, installer, error, evidence = odd
+    records += [
+        dataclasses.replace(
+            r, case_id=case + r.case_id, installer=installer, error=error, evidence=evidence,
+            observed=roleless if n % 2 else r.observed,
+        )
+        for n, r in enumerate(records[::7])
+    ]
+    text = records_to_jsonl(records)
+    assert text == synth.oracle_records_jsonl(records)
+    for line in text.splitlines():
+        assert json.dumps(json.loads(line)) == line
+    assert records_to_jsonl(records_from_jsonl(text)) == text
+
+
+def test_records_jsonl_keeps_true_and_1_apart():
+    """Equal values of different types are different texts: the writer's
+    memo does not give an observed flag 1 the text of True, nor a touched
+    id True the text of 1."""
+    base = ExecutionRecord(
+        "tc1", "Sheet.getName", "role-matrix", Role.VIEWER, "v", GRANT_FULL, OUTCOME_SUCCESS
+    )
+    ints = dataclasses.replace(base, observed=Observed(Role.VIEWER, 1, 0), touched=[(1, "x")])
+    bools = dataclasses.replace(base, observed=Observed(Role.VIEWER, True, False), touched=[(True, "x")])
+    for records in ([ints, bools], [bools, ints]):
+        assert records_to_jsonl(records) == synth.oracle_records_jsonl(records)
+    lines = records_to_jsonl([ints, bools]).splitlines()
+    assert '"touched": [[1, "x"]]' in lines[0] and '"hidden": 1, "protected": 0' in lines[0]
+    assert '"touched": [[true, "x"]]' in lines[1] and '"hidden": true, "protected": false' in lines[1]
