@@ -18,9 +18,9 @@ from .simulator import (
     Subject,
     WorkspaceState,
     check_access,
-    inject_fault,
     instantiate_template,
     invoke_host_api,
+    resolve_faults,
 )
 from .testgen import TestCase, generate_suite, order_suite, resolve_parameters
 

@@ -24,7 +24,7 @@ from .executor import (
     run_scope_ladder,
 )
 from .graph import build_graph, to_dot
-from .simulator import fault_targets, faults_from_json, load_capability_matrix
+from .simulator import Role, faults_from_json, load_capability_matrix, resolve_faults
 from .testgen import TestCase, chain_api_ids, generate_suite, suite_to_jsonl
 
 EXIT_OK = 0
@@ -103,8 +103,7 @@ def _load_faults(path, catalog) -> list:
 
     def build(doc):
         faults = faults_from_json(doc)
-        for fault in faults:
-            fault_targets(fault, catalog)
+        resolve_faults(faults, catalog)
         return faults
 
     return read_json(path, build) if path else []
@@ -165,7 +164,8 @@ def cmd_pipeline(args) -> int:
     faults = _load_faults(faults_path, catalog)
     labels = classify_catalog(catalog)
     backend = SimulatorBackend(catalog, template_path, matrix, labels, faults)
-    backend.template  # read now, so a bad template stops the run before anything is written
+    for role in Role:  # read the template now: a bad one stops the run before anything is written
+        backend.user_with_role(role)
 
     graph = build_graph(catalog)
     result = generate_suite(graph, labels)

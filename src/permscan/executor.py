@@ -22,9 +22,9 @@ from .simulator import (
     Role,
     Subject,
     WorkspaceState,
-    inject_fault,
     instantiate_template,
     invoke_host_api,
+    resolve_faults,
     validate_grant,
 )
 from .testgen import (
@@ -73,14 +73,17 @@ class ExecutionRecord:
             raise ValueError(f"unknown outcome {obj['outcome']!r}")
         if obj["mode"] not in MODES:
             raise ValueError(f"unknown mode {obj['mode']!r}")
-        grant = validate_grant(expect(obj["grant"], list, "grant"))
+        scopes = expect(obj["grant"], list, "grant")
+        grant = validate_grant(scopes)
         if not grant <= GRANT_FULL:
             raise ValueError(f"unknown grant scope in {sorted(map(str, grant))}")
+        if scopes != sorted(grant):
+            raise ValueError(f"grant {scopes} is not sorted or repeats a scope")
         return ExecutionRecord(
             case_id=obj["case"],
             api=obj["api"],
             mode=obj["mode"],
-            role=Role.parse(obj["role"]),
+            role=_role_from_json(expect(obj["role"], str, "role")),
             installer=obj["installer"],
             grant=grant,
             outcome=obj["outcome"],
@@ -95,12 +98,22 @@ class ExecutionRecord:
         )
 
 
+_ROLES = {None: None, **{role.label: role for role in Role}}  # null: no role
+
+
+def _role_from_json(label) -> Role | None:
+    """The role written as exactly `label`, as `records_to_jsonl` writes it."""
+    if not isinstance(label, str | None) or label not in _ROLES:
+        raise ValueError(f"unknown role {label!r}")
+    return _ROLES[label]
+
+
 def _observed_from_json(obj: dict | None) -> Observed | None:
     if obj is None:
         return None
-    role = expect(obj, dict, "observed")["role"]
+    role = _role_from_json(expect(obj, dict, "observed")["role"])
     flags = (expect(obj[key], bool, key) for key in ("hidden", "protected"))
-    return Observed(None if role is None else Role.parse(role), *flags)
+    return Observed(role, *flags)
 
 
 def _touched_from_json(entry: list) -> tuple:
@@ -112,7 +125,7 @@ def _sharing_change_from_json(entry: list) -> tuple:
     rid, user, old, new = expect(entry, list, "sharing change")
     for name in (rid, user):
         expect(name, str, "sharing change resource or user")
-    return (rid, user, *(None if r is None else Role.parse(r) for r in (old, new)))
+    return (rid, user, *map(_role_from_json, (old, new)))
 
 
 @dataclass
@@ -127,9 +140,11 @@ class Session:
     # run in this session, replayed for any step but a case's own last one.
     # Replay is exact: a call that returns ok under a non-VIEW label empties
     # the map (a denied call never writes), so every entry is a VIEW or a
-    # failure; neither reads its arguments or the attribute table, and both
-    # depend only on the workspace, subject and faults.  Holding the receiver
-    # keeps its id from being reused.
+    # failure; neither reads its arguments, and both depend only on the
+    # workspace, subject and faults.  Nor need a replay record attributes
+    # again: a role's entry, once set, is only ever replaced by a smaller
+    # kind, so its first run recorded all that would change.  Holding the
+    # receiver keeps its id from being reused.
     reuse: dict = field(default_factory=dict)
 
 
@@ -145,7 +160,7 @@ class SimulatorBackend:
         self.template_path = template_path
         self.matrix = matrix
         self.labels = labels
-        self.faults = list(faults)
+        self.faults = resolve_faults(faults, catalog)  # shared by every session
 
     @cached_property
     def template(self) -> WorkspaceState:
@@ -158,13 +173,12 @@ class SimulatorBackend:
             u for roles in self.template.sharing.values() for u, r in roles.items() if r == role
         )
         if not candidates:
-            raise BackendUnavailable(f"template has no user with role {role.label}")
+            raise BackendUnavailable(f"{self.template_path}: no user with role {role.label}")
         return candidates[0]
 
     def start_session(self, installer: str, grant: frozenset, mode: str = "role-matrix") -> Session:
         state = self.template.copy()
-        for fault in self.faults:
-            inject_fault(state, fault)
+        state.faults = self.faults
         role = next((r[installer] for r in state.sharing.values() if installer in r), None)
         if role is None:
             raise BackendUnavailable(f"installer {installer!r} is not a collaborator")
@@ -194,15 +208,7 @@ def _resolve_args(session: Session, plan: ArgPlan, combo: dict, touched: list) -
             result = _run_chain(session, strat.chain, {}, touched, target=False)
             args[name] = result.node
         elif isinstance(strat, AttributePlan):
-            value = session.state.lookup_attribute(strat.role)
-            if value is None:
-                # cold start: mint a fresh resource so the lookup can succeed
-                state = session.state
-                state._fresh_counter += 1
-                kind = state.catalog.root
-                value = f"fresh-{kind.lower()}-{state._fresh_counter}"
-                state.record_attribute(kind, strat.role, value)
-            args[name] = value
+            args[name] = session.state.lookup_attribute(strat.role)
         elif isinstance(strat, PrimitivePlan):
             args[name] = combo.get(name, strat.values[0])
         elif isinstance(strat, PairPlan):

@@ -5,10 +5,10 @@ Level 1 checks the add-on's granted OAuth scope, level 2 the installer's
 role on the target resource plus object-level constraints (hidden objects,
 protected ranges, sharing mutation).  Each call is decided once: `observe`
 reads what the installer can see of the target, and `decide`, a pure
-function of that observation, holds every gate.  Fault injection names the
-gates it skips for matching APIs, so the detector, which re-runs `decide`
-on each record's observation with nothing skipped, can be validated
-against known ground truth.
+function of that observation, holds every gate.  Faults name the gates
+left out for the APIs their patterns match (`resolve_faults`), so the
+detector, which re-runs `decide` on each record's observation with nothing
+skipped, can be validated against known ground truth.
 """
 
 from __future__ import annotations
@@ -279,29 +279,24 @@ class WorkspaceState:
     resources: dict = field(default_factory=dict)  # resource id -> ObjectNode
     sharing: dict = field(default_factory=dict)  # resource id -> {user: Role}
     sharing_log: list = field(default_factory=list)  # (resource, user, old, new); None = no role
-    faults: list = field(default_factory=list)
-    attribute_table: dict = field(default_factory=dict)  # (kind, role) -> {value: None}
+    faults: dict = field(default_factory=dict)  # api id -> skipped gates; read-only, shared
+    attributes: dict = field(default_factory=dict)  # role -> (least kind, first value under it)
     index: WorkspaceIndex = field(default_factory=WorkspaceIndex, repr=False, compare=False)
     _fresh_counter: int = 0
-    # derived: role -> smallest (kind, role) key of attribute_table, and
-    # api id -> kinds of the injected faults whose pattern matches it
-    _least_attribute_key: dict = field(default_factory=dict, repr=False)
-    _fault_kinds: dict = field(default_factory=dict, repr=False)
 
     def copy(self) -> "WorkspaceState":
-        """An independent copy: it shares no node, role map or attribute set
-        with this state, and its index gives the DFS order of this one."""
+        """An independent copy: it shares no node or role map with this
+        state, only its read-only `faults`, and its index gives the DFS
+        order of this one."""
         state = WorkspaceState(
             catalog=self.catalog,
             matrix=self.matrix,
             users=set(self.users),
             sharing={rid: dict(roles) for rid, roles in self.sharing.items()},
             sharing_log=list(self.sharing_log),
-            faults=list(self.faults),
-            attribute_table={key: dict(values) for key, values in self.attribute_table.items()},
+            faults=self.faults,
+            attributes=dict(self.attributes),  # values are tuples of strs
             _fresh_counter=self._fresh_counter,
-            _least_attribute_key=dict(self._least_attribute_key),
-            _fault_kinds=dict(self._fault_kinds),  # values are frozensets
         )
         for rid, root in self.resources.items():
             tree = root.copy()
@@ -343,22 +338,20 @@ class WorkspaceState:
             self.sharing_log.append((resource_id, user, old, role))
 
     def record_attribute(self, kind: str, role: str, value: str) -> None:
-        """The only writer of `attribute_table`, which only ever grows."""
-        key = (kind, role)
-        # a dict used as an insertion-ordered set: re-recording keeps the position
-        self.attribute_table.setdefault(key, {})[value] = None
-        least = self._least_attribute_key.get(role)
-        if least is None or key < least:
-            self._least_attribute_key[role] = key
+        """The only writer of `attributes`: `role`'s entry, once set, is
+        replaced only by a value recorded under a smaller kind."""
+        entry = self.attributes.get(role)
+        if entry is None or kind < entry[0]:
+            self.attributes[role] = (kind, value)
 
-    def lookup_attribute(self, role: str) -> str | None:
-        """First value recorded under the smallest (kind, role) key for `role`."""
-        key = self._least_attribute_key.get(role)
-        return next(iter(self.attribute_table[key])) if key is not None else None
-
-    def faults_for(self, api_id: str) -> frozenset:
-        """Kinds of the injected faults whose pattern matches `api_id`."""
-        return self._fault_kinds.get(api_id, frozenset())
+    def lookup_attribute(self, role: str) -> str:
+        """The first value recorded under `role`'s smallest kind.  On a cold
+        start, a fresh value is minted and recorded under the root kind."""
+        if role not in self.attributes:
+            self._fresh_counter += 1
+            root = self.catalog.root
+            self.record_attribute(root, role, f"fresh-{root.lower()}-{self._fresh_counter}")
+        return self.attributes[role][1]
 
 
 # --- template loading -------------------------------------------------------
@@ -375,14 +368,15 @@ def _parse_node(entry: dict, catalog: Catalog, seen: set) -> ObjectNode:
         raise DuplicateResourceId(f"duplicate resource id {node_id!r}")
     seen.add(node_id)
     attrs = expect(entry.get("attrs", {}), dict, f"{node_id} attrs")
-    hidden = bool(attrs.get("hidden", False))
+    hidden = expect(attrs.get("hidden", False), bool, f"{node_id} hidden")
     if hidden and kind not in HIDEABLE_KINDS:
         raise SchemaViolation(f"{node_id}: kind {kind!r} is not hideable")
     protection = attrs.get("protection")
     if protection is not None:
         if kind not in PROTECTABLE_KINDS:
             raise SchemaViolation(f"{node_id}: kind {kind!r} is not protectable")
-        protection = frozenset(protection)
+        users = expect(protection, list, f"{node_id} protection")
+        protection = frozenset(expect(user, str, f"{node_id} protection user") for user in users)
     node = ObjectNode(
         kind=kind,
         id=node_id,
@@ -398,8 +392,8 @@ def _parse_node(entry: dict, catalog: Catalog, seen: set) -> ObjectNode:
 def instantiate_template(
     template: str | Path, catalog: Catalog, matrix: RoleCapabilityMatrix
 ) -> WorkspaceState:
-    """Fresh workspace from a template file: resources, sharing, seeded
-    attribute table, no faults."""
+    """Fresh workspace from a template file: resources, sharing, attributes
+    seeded from its nodes, no faults."""
     return read_json(template, lambda doc: _build_workspace(doc, catalog, matrix))
 
 
@@ -700,7 +694,8 @@ def invoke_host_api(
     if target is None:
         return _deny()
     observed = observe(state, ctx.user, target, produced)
-    if decide(observed, ctx.grant, label, state.matrix, state.faults_for(api_id)) is not Decision.ALLOW:
+    skipped = state.faults.get(api_id, frozenset())
+    if decide(observed, ctx.grant, label, state.matrix, skipped) is not Decision.ALLOW:
         result = _deny()
     elif api.returns.is_class and not is_create and produced is None:
         result = InvocationResult(
@@ -712,29 +707,22 @@ def invoke_host_api(
     return result
 
 
-# --- fault injection ------------------------------------------------------------
+# --- faults ---------------------------------------------------------------------
 
 
-def fault_targets(fault: FaultSpec, catalog: Catalog) -> list:
-    """The APIs of `catalog` that `fault` applies to; its kind must be known
-    and its pattern must match at least one API."""
-    if fault.kind not in FAULT_KINDS:
-        raise SchemaViolation(f"unknown fault kind {fault.kind!r}")
-    matched = [api_id for api_id in catalog.apis if fault.matches(api_id)]
-    if not matched:
-        raise PatternMatchesNothing(f"pattern {fault.api_pattern!r} matches no API")
-    return matched
-
-
-def inject_fault(state: WorkspaceState, fault: FaultSpec) -> WorkspaceState:
-    """Record a fault and the APIs it applies to (see `fault_targets`);
-    idempotent."""
-    matched = fault_targets(fault, state.catalog)
-    if fault not in state.faults:
-        state.faults.append(fault)
+def resolve_faults(faults, catalog: Catalog) -> dict:
+    """API id -> kinds of the `faults` whose pattern matches it.  Each
+    fault's kind must be known and its pattern must match an API."""
+    kinds: dict = {}
+    for fault in faults:
+        if fault.kind not in FAULT_KINDS:
+            raise SchemaViolation(f"unknown fault kind {fault.kind!r}")
+        matched = [api_id for api_id in catalog.apis if fault.matches(api_id)]
+        if not matched:
+            raise PatternMatchesNothing(f"pattern {fault.api_pattern!r} matches no API")
         for api_id in matched:
-            state._fault_kinds[api_id] = state.faults_for(api_id) | {fault.kind}
-    return state
+            kinds[api_id] = kinds.get(api_id, frozenset()) | {fault.kind}
+    return kinds
 
 
 def load_faults(path: str | Path) -> list:
@@ -742,7 +730,7 @@ def load_faults(path: str | Path) -> list:
 
 
 def faults_from_json(doc: list) -> list:
-    """The faults of a faults file, each of a known kind; `fault_targets`
+    """The faults of a faults file, each of a known kind; `resolve_faults`
     checks their patterns against a catalog."""
     faults = []
     for entry in expect(doc, list, "faults"):

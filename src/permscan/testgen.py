@@ -178,8 +178,7 @@ def _parse_tutorial(api: ApiSpec, graph: DepGraph) -> CallChain:
         steps.append(ChainStep(api_id, ret.kind == "array", ArgPlan(params=tuple(params))))
     if steps[-1].api_id != api.id:
         raise UnresolvableParameter(api.id, "<tutorial>", f"(ends in {steps[-1].api_id}, not itself)")
-    ret = graph.return_edges.get(api.id, TypeRef("void"))
-    produces = TypeRef("class", ret.name) if ret.is_class else ret
+    produces = _produced_type(graph.return_edges.get(api.id, TypeRef("void")))
     return CallChain(steps=tuple(steps), produces=produces)
 
 

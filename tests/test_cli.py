@@ -1,10 +1,12 @@
+import copy
 import hashlib
 import json
 import random
 from importlib import resources
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from permscan.cli import main
@@ -366,6 +368,22 @@ MALFORMED = {
     "records line with an unknown observed role": (
         "records", lambda ok: _observed(ok["records"], role="superuser")
     ),
+    'records line whose role is " Viewer "': (
+        "records", lambda ok: _with(ok["records"], "role", " Viewer ")
+    ),
+    "records line with observed role EDITOR": (
+        "records", lambda ok: _observed(ok["records"], role="EDITOR")
+    ),
+    "records line with a sharing change to role Editor": (
+        "records",
+        lambda ok: _with(ok["records"], "sharing_changes", [["spreadsheet1", "m", None, "Editor"]]),
+    ),
+    'records line with grant ["read", "read"]': (
+        "records", lambda ok: _with(ok["records"], "grant", ["read", "read"])
+    ),
+    'records line with grant ["read", "edit"]': (
+        "records", lambda ok: _with(ok["records"], "grant", ["read", "edit"])
+    ),
     'records line with grant {"read": true}': (
         "records", lambda ok: _with(ok["records"], "grant", {"read": True})
     ),
@@ -396,6 +414,18 @@ MALFORMED = {
     "template whose sharing names no owner": (
         "template",
         lambda ok: _template_with(lambda doc: doc["sharing"]["spreadsheet1"]["roles"].pop("olivia.owner")),
+    ),
+    'template node whose hidden is "false"': ("template", lambda ok: _template_with(
+        lambda doc: doc["resources"][0]["children"][0]["attrs"].update(hidden="false")
+    )),
+    "template protection that is one string": ("template", lambda ok: _template_with(
+        lambda doc: doc["resources"][0]["children"][0]["children"][3]["attrs"].update(  # col_salary
+            protection="olivia.owner"
+        )
+    )),
+    "template with no viewer": (
+        "template",
+        lambda ok: _template_with(lambda doc: doc["sharing"]["spreadsheet1"]["roles"].pop("victor.viewer")),
     ),
     "suite step names an unknown API": ("suite", lambda ok: _unknown_api(ok["suite"])),
     "suite producer chain names an unknown API": ("suite", lambda ok: _with_plan(
@@ -468,6 +498,105 @@ def test_any_json_input_exits_cleanly(kind, value, tmp_path, capsys):
     code = main(_argv(kind, str(path), tmp_path))
     assert code in (0, 1, 2)
     assert len(capsys.readouterr().err.splitlines()) <= 1
+
+
+# --- structural mutations of templates and fault files ------------------------------------
+
+MUTATIONS = ("drop a key", "empty", "retype", "duplicate", "dangle a value", "dangle a key")
+JSON_TYPES = (None, True, 7, 2.5, "x", [], {})
+
+
+def _slots(root: list) -> list:
+    """(container, key) of every value in `root`, a list holding a document,
+    parents before children."""
+    slots = [(root, 0)]
+    for container, key in slots:
+        value = container[key]
+        if isinstance(value, (dict, list)):
+            slots += [(value, k) for k in (value if isinstance(value, dict) else range(len(value)))]
+    return slots
+
+
+def _mutate(doc, data):
+    """A copy of `doc` after one mutation drawn from `data`: drop a dict's
+    key, empty a list or dict, give a value another JSON type, duplicate a
+    list entry (and any name it holds), or point a string value or a dict
+    key, such as a sharing entry's resource id, at a missing id."""
+    root = [copy.deepcopy(doc)]
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    slots = _slots(root)
+    if mutation in ("drop a key", "dangle a key"):
+        slots = [s for s in slots if isinstance(s[0], dict)]
+    elif mutation == "empty":
+        slots = [s for s in slots if isinstance(s[0][s[1]], (dict, list)) and s[0][s[1]]]
+    elif mutation == "duplicate":
+        slots = [s for s in slots[1:] if isinstance(s[0], list)]
+    elif mutation == "dangle a value":
+        slots = [s for s in slots if isinstance(s[0][s[1]], str)]
+    assume(slots)
+    container, key = data.draw(st.sampled_from(slots), label="at")
+    value = container[key]
+    if mutation == "drop a key":
+        del container[key]
+    elif mutation == "empty":
+        value.clear()
+    elif mutation == "retype":
+        others = [v for v in JSON_TYPES if type(v) is not type(value)]
+        container[key] = copy.deepcopy(data.draw(st.sampled_from(others), label="value"))
+    elif mutation == "duplicate":
+        container.insert(key, copy.deepcopy(value))
+    elif mutation == "dangle a value":
+        container[key] = "no-such-id"
+    else:
+        container["no-such-id"] = container.pop(key)
+    return root[0]
+
+
+def _pipeline_inputs(rng, bundled: bool) -> dict:
+    """Catalog, template and faults documents: the bundled ones, or a random
+    catalog with creates, a template shared with every role and 1-3 faults."""
+    if bundled:
+        paths = {"catalog": CATALOG, "template": TEMPLATE, "faults": FAULTS}
+        return {name: json.loads(Path(path).read_text()) for name, path in paths.items()}
+    catalog = synth.with_creators(synth.make_catalog(rng, max_classes=6, max_apis=30))
+    apis = sorted(catalog.apis)
+    return {
+        "catalog": catalog.to_json(),
+        "template": synth.make_template(rng, catalog, roles=synth.ALL_ROLES),
+        "faults": [
+            {"kind": rng.choice(FAULT_KINDS), "api_pattern": rng.choice(apis), "note": "seeded"}
+            for _ in range(rng.randint(1, 3))
+        ],
+    }
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32),
+    bundled=st.booleans(),
+    target=st.sampled_from(["template", "faults"]),
+    data=st.data(),
+)
+def test_mutated_template_or_faults_exit_cleanly(seed, bundled, target, data, tmp_path, capsys):
+    """After one structural mutation of the bundled or a random template or
+    faults file, `pipeline` exits 0, 1 or 2 and never with a traceback; an
+    exit 1 is one stderr line naming the mutated file."""
+    docs = _pipeline_inputs(random.Random(seed), bundled)
+    docs[target] = _mutate(docs[target], data)
+    paths = {name: tmp_path / f"{name}.json" for name in docs}
+    for name, doc in docs.items():
+        paths[name].write_text(json.dumps(doc))
+    code = main([
+        "pipeline", "--catalog", str(paths["catalog"]), "--template", str(paths["template"]),
+        "--faults", str(paths["faults"]), "--out-dir", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert len(err) == 1 and err[0].startswith("pipeline:"), err
+        assert str(paths[target]) in err[0], err
+    else:
+        assert err == []
 
 
 # --- gen and run against pipeline --------------------------------------------------------

@@ -170,7 +170,25 @@ def test_campaign_leaves_the_template_as_built():
     records = run_role_matrix(SUITE, b) + run_scope_ladder(SUITE, b)
     assert any(r.sharing_changes for r in records)
     assert b.template == instantiate_template(TEMPLATE, SHEETS, MATRIX)
-    assert b.template.faults == []
+    assert b.template.faults == {}
+
+
+def test_fault_patterns_are_matched_once_per_backend():
+    """A backend resolves its faults when it is built; its sessions only
+    read the result, so a whole role-matrix and scope-ladder campaign
+    matches each pattern against each API once."""
+    faults = load_faults(str(DATA / "faults_seeded.json"))
+    calls = []
+    matches = FaultSpec.matches
+
+    def counted(fault, api_id):
+        calls.append((fault, api_id))
+        return matches(fault, api_id)
+
+    with mock.patch.object(FaultSpec, "matches", counted):
+        b = backend(faults)
+        run_role_matrix(SUITE, b) + run_scope_ladder(SUITE, b)
+    assert len(calls) == len(faults) * len(SHEETS.apis)
 
 
 def test_records_jsonl_round_trip():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from permscan.catalog import load_catalog, parse_catalog
 from permscan.classify import Operation, PermissionLabel, classify_catalog
 from permscan.errors import NotFound, PatternMatchesNothing, SchemaViolation
-from permscan.executor import sharing_changes
+from permscan.executor import SimulatorBackend, sharing_changes
 from permscan.simulator import (
     GRANT_FULL,
     GRANT_READ,
@@ -20,11 +20,11 @@ from permscan.simulator import (
     Role,
     Subject,
     check_access,
-    inject_fault,
     instantiate_template,
     invoke_host_api,
     load_capability_matrix,
     load_faults,
+    resolve_faults,
     scope_covers,
     validate_grant,
     _build_workspace,
@@ -41,6 +41,12 @@ TEMPLATE = str(DATA / "template_spreadsheet.json")
 
 def fresh_state():
     return instantiate_template(TEMPLATE, SHEETS, MATRIX)
+
+
+def _with_faults(state, *faults):
+    """`state` with the gates of `faults` left out for the APIs they match."""
+    state.faults = resolve_faults(faults, state.catalog)
+    return state
 
 
 # --- scope lattice ---------------------------------------------------------------
@@ -98,15 +104,20 @@ def test_template_loads_nodes_and_sharing():
 
 
 def test_template_seeds_attribute_table():
+    """Each node's id, name and url are recorded; a role's lookup reads the
+    first node of the smallest kind."""
     state = fresh_state()
-    assert next(iter(state.attribute_table[("Sheet", "id")])) == "sheet1"
-    assert next(iter(state.attribute_table[("Spreadsheet", "url")])).startswith("https://")
+    first_cell = next(n for root in state.resources.values() for n in root.walk() if n.kind == "Cell")
+    assert state.lookup_attribute("id") == state.lookup_attribute("name") == first_cell.id
+    assert state.lookup_attribute("url") == f"https://workspace.local/{first_cell.id}"
+    assert state._fresh_counter == 0
 
 
-def _scan_attribute(state, role):
-    """The reference lookup: a scan of the whole attribute table."""
-    keys = [key for key, values in state.attribute_table.items() if key[1] == role and values]
-    return next(iter(state.attribute_table[min(keys)])) if keys else None
+def _scan_attribute(log, role):
+    """The reference lookup: of every (kind, role, value) recorded, the
+    first value under `role`'s smallest kind."""
+    kinds = [k for k, r, _ in log if r == role]
+    return next(v for k, r, v in log if r == role and k == min(kinds)) if kinds else None
 
 
 ATTRIBUTE_ROLES = ("id", "name", "url", "email")
@@ -119,17 +130,34 @@ ATTRIBUTE_ROLES = ("id", "name", "url", "email")
         st.sampled_from(["A", "Cell", "Sheet", "Spreadsheet", "Zeta"]),
         st.sampled_from(ATTRIBUTE_ROLES),
         st.sampled_from(["v0", "v1", "v2"]),
-    ), max_size=30),
+    ) | st.sampled_from(ATTRIBUTE_ROLES), max_size=30),
 )
 def test_lookup_attribute_matches_a_scan(seeded, calls):
-    """Differential test: after every record_attribute, on an empty or the
-    bundled workspace, lookup_attribute answers as a scan of the table does."""
+    """Differential test on an empty or the bundled workspace: after every
+    record_attribute or lookup_attribute, each recorded role's lookup
+    answers as a scan of a log of every value recorded does.  A lookup of a
+    role never recorded mints a fresh value under the root kind, which the
+    log records too; a role may be recorded again after its mint."""
     state = fresh_state() if seeded else _build_workspace({}, SHEETS, MATRIX)
-    for call in [None, *calls]:
-        if call is not None:
+    log = [
+        (n.kind, role, value)
+        for root in state.resources.values()
+        for n in root.walk()
+        for role, value in (("id", n.id), ("name", n.id), ("url", f"https://workspace.local/{n.id}"))
+    ]
+    minted = 0
+    for call in calls:
+        if isinstance(call, tuple):
             state.record_attribute(*call)
-        for r in ATTRIBUTE_ROLES:
-            assert state.lookup_attribute(r) == _scan_attribute(state, r), r
+            log.append(call)
+        else:
+            if _scan_attribute(log, call) is None:
+                minted += 1
+                log.append((SHEETS.root, call, f"fresh-{SHEETS.root.lower()}-{minted}"))
+            assert state.lookup_attribute(call) == _scan_attribute(log, call), call
+        for r in {r for _, r, _ in log}:
+            assert state.lookup_attribute(r) == _scan_attribute(log, r), r
+        assert state._fresh_counter == minted
 
 
 def test_template_owner_required(tmp_path):
@@ -273,8 +301,7 @@ def test_receiver_kind_mismatch_is_type_error():
 
 
 def test_skip_scope_fault_bypasses_level_one_only():
-    state = fresh_state()
-    inject_fault(state, FaultSpec("SkipScopeCheck", "Sheet.deleteRow"))
+    state = _with_faults(fresh_state(), FaultSpec("SkipScopeCheck", "Sheet.deleteRow"))
     label = _label(Operation.DELETE, "Sheet")
     ok = invoke_host_api(
         state, Subject("olivia.owner", GRANT_READ), "Sheet.deleteRow", label,
@@ -289,8 +316,7 @@ def test_skip_scope_fault_bypasses_level_one_only():
 
 
 def test_skip_role_fault_bypasses_level_two_only():
-    state = fresh_state()
-    inject_fault(state, FaultSpec("SkipRoleCheck", "Range.getCell"))
+    state = _with_faults(fresh_state(), FaultSpec("SkipRoleCheck", "Range.getCell"))
     label = _label(Operation.VIEW, "Range")
     ok = invoke_host_api(
         state, Subject("victor.viewer", GRANT_READ), "Range.getCell", label,
@@ -306,8 +332,7 @@ def test_skip_role_fault_bypasses_level_two_only():
 
 def test_sharing_fault_and_digest():
     """The faulty add is allowed and is the one entry it logs."""
-    state = fresh_state()
-    inject_fault(state, FaultSpec("AllowSharingMutation", "Spreadsheet.addEditor"))
+    state = _with_faults(fresh_state(), FaultSpec("AllowSharingMutation", "Spreadsheet.addEditor"))
     label = _label(Operation.MODIFY, "Spreadsheet", sharing=True)
     start = len(state.sharing_log)
     result = invoke_host_api(
@@ -320,31 +345,35 @@ def test_sharing_fault_and_digest():
 
 
 def test_fault_pattern_must_match():
-    state = fresh_state()
     with pytest.raises(PatternMatchesNothing):
-        inject_fault(state, FaultSpec("SkipRoleCheck", "Nothing.here"))
+        resolve_faults([FaultSpec("SkipRoleCheck", "Nothing.here")], SHEETS)
+    with pytest.raises(SchemaViolation):
+        resolve_faults([FaultSpec("SkipEverything", "Sheet.*")], SHEETS)
 
 
 def test_fault_glob_and_idempotence():
-    state = fresh_state()
-    inject_fault(state, FaultSpec("SkipRoleCheck", "Spreadsheet.*"))
-    inject_fault(state, FaultSpec("SkipRoleCheck", "Spreadsheet.*"))
-    assert len(state.faults) == 1
-    assert "SkipRoleCheck" in state.faults_for("Spreadsheet.setName")
-    assert state.faults_for("Sheet.sort") == set()
+    fault = FaultSpec("SkipRoleCheck", "Spreadsheet.*")
+    once = resolve_faults([fault], SHEETS)
+    assert resolve_faults([fault, fault], SHEETS) == once
+    assert "SkipRoleCheck" in once["Spreadsheet.setName"]
+    assert "Sheet.sort" not in once
 
 
 def test_faults_resolve_to_apis_at_injection():
-    """faults_for reads the kinds recorded at injection; they are those of
-    the faults whose pattern matches, in the state and in its copies."""
-    state = fresh_state()
+    """resolve_faults maps each API to the kinds of the faults whose pattern
+    matches it, and to nothing else; every session's state reads the
+    backend's one map, and so do its copies."""
     faults = [*load_faults(str(DATA / "faults_seeded.json")), FaultSpec("SkipRoleCheck", "Sheet.*")]
-    for fault in faults:
-        inject_fault(state, fault)
-    copy = state.copy()
+    resolved = resolve_faults(faults, SHEETS)
     for api_id in SHEETS.apis:
         expected = {f.kind for f in faults if f.matches(api_id)}
-        assert state.faults_for(api_id) == copy.faults_for(api_id) == expected, api_id
+        assert resolved.get(api_id, frozenset()) == expected, api_id
+    assert resolved.keys() <= SHEETS.apis.keys() and all(resolved.values())
+    backend = SimulatorBackend(SHEETS, TEMPLATE, MATRIX, classify_catalog(SHEETS), faults)
+    state = backend.start_session("victor.viewer", GRANT_FULL).state
+    assert backend.faults == resolved
+    assert state.faults is state.copy().faults is backend.faults
+    assert backend.template.faults == {}
 
 
 def test_load_bundled_fault_manifest():
@@ -464,7 +493,7 @@ def test_workspace_index_matches_tree_walks(source, seed, data):
         doc = synth.make_template(rng, catalog)
     state = _build_workspace(synth.with_fresh_like_ids(doc, rng), catalog, MATRIX)
     # with the role check skipped, calls also reach receivers already detached
-    inject_fault(state, FaultSpec("SkipRoleCheck", "*"))
+    _with_faults(state, FaultSpec("SkipRoleCheck", "*"))
     known = [n for root in state.resources.values() for n in root.walk()]
     apis = sorted(catalog.apis.values(), key=lambda a: a.id)
     _check_index(state, catalog.classes, known)
@@ -572,11 +601,11 @@ def test_sharing_changes_match_role_map_diffs(source, seed, data):
     net changes read from the log equal the diff of the role maps taken
     before and after it, on the resources present in both."""
     catalog, labels, users, state = _workspace_for(source, random.Random(seed))
-    for kind, pattern in data.draw(st.lists(st.tuples(
+    _with_faults(state, *data.draw(st.lists(st.builds(
+        FaultSpec,
         st.sampled_from(["SkipRoleCheck", "AllowSharingMutation"]),
         st.sampled_from(["*", *sorted(catalog.apis)]),
-    ), max_size=3), label="faults"):
-        inject_fault(state, FaultSpec(kind, pattern))
+    ), max_size=3), label="faults"))
     for _ in range(data.draw(st.integers(1, 4), label="windows")):
         start, before = len(state.sharing_log), synth.role_maps(state)
         for _ in range(data.draw(st.integers(1, 6), label="calls")):
@@ -686,7 +715,7 @@ def test_copy_is_independent_of_its_source(tmp_path_factory, seed, creators, fre
     _check_index(copy, catalog.classes, _nodes(copy))
 
     # with the role check skipped, calls also reach receivers already detached
-    inject_fault(copy, FaultSpec("SkipRoleCheck", "*"))
+    _with_faults(copy, FaultSpec("SkipRoleCheck", "*"))
     apis = sorted(catalog.apis.values(), key=lambda a: a.id)
     known = _nodes(copy)
     for _ in range(rng.randint(1, 12)):
