@@ -9,8 +9,8 @@ documentation so the whole pipeline stays hermetic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DuplicateApi, MalformedFile, PermscanError, SchemaViolation
 
@@ -21,8 +21,7 @@ PARAM_KINDS = ("class", "string", "integer", "boolean", "enum")
 PRIMITIVES = ("string", "integer", "boolean")
 
 
-@dataclass(frozen=True)
-class TypeRef:
+class TypeRef(NamedTuple):
     """Return type of an API: void, a class, an array of a class, or a primitive."""
 
     kind: str  # "void" | "class" | "array" | "primitive"
@@ -63,8 +62,7 @@ class TypeRef:
         raise SchemaViolation(f"bad returns value: {obj!r}")
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     name: str
     kind: str  # one of PARAM_KINDS
     type: str
@@ -73,8 +71,7 @@ class ParamSpec:
         return {"name": self.name, "kind": self.kind, "type": self.type}
 
 
-@dataclass(frozen=True)
-class ApiSpec:
+class ApiSpec(NamedTuple):
     id: str
     parent_class: str
     method: str
@@ -95,8 +92,7 @@ class ApiSpec:
         }
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     """Immutable index over one host-app catalog file."""
 
     host_app: str
@@ -122,15 +118,16 @@ class Catalog:
         }
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     kind: str  # DanglingTypeRef | OrphanClass | CycleDetected | BadId | MissingRoot
     detail: str
 
 
-@dataclass
 class ValidationReport:
-    problems: list = field(default_factory=list)
+    __slots__ = ("problems",)
+
+    def __init__(self):
+        self.problems = []
 
     @property
     def empty(self) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import ApiSpec, Catalog, expect
 
@@ -37,8 +37,7 @@ class Operation(enum.IntEnum):
         return Operation[name]
 
 
-@dataclass(frozen=True)
-class PermissionLabel:
+class PermissionLabel(NamedTuple):
     operation: Operation
     object_kind: str
     touches_sharing: bool = False

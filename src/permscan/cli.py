@@ -24,7 +24,7 @@ from .executor import (
     run_scope_ladder,
 )
 from .graph import build_graph, to_dot
-from .simulator import Role, faults_from_json, load_capability_matrix, resolve_faults
+from .simulator import Role, faults_from_json, load_capability_matrix
 from .testgen import TestCase, chain_api_ids, generate_suite, suite_to_jsonl
 
 EXIT_OK = 0
@@ -97,16 +97,16 @@ def _known_apis(catalog, parse, api_ids):
     return build
 
 
-def _load_faults(path, catalog) -> list:
-    """The faults file at `path`, if any, once each pattern matches an API
-    of `catalog`."""
+def _backend(catalog, template_path, matrix, labels, faults_path) -> SimulatorBackend:
+    """The backend with the faults file at `faults_path`, if any, resolved
+    once against `catalog`; an error in the faults names the file."""
 
     def build(doc):
-        faults = faults_from_json(doc)
-        resolve_faults(faults, catalog)
-        return faults
+        return SimulatorBackend(catalog, template_path, matrix, labels, faults_from_json(doc))
 
-    return read_json(path, build) if path else []
+    if faults_path:
+        return read_json(faults_path, build)
+    return SimulatorBackend(catalog, template_path, matrix, labels)
 
 
 def cmd_run(args) -> int:
@@ -115,8 +115,7 @@ def cmd_run(args) -> int:
     build = _known_apis(catalog, TestCase.from_json, lambda case: chain_api_ids(case.chain))
     suite = read_json(args.suite, build, lines=True)
     matrix = _load_matrix(args.matrix)
-    faults = _load_faults(args.faults, catalog)
-    backend = SimulatorBackend(catalog, args.template, matrix, labels, faults)
+    backend = _backend(catalog, args.template, matrix, labels, args.faults)
     if args.mode == "role-matrix":
         records = run_role_matrix(suite, backend)
     else:
@@ -161,9 +160,8 @@ def cmd_pipeline(args) -> int:
 
     catalog = load_catalog(catalog_path)
     matrix = _load_matrix(args.matrix)
-    faults = _load_faults(faults_path, catalog)
     labels = classify_catalog(catalog)
-    backend = SimulatorBackend(catalog, template_path, matrix, labels, faults)
+    backend = _backend(catalog, template_path, matrix, labels, faults_path)
     for role in Role:  # read the template now: a bad one stops the run before anything is written
         backend.user_with_role(role)
 

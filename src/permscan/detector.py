@@ -14,7 +14,7 @@ skipped, on what its call observed.  One kind per record, E1 > E3 > E2:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .catalog import Catalog
 from .errors import MissingLabel
@@ -29,8 +29,7 @@ KIND_E3 = "E3"
 _PAST_SCOPE = frozenset({"SkipScopeCheck"})
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     kind: str
     api: str
     role: Role
@@ -49,10 +48,9 @@ class Finding:
         }
 
 
-@dataclass
-class DetectionResult:
-    findings: list = field(default_factory=list)
-    potential_only: list = field(default_factory=list)  # Finding-shaped, unconfirmed
+class DetectionResult(NamedTuple):
+    findings: list
+    potential_only: list  # Finding-shaped, unconfirmed
 
 
 def _sharing_evidence(changes: list) -> str:
@@ -66,7 +64,7 @@ def detect_full(
 ) -> DetectionResult:
     """Findings and potential-only findings of `records`.  `ground_truth` is
     accepted and ignored: each record carries what its call observed."""
-    result = DetectionResult()
+    result = DetectionResult([], [])
     for record in records:
         if record.outcome != OUTCOME_SUCCESS:
             continue
@@ -115,8 +113,7 @@ def detect(records: list, labels: dict, matrix: RoleCapabilityMatrix, ground_tru
 # --- reporting ---------------------------------------------------------------
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     per_app: dict  # host app -> {"apis", "tested", "potential", "confirmed"}
     per_kind: dict  # E1/E2/E3 -> distinct api count
     findings: list

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .catalog import expect, parse_json
 from .classify import Operation
@@ -46,8 +46,10 @@ OUTCOMES = (OUTCOME_SUCCESS, OUTCOME_PERMISSION_ERROR, OUTCOME_OTHER_ERROR, OUTC
 MODES = ("role-matrix", "scope-ladder")
 
 
-@dataclass
-class ExecutionRecord:
+class ExecutionRecord(NamedTuple):
+    """One case's outcome in one session.  A record is never changed once
+    made, so the empty default lists may be shared."""
+
     case_id: str
     api: str
     mode: str  # "role-matrix" | "scope-ladder"
@@ -56,8 +58,8 @@ class ExecutionRecord:
     grant: frozenset
     outcome: str
     error: str | None = None
-    sharing_changes: list = field(default_factory=list)  # net (resource, user, old, new role)
-    touched: list = field(default_factory=list)  # [(object id, kind), ...]
+    sharing_changes: list = []  # net (resource, user, old, new role)
+    touched: list = []  # [(object id, kind), ...]
     evidence: str | None = None  # present only on Success
     observed: Observed | None = None  # the last invoked step's target; None = no check
 
@@ -128,24 +130,26 @@ def _sharing_change_from_json(entry: list) -> tuple:
     return (rid, user, *map(_role_from_json, (old, new)))
 
 
-@dataclass
 class Session:
-    state: WorkspaceState
-    ctx: Subject
-    role: Role
-    mode: str
-    labels: dict  # api id -> PermissionLabel
-    failed_cases: set = field(default_factory=set)  # case ids that did not succeed
-    # (id(step), id(receiver)) -> (receiver, result, touched entries) of a step
-    # run in this session, replayed for any step but a case's own last one.
-    # Replay is exact: a call that returns ok under a non-VIEW label empties
-    # the map (a denied call never writes), so every entry is a VIEW or a
-    # failure; neither reads its arguments, and both depend only on the
-    # workspace, subject and faults.  Nor need a replay record attributes
-    # again: a role's entry, once set, is only ever replaced by a smaller
-    # kind, so its first run recorded all that would change.  Holding the
-    # receiver keeps its id from being reused.
-    reuse: dict = field(default_factory=dict)
+    __slots__ = ("state", "ctx", "role", "mode", "labels", "failed_cases", "reuse")
+
+    def __init__(self, state: WorkspaceState, ctx: Subject, role: Role, mode: str, labels: dict):
+        self.state = state
+        self.ctx = ctx
+        self.role = role
+        self.mode = mode
+        self.labels = labels  # api id -> PermissionLabel
+        self.failed_cases = set()  # case ids that did not succeed
+        # (id(step), id(receiver)) -> (receiver, result, touched entries) of a step
+        # run in this session, replayed for any step but a case's own last one.
+        # Replay is exact: a call that returns ok under a non-VIEW label empties
+        # the map (a denied call never writes), so every entry is a VIEW or a
+        # failure; neither reads its arguments, and both depend only on the
+        # workspace, subject and faults.  Nor need a replay record attributes
+        # again: a role's entry, once set, is only ever replaced by a smaller
+        # kind, so its first run recorded all that would change.  Holding the
+        # receiver keeps its id from being reused.
+        self.reuse = {}
 
 
 class SimulatorBackend:

@@ -9,33 +9,30 @@ chain of every class is computed once, when the graph is built.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .catalog import ApiSpec, Catalog, TypeRef
 from .errors import NoProducer, UnresolvableReturn
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     api_id: str
     index_zero: bool = False  # array-typed producer: take element [0]
     args: object | None = None  # ArgPlan, attached by testgen
 
 
-@dataclass(frozen=True)
-class CallChain:
+class CallChain(NamedTuple):
     steps: tuple[ChainStep, ...]
     produces: TypeRef
 
 
-@dataclass(frozen=True)
-class DepGraph:
+class DepGraph(NamedTuple):
     class_nodes: frozenset
     method_edges: dict  # class name -> tuple of api ids, sorted
     return_edges: dict  # api id -> TypeRef
     root: str
     producer_chains: dict  # internal class -> api ids of its best chain from the root
-    catalog: Catalog = field(repr=False, compare=False, default=None)
+    catalog: Catalog
 
     def api(self, api_id: str) -> ApiSpec:
         return self.catalog.apis[api_id]
@@ -55,15 +52,17 @@ def build_graph(catalog: Catalog) -> DepGraph:
             if ret.is_class and not catalog.resolves(ret.name):
                 raise UnresolvableReturn(f"{api_id}: returns unknown class {ret.name!r}")
             return_edges[api_id] = ret
+    chains: dict = {}
     graph = DepGraph(
         class_nodes=class_nodes,
         method_edges={k: tuple(v) for k, v in method_edges.items()},
         return_edges=return_edges,
         root=catalog.root,
-        producer_chains={},
+        producer_chains=chains,
         catalog=catalog,
     )
-    return replace(graph, producer_chains=_best_chains(graph))
+    chains.update(_best_chains(graph))  # the search reads the graph's other fields
+    return graph
 
 
 def producible_class(graph: DepGraph, api_id: str) -> str | None:

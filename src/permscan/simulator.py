@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import enum
 import fnmatch
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -95,14 +94,33 @@ PROTECTABLE_KINDS = frozenset({"Range", "Sheet", "Row", "Column"})
 HIDEABLE_KINDS = frozenset({"Range", "Sheet", "Row", "Column", "Cell"})
 
 
-@dataclass
 class ObjectNode:
-    kind: str
-    id: str
-    content: str = ""
-    hidden: bool = False
-    protection: frozenset | None = None  # privileged user ids, None = unprotected
-    children: list = field(default_factory=list)
+    """One object of a workspace tree; compared by identity."""
+
+    __slots__ = ("kind", "id", "content", "hidden", "protection", "children")
+
+    def __init__(
+        self,
+        kind: str,
+        id: str,
+        content: str = "",
+        hidden: bool = False,
+        protection: frozenset | None = None,  # privileged user ids, None = unprotected
+        children: list | None = None,
+    ):
+        self.kind = kind
+        self.id = id
+        self.content = content
+        self.hidden = hidden
+        self.protection = protection
+        self.children = [] if children is None else children
+
+    def __repr__(self) -> str:
+        # a node passed as an argument is written into content and evidence as this text
+        return (
+            f"ObjectNode(kind={self.kind!r}, id={self.id!r}, content={self.content!r}, "
+            f"hidden={self.hidden!r}, protection={self.protection!r}, children={self.children!r})"
+        )
 
     def walk(self):
         yield self
@@ -117,8 +135,7 @@ class ObjectNode:
         )
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(NamedTuple):
     kind: str  # SkipScopeCheck | SkipRoleCheck | AllowSharingMutation
     api_pattern: str
     note: str = ""
@@ -130,8 +147,7 @@ class FaultSpec:
 FAULT_KINDS = ("SkipScopeCheck", "SkipRoleCheck", "AllowSharingMutation")
 
 
-@dataclass(frozen=True)
-class RoleCapabilityMatrix:
+class RoleCapabilityMatrix(NamedTuple):
     """(role, operation, object kind) -> allowed.  '*' is the kind wildcard."""
 
     table: dict  # (role, operation, kind) -> bool
@@ -173,8 +189,7 @@ def load_capability_matrix(path: str | Path) -> RoleCapabilityMatrix:
     return read_json(path, RoleCapabilityMatrix.from_json)
 
 
-@dataclass(frozen=True)
-class Subject:
+class Subject(NamedTuple):
     """A human collaborator, or an add-on acting on behalf of its installer."""
 
     user: str
@@ -191,9 +206,9 @@ class WorkspaceIndex:
     resources, and a node's subtree is the run of keys it prefixes.  Numbers
     are never reused (a root that replaces a resource under the same id takes
     over its number), so appending a child or removing one keeps the keys of
-    every other node.  Nodes are keyed by identity because `ObjectNode`
-    compares by value.  Only `attach_child`, `set_root` and `detach` change
-    the trees' shape; a tree edited any other way is not reflected.
+    every other node.  Nodes are keyed by identity.  Only `attach_child`,
+    `set_root` and `detach` change the trees' shape; a tree edited any other
+    way is not reflected.
     """
 
     def __init__(self):
@@ -271,33 +286,37 @@ class WorkspaceIndex:
         return None
 
 
-@dataclass
 class WorkspaceState:
-    catalog: Catalog
-    matrix: RoleCapabilityMatrix
-    users: set = field(default_factory=set)
-    resources: dict = field(default_factory=dict)  # resource id -> ObjectNode
-    sharing: dict = field(default_factory=dict)  # resource id -> {user: Role}
-    sharing_log: list = field(default_factory=list)  # (resource, user, old, new); None = no role
-    faults: dict = field(default_factory=dict)  # api id -> skipped gates; read-only, shared
-    attributes: dict = field(default_factory=dict)  # role -> (least kind, first value under it)
-    index: WorkspaceIndex = field(default_factory=WorkspaceIndex, repr=False, compare=False)
-    _fresh_counter: int = 0
+    """An empty workspace over `catalog` and `matrix`; compared by identity."""
+
+    __slots__ = (
+        "catalog", "matrix", "users", "resources", "sharing", "sharing_log", "faults",
+        "attributes", "index", "_fresh_counter",
+    )
+
+    def __init__(self, catalog: Catalog, matrix: RoleCapabilityMatrix):
+        self.catalog = catalog
+        self.matrix = matrix
+        self.users = set()
+        self.resources = {}  # resource id -> ObjectNode
+        self.sharing = {}  # resource id -> {user: Role}
+        self.sharing_log = []  # (resource, user, old, new); None = no role
+        self.faults = {}  # api id -> skipped gates; read-only, shared
+        self.attributes = {}  # role -> (least kind, first value under it)
+        self.index = WorkspaceIndex()
+        self._fresh_counter = 0
 
     def copy(self) -> "WorkspaceState":
         """An independent copy: it shares no node or role map with this
         state, only its read-only `faults`, and its index gives the DFS
         order of this one."""
-        state = WorkspaceState(
-            catalog=self.catalog,
-            matrix=self.matrix,
-            users=set(self.users),
-            sharing={rid: dict(roles) for rid, roles in self.sharing.items()},
-            sharing_log=list(self.sharing_log),
-            faults=self.faults,
-            attributes=dict(self.attributes),  # values are tuples of strs
-            _fresh_counter=self._fresh_counter,
-        )
+        state = WorkspaceState(self.catalog, self.matrix)
+        state.users = set(self.users)
+        state.sharing = {rid: dict(roles) for rid, roles in self.sharing.items()}
+        state.sharing_log = list(self.sharing_log)
+        state.faults = self.faults
+        state.attributes = dict(self.attributes)  # values are tuples of strs
+        state._fresh_counter = self._fresh_counter
         for rid, root in self.resources.items():
             tree = root.copy()
             state.resources[rid] = tree
@@ -377,13 +396,8 @@ def _parse_node(entry: dict, catalog: Catalog, seen: set) -> ObjectNode:
             raise SchemaViolation(f"{node_id}: kind {kind!r} is not protectable")
         users = expect(protection, list, f"{node_id} protection")
         protection = frozenset(expect(user, str, f"{node_id} protection user") for user in users)
-    node = ObjectNode(
-        kind=kind,
-        id=node_id,
-        content=str(attrs.get("content", "")),
-        hidden=hidden,
-        protection=protection,
-    )
+    content = expect(attrs.get("content", ""), str, f"{node_id} content")
+    node = ObjectNode(kind, node_id, content, hidden, protection)
     for child in entry.get("children", []):
         node.children.append(_parse_node(child, catalog, seen))
     return node
@@ -398,7 +412,7 @@ def instantiate_template(
 
 
 def _build_workspace(doc: dict, catalog: Catalog, matrix: RoleCapabilityMatrix) -> WorkspaceState:
-    state = WorkspaceState(catalog=catalog, matrix=matrix)
+    state = WorkspaceState(catalog, matrix)
     seen: set = set()
     for entry in expect(doc, dict, "template").get("resources", []):
         node = _parse_node(entry, catalog, seen)
@@ -514,14 +528,23 @@ def check_access(
 # --- invocation ----------------------------------------------------------------
 
 
-@dataclass
 class InvocationResult:
-    ok: bool
-    value: str = ""  # summary of the returned / mutated value
-    node: ObjectNode | None = None  # produced object, when class-typed
-    error: str | None = None  # PermissionError message or error kind
-    error_kind: str | None = None  # "PermissionError" | "TypeError" | "NotFound"
-    observed: Observed | None = None  # the call's target as checked; None = no check
+    __slots__ = ("ok", "value", "node", "error", "error_kind", "observed")
+
+    def __init__(
+        self,
+        ok: bool,
+        value: str = "",  # summary of the returned / mutated value
+        node: ObjectNode | None = None,  # produced object, when class-typed
+        error: str | None = None,  # PermissionError message or error kind
+        error_kind: str | None = None,  # "PermissionError" | "TypeError" | "NotFound"
+    ):
+        self.ok = ok
+        self.value = value
+        self.node = node
+        self.error = error
+        self.error_kind = error_kind
+        self.observed = None  # the call's target as checked (Observed); None = no check
 
 
 def _deny() -> InvocationResult:
@@ -738,5 +761,6 @@ def faults_from_json(doc: list) -> list:
         pattern = expect(e["api_pattern"], str, "api_pattern")
         if e["kind"] not in FAULT_KINDS:
             raise SchemaViolation(f"unknown fault kind {e['kind']!r}")
-        faults.append(FaultSpec(kind=e["kind"], api_pattern=pattern, note=e.get("note", "")))
+        note = expect(e.get("note", ""), str, "note")
+        faults.append(FaultSpec(kind=e["kind"], api_pattern=pattern, note=note))
     return faults

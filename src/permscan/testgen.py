@@ -7,7 +7,7 @@ import heapq
 import json
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .catalog import ApiSpec, TypeRef, expect, parse_json
 from .classify import Operation, PermissionLabel, effect_of
@@ -22,15 +22,13 @@ PAIR_FALLBACK = (1, 2)
 # --- parameter strategies ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProducerPlan:
+class ProducerPlan(NamedTuple):
     """Class-typed parameter: run a producer chain and pass its product."""
 
     chain: CallChain
 
 
-@dataclass(frozen=True)
-class AttributePlan:
+class AttributePlan(NamedTuple):
     """String parameter looked up from the runtime attribute table."""
 
     role: str  # id | url | name
@@ -39,8 +37,7 @@ class AttributePlan:
         return {"strategy": "attribute", "role": self.role}
 
 
-@dataclass(frozen=True)
-class PrimitivePlan:
+class PrimitivePlan(NamedTuple):
     """Integer/boolean parameter enumerated from the fixed value table."""
 
     values: tuple
@@ -49,8 +46,7 @@ class PrimitivePlan:
         return {"strategy": "primitive", "values": list(self.values)}
 
 
-@dataclass(frozen=True)
-class PairPlan:
+class PairPlan(NamedTuple):
     """Mutually dependent integer pair (lo, hi); offline fallback (lo, lo+1)."""
 
     partner: str
@@ -66,8 +62,7 @@ class PairPlan:
         }
 
 
-@dataclass(frozen=True)
-class ArgPlan:
+class ArgPlan(NamedTuple):
     tutorial: CallChain | None = None
     params: tuple = ()  # tuple of (param name, strategy)
 
@@ -89,8 +84,7 @@ def chain_api_ids(chain: CallChain):
 # --- test cases ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TestCase:
+class TestCase(NamedTuple):
     __test__ = False  # keep pytest from collecting this as a test class
 
     id: str
@@ -121,11 +115,13 @@ class TestCase:
         )
 
 
-@dataclass
 class GenResult:
-    cases: list = field(default_factory=list)
-    excluded: list = field(default_factory=list)  # (api id, reason)
-    pruned: list = field(default_factory=list)  # api ids of unreached classes
+    __slots__ = ("cases", "excluded", "pruned")
+
+    def __init__(self):
+        self.cases = []
+        self.excluded = []  # (api id, reason)
+        self.pruned = []  # api ids of unreached classes
 
 
 # --- parameter resolution ------------------------------------------------------
@@ -367,7 +363,8 @@ def suite_to_jsonl(cases: list) -> str:
 
     Shared objects are encoded once per call: chains (a producer chain is
     one object per class) and the steps of chains and case prefixes are
-    memoised by identity, labels, types and attribute plans by value.  A
+    memoised by identity, labels, types and attribute plans by type and
+    value (a NamedTuple equals any tuple of the same values).  A
     case's last step, argument plans and producer-plan wrappers are used
     once, and primitive and pair plans have no exact value key (True == 1),
     so these are encoded inline and not kept.
@@ -376,7 +373,8 @@ def suite_to_jsonl(cases: list) -> str:
     string = json.encoder.encode_basestring_ascii  # exactly what json.dumps does with a str
 
     def value(obj) -> str:
-        return memo.get(obj) or memo.setdefault(obj, json.dumps(obj.to_json()))
+        key = (type(obj), obj)
+        return memo.get(key) or memo.setdefault(key, json.dumps(obj.to_json()))
 
     def plan(p) -> str:
         if isinstance(p, ProducerPlan):

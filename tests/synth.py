@@ -8,7 +8,6 @@ be checked against them.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import re
@@ -206,7 +205,7 @@ def with_creators(catalog: Catalog) -> Catalog:
         for p in catalog.classes
         for k in catalog.classes
     }
-    return dataclasses.replace(catalog, apis={**catalog.apis, **creators})
+    return catalog._replace(apis={**catalog.apis, **creators})
 
 
 SHEET_KINDS = ("Sheet", "Range", "Cell", "Row", "Column")
@@ -404,6 +403,19 @@ def books_catalog_doc(*apis: dict) -> dict:
         "classes": [{"name": "App", "children": ["Book"]}, {"name": "Book", "children": []}],
         "apis": list(apis),
     }
+
+
+def state_value(state) -> tuple:
+    """Everything a workspace holds but its index, as one comparable value:
+    each tree is its nodes' fields and child counts in DFS order."""
+    trees = {
+        rid: [(n.kind, n.id, n.content, n.hidden, n.protection, len(n.children)) for n in root.walk()]
+        for rid, root in state.resources.items()
+    }
+    return (
+        state.catalog, state.matrix, state.users, trees, state.sharing, state.sharing_log,
+        state.faults, state.attributes, state._fresh_counter,
+    )
 
 
 def role_maps(state) -> dict:

@@ -144,6 +144,22 @@ def test_import_leaves_http_stack_unloaded():
     assert out.strip() == "[]"
 
 
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    """Start-up pays for neither: building dataclasses and importing
+    `inspect` were most of the cost of `import permscan.cli`."""
+    src = os.path.dirname(os.path.dirname(permscan.__file__))
+    probe = "import sys, permscan.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out.strip() == "[]"
+
+
 # --- the one effect function ------------------------------------------------------------
 
 EFFECT_VERBS = [

@@ -334,6 +334,9 @@ MALFORMED = {
     "faults pattern that matches no API": (
         "faults", lambda ok: '[{"kind": "SkipRoleCheck", "api_pattern": "Nope.*"}]'
     ),
+    "faults entry whose note is [1]": (
+        "faults", lambda ok: '[{"kind": "SkipRoleCheck", "api_pattern": "Sheet.*", "note": [1]}]'
+    ),
     "suite is not JSON": ("suite", lambda ok: "{not json\n"),
     "suite line without target_api": ("suite", lambda ok: _without(ok["suite"], "target_api")),
     "records are not JSON": ("records", lambda ok: "{not json\n"),
@@ -417,6 +420,9 @@ MALFORMED = {
     ),
     'template node whose hidden is "false"': ("template", lambda ok: _template_with(
         lambda doc: doc["resources"][0]["children"][0]["attrs"].update(hidden="false")
+    )),
+    'template node whose content is {"a": 1}': ("template", lambda ok: _template_with(
+        lambda doc: doc["resources"][0]["children"][0]["attrs"].update(content={"a": 1})
     )),
     "template protection that is one string": ("template", lambda ok: _template_with(
         lambda doc: doc["resources"][0]["children"][0]["children"][3]["attrs"].update(  # col_salary

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from importlib import resources
@@ -131,8 +130,8 @@ def test_report_shape_and_serialization():
     result = detect_full(records, LABELS, MATRIX, GROUND_TRUTH)
     # neither an API outside the catalog nor a pruned case counts as tested
     extra = [
-        dataclasses.replace(records[0], api="Nowhere.call"),
-        dataclasses.replace(records[0], api="Sheet.appendChart", outcome=OUTCOME_PRUNED),
+        records[0]._replace(api="Nowhere.call"),
+        records[0]._replace(api="Sheet.appendChart", outcome=OUTCOME_PRUNED),
     ]
     report = build_report(result, records + extra, SHEETS, exclusions={"Sheet.appendChart": "enum"})
     assert report.per_app.keys() == {"spreadsheet"}

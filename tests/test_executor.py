@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from importlib import resources
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 from permscan import executor
 from permscan.catalog import TypeRef, load_catalog, parse_catalog
+from permscan.cli import main
 from permscan.classify import Operation, classify_catalog
 from permscan.errors import BackendUnavailable
 from permscan.executor import (
@@ -169,14 +169,15 @@ def test_campaign_leaves_the_template_as_built():
     b = backend(load_faults(str(DATA / "faults_seeded.json")))
     records = run_role_matrix(SUITE, b) + run_scope_ladder(SUITE, b)
     assert any(r.sharing_changes for r in records)
-    assert b.template == instantiate_template(TEMPLATE, SHEETS, MATRIX)
+    assert synth.state_value(b.template) == synth.state_value(instantiate_template(TEMPLATE, SHEETS, MATRIX))
     assert b.template.faults == {}
 
 
-def test_fault_patterns_are_matched_once_per_backend():
+def test_fault_patterns_are_matched_once_per_backend(tmp_path, capsys):
     """A backend resolves its faults when it is built; its sessions only
     read the result, so a whole role-matrix and scope-ladder campaign
-    matches each pattern against each API once."""
+    matches each pattern against each API once, and so does a `pipeline`
+    command, which builds one backend."""
     faults = load_faults(str(DATA / "faults_seeded.json"))
     calls = []
     matches = FaultSpec.matches
@@ -189,6 +190,15 @@ def test_fault_patterns_are_matched_once_per_backend():
         b = backend(faults)
         run_role_matrix(SUITE, b) + run_scope_ladder(SUITE, b)
     assert len(calls) == len(faults) * len(SHEETS.apis)
+
+    calls.clear()
+    with mock.patch.object(FaultSpec, "matches", counted):
+        assert main([
+            "pipeline", "--catalog", str(DATA / "spreadsheet.json"), "--template", TEMPLATE,
+            "--faults", str(DATA / "faults_seeded.json"), "--out-dir", str(tmp_path),
+        ]) == 2
+    capsys.readouterr()
+    assert len(calls) == 12 * 28 == len(faults) * len(SHEETS.apis)
 
 
 def test_records_jsonl_round_trip():
@@ -357,8 +367,8 @@ def test_records_jsonl_matches_the_dict_oracle(tmp_path_factory, seed, rich, she
     records = run_role_matrix(suite, b) + run_scope_ladder(suite, b)
     case, installer, error, evidence = odd
     records += [
-        dataclasses.replace(
-            r, case_id=case + r.case_id, installer=installer, error=error, evidence=evidence,
+        r._replace(
+            case_id=case + r.case_id, installer=installer, error=error, evidence=evidence,
             observed=roleless if n % 2 else r.observed,
         )
         for n, r in enumerate(records[::7])
@@ -377,8 +387,8 @@ def test_records_jsonl_keeps_true_and_1_apart():
     base = ExecutionRecord(
         "tc1", "Sheet.getName", "role-matrix", Role.VIEWER, "v", GRANT_FULL, OUTCOME_SUCCESS
     )
-    ints = dataclasses.replace(base, observed=Observed(Role.VIEWER, 1, 0), touched=[(1, "x")])
-    bools = dataclasses.replace(base, observed=Observed(Role.VIEWER, True, False), touched=[(True, "x")])
+    ints = base._replace(observed=Observed(Role.VIEWER, 1, 0), touched=[(1, "x")])
+    bools = base._replace(observed=Observed(Role.VIEWER, True, False), touched=[(True, "x")])
     for records in ([ints, bools], [bools, ints]):
         assert records_to_jsonl(records) == synth.oracle_records_jsonl(records)
     lines = records_to_jsonl([ints, bools]).splitlines()

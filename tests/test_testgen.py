@@ -249,3 +249,27 @@ def test_suite_jsonl_keeps_true_and_1_apart():
         for n, s in enumerate(steps)
     ]
     assert suite_to_jsonl(suite) == oracle_suite_jsonl(suite)
+
+
+class _UrlPlan(AttributePlan):
+    """A value type whose fields equal an AttributePlan's, written apart."""
+
+    def to_json(self) -> dict:
+        return {"strategy": "attribute", "role": self.role + "-url"}
+
+
+def test_suite_jsonl_keeps_equal_values_of_different_types_apart():
+    """A NamedTuple equals any tuple of the same values, so the writer's
+    value memo keys on the type as well: each plan keeps its own text."""
+    label = PermissionLabel(Operation.VIEW, "Doc")
+    assert AttributePlan("id") == _UrlPlan("id")
+    for plans in ((AttributePlan("id"), _UrlPlan("id")), (_UrlPlan("id"), AttributePlan("id"))):
+        suite = [
+            TestCase(f"tc{n}", "Doc.get", label, CallChain(
+                (ChainStep("Doc.get", args=ArgPlan(params=(("x", p),))),), TypeRef("void")
+            ))
+            for n, p in enumerate(plans)
+        ]
+        text = suite_to_jsonl(suite)
+        assert text == oracle_suite_jsonl(suite)
+        assert '"role": "id"' in text and '"role": "id-url"' in text
