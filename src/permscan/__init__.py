@@ -7,7 +7,7 @@ escalation detection.
 
 from .catalog import Catalog, load_catalog, object_census, validate_catalog
 from .classify import Operation, PermissionLabel, classify_api, classify_catalog
-from .detector import Finding, Report, build_report, detect, detect_full
+from .detector import Finding, Report, build_report, detect_full
 from .executor import ExecutionRecord, SimulatorBackend, run_role_matrix, run_scope_ladder
 from .graph import CallChain, DepGraph, build_graph, shortest_producer_path, to_dot
 from .simulator import (

@@ -67,9 +67,6 @@ class ParamSpec(NamedTuple):
     kind: str  # one of PARAM_KINDS
     type: str
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "kind": self.kind, "type": self.type}
-
 
 class ApiSpec(NamedTuple):
     id: str
@@ -79,17 +76,6 @@ class ApiSpec(NamedTuple):
     params: tuple[ParamSpec, ...]
     returns: TypeRef
     tutorial: tuple[str, ...] | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "parent_class": self.parent_class,
-            "method": self.method,
-            "description": self.description,
-            "params": [p.to_json() for p in self.params],
-            "returns": self.returns.to_json(),
-            "tutorial": list(self.tutorial) if self.tutorial is not None else None,
-        }
 
 
 class Catalog(NamedTuple):
@@ -104,40 +90,10 @@ class Catalog(NamedTuple):
     def resolves(self, class_name: str) -> bool:
         return class_name in self.classes or class_name in self.external_types
 
-    def to_json(self) -> dict:
-        """Serialize the catalog back to the file schema."""
-        return {
-            "host_app": self.host_app,
-            "root": self.root,
-            "external_types": sorted(self.external_types),
-            "classes": [
-                {"name": name, "children": list(self.classes[name])}
-                for name in sorted(self.classes)
-            ],
-            "apis": [self.apis[i].to_json() for i in sorted(self.apis)],
-        }
-
 
 class Problem(NamedTuple):
     kind: str  # DanglingTypeRef | OrphanClass | CycleDetected | BadId | MissingRoot
     detail: str
-
-
-class ValidationReport:
-    __slots__ = ("problems",)
-
-    def __init__(self):
-        self.problems = []
-
-    @property
-    def empty(self) -> bool:
-        return not self.problems
-
-    def add(self, kind: str, detail: str) -> None:
-        self.problems.append(Problem(kind, detail))
-
-    def __str__(self) -> str:
-        return "; ".join(f"{p.kind}: {p.detail}" for p in self.problems) or "ok"
 
 
 def _expect_str(value, where: str) -> str:
@@ -235,20 +191,23 @@ def parse_catalog(doc: dict) -> Catalog:
     )
 
 
-def validate_catalog(catalog: Catalog) -> ValidationReport:
-    """Report dangling type refs, orphan classes and hierarchy cycles."""
-    report = ValidationReport()
+def validate_catalog(catalog: Catalog) -> list:
+    """Dangling type refs, orphan classes and hierarchy cycles, as Problems."""
+    problems = []
+
+    def add(kind: str, detail: str) -> None:
+        problems.append(Problem(kind, detail))
 
     referenced: set = {catalog.root}
     for api in catalog.apis.values():
         if api.parent_class not in catalog.classes:
-            report.add("DanglingTypeRef", f"{api.id}: parent class {api.parent_class!r} unknown")
+            add("DanglingTypeRef", f"{api.id}: parent class {api.parent_class!r} unknown")
         ret = api.returns
         if ret.is_class and not catalog.resolves(ret.name):
-            report.add("DanglingTypeRef", f"{api.id}: return class {ret.name!r} unknown")
+            add("DanglingTypeRef", f"{api.id}: return class {ret.name!r} unknown")
         for p in api.params:
             if p.kind == "class" and not catalog.resolves(p.type):
-                report.add("DanglingTypeRef", f"{api.id}: param {p.name!r} class {p.type!r} unknown")
+                add("DanglingTypeRef", f"{api.id}: param {p.name!r} class {p.type!r} unknown")
             referenced.add(p.type)
         if ret.is_class:
             referenced.add(ret.name)
@@ -259,7 +218,7 @@ def validate_catalog(catalog: Catalog) -> ValidationReport:
         for c in children:
             child_of.add(c)
             if c not in catalog.classes:
-                report.add("DanglingTypeRef", f"class {name!r} lists unknown child {c!r}")
+                add("DanglingTypeRef", f"class {name!r} lists unknown child {c!r}")
 
     # hierarchy cycle check over the children edges
     WHITE, GREY, BLACK = 0, 1, 2
@@ -271,7 +230,7 @@ def validate_catalog(catalog: Catalog) -> ValidationReport:
             if c not in color:
                 continue
             if color[c] == GREY:
-                report.add("CycleDetected", " -> ".join(path + (name, c)))
+                add("CycleDetected", " -> ".join(path + (name, c)))
             elif color[c] == WHITE:
                 visit(c, path + (name,))
         color[name] = BLACK
@@ -282,9 +241,9 @@ def validate_catalog(catalog: Catalog) -> ValidationReport:
 
     for name in sorted(catalog.classes):
         if name not in referenced and name not in child_of:
-            report.add("OrphanClass", f"class {name!r} has no APIs and is never referenced")
+            add("OrphanClass", f"class {name!r} has no APIs and is never referenced")
 
-    return report
+    return problems
 
 
 def read_json(path: str | Path, build, *, lines: bool = False):
@@ -341,9 +300,9 @@ def load_catalog(path: str | Path) -> Catalog:
     dangling type references found by validation).
     """
     catalog = read_json(path, parse_catalog)
-    report = validate_catalog(catalog)
-    if not report.empty:
-        raise SchemaViolation(f"{path}: {report}")
+    problems = validate_catalog(catalog)
+    if problems:
+        raise SchemaViolation(f"{path}: " + "; ".join(f"{p.kind}: {p.detail}" for p in problems))
     return catalog
 
 

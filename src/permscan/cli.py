@@ -84,7 +84,7 @@ def cmd_gen(args) -> int:
 
 def _known_apis(catalog, parse, api_ids):
     """Builder for one suite or records line: `parse(doc)`, once every API
-    `api_ids` finds in it (a case's producer and tutorial chains included)
+    `api_ids` finds in it (a case's producer chains included)
     is in `catalog`."""
 
     def build(doc):

@@ -105,11 +105,6 @@ def detect_full(
     return result
 
 
-def detect(records: list, labels: dict, matrix: RoleCapabilityMatrix, ground_truth=None) -> list:
-    """Confirmed findings only; see detect_full for the potential-only list."""
-    return detect_full(records, labels, matrix).findings
-
-
 # --- reporting ---------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import json
 from functools import cached_property
 from typing import NamedTuple
 
-from .catalog import expect, parse_json
+from .catalog import expect
 from .classify import Operation
 from .errors import BackendUnavailable, NotFound
 from .graph import CallChain
@@ -209,8 +209,8 @@ def _resolve_args(session: Session, plan: ArgPlan, combo: dict, touched: list) -
             pair_values[strat.partner] = strat.fallback[1]
     for name, strat in plan.params:
         if isinstance(strat, ProducerPlan):
-            result = _run_chain(session, strat.chain, {}, touched, target=False)
-            args[name] = result.node
+            node = _run_chain(session, strat.chain, {}, touched, target=False).node
+            args[name] = None if node is None else node.id
         elif isinstance(strat, AttributePlan):
             args[name] = session.state.lookup_attribute(strat.role)
         elif isinstance(strat, PrimitivePlan):
@@ -431,7 +431,3 @@ def records_to_jsonl(records: list) -> str:
     lines = [line(r) for r in records]
     memo.clear()  # before the join: the texts and the whole output are never held together
     return "".join(lines)
-
-
-def records_from_jsonl(text: str) -> list:
-    return parse_json(text, ExecutionRecord.from_json, "<records>", lines=True)

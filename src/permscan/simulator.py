@@ -115,13 +115,6 @@ class ObjectNode:
         self.protection = protection
         self.children = [] if children is None else children
 
-    def __repr__(self) -> str:
-        # a node passed as an argument is written into content and evidence as this text
-        return (
-            f"ObjectNode(kind={self.kind!r}, id={self.id!r}, content={self.content!r}, "
-            f"hidden={self.hidden!r}, protection={self.protection!r}, children={self.children!r})"
-        )
-
     def walk(self):
         yield self
         for c in self.children:
@@ -197,7 +190,8 @@ class Subject(NamedTuple):
 
 
 class WorkspaceIndex:
-    """Lookups over the trees attached to a workspace's resources.
+    """The trees attached to a workspace's resources, indexed for the two
+    lookups the simulator makes: `resource_of` and `first_of_kind`.
 
     Every attached node has a DFS key: the sequence number of its resource
     (resources are numbered in `resources` dict order) followed by the
@@ -213,7 +207,6 @@ class WorkspaceIndex:
 
     def __init__(self):
         self._place: dict = {}  # id(node) -> (resource id, DFS key)
-        self._by_id: dict = {}  # node id -> nodes in DFS order
         self._by_kind: dict = {}  # kind -> nodes in DFS order
         self._next_root = 0
 
@@ -222,12 +215,11 @@ class WorkspaceIndex:
 
     def _add(self, node: ObjectNode, rid: str, key: tuple) -> None:
         self._place[id(node)] = (rid, key)
-        for table, name in ((self._by_id, node.id), (self._by_kind, node.kind)):
-            nodes = table.setdefault(name, [])
-            if nodes and self._key(nodes[-1]) > key:
-                bisect.insort(nodes, node, key=self._key)
-            else:
-                nodes.append(node)
+        nodes = self._by_kind.setdefault(node.kind, [])
+        if nodes and self._key(nodes[-1]) > key:
+            bisect.insort(nodes, node, key=self._key)
+        else:
+            nodes.append(node)
         for seq, child in enumerate(node.children):
             self._add(child, rid, key + (seq,))
 
@@ -258,14 +250,9 @@ class WorkspaceIndex:
         if id(node) not in self._place:
             return
         for n in node.walk():
-            key = self._key(n)
-            for nodes in (self._by_id[n.id], self._by_kind[n.kind]):
-                del nodes[bisect.bisect_left(nodes, key, key=self._key)]
+            nodes = self._by_kind[n.kind]
+            del nodes[bisect.bisect_left(nodes, self._key(n), key=self._key)]
             del self._place[id(n)]
-
-    def first(self, node_id: str) -> ObjectNode | None:
-        nodes = self._by_id.get(node_id)
-        return nodes[0] if nodes else None
 
     def resource_of(self, node: ObjectNode) -> str | None:
         place = self._place.get(id(node))
@@ -324,13 +311,6 @@ class WorkspaceState:
         return state
 
     # --- indexing -----------------------------------------------------------
-
-    def node(self, node_id: str) -> ObjectNode:
-        """First node with this id in DFS order over `resources`."""
-        node = self.index.first(node_id)
-        if node is None:
-            raise NotFound(f"no object with id {node_id!r}")
-        return node
 
     def resource_of(self, node: ObjectNode) -> str:
         rid = self.index.resource_of(node)

@@ -9,7 +9,7 @@ import re
 from collections import deque
 from typing import NamedTuple
 
-from .catalog import ApiSpec, TypeRef, expect, parse_json
+from .catalog import ApiSpec, TypeRef, expect
 from .classify import Operation, PermissionLabel, effect_of
 from .errors import CyclicDependency, NoProducer, UnresolvableParameter
 from .graph import CallChain, ChainStep, DepGraph, producible_class, shortest_producer_path
@@ -63,19 +63,16 @@ class PairPlan(NamedTuple):
 
 
 class ArgPlan(NamedTuple):
-    tutorial: CallChain | None = None
     params: tuple = ()  # tuple of (param name, strategy)
 
 
 def chain_api_ids(chain: CallChain):
     """Every API the chain names: each step's, then those of the step's
-    tutorial and producer chains, depth first."""
+    producer chains, depth first."""
     for step in chain.steps:
         yield step.api_id
         if step.args is None:
             continue
-        if step.args.tutorial is not None:
-            yield from chain_api_ids(step.args.tutorial)
         for _, strat in step.args.params:
             if isinstance(strat, ProducerPlan):
                 yield from chain_api_ids(strat.chain)
@@ -156,7 +153,7 @@ def _parse_tutorial(api: ApiSpec, graph: DepGraph) -> CallChain:
     string literals become attribute-table markers resolved at run time.
     The last step must call the API itself: it is the case's target call."""
     steps = []
-    for raw in api.tutorial or ():
+    for raw in api.tutorial:
         m = _TUTORIAL_CALL.search(raw)
         if m is None:
             raise UnresolvableParameter(api.id, "<tutorial>", f"(unparseable step {raw!r})")
@@ -185,9 +182,6 @@ def resolve_parameters(api: ApiSpec, graph: DepGraph, attached: dict | None = No
     no producer; callers exclude the API from the suite.  `attached` keeps
     each class's producer chain (see `_attached_chain`) across calls.
     """
-    if api.tutorial:
-        return ArgPlan(tutorial=_parse_tutorial(api, graph))
-
     pairs = _pair_partners(api)
     params = []
     for p in api.params:
@@ -225,12 +219,11 @@ def _attach_plans(chain: CallChain, graph: DepGraph) -> CallChain:
 
 def _attached_chain(cls: str, graph: DepGraph, attached: dict) -> CallChain:
     """The class's producer chain with every step's plan attached, built at
-    most once per `attached` map, which also keeps a failure to re-raise:
-    NoProducer, or UnresolvableParameter from a step's tutorial."""
+    most once per `attached` map, which also keeps a NoProducer to re-raise."""
     if cls not in attached:
         try:
             attached[cls] = _attach_plans(shortest_producer_path(graph, cls), graph)
-        except (NoProducer, UnresolvableParameter) as exc:
+        except NoProducer as exc:
             attached[cls] = exc
     found = attached[cls]
     if isinstance(found, Exception):
@@ -258,16 +251,15 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
         for api_id in graph.method_edges.get(cls, ()):
             api = graph.api(api_id)
             try:
-                plan = resolve_parameters(api, graph, attached)
+                if api.tutorial:
+                    chain = _parse_tutorial(api, graph)
+                else:
+                    ret = graph.return_edges.get(api_id, TypeRef("void"))
+                    step = ChainStep(api_id, ret.kind == "array", resolve_parameters(api, graph, attached))
+                    chain = CallChain(base.steps + (step,), _produced_type(ret))
             except UnresolvableParameter as exc:
                 result.excluded.append((api_id, str(exc)))
                 continue
-            if plan.tutorial is not None:
-                chain = plan.tutorial
-            else:
-                ret = graph.return_edges.get(api_id, TypeRef("void"))
-                step = ChainStep(api_id, ret.kind == "array", plan)
-                chain = CallChain(base.steps + (step,), _produced_type(ret))
             case = TestCase(
                 id=f"tc{len(result.cases) + 1:04d}",
                 target_api=api_id,
@@ -297,7 +289,7 @@ def _class_chain_for(cls, fallback_chain, graph, attached) -> CallChain:
     when the class is only reachable through parameterized producers."""
     try:
         return _attached_chain(cls, graph, attached)
-    except (NoProducer, UnresolvableParameter):
+    except NoProducer:
         return fallback_chain
 
 
@@ -358,8 +350,7 @@ def generate_suite(graph: DepGraph, labels: dict) -> GenResult:
 def suite_to_jsonl(cases: list) -> str:
     """The suite as JSON lines: each case as `json.dumps` writes the dict with
     keys id, target_api, label, chain (steps, produces) and depends_on; a
-    step has api, index_zero if true and args (tutorial if any, params) if
-    planned.
+    step has api, index_zero if true and args (params) if planned.
 
     Shared objects are encoded once per call: chains (a producer chain is
     one object per class) and the steps of chains and case prefixes are
@@ -385,10 +376,7 @@ def suite_to_jsonl(cases: list) -> str:
         text = '{"api": ' + string(s.api_id) + (', "index_zero": true' if s.index_zero else "")
         if s.args is None:
             return text + "}"
-        if s.args.tutorial is not None:
-            text += ', "args": {"tutorial": ' + chain(s.args.tutorial) + ', "params": {'
-        else:
-            text += ', "args": {"params": {'
+        text += ', "args": {"params": {'
         return text + ", ".join(string(n) + ": " + plan(p) for n, p in s.args.params) + "}}}"
 
     def steps(c: CallChain, shared: tuple, inline: list) -> str:
@@ -433,7 +421,8 @@ def _plan_from_json(obj: dict):
 
 
 def _argplan_from_json(obj: dict) -> ArgPlan:
-    tutorial = _chain_from_json(obj["tutorial"]) if "tutorial" in obj else None
+    if expect(obj, dict, "args").keys() != {"params"}:
+        raise ValueError(f"step args must hold only params, got {sorted(obj)}")
     plans = expect(obj["params"], dict, "params")
     params = tuple((name, _plan_from_json(s)) for name, s in plans.items())
     strategies = dict(params)
@@ -445,7 +434,7 @@ def _argplan_from_json(obj: dict) -> ArgPlan:
                 isinstance(other, PairPlan) and other.partner == name and other.position != plan.position
             ):
                 raise ValueError(f"pair plan {name!r}: {plan.partner!r} is not its other end")
-    return ArgPlan(tutorial=tutorial, params=params)
+    return ArgPlan(params=params)
 
 
 def _chain_from_json(obj: dict) -> CallChain:
@@ -456,6 +445,3 @@ def _chain_from_json(obj: dict) -> CallChain:
     ret = obj["produces"]
     return CallChain(steps=tuple(steps), produces=TypeRef.from_json(ret))
 
-
-def suite_from_jsonl(text: str) -> list:
-    return parse_json(text, TestCase.from_json, "<suite>", lines=True)

@@ -94,6 +94,30 @@ def make_catalog(rng: random.Random, max_classes: int = 15, max_apis: int = 60) 
     return parse_catalog(doc)
 
 
+def catalog_doc(catalog: Catalog) -> dict:
+    """The catalog as a catalog file's document: classes and APIs sorted by name."""
+    return {
+        "host_app": catalog.host_app,
+        "root": catalog.root,
+        "external_types": sorted(catalog.external_types),
+        "classes": [
+            {"name": name, "children": list(catalog.classes[name])} for name in sorted(catalog.classes)
+        ],
+        "apis": [
+            {
+                "id": api.id,
+                "parent_class": api.parent_class,
+                "method": api.method,
+                "description": api.description,
+                "params": [{"name": p.name, "kind": p.kind, "type": p.type} for p in api.params],
+                "returns": api.returns.to_json(),
+                "tutorial": None if api.tutorial is None else list(api.tutorial),
+            }
+            for api in map(catalog.apis.get, sorted(catalog.apis))
+        ],
+    }
+
+
 # --- oracle: BFS emission with explicit visited set ---------------------------------
 
 
@@ -218,7 +242,7 @@ def as_sheets(catalog: Catalog, rng: random.Random) -> Catalog:
     SHARING_METHODS, each taking an email address, on every class K: a
     sharing call then reaches objects created in the session, not only the
     first resource, as a root-class call does."""
-    doc = catalog.to_json()
+    doc = catalog_doc(catalog)
     names = sorted(catalog.classes)
     renamed = rng.sample(names, min(len(names), len(SHEET_KINDS)))
     new = dict(zip(renamed, rng.sample(SHEET_KINDS, len(renamed))))
@@ -514,15 +538,11 @@ def _chain_doc(chain) -> dict:
 
 
 def _args_doc(args) -> dict:
-    out: dict = {}
-    if args.tutorial is not None:
-        out["tutorial"] = _chain_doc(args.tutorial)
-    out["params"] = {
+    return {"params": {
         name: {"strategy": "producer", "chain": _chain_doc(plan.chain)}
         if isinstance(plan, ProducerPlan) else plan.to_json()
         for name, plan in args.params
-    }
-    return out
+    }}
 
 
 def oracle_suite_jsonl(cases: list) -> str:

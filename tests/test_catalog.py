@@ -14,6 +14,8 @@ from permscan.catalog import (
 )
 from permscan.errors import DuplicateApi, MalformedFile, SchemaViolation
 
+import synth
+
 DATA = resources.files("permscan.data")
 
 
@@ -40,7 +42,7 @@ def test_typeref_round_trip():
 def test_catalog_round_trip():
     for name in ("spreadsheet.json", "mini_document.json", "corpus_catalog.json"):
         cat = load_catalog(str(DATA / name))
-        assert parse_catalog(cat.to_json()) == cat, name
+        assert parse_catalog(synth.catalog_doc(cat)) == cat, name
 
 
 def test_duplicate_api_id_rejected():
@@ -67,15 +69,15 @@ def test_api_id_must_match_parent_and_method():
 def test_validation_flags_dangling_return():
     doc = _doc()
     doc["apis"][0]["returns"] = {"class": "Ghost"}
-    report = validate_catalog(parse_catalog(doc))
-    assert any(p.kind == "DanglingTypeRef" for p in report.problems)
+    problems = validate_catalog(parse_catalog(doc))
+    assert any(p.kind == "DanglingTypeRef" for p in problems)
 
 
 def test_validation_flags_hierarchy_cycle():
     doc = _doc()
     doc["classes"][1]["children"] = ["DocumentApp"]  # Document -> DocumentApp -> Document
-    report = validate_catalog(parse_catalog(doc))
-    assert any(p.kind == "CycleDetected" for p in report.problems)
+    problems = validate_catalog(parse_catalog(doc))
+    assert any(p.kind == "CycleDetected" for p in problems)
 
 
 def test_validation_flags_only_unused_classes_as_orphans():
@@ -89,8 +91,8 @@ def test_validation_flags_only_unused_classes_as_orphans():
         {"id": "Busy.ping", "parent_class": "Busy", "method": "ping", "description": "",
          "params": [], "returns": {"class": "Returned"}, "tutorial": None},
     ]
-    report = validate_catalog(parse_catalog(doc))
-    assert [(p.kind, p.detail) for p in report.problems] == [
+    problems = validate_catalog(parse_catalog(doc))
+    assert [(p.kind, p.detail) for p in problems] == [
         ("OrphanClass", "class 'Lonely' has no APIs and is never referenced")
     ]
 

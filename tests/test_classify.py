@@ -260,7 +260,7 @@ def test_order_and_simulator_follow_the_one_effect_function(
         "sharing": {"row0": {"roles": {u: r.label for u, r in roles.items()}}},
     }, catalog, MATRIX)
     before, start = _shape(state), len(state.sharing_log)
-    receiver = state.node("row0")
+    receiver = state.resources["row0"]
     result = invoke_host_api(
         state, Subject("o", GRANT_FULL), api_id, label, receiver, {"emailAddress": user}
     )

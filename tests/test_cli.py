@@ -437,7 +437,7 @@ MALFORMED = {
     "suite producer chain names an unknown API": ("suite", lambda ok: _with_plan(
         ok["suite"], {"params": {"sheet": {"strategy": "producer", "chain": UNKNOWN_CHAIN}}}
     )),
-    "suite tutorial names an unknown API": ("suite", lambda ok: _with_plan(
+    "suite step args holding a tutorial": ("suite", lambda ok: _with_plan(
         ok["suite"], {"tutorial": UNKNOWN_CHAIN, "params": {}}
     )),
     "suite label whose touches_sharing is 1": ("suite", lambda ok: _with(
@@ -506,7 +506,7 @@ def test_any_json_input_exits_cleanly(kind, value, tmp_path, capsys):
     assert len(capsys.readouterr().err.splitlines()) <= 1
 
 
-# --- structural mutations of templates and fault files ------------------------------------
+# --- structural mutations of every input file ---------------------------------------------
 
 MUTATIONS = ("drop a key", "empty", "retype", "duplicate", "dangle a value", "dangle a key")
 JSON_TYPES = (None, True, 7, 2.5, "x", [], {})
@@ -567,7 +567,7 @@ def _pipeline_inputs(rng, bundled: bool) -> dict:
     catalog = synth.with_creators(synth.make_catalog(rng, max_classes=6, max_apis=30))
     apis = sorted(catalog.apis)
     return {
-        "catalog": catalog.to_json(),
+        "catalog": synth.catalog_doc(catalog),
         "template": synth.make_template(rng, catalog, roles=synth.ALL_ROLES),
         "faults": [
             {"kind": rng.choice(FAULT_KINDS), "api_pattern": rng.choice(apis), "note": "seeded"}
@@ -576,30 +576,53 @@ def _pipeline_inputs(rng, bundled: bool) -> dict:
     }
 
 
+def _write(path: Path, doc) -> None:
+    """`doc` as JSON, or a list of documents as JSON lines if `path` is one."""
+    lines = path.suffix == ".jsonl" and isinstance(doc, list)
+    path.write_text("".join(json.dumps(d) + "\n" for d in doc) if lines else json.dumps(doc))
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     seed=st.integers(0, 2**32),
     bundled=st.booleans(),
-    target=st.sampled_from(["template", "faults"]),
+    target=st.sampled_from(["catalog", "template", "faults", "suite", "records"]),
     data=st.data(),
 )
 def test_mutated_template_or_faults_exit_cleanly(seed, bundled, target, data, tmp_path, capsys):
-    """After one structural mutation of the bundled or a random template or
-    faults file, `pipeline` exits 0, 1 or 2 and never with a traceback; an
-    exit 1 is one stderr line naming the mutated file."""
+    """After one structural mutation of the bundled or a random catalog,
+    template or faults file read by `pipeline`, or of the suite read by
+    `run` or the records read by `report` (each first written by `pipeline`
+    from the same inputs, its lines mutated as one list), the command exits
+    0, 1 or 2 and never with a traceback; an exit 1 is one stderr line
+    naming the mutated file."""
     docs = _pipeline_inputs(random.Random(seed), bundled)
-    docs[target] = _mutate(docs[target], data)
     paths = {name: tmp_path / f"{name}.json" for name in docs}
     for name, doc in docs.items():
-        paths[name].write_text(json.dumps(doc))
-    code = main([
-        "pipeline", "--catalog", str(paths["catalog"]), "--template", str(paths["template"]),
-        "--faults", str(paths["faults"]), "--out-dir", str(tmp_path / "out"),
-    ])
+        _write(paths[name], doc)
+    inputs = ["--catalog", str(paths["catalog"]), "--template", str(paths["template"])]
+    if target != "catalog":  # a catalog without an API a fault names is the faults file's error
+        inputs += ["--faults", str(paths["faults"])]
+    if target in ("suite", "records"):
+        out = tmp_path / "valid"
+        assert main(["pipeline", *inputs, "--out-dir", str(out)]) in (0, 2)
+        text = (out / f"{target}.jsonl").read_text()
+        docs[target] = [json.loads(line) for line in text.splitlines()]
+        paths[target] = tmp_path / f"{target}.jsonl"
+    _write(paths[target], _mutate(docs[target], data))
+    capsys.readouterr()
+    argv = ["pipeline", *inputs, "--out-dir", str(tmp_path / "out")]
+    if target == "suite":
+        argv = ["run", "--suite", str(paths[target]), *inputs, "--mode", "role-matrix",
+                "--out", str(tmp_path / "run.jsonl")]
+    elif target == "records":
+        argv = ["report", "--records", str(paths[target]), "--catalog", str(paths["catalog"]),
+                "--out", str(tmp_path / "report.json")]
+    code = main(argv)
     err = capsys.readouterr().err.splitlines()
     assert code in (0, 1, 2)
     if code == 1:
-        assert len(err) == 1 and err[0].startswith("pipeline:"), err
+        assert len(err) == 1 and err[0].startswith(f"{argv[0]}:"), err
         assert str(paths[target]) in err[0], err
     else:
         assert err == []
@@ -626,7 +649,7 @@ def test_gen_then_run_writes_the_pipeline_records(seed, creators, tmp_path, caps
         for _ in range(rng.randint(0, 4))
     ]
     paths = {name: tmp_path / f"{name}.json" for name in ("catalog", "template", "faults")}
-    for name, doc in (("catalog", catalog.to_json()), ("template", template), ("faults", faults)):
+    for name, doc in (("catalog", synth.catalog_doc(catalog)), ("template", template), ("faults", faults)):
         paths[name].write_text(json.dumps(doc))
     inputs = ["--catalog", str(paths["catalog"]), "--template", str(paths["template"])]
     out, suite = tmp_path / "out", tmp_path / "suite.jsonl"

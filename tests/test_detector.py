@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from permscan import executor
 from permscan.catalog import load_catalog, parse_catalog
 from permscan.classify import Operation, classify_catalog
-from permscan.detector import build_report, detect, detect_full, report_to_json
+from permscan.detector import build_report, detect_full, report_to_json
 from permscan.errors import MissingLabel
 from permscan.executor import (
     OUTCOME_PRUNED,
@@ -102,9 +102,9 @@ def test_detect_without_ground_truth_equals_detect_with_it():
     """`ground_truth` is accepted and ignored: each record carries what its
     call observed."""
     records = run_with([FaultSpec("SkipRoleCheck", "Range.setValue")])
-    findings = detect(records, LABELS, MATRIX)
+    findings = detect_full(records, LABELS, MATRIX).findings
     assert {(f.kind, f.api) for f in findings} == {("E2", "Range.setValue")}
-    assert findings == detect(records, LABELS, MATRIX, GROUND_TRUTH)
+    assert findings == detect_full(records, LABELS, MATRIX, GROUND_TRUTH).findings
     records = run_with(ALL_FAULTS)
     assert detect_full(records, LABELS, MATRIX) == detect_full(records, LABELS, MATRIX, GROUND_TRUTH)
 

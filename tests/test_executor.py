@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permscan import executor
-from permscan.catalog import TypeRef, load_catalog, parse_catalog
+from permscan.catalog import TypeRef, load_catalog, parse_catalog, parse_json
 from permscan.cli import main
 from permscan.classify import Operation, classify_catalog
 from permscan.errors import BackendUnavailable
@@ -18,7 +18,6 @@ from permscan.executor import (
     OUTCOME_SUCCESS,
     ExecutionRecord,
     SimulatorBackend,
-    records_from_jsonl,
     records_to_jsonl,
     run_case,
     run_role_matrix,
@@ -204,7 +203,7 @@ def test_fault_patterns_are_matched_once_per_backend(tmp_path, capsys):
 def test_records_jsonl_round_trip():
     records = run_role_matrix(SUITE, backend())
     text = records_to_jsonl(records)
-    back = records_from_jsonl(text)
+    back = parse_json(text, ExecutionRecord.from_json, "<records>", lines=True)
     assert records_to_jsonl(back) == text
     assert back[0].role is records[0].role
     assert back[0].grant == records[0].grant
@@ -346,6 +345,30 @@ def test_a_step_whose_producer_chain_writes_runs_again(tmp_path):
         assert records_to_jsonl(run()) == records_to_jsonl(records)
 
 
+def test_a_class_typed_argument_is_passed_as_its_id(tmp_path):
+    """A MODIFY whose argument a producer chain makes writes that object's
+    id, not a rendering of the object, into content and evidence."""
+    catalog = parse_catalog(synth.books_catalog_doc(
+        synth.api_doc("App.openBook", {"class": "Book"}),
+        {**synth.api_doc("Book.setValue", {"void": True}),
+         "params": [{"name": "source", "kind": "class", "type": "Book"}]},
+    ))
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps({
+        "resources": [{"kind": "Book", "id": "b0", "attrs": {"content": "old"}}],
+        "sharing": {"b0": {"roles": {"o": "owner"}}},
+    }))
+    labels = classify_catalog(catalog)
+    assert labels["Book.setValue"].operation is Operation.MODIFY
+    open_book = CallChain((ChainStep("App.openBook"),), TypeRef("class", "Book"))
+    set_value = ChainStep("Book.setValue", args=ArgPlan(params=(("source", ProducerPlan(open_book)),)))
+    chain = CallChain(open_book.steps + (set_value,), TypeRef("void"))
+    session = SimulatorBackend(catalog, path, MATRIX, labels).start_session("o", GRANT_FULL)
+    record = run_case(session, TestCase("tc1", "Book.setValue", labels["Book.setValue"], chain))
+    assert record.evidence == "set b0 content=b0"
+    assert session.state.resources["b0"].content == "b0"
+
+
 # --- the records writer against json.dumps of each record's dict ----------------
 
 # a letter, and a quote, a backslash, a tab, non-ASCII text and U+2028, which json.dumps escapes
@@ -377,7 +400,7 @@ def test_records_jsonl_matches_the_dict_oracle(tmp_path_factory, seed, rich, she
     assert text == synth.oracle_records_jsonl(records)
     for line in text.splitlines():
         assert json.dumps(json.loads(line)) == line
-    assert records_to_jsonl(records_from_jsonl(text)) == text
+    assert records_to_jsonl(parse_json(text, ExecutionRecord.from_json, "<records>", lines=True)) == text
 
 
 def test_records_jsonl_keeps_true_and_1_apart():

@@ -4,7 +4,7 @@ from importlib import resources
 import pytest
 
 import permscan.graph as graph_module
-from synth import make_catalog, oracle_best_chain, oracle_shortest_chain
+from synth import catalog_doc, make_catalog, oracle_best_chain, oracle_shortest_chain
 from permscan.catalog import load_catalog, parse_catalog
 from permscan.errors import NoProducer, UnresolvableReturn
 from permscan.graph import (
@@ -61,7 +61,7 @@ def test_no_producer():
 
 
 def test_array_returns_get_index_extraction():
-    doc = MINI.to_json()
+    doc = catalog_doc(MINI)
     doc["apis"].append(
         {
             "id": "DocumentApp.listDocs",
@@ -79,7 +79,7 @@ def test_array_returns_get_index_extraction():
 
 
 def test_unresolvable_return_raises():
-    doc = MINI.to_json()
+    doc = catalog_doc(MINI)
     doc["apis"][0] = dict(doc["apis"][0], returns={"class": "Phantom"})
     cat = parse_catalog(doc)
     with pytest.raises(UnresolvableReturn):

