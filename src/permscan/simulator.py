@@ -13,7 +13,6 @@ skipped, can be validated against known ground truth.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import fnmatch
 from pathlib import Path
@@ -97,7 +96,7 @@ HIDEABLE_KINDS = frozenset({"Range", "Sheet", "Row", "Column", "Cell"})
 class ObjectNode:
     """One object of a workspace tree; compared by identity."""
 
-    __slots__ = ("kind", "id", "content", "hidden", "protection", "children")
+    __slots__ = ("kind", "id", "content", "hidden", "protection", "children", "resource")
 
     def __init__(
         self,
@@ -107,6 +106,7 @@ class ObjectNode:
         hidden: bool = False,
         protection: frozenset | None = None,  # privileged user ids, None = unprotected
         children: list | None = None,
+        resource: str | None = None,  # id of the resource whose tree holds it, None = detached
     ):
         self.kind = kind
         self.id = id
@@ -114,6 +114,7 @@ class ObjectNode:
         self.hidden = hidden
         self.protection = protection
         self.children = [] if children is None else children
+        self.resource = resource
 
     def walk(self):
         yield self
@@ -124,7 +125,7 @@ class ObjectNode:
         """A deep copy of this subtree; `protection` is immutable and shared."""
         return ObjectNode(
             self.kind, self.id, self.content, self.hidden, self.protection,
-            [c.copy() for c in self.children],
+            [c.copy() for c in self.children], self.resource,
         )
 
 
@@ -189,134 +190,39 @@ class Subject(NamedTuple):
     grant: frozenset | None = None  # None = human subject, no scope check
 
 
-class WorkspaceIndex:
-    """The trees attached to a workspace's resources, indexed for the two
-    lookups the simulator makes: `resource_of` and `first_of_kind`.
-
-    Every attached node has a DFS key: the sequence number of its resource
-    (resources are numbered in `resources` dict order) followed by the
-    sequence number of each child on the path down to it (children are
-    numbered in `children` order).  Sorted keys are DFS order over all
-    resources, and a node's subtree is the run of keys it prefixes.  Numbers
-    are never reused (a root that replaces a resource under the same id takes
-    over its number), so appending a child or removing one keeps the keys of
-    every other node.  Nodes are keyed by identity.  Only `attach_child`,
-    `set_root` and `detach` change the trees' shape; a tree edited any other
-    way is not reflected.
-    """
-
-    def __init__(self):
-        self._place: dict = {}  # id(node) -> (resource id, DFS key)
-        self._by_kind: dict = {}  # kind -> nodes in DFS order
-        self._next_root = 0
-
-    def _key(self, node: ObjectNode) -> tuple:
-        return self._place[id(node)][1]
-
-    def _add(self, node: ObjectNode, rid: str, key: tuple) -> None:
-        self._place[id(node)] = (rid, key)
-        nodes = self._by_kind.setdefault(node.kind, [])
-        if nodes and self._key(nodes[-1]) > key:
-            bisect.insort(nodes, node, key=self._key)
-        else:
-            nodes.append(node)
-        for seq, child in enumerate(node.children):
-            self._add(child, rid, key + (seq,))
-
-    def set_root(self, rid: str, root: ObjectNode, replaced: ObjectNode | None = None) -> None:
-        """Index `root` as the tree of resource `rid`.  A root that replaces
-        `replaced` under the same id keeps its dict position."""
-        if replaced is not None:
-            key = self._key(replaced)
-            self.detach(replaced)
-        else:
-            key = (self._next_root,)
-            self._next_root += 1
-        self._add(root, rid, key)
-
-    def attach_child(self, parent: ObjectNode, child: ObjectNode) -> None:
-        """Index `child`, just appended to `parent.children`.  A child of a
-        detached parent stays detached."""
-        place = self._place.get(id(parent))
-        if place is None:
-            return
-        rid, key = place
-        siblings = parent.children
-        seq = self._key(siblings[-2])[-1] + 1 if len(siblings) > 1 else 0
-        self._add(child, rid, key + (seq,))
-
-    def detach(self, node: ObjectNode) -> None:
-        """Forget `node` and its subtree."""
-        if id(node) not in self._place:
-            return
-        for n in node.walk():
-            nodes = self._by_kind[n.kind]
-            del nodes[bisect.bisect_left(nodes, self._key(n), key=self._key)]
-            del self._place[id(n)]
-
-    def resource_of(self, node: ObjectNode) -> str | None:
-        place = self._place.get(id(node))
-        return place[0] if place else None
-
-    def first_of_kind(self, kind: str, within: ObjectNode | None = None) -> ObjectNode | None:
-        """First `kind` node strictly inside attached `within`'s subtree, or
-        with `within` None, the first in the workspace; DFS order."""
-        nodes = self._by_kind.get(kind)
-        if not nodes:
-            return None
-        if within is None:
-            return nodes[0]
-        key = self._key(within)
-        i = bisect.bisect_right(nodes, key, key=self._key)
-        if i < len(nodes) and self._key(nodes[i])[: len(key)] == key:
-            return nodes[i]
-        return None
-
-
 class WorkspaceState:
     """An empty workspace over `catalog` and `matrix`; compared by identity."""
 
     __slots__ = (
         "catalog", "matrix", "users", "resources", "sharing", "sharing_log", "faults",
-        "attributes", "index", "_fresh_counter",
+        "attributes", "found", "_fresh_counter",
     )
 
     def __init__(self, catalog: Catalog, matrix: RoleCapabilityMatrix):
         self.catalog = catalog
         self.matrix = matrix
         self.users = set()
-        self.resources = {}  # resource id -> ObjectNode
+        self.resources = {}  # resource id -> ObjectNode, keyed by the root's own id
         self.sharing = {}  # resource id -> {user: Role}
         self.sharing_log = []  # (resource, user, old, new); None = no role
         self.faults = {}  # api id -> skipped gates; read-only, shared
         self.attributes = {}  # role -> (least kind, first value under it)
-        self.index = WorkspaceIndex()
+        self.found = {}  # kind -> {receiver: `_find_of_kind`'s answer}; a cache
         self._fresh_counter = 0
 
     def copy(self) -> "WorkspaceState":
         """An independent copy: it shares no node or role map with this
-        state, only its read-only `faults`, and its index gives the DFS
-        order of this one."""
+        state, only its read-only `faults`, and starts with no cached
+        lookups."""
         state = WorkspaceState(self.catalog, self.matrix)
         state.users = set(self.users)
+        state.resources = {rid: root.copy() for rid, root in self.resources.items()}
         state.sharing = {rid: dict(roles) for rid, roles in self.sharing.items()}
         state.sharing_log = list(self.sharing_log)
         state.faults = self.faults
         state.attributes = dict(self.attributes)  # values are tuples of strs
         state._fresh_counter = self._fresh_counter
-        for rid, root in self.resources.items():
-            tree = root.copy()
-            state.resources[rid] = tree
-            state.index.set_root(rid, tree)
         return state
-
-    # --- indexing -----------------------------------------------------------
-
-    def resource_of(self, node: ObjectNode) -> str:
-        rid = self.index.resource_of(node)
-        if rid is None:
-            raise NotFound(f"object {node.id!r} not attached to any resource")
-        return rid
 
     def role_of(self, user: str, resource_id: str) -> Role | None:
         return self.sharing[resource_id].get(user)
@@ -397,7 +303,6 @@ def _build_workspace(doc: dict, catalog: Catalog, matrix: RoleCapabilityMatrix) 
     for entry in expect(doc, dict, "template").get("resources", []):
         node = _parse_node(entry, catalog, seen)
         state.resources[node.id] = node
-        state.index.set_root(node.id, node)
     # keys of a sharing entry other than its roles are accepted and ignored
     for rid, cfg in expect(doc.get("sharing", {}), dict, "sharing").items():
         if rid not in state.resources:
@@ -413,8 +318,9 @@ def _build_workspace(doc: dict, catalog: Catalog, matrix: RoleCapabilityMatrix) 
     unshared = [rid for rid in state.resources if rid not in state.sharing]
     if unshared:
         raise SchemaViolation(f"resource {unshared[0]!r} has no sharing entry")
-    for root in state.resources.values():
+    for rid, root in state.resources.items():
         for n in root.walk():
+            n.resource = rid
             state.record_attribute(n.kind, "id", n.id)
             state.record_attribute(n.kind, "name", n.id)
             state.record_attribute(n.kind, "url", f"https://workspace.local/{n.id}")
@@ -438,7 +344,7 @@ class Observed(NamedTuple):
 def observe(
     state: WorkspaceState, user: str, target: ObjectNode, produced: ObjectNode | None = None
 ) -> Observed:
-    rid = state.index.resource_of(target)
+    rid = target.resource
     role = state.role_of(user, rid) if rid is not None else None
     hidden = protected = False
     for node in (target, produced):
@@ -534,15 +440,32 @@ def _deny() -> InvocationResult:
 
 
 def _find_of_kind(state: WorkspaceState, kind: str, receiver: ObjectNode | None):
-    """First `kind` node below the receiver, else the first in the workspace."""
-    found = None
-    if receiver is not None:
-        if state.index.resource_of(receiver) is not None:
-            found = state.index.first_of_kind(kind, receiver)
-        else:
-            # a detached receiver is outside the index: search its own subtree
-            found = next((n for n in receiver.walk() if n.kind == kind and n is not receiver), None)
-    return found if found is not None else state.index.first_of_kind(kind)
+    """First `kind` node strictly below the receiver, else the first in the
+    workspace; DFS order over `resources` in dict order.
+
+    Answers are cached in `state.found[kind]`.  A new node has no children
+    and the DFS order of the others never changes, so only a create of
+    `kind` or a `_detach` over a `kind` node can change one; both drop the
+    kind's answers."""
+    answers = state.found.setdefault(kind, {})
+    if receiver in answers:
+        return answers[receiver]
+    if receiver is None:
+        found = next((n for root in state.resources.values() for n in root.walk() if n.kind == kind), None)
+    else:
+        found = next((n for n in receiver.walk() if n.kind == kind and n is not receiver), None)
+        if found is None:
+            found = _find_of_kind(state, kind, None)
+    answers[receiver] = found
+    return found
+
+
+def _detach(state: WorkspaceState, node: ObjectNode) -> None:
+    """Mark `node`'s subtree, just cut from its tree, as detached, and drop
+    the cached lookups of each kind in it."""
+    for n in node.walk():
+        n.resource = None
+        state.found.pop(n.kind, None)
 
 
 def _apply_effect(
@@ -557,7 +480,12 @@ def _apply_effect(
     effect, _, added_role = (effect_of(api.method, label) or "").partition(":")
 
     if label.touches_sharing:
-        rid = state.resource_of(receiver) if receiver is not None else next(iter(state.resources))
+        rid = receiver.resource if receiver is not None else next(iter(state.resources))
+        if rid is None:
+            return InvocationResult(
+                ok=False, error=f"object {receiver.id!r} not attached to any resource",
+                error_kind="NotFound",
+            )
         roles = state.sharing[rid]
         if effect == "share_view":
             return InvocationResult(True, ",".join(sorted(roles)))
@@ -600,16 +528,19 @@ def _apply_effect(
         state._fresh_counter += 1
         if kind is not None and kind in state.catalog.classes:
             new = ObjectNode(kind=kind, id=f"{kind.lower()}-{state._fresh_counter}")
+            state.found.pop(kind, None)
             if receiver is not None:
+                new.resource = receiver.resource
                 receiver.children.append(new)
-                state.index.attach_child(receiver, new)
             else:
                 # a fresh id may equal an existing resource id: the new root
                 # then replaces that resource in its dict position, and its
                 # sharing too
+                new.resource = new.id
                 replaced = state.resources.get(new.id)
+                if replaced is not None:
+                    _detach(state, replaced)
                 state.resources[new.id] = new
-                state.index.set_root(new.id, new, replaced)
                 state.set_role(new.id, ctx.user, Role.OWNER)
                 for user in [u for u in state.sharing[new.id] if u != ctx.user]:
                     state.set_role(new.id, user, None)
@@ -646,16 +577,12 @@ def _apply_effect(
         removed = None
         if receiver is not None and receiver.children:
             removed = receiver.children.pop(0)
-            state.index.detach(removed)
-        if removed is None:
-            for rid, root in list(state.resources.items()):
-                if root is target:
-                    del state.resources[rid]
-                    for user in list(state.sharing[rid]):
-                        state.set_role(rid, user, None)
-                    state.index.detach(root)
-                    removed = root
-                    break
+            _detach(state, removed)
+        elif state.resources.get(target.id) is target:
+            removed = state.resources.pop(target.id)
+            for user in list(state.sharing[target.id]):
+                state.set_role(target.id, user, None)
+            _detach(state, removed)
         name = removed.id if removed is not None else target.id
         return InvocationResult(True, f"deleted {name}")
 

@@ -214,7 +214,7 @@ def oracle_best_chain(catalog: Catalog, target: str, limit: int = 4) -> tuple | 
     return min(found)[2] if found else None
 
 
-# --- workspaces and the oracle for the workspace index --------------------------------
+# --- workspaces and the oracle for resource ids and lookups --------------------------
 
 
 def with_creators(catalog: Catalog) -> Catalog:
@@ -430,10 +430,14 @@ def books_catalog_doc(*apis: dict) -> dict:
 
 
 def state_value(state) -> tuple:
-    """Everything a workspace holds but its index, as one comparable value:
-    each tree is its nodes' fields and child counts in DFS order."""
+    """Everything a workspace holds but its cached lookups (`found`), as one
+    comparable value: each tree is its nodes' fields and child counts in DFS
+    order."""
     trees = {
-        rid: [(n.kind, n.id, n.content, n.hidden, n.protection, len(n.children)) for n in root.walk()]
+        rid: [
+            (n.kind, n.id, n.content, n.hidden, n.protection, n.resource, len(n.children))
+            for n in root.walk()
+        ]
         for rid, root in state.resources.items()
     }
     return (

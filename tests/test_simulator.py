@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from permscan.catalog import load_catalog, parse_catalog
 from permscan.classify import Operation, PermissionLabel, classify_catalog
-from permscan.errors import NotFound, PatternMatchesNothing, SchemaViolation
+from permscan.errors import PatternMatchesNothing, SchemaViolation
 from permscan.executor import SimulatorBackend, sharing_changes
 from permscan.simulator import (
     GRANT_FULL,
@@ -400,6 +400,23 @@ def test_setowner_transfers_and_demotes():
     assert roles["olivia.owner"] is Role.EDITOR
 
 
+def test_sharing_call_on_a_detached_receiver_is_not_found():
+    """A sharing call that reaches a receiver no longer in any resource (its
+    role check skipped) fails with NotFound and changes nothing."""
+    state = _with_faults(fresh_state(), FaultSpec("SkipRoleCheck", "Spreadsheet.getEditors"))
+    owner = Subject("olivia.owner", GRANT_FULL)
+    root = state.resources["spreadsheet1"]
+    deleted = invoke_host_api(
+        state, owner, "SpreadsheetApp.getActiveSpreadsheet", _label(Operation.DELETE, "SpreadsheetApp")
+    )
+    assert deleted.ok and state.resources == {}
+    before = _snapshot(state)
+    label = _label(Operation.VIEW, "Spreadsheet", sharing=True)
+    result = invoke_host_api(state, owner, "Spreadsheet.getEditors", label, root)
+    assert (result.ok, result.error_kind) == (False, "NotFound")
+    assert _snapshot(state) == before
+
+
 # --- fail closed: app-level calls are checked against the first resource -------------
 
 SYNTH = synth.with_creators(synth.make_catalog(random.Random(7), max_classes=60, max_apis=600))
@@ -459,19 +476,12 @@ def test_effect_follows_the_label_not_the_method_name():
     assert oracle_node(state, "spreadsheet1").children[-1] is result.node
 
 
-# --- the workspace index against tree walks -------------------------------------------
-
-
-def _or_none(lookup, *args):
-    try:
-        return lookup(*args)
-    except NotFound:
-        return None
+# --- resource ids and cached lookups against tree walks ------------------------------
 
 
 def _check_index(state, kinds, known):
     for n in known:
-        assert _or_none(state.resource_of, n) == synth.oracle_resource_of(state, n), n.id
+        assert n.resource == synth.oracle_resource_of(state, n), n.id
     for kind in kinds:
         for receiver in [None, *known]:
             got = _find_of_kind(state, kind, receiver)
@@ -481,9 +491,10 @@ def _check_index(state, kinds, known):
 @settings(max_examples=150, deadline=None)
 @given(source=st.sampled_from(["bundled", "synth"]), seed=st.integers(0, 2**32), data=st.data())
 def test_workspace_index_matches_tree_walks(source, seed, data):
-    """Differential test: after every create or delete, resource_of and
-    _find_of_kind answer as a walk over the current trees does, for every
-    node ever seen (attached or detached) and every (kind, receiver)."""
+    """Differential test: after every create or delete, each node's
+    `resource` and `_find_of_kind`, cached answers included, agree with a
+    walk over the current trees, for every node ever seen (attached or
+    detached) and every (kind, receiver)."""
     rng = random.Random(seed)
     if source == "bundled":
         catalog, doc = SHEETS, json.loads((DATA / "template_spreadsheet.json").read_text())
@@ -693,10 +704,11 @@ def _create_or_delete(state, rng, apis, known):
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32), creators=st.booleans(), fresh_like=st.booleans())
 def test_copy_is_independent_of_its_source(tmp_path_factory, seed, creators, fresh_like):
-    """A copy equals a fresh build of the template, its index answers as
-    tree walks do, and it shares no node with its source.  Creates and
-    deletes on the copy, roots replaced under colliding ids included, leave
-    the source as built, and a copy of the used copy is indexed correctly."""
+    """A copy equals a fresh build of the template, resource ids included,
+    its lookups answer as tree walks do, and it shares no node with its
+    source.  Creates and deletes on the copy, roots replaced under colliding
+    ids included, leave the source as built, and a copy of the used copy,
+    which starts with no cached lookups, answers as tree walks do."""
     rng = random.Random(seed)
     catalog = synth.make_catalog(rng, max_classes=8, max_apis=40)
     if creators:
