@@ -22,6 +22,6 @@ from .simulator import (
     invoke_host_api,
     resolve_faults,
 )
-from .testgen import TestCase, generate_suite, order_suite, resolve_parameters
+from .testgen import TestCase, generate_suite, order_suite, producer_plans, resolve_parameters
 
 __version__ = "0.1.0"

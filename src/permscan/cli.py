@@ -153,7 +153,7 @@ def cmd_pipeline(args) -> int:
     catalog_path = args.catalog or cfg.get("catalog")
     template_path = args.template or cfg.get("template")
     faults_path = args.faults or cfg.get("faults")
-    out_dir = Path(args.out_dir or cfg.get("out_dir", "."))
+    out_dir = Path(args.out_dir or cfg.get("out_dir") or ".")
     if not catalog_path or not template_path:
         print("pipeline: --catalog and --template are required", file=sys.stderr)
         return EXIT_ERROR

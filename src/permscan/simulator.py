@@ -160,7 +160,7 @@ class RoleCapabilityMatrix(NamedTuple):
             for op_name, kinds in expect(ops, dict, role_name).items():
                 op = Operation.parse(op_name)
                 for kind, allowed in expect(kinds, dict, f"{role_name}.{op_name}").items():
-                    table[(role, op, kind)] = bool(allowed)
+                    table[(role, op, kind)] = expect(allowed, bool, f"{role_name}.{op_name}.{kind}")
         matrix = RoleCapabilityMatrix(table)
         matrix._check_invariants()
         return matrix

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .catalog import ApiSpec, TypeRef, expect
 from .classify import Operation, PermissionLabel, effect_of
-from .errors import CyclicDependency, NoProducer, UnresolvableParameter
+from .errors import CyclicDependency, UnresolvableParameter
 from .graph import CallChain, ChainStep, DepGraph, producible_class, shortest_producer_path
 
 INTEGER_VALUES = (0, 1, 5, 10)
@@ -167,32 +167,41 @@ def _parse_tutorial(api: ApiSpec, graph: DepGraph) -> CallChain:
         for spec_param, value in zip(step_api.params, literals):
             if spec_param.kind == "string":
                 params.append((spec_param.name, AttributePlan(_infer_attr_role(spec_param.name))))
-        ret = graph.return_edges.get(api_id, TypeRef("void"))
-        steps.append(ChainStep(api_id, ret.kind == "array", ArgPlan(params=tuple(params))))
+        steps.append(ChainStep(api_id, step_api.returns.kind == "array", ArgPlan(params=tuple(params))))
     if steps[-1].api_id != api.id:
         raise UnresolvableParameter(api.id, "<tutorial>", f"(ends in {steps[-1].api_id}, not itself)")
-    produces = _produced_type(graph.return_edges.get(api.id, TypeRef("void")))
-    return CallChain(steps=tuple(steps), produces=produces)
+    return CallChain(steps=tuple(steps), produces=_produced_type(api.returns))
 
 
-def resolve_parameters(api: ApiSpec, graph: DepGraph, attached: dict | None = None) -> ArgPlan:
+def producer_plans(graph: DepGraph) -> dict:
+    """Every produced class's producer chain with each step's plan attached.
+    A producer step has only primitive parameters, so planning cannot fail."""
+    plans = {}
+    for cls in graph.producer_chains:
+        chain = shortest_producer_path(graph, cls)
+        steps = [s._replace(args=resolve_parameters(graph.api(s.api_id), graph, {})) for s in chain.steps]
+        plans[cls] = chain._replace(steps=tuple(steps))
+    return plans
+
+
+def resolve_parameters(api: ApiSpec, graph: DepGraph, producers: dict) -> ArgPlan:
     """Pick a strategy per parameter, in the fixed priority order.
 
-    Raises UnresolvableParameter for enum or external-class parameters with
-    no producer; callers exclude the API from the suite.  `attached` keeps
-    each class's producer chain (see `_attached_chain`) across calls.
+    A class-typed parameter runs its class's chain from `producers` (see
+    `producer_plans`).  Raises UnresolvableParameter for enum parameters and
+    for class parameters with no producer; callers exclude the API from the
+    suite.
     """
     pairs = _pair_partners(api)
     params = []
     for p in api.params:
         if p.kind == "class":
-            if p.type not in graph.class_nodes:
+            if p.type not in graph.catalog.classes:
                 raise UnresolvableParameter(api.id, p.name, f"(external class {p.type})")
-            try:
-                chain = _attached_chain(p.type, graph, {} if attached is None else attached)
-            except NoProducer as exc:
-                raise UnresolvableParameter(api.id, p.name, f"({exc})") from exc
-            params.append((p.name, ProducerPlan(chain)))
+            if p.type not in producers:
+                root = graph.catalog.root
+                raise UnresolvableParameter(api.id, p.name, f"(no chain from {root} produces {p.type!r})")
+            params.append((p.name, ProducerPlan(producers[p.type])))
         elif p.kind == "enum":
             raise UnresolvableParameter(api.id, p.name, "(enum type)")
         elif p.kind == "string":
@@ -208,29 +217,6 @@ def resolve_parameters(api: ApiSpec, graph: DepGraph, attached: dict | None = No
     return ArgPlan(params=tuple(params))
 
 
-def _attach_plans(chain: CallChain, graph: DepGraph) -> CallChain:
-    """Producer chains carry only primitive/string params; resolve each step."""
-    steps = []
-    for step in chain.steps:
-        plan = resolve_parameters(graph.api(step.api_id), graph)
-        steps.append(ChainStep(step.api_id, step.index_zero, plan))
-    return CallChain(steps=tuple(steps), produces=chain.produces)
-
-
-def _attached_chain(cls: str, graph: DepGraph, attached: dict) -> CallChain:
-    """The class's producer chain with every step's plan attached, built at
-    most once per `attached` map, which also keeps a NoProducer to re-raise."""
-    if cls not in attached:
-        try:
-            attached[cls] = _attach_plans(shortest_producer_path(graph, cls), graph)
-        except NoProducer as exc:
-            attached[cls] = exc
-    found = attached[cls]
-    if isinstance(found, Exception):
-        raise found
-    return found
-
-
 # --- generation -----------------------------------------------------------------
 
 
@@ -238,11 +224,12 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
     """BFS from the root; every method of an expanded class is emitted once,
     but an already-visited return class is never re-expanded (Pruning #1)."""
     result = GenResult()
-    visited = {graph.root}
-    queue = deque([graph.root])
-    class_chain: dict = {graph.root: CallChain((), TypeRef("class", graph.root))}
+    root = graph.catalog.root
+    visited = {root}
+    queue = deque([root])
+    class_chain: dict = {root: CallChain((), TypeRef("class", root))}
     case_by_api: dict = {}
-    attached: dict = {}  # class -> producer chain with plans, or its failure
+    producers = producer_plans(graph)
 
     while queue:
         cls = queue.popleft()
@@ -254,9 +241,9 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
                 if api.tutorial:
                     chain = _parse_tutorial(api, graph)
                 else:
-                    ret = graph.return_edges.get(api_id, TypeRef("void"))
-                    step = ChainStep(api_id, ret.kind == "array", resolve_parameters(api, graph, attached))
-                    chain = CallChain(base.steps + (step,), _produced_type(ret))
+                    plan = resolve_parameters(api, graph, producers)
+                    step = ChainStep(api_id, api.returns.kind == "array", plan)
+                    chain = CallChain(base.steps + (step,), _produced_type(api.returns))
             except UnresolvableParameter as exc:
                 result.excluded.append((api_id, str(exc)))
                 continue
@@ -273,24 +260,17 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
             if nxt is not None and nxt not in visited:
                 visited.add(nxt)
                 queue.append(nxt)
-                class_chain[nxt] = _class_chain_for(nxt, chain, graph, attached)
+                # the producer chain, or the emission chain when only
+                # parameterized producers reach the class
+                class_chain[nxt] = producers.get(nxt, chain)
 
-    for cls in sorted(graph.class_nodes - visited):
+    for cls in sorted(graph.catalog.classes.keys() - visited):
         result.pruned.extend(graph.method_edges.get(cls, ()))
     return result
 
 
 def _produced_type(ret: TypeRef) -> TypeRef:
     return TypeRef("class", ret.name) if ret.is_class else ret
-
-
-def _class_chain_for(cls, fallback_chain, graph, attached) -> CallChain:
-    """Prefer the shortest producer chain; fall back to the BFS emission chain
-    when the class is only reachable through parameterized producers."""
-    try:
-        return _attached_chain(cls, graph, attached)
-    except NoProducer:
-        return fallback_chain
 
 
 # --- ordering --------------------------------------------------------------------
@@ -440,8 +420,9 @@ def _argplan_from_json(obj: dict) -> ArgPlan:
 def _chain_from_json(obj: dict) -> CallChain:
     steps = []
     for s in obj["steps"]:
-        args = _argplan_from_json(s["args"]) if "args" in s else None
-        steps.append(ChainStep(expect(s["api"], str, "api"), s.get("index_zero", False), args))
+        args = _argplan_from_json(s["args"]) if "args" in expect(s, dict, "step") else None
+        index_zero = expect(s.get("index_zero", False), bool, "index_zero")
+        steps.append(ChainStep(expect(s["api"], str, "api"), index_zero, args))
     ret = obj["produces"]
     return CallChain(steps=tuple(steps), produces=TypeRef.from_json(ret))
 

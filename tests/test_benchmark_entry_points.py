@@ -22,3 +22,28 @@ def test_worker_loads_inputs_and_runs_the_bundled_pipeline(tmp_path, monkeypatch
     iteration = worker.run_iteration(cli, argv, tmp_path)
     assert (iteration["rc"], iteration["error"]) == (2, None)
     assert sorted(iteration["digests"]) == sorted(worker.OUTPUTS)
+
+
+# hooks whose function permscan no longer has; the traced benchmark reads
+# their metrics as zero
+DEAD_HOOKS = {
+    "permscan.cli.instantiate_template",
+    "permscan.simulator.WorkspaceState.node",
+    "permscan.simulator.WorkspaceState.resource_of",
+    "permscan.executor.sharing_digest",
+    "permscan.simulator.SharingConfig.digest",
+}
+
+
+def test_no_further_benchmark_hook_is_dead(monkeypatch):
+    """Every function the benchmark's tracer wraps exists, apart from the
+    known dead ones: a rename or a new call path shows here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    traced = tracer.Tracer()
+    try:
+        traced.install()
+        assert set(traced.missing) <= DEAD_HOOKS
+    finally:
+        traced.uninstall()

@@ -149,6 +149,15 @@ def test_bundled_pipeline_outputs_are_pinned(tmp_path):
     assert digests == BUNDLED_DIGESTS
 
 
+def test_config_with_a_null_out_dir_writes_to_the_working_directory(tmp_path, monkeypatch):
+    """A null config value is absent, out_dir as much as catalog or faults."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"catalog": CATALOG, "template": TEMPLATE, "faults": FAULTS, "out_dir": None}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["pipeline", "--config", str(config)]) == 2
+    assert (tmp_path / "report.json").exists()
+
+
 def test_report_confirms_the_pipeline_findings_with_or_without_template(tmp_path):
     """`report` on the bundled seeded records finds what `pipeline` found;
     its `--template` is ignored."""
@@ -325,6 +334,18 @@ def _superuser_matrix(_) -> str:
     return json.dumps(doc)
 
 
+def _string_false_matrix(_) -> str:
+    doc = json.loads((DATA / "capability_matrix.json").read_text())
+    doc["commenter"]["create"]["*"] = "false"
+    return json.dumps(doc)
+
+
+def _index_zero(line: str, value) -> str:
+    doc = json.loads(line)
+    doc["chain"]["steps"][0]["index_zero"] = value
+    return json.dumps(doc)
+
+
 MALFORMED = {
     "faults entry without api_pattern": ("faults", lambda ok: '[{"kind": "SkipRoleCheck"}]'),
     "faults file is [1,2]": ("faults", lambda ok: "[1,2]"),
@@ -406,6 +427,7 @@ MALFORMED = {
     "config is not JSON": ("config", lambda ok: "{not json"),
     "template file is [1,2]": ("template", lambda ok: "[1,2]"),
     "matrix with role superuser": ("matrix", _superuser_matrix),
+    'matrix capability that is the string "false"': ("matrix", _string_false_matrix),
     "catalog without host_app": (
         "catalog", lambda ok: _without((DATA / "spreadsheet.json").read_text(), "host_app")
     ),
@@ -443,6 +465,7 @@ MALFORMED = {
     "suite label whose touches_sharing is 1": ("suite", lambda ok: _with(
         ok["suite"], "label", {**json.loads(ok["suite"])["label"], "touches_sharing": 1}
     )),
+    'suite step whose index_zero is "no"': ("suite", lambda ok: _index_zero(ok["suite"], "no")),
     "suite attribute plan whose role is a list": ("suite", lambda ok: _with_plan(
         ok["suite"], {"params": {"p": {"strategy": "attribute", "role": ["id"]}}}
     )),

@@ -5,7 +5,7 @@ import pytest
 
 import permscan.graph as graph_module
 from synth import catalog_doc, make_catalog, oracle_best_chain, oracle_shortest_chain
-from permscan.catalog import load_catalog, parse_catalog
+from permscan.catalog import TypeRef, load_catalog, parse_catalog
 from permscan.errors import NoProducer, UnresolvableReturn
 from permscan.graph import (
     build_graph,
@@ -22,9 +22,10 @@ MINI = load_catalog(str(DATA / "mini_document.json"))
 
 def test_graph_nodes_and_edges():
     g = build_graph(SHEETS)
-    assert g.root == "SpreadsheetApp"
-    assert "Chart" in g.class_nodes
-    assert g.return_edges["Sheet.getRange"].class_name == "Range"
+    assert g.catalog is SHEETS
+    assert "Sheet.getRange" in g.method_edges["Sheet"]
+    # every class has a producer chain except the ambient root
+    assert set(g.producer_chains) == set(SHEETS.classes) - {"SpreadsheetApp"}
 
 
 def test_producible_and_eligible():
@@ -64,9 +65,9 @@ def test_array_returns_get_index_extraction():
     doc = catalog_doc(MINI)
     doc["apis"].append(
         {
-            "id": "DocumentApp.listDocs",
+            "id": "DocumentApp.allDocs",  # wins the tie: "allDocs" < "getActiveDoc"
             "parent_class": "DocumentApp",
-            "method": "listDocs",
+            "method": "allDocs",
             "description": "Lists all documents.",
             "params": [],
             "returns": {"array_of": "Document"},
@@ -75,7 +76,7 @@ def test_array_returns_get_index_extraction():
     )
     g = build_graph(parse_catalog(doc))
     chain = shortest_producer_path(g, "Document")
-    assert any(s.index_zero for s in chain.steps) or len(chain.steps) == 1
+    assert [(s.api_id, s.index_zero) for s in chain.steps] == [("DocumentApp.allDocs", True)]
 
 
 def test_unresolvable_return_raises():
@@ -141,7 +142,10 @@ def test_best_chain_equals_exhaustive_oracle():
             else:
                 got = shortest_producer_path(g, cls)
                 assert tuple(s.api_id for s in got.steps) == want, cls
-                assert got.produces.name == cls
+                for s in got.steps:
+                    assert s.index_zero == (cat.apis[s.api_id].returns.kind == "array")
+                    assert s.args is None
+                assert got.produces == TypeRef("class", cls)
                 chains += 1
     assert chains > 0 and unreachable > 0
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permscan.testgen as testgen
 from synth import (
     ODD_NAMES, api_doc, catalog_doc, make_catalog, make_rich_catalog, oracle_bfs_emission, oracle_suite_jsonl,
 )
@@ -23,6 +24,7 @@ from permscan.testgen import (
     generate_cases,
     generate_suite,
     order_suite,
+    producer_plans,
     resolve_parameters,
     suite_to_jsonl,
 )
@@ -30,11 +32,12 @@ from permscan.testgen import (
 DATA = resources.files("permscan.data")
 SHEETS = load_catalog(str(DATA / "spreadsheet.json"))
 GRAPH = build_graph(SHEETS)
+PRODUCERS = producer_plans(GRAPH)
 LABELS = classify_catalog(SHEETS)
 
 
 def _strategies(api_id):
-    plan = resolve_parameters(SHEETS.apis[api_id], GRAPH)
+    plan = resolve_parameters(SHEETS.apis[api_id], GRAPH, PRODUCERS)
     return dict(plan.params)
 
 
@@ -62,7 +65,7 @@ def test_pair_params_detected():
 
 def test_enum_param_is_unresolvable():
     with pytest.raises(UnresolvableParameter):
-        resolve_parameters(SHEETS.apis["Sheet.appendChart"], GRAPH)
+        resolve_parameters(SHEETS.apis["Sheet.appendChart"], GRAPH, PRODUCERS)
 
 
 def test_class_param_gets_producer_chain():
@@ -80,7 +83,7 @@ def test_class_param_gets_producer_chain():
     )
     cat = parse_catalog(doc)
     g = build_graph(cat)
-    plan = resolve_parameters(cat.apis["Sheet.copyRowTo"], g)
+    plan = resolve_parameters(cat.apis["Sheet.copyRowTo"], g, producer_plans(g))
     strat = dict(plan.params)["row"]
     assert isinstance(strat, ProducerPlan)
     assert strat.chain.steps[-1].api_id == "Sheet.getRow"
@@ -128,7 +131,8 @@ def test_a_producer_step_ignores_its_apis_tutorial(tutorial):
         "params": [{"name": "range", "kind": "class", "type": "Range"}],
     }
     cat = _with_tutorial("Sheet.getRange", tutorial, copy_range)
-    plan = resolve_parameters(cat.apis["Sheet.copyRangeTo"], build_graph(cat))
+    g = build_graph(cat)
+    plan = resolve_parameters(cat.apis["Sheet.copyRangeTo"], g, producer_plans(g))
     last = dict(plan.params)["range"].chain.steps[-1]
     assert last.api_id == "Sheet.getRange"
     assert dict(last.args.params) == {"a1Notation": AttributePlan("name")}
@@ -257,6 +261,32 @@ def test_rich_catalogs_reach_every_part_of_a_suite_line():
         assert part in text, part
     for name in ODD_NAMES:
         assert json.dumps(name) in text, name
+
+
+def test_each_class_has_one_planned_producer_chain(monkeypatch):
+    """Every producer plan of a class holds the one chain `producer_plans`
+    built for it in that generation; the suite writer's identity memo
+    relies on this."""
+    built = []
+    original = testgen.producer_plans
+
+    def recording(graph):
+        built.append(original(graph))
+        return built[-1]
+
+    monkeypatch.setattr(testgen, "producer_plans", recording)
+    seen = 0
+    for seed in range(30):
+        suite = _rich_suite(seed)
+        (plans,) = built  # one planning per generation
+        built.clear()
+        for case in suite:
+            for step in case.chain.steps:
+                for _, strat in step.args.params if step.args else ():
+                    if isinstance(strat, ProducerPlan):
+                        assert strat.chain is plans[strat.chain.produces.name]
+                        seen += 1
+    assert seen > 0
 
 
 def test_suite_jsonl_keeps_true_and_1_apart():
