@@ -3,7 +3,6 @@ campaigns, per-session dependency pruning (Pruning #2), outcome records."""
 
 from __future__ import annotations
 
-import itertools
 import json
 from functools import cached_property
 from typing import NamedTuple
@@ -35,8 +34,6 @@ from .testgen import (
     ProducerPlan,
     TestCase,
 )
-
-COMBO_CAP = 4  # value combinations tried per case before it counts as failed
 
 OUTCOME_SUCCESS = "Success"
 OUTCOME_PERMISSION_ERROR = "PermissionError"
@@ -200,29 +197,22 @@ class _StepFailure(Exception):
         super().__init__(result.error)
 
 
-def _resolve_args(session: Session, plan: ArgPlan, combo: dict, touched: list) -> dict:
+def _resolve_args(session: Session, plan: ArgPlan, touched: list) -> dict:
     args: dict = {}
-    pair_values: dict = {}
-    for name, strat in plan.params:
-        if isinstance(strat, PairPlan) and strat.position == "lo":
-            pair_values[name] = strat.fallback[0]
-            pair_values[strat.partner] = strat.fallback[1]
     for name, strat in plan.params:
         if isinstance(strat, ProducerPlan):
-            node = _run_chain(session, strat.chain, {}, touched, target=False).node
+            node = _run_chain(session, strat.chain, touched, target=False).node
             args[name] = None if node is None else node.id
         elif isinstance(strat, AttributePlan):
             args[name] = session.state.lookup_attribute(strat.role)
         elif isinstance(strat, PrimitivePlan):
-            args[name] = combo.get(name, strat.values[0])
+            args[name] = strat.values[0]
         elif isinstance(strat, PairPlan):
-            args[name] = pair_values[name]
+            args[name] = strat.fallback[0 if strat.position == "lo" else 1]
     return args
 
 
-def _run_chain(
-    session: Session, chain: CallChain, combo: dict, touched: list, target: bool = True
-) -> InvocationResult:
+def _run_chain(session: Session, chain: CallChain, touched: list, target: bool = True) -> InvocationResult:
     """Run the chain's steps in order; `target` is False for a producer
     chain, whose last step is not the case's call and may be replayed."""
     receiver: ObjectNode | None = None
@@ -240,8 +230,7 @@ def _run_chain(
             if label is None:
                 raise NotFound(f"case step names unknown API {step.api_id!r}")
             start = len(touched)
-            plan = step.args or ArgPlan()
-            args = _resolve_args(session, plan, combo if is_final else {}, touched)
+            args = _resolve_args(session, step.args or ArgPlan(), touched)
             result = invoke_host_api(
                 session.state, session.ctx, step.api_id, label, receiver=receiver, args=args
             )
@@ -257,24 +246,6 @@ def _run_chain(
             raise _StepFailure(result)
         receiver = result.node
     return result
-
-
-def _combos(case: TestCase) -> list:
-    """Up to COMBO_CAP value combinations for the final step's enumerated params;
-    first values preferred."""
-    final = case.chain.steps[-1]
-    if final.args is None:
-        return [{}]
-    enum_params = [
-        (name, strat.values)
-        for name, strat in final.args.params
-        if isinstance(strat, PrimitivePlan)
-    ]
-    if not enum_params:
-        return [{}]
-    names = [n for n, _ in enum_params]
-    products = itertools.product(*(v for _, v in enum_params))
-    return [dict(zip(names, values)) for values in itertools.islice(products, COMBO_CAP)]
 
 
 def _dependency_failed(session: Session, case: TestCase, suite_index: dict) -> bool:
@@ -323,20 +294,13 @@ def run_case(session: Session, case: TestCase, suite_index: dict | None = None) 
 
     log_start = len(session.state.sharing_log)
     touched: list = []
-    last_failure: InvocationResult | None = None
-    result: InvocationResult | None = None
-    for combo in _combos(case):
-        touched.clear()
-        try:
-            result = _run_chain(session, case.chain, combo, touched)
-            last_failure = None
-            break
-        except _StepFailure as exc:
-            last_failure = exc.result
-            result = None
+    try:
+        result = _run_chain(session, case.chain, touched)
+    except _StepFailure as exc:
+        result = exc.result
     changes = sharing_changes(session.state, log_start)
 
-    if result is not None:
+    if result.ok:
         return ExecutionRecord(
             outcome=OUTCOME_SUCCESS,
             sharing_changes=changes,
@@ -347,13 +311,13 @@ def run_case(session: Session, case: TestCase, suite_index: dict | None = None) 
         )
     session.failed_cases.add(case.id)
     # failure detection keys on the Exception: prefix, like the platform log
-    is_permission = (last_failure.error or "").startswith("Exception:")
+    is_permission = (result.error or "").startswith("Exception:")
     return ExecutionRecord(
         outcome=OUTCOME_PERMISSION_ERROR if is_permission else OUTCOME_OTHER_ERROR,
-        error=last_failure.error,
+        error=result.error,
         sharing_changes=changes,
         touched=touched,
-        observed=last_failure.observed,
+        observed=result.observed,
         **base,
     )
 

@@ -38,7 +38,7 @@ class AttributePlan(NamedTuple):
 
 
 class PrimitivePlan(NamedTuple):
-    """Integer/boolean parameter enumerated from the fixed value table."""
+    """Integer/boolean parameter: the fixed value table, of which a run passes the first."""
 
     values: tuple
 
@@ -414,6 +414,9 @@ def _argplan_from_json(obj: dict) -> ArgPlan:
                 isinstance(other, PairPlan) and other.partner == name and other.position != plan.position
             ):
                 raise ValueError(f"pair plan {name!r}: {plan.partner!r} is not its other end")
+            # each end passes its own fallback value, so both ends must hold the same pair
+            if json.dumps(plan.fallback) != json.dumps(other.fallback):  # exact: true is not 1
+                raise ValueError(f"pair plan {name!r}: its fallback differs from {plan.partner!r}'s")
     return ArgPlan(params=params)
 
 

@@ -24,7 +24,7 @@ PINS = {
     },
     "campaign-writes": {
         "suite.jsonl": "501bebccf2c10832ced9300e547c16af2a34044cf708a1c4517c65ecee9c2007",
-        "records.jsonl": "787981318e0592af51c45ad4571856f0fe8b72d368b7f93360aa3eb0a70d9674",
+        "records.jsonl": "17564dfaf840bf7d49e91dc2482831ea168e554c4d827d463d3fd65d086aa257",
         "report.json": REPORT,
     },
 }

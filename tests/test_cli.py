@@ -483,6 +483,9 @@ MALFORMED = {
     "suite pair of two hi plans": ("suite", lambda ok: _with_plan(
         ok["suite"], {"params": {"p": _pair("q", "hi"), "q": _pair("p", "hi")}}
     )),
+    "suite pair whose two ends' fallbacks differ": ("suite", lambda ok: _with_plan(
+        ok["suite"], {"params": {"p": _pair("q", "lo"), "q": {**_pair("p", "hi"), "fallback": [0, 7]}}}
+    )),
     "suite case whose chain has no steps": ("suite", lambda ok: _with(
         ok["suite"], "chain", {**json.loads(ok["suite"])["chain"], "steps": []}
     )),

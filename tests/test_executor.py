@@ -28,6 +28,7 @@ from permscan.simulator import (
     FAULT_KINDS,
     GRANT_FULL,
     GRANT_READ,
+    GRANT_READ_EDIT,
     FaultSpec,
     InvocationResult,
     Observed,
@@ -36,7 +37,14 @@ from permscan.simulator import (
     load_capability_matrix,
     load_faults,
 )
-from permscan.testgen import ArgPlan, ProducerPlan, TestCase, generate_suite
+from permscan.testgen import (
+    INTEGER_VALUES,
+    ArgPlan,
+    PrimitivePlan,
+    ProducerPlan,
+    TestCase,
+    generate_suite,
+)
 
 import synth
 
@@ -147,10 +155,38 @@ def test_scope_ladder_runs_owner_with_partial_grants():
     assert read_only["Spreadsheet.getName"].outcome == OUTCOME_SUCCESS
 
 
-def test_integer_combos_try_until_success():
-    # deleteRow enumerates row indexes; the first workable combo succeeds
-    records = _by_api(run_role_matrix(SUITE, backend()), Role.EDITOR)
-    assert records["Sheet.deleteRow"].outcome == OUTCOME_SUCCESS
+def test_a_denied_case_runs_its_chain_once(tmp_path):
+    """A case runs its chain once, whatever values its last step's integer
+    parameter may take: a denied delete after a create invokes the delete
+    once and mints one book."""
+    catalog = parse_catalog(synth.books_catalog_doc(
+        synth.api_doc("App.createBook", {"class": "Book"}),
+        {**synth.api_doc("Book.deleteRow", {"void": True}),
+         "params": [{"name": "rowIndex", "kind": "integer", "type": "integer"}]},
+    ))
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps({
+        "resources": [{"kind": "Book", "id": "b0"}], "sharing": {"b0": {"roles": {"o": "owner"}}},
+    }))
+    labels = classify_catalog(catalog)
+    assert labels["Book.deleteRow"].operation is Operation.DELETE
+    suite = generate_suite(build_graph(catalog), labels).cases
+    case = next(c for c in suite if c.target_api == "Book.deleteRow")
+    assert case.chain.steps[-1].args.params == (("rowIndex", PrimitivePlan(INTEGER_VALUES)),)
+    session = SimulatorBackend(catalog, path, MATRIX, labels).start_session("o", GRANT_READ_EDIT)
+    calls = []
+    invoke = executor.invoke_host_api
+
+    def counting(state, ctx, api_id, label, **kwargs):
+        calls.append(api_id)
+        return invoke(state, ctx, api_id, label, **kwargs)
+
+    with mock.patch.object(executor, "invoke_host_api", counting):
+        record = run_case(session, case)
+    assert record.outcome == OUTCOME_PERMISSION_ERROR
+    assert calls == ["App.createBook", "Book.deleteRow"]
+    assert record.touched == [("book-1", "Book"), ("book-1", "Book")]
+    assert sorted(session.state.resources) == ["b0", "book-1"]
 
 
 def test_faulty_backend_changes_outcomes():
@@ -217,13 +253,12 @@ def _reuse_free(calls: list):
     every chain runs.  Each call appends (step id, receiver id, whether the
     step is the case's own last step) to `calls`."""
 
-    def run_chain(session, chain, combo, touched, target=True):
+    def run_chain(session, chain, touched, target=True):
         receiver = None
         result = InvocationResult(True)
         for i, step in enumerate(chain.steps):
             is_final = i == len(chain.steps) - 1
-            plan = step.args or ArgPlan()
-            args = executor._resolve_args(session, plan, combo if is_final else {}, touched)
+            args = executor._resolve_args(session, step.args or ArgPlan(), touched)
             calls.append((id(step), id(receiver), target and is_final))
             result = executor.invoke_host_api(
                 session.state, session.ctx, step.api_id, session.labels[step.api_id],

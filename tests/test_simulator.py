@@ -3,7 +3,7 @@ import random
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permscan.catalog import load_catalog, parse_catalog
@@ -17,6 +17,7 @@ from permscan.simulator import (
     PERMISSION_DENIED_MESSAGE,
     Decision,
     FaultSpec,
+    ObjectNode,
     Role,
     Subject,
     check_access,
@@ -278,6 +279,58 @@ def test_check_access_matches_truth_table(user, grant, op, node_id, sharing):
     label = PermissionLabel(op, target.kind, sharing)
     got = check_access(state, Subject(user, grant), label, target)
     assert got is _oracle_decision(state, user, grant, label, target)
+
+
+_ANY_USER = _USERS + ["mallory.stranger"]  # the last has no role
+# a node: (kind, hidden, protection, whether it is in the workspace)
+_RANDOM_NODE = st.tuples(
+    st.sampled_from(sorted(SHEETS.classes)),
+    st.booleans(),
+    st.none() | st.frozensets(st.sampled_from(_ANY_USER)),
+    st.booleans(),
+)
+# the gate that denies first, of the gates `synth.oracle_denials` names
+_FIRST_DENIAL = (
+    ("scope", Decision.DENY_SCOPE), ("role", Decision.DENY_ROLE), ("sharing", Decision.DENY_SHARING)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    user=st.sampled_from(_ANY_USER),
+    grant=st.sampled_from([None, GRANT_READ, GRANT_READ_EDIT, GRANT_FULL]),
+    op=st.sampled_from(list(Operation)),
+    sharing=st.booleans(),
+    target=_RANDOM_NODE,
+    produced=st.none() | _RANDOM_NODE,
+)
+# an editor sees a hidden sheet that no protection hides
+@example("alice.editor", GRANT_FULL, Operation.VIEW, False, ("Sheet", True, None, True), None)
+# the owner writes a range whose protection leaves the owner out
+@example(
+    "olivia.owner", GRANT_FULL, Operation.MODIFY, False,
+    ("Range", False, frozenset({"alice.editor"}), True), None,
+)
+def test_check_access_on_random_nodes_matches_the_oracle(user, grant, op, sharing, target, produced):
+    """On a random target, and a random produced object or none, of any
+    kind, hidden or not, protected for any set of users (the owner in it
+    or not) and in the workspace or detached, `check_access` gives the
+    first gate that `synth.oracle_denials` names, or ALLOW."""
+    state = fresh_state()
+
+    def node(node_id, kind, hidden, protection, attached) -> ObjectNode:
+        made = ObjectNode(kind, node_id, hidden=hidden, protection=protection)
+        if attached:
+            made.resource = "spreadsheet1"
+            oracle_node(state, "sheet1").children.append(made)
+        return made
+
+    target = node("random-target", *target)
+    produced = None if produced is None else node("random-produced", *produced)
+    label = PermissionLabel(op, target.kind, sharing)
+    got = check_access(state, Subject(user, grant), label, target, produced)
+    denied = synth.oracle_denials(state, user, grant, label, target, produced)
+    assert got is next((d for gate, d in _FIRST_DENIAL if gate in denied), Decision.ALLOW)
 
 
 # --- invocation and faults ------------------------------------------------------------
