@@ -37,6 +37,9 @@ class Operation(enum.IntEnum):
         return Operation[name]
 
 
+_OPERATIONS = {op.label: op for op in Operation}
+
+
 class PermissionLabel(NamedTuple):
     operation: Operation
     object_kind: str
@@ -51,8 +54,11 @@ class PermissionLabel(NamedTuple):
 
     @staticmethod
     def from_json(obj: dict) -> "PermissionLabel":
+        operation = obj["operation"]  # exactly as `to_json` writes it
+        if not isinstance(operation, str) or operation not in _OPERATIONS:
+            raise ValueError(f"unknown operation {operation!r}")
         return PermissionLabel(
-            Operation.parse(obj["operation"]),
+            _OPERATIONS[operation],
             expect(obj["object_kind"], str, "object_kind"),
             expect(obj["touches_sharing"], bool, "touches_sharing"),
         )
@@ -108,8 +114,11 @@ def _shareable_classes(catalog: Catalog) -> set:
     return shareable
 
 
-def classify_api(spec: ApiSpec, catalog: Catalog) -> tuple[PermissionLabel, float]:
-    """Label one API.  Always returns a label; confidence signals how."""
+def classify_api(
+    spec: ApiSpec, catalog: Catalog, shareable: set | None = None
+) -> tuple[PermissionLabel, float]:
+    """Label one API.  Always returns a label; confidence signals how.
+    `shareable` is the catalog's `_shareable_classes`, found here if not given."""
     first = _first_stem(spec.method)
 
     # builder pattern: "newXxxBuilder" has no side effect on the resource
@@ -117,7 +126,9 @@ def classify_api(spec: ApiSpec, catalog: Catalog) -> tuple[PermissionLabel, floa
         return PermissionLabel(Operation.VIEW, spec.parent_class), CONF_STEM
 
     sharing_hit = any(m in spec.method.lower() for m in SHARING_MARKERS)
-    touches_sharing = sharing_hit and spec.parent_class in _shareable_classes(catalog)
+    if sharing_hit and shareable is None:
+        shareable = _shareable_classes(catalog)
+    touches_sharing = sharing_hit and spec.parent_class in shareable
 
     op, confidence = LEXICON.get(first), CONF_STEM
 
@@ -166,5 +177,5 @@ def effect_of(method: str, label: PermissionLabel) -> str | None:
 
 def classify_catalog(catalog: Catalog) -> dict:
     """Label every API in the catalog."""
-    apis = catalog.apis
-    return {api_id: classify_api(apis[api_id], catalog)[0] for api_id in sorted(apis)}
+    apis, shareable = catalog.apis, _shareable_classes(catalog)
+    return {api_id: classify_api(apis[api_id], catalog, shareable)[0] for api_id in sorted(apis)}

@@ -29,7 +29,6 @@ from .simulator import (
 from .testgen import (
     ArgPlan,
     AttributePlan,
-    PairPlan,
     PrimitivePlan,
     ProducerPlan,
     TestCase,
@@ -206,9 +205,7 @@ def _resolve_args(session: Session, plan: ArgPlan, touched: list) -> dict:
         elif isinstance(strat, AttributePlan):
             args[name] = session.state.lookup_attribute(strat.role)
         elif isinstance(strat, PrimitivePlan):
-            args[name] = strat.values[0]
-        elif isinstance(strat, PairPlan):
-            args[name] = strat.fallback[0 if strat.position == "lo" else 1]
+            args[name] = strat.value
     return args
 
 

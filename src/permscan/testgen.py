@@ -14,10 +14,6 @@ from .classify import Operation, PermissionLabel, effect_of
 from .errors import CyclicDependency, UnresolvableParameter
 from .graph import CallChain, ChainStep, DepGraph, producible_class, shortest_producer_path
 
-INTEGER_VALUES = (0, 1, 5, 10)
-BOOLEAN_VALUES = (True, False)
-PAIR_FALLBACK = (1, 2)
-
 
 # --- parameter strategies ----------------------------------------------------
 
@@ -38,28 +34,12 @@ class AttributePlan(NamedTuple):
 
 
 class PrimitivePlan(NamedTuple):
-    """Integer/boolean parameter: the fixed value table, of which a run passes the first."""
+    """Integer/boolean parameter: the one value a run passes."""
 
-    values: tuple
-
-    def to_json(self) -> dict:
-        return {"strategy": "primitive", "values": list(self.values)}
-
-
-class PairPlan(NamedTuple):
-    """Mutually dependent integer pair (lo, hi); offline fallback (lo, lo+1)."""
-
-    partner: str
-    position: str  # "lo" | "hi"
-    fallback: tuple = PAIR_FALLBACK
+    value: bool | int
 
     def to_json(self) -> dict:
-        return {
-            "strategy": "pair",
-            "partner": self.partner,
-            "position": self.position,
-            "fallback": list(self.fallback),
-        }
+        return {"strategy": "primitive", "value": self.value}
 
 
 class ArgPlan(NamedTuple):
@@ -136,16 +116,11 @@ def _infer_attr_role(param_name: str) -> str:
     return "name"
 
 
-def _pair_partners(api: ApiSpec) -> dict:
-    """Detect (x, xEnd) integer pairs with an implicit lo < hi dependency."""
-    names = {p.name for p in api.params if p.kind == "integer"}
-    pairs: dict = {}
-    for name in names:
-        end = name + "End"
-        if end in names:
-            pairs[name] = (end, "lo")
-            pairs[end] = (name, "hi")
-    return pairs
+def _integer_value(name: str, integers: set) -> int:
+    """0, except that an (x, xEnd) integer pair passes lo < hi: x 1, xEnd 2."""
+    if name.endswith("End") and name[:-3] in integers:
+        return 2
+    return 1 if name + "End" in integers else 0
 
 
 def _parse_tutorial(api: ApiSpec, graph: DepGraph) -> CallChain:
@@ -192,7 +167,7 @@ def resolve_parameters(api: ApiSpec, graph: DepGraph, producers: dict) -> ArgPla
     for class parameters with no producer; callers exclude the API from the
     suite.
     """
-    pairs = _pair_partners(api)
+    integers = {p.name for p in api.params if p.kind == "integer"}
     params = []
     for p in api.params:
         if p.kind == "class":
@@ -207,13 +182,9 @@ def resolve_parameters(api: ApiSpec, graph: DepGraph, producers: dict) -> ArgPla
         elif p.kind == "string":
             params.append((p.name, AttributePlan(_infer_attr_role(p.name))))
         elif p.kind == "integer":
-            if p.name in pairs:
-                partner, position = pairs[p.name]
-                params.append((p.name, PairPlan(partner, position)))
-            else:
-                params.append((p.name, PrimitivePlan(INTEGER_VALUES)))
+            params.append((p.name, PrimitivePlan(_integer_value(p.name, integers))))
         elif p.kind == "boolean":
-            params.append((p.name, PrimitivePlan(BOOLEAN_VALUES)))
+            params.append((p.name, PrimitivePlan(True)))
     return ArgPlan(params=tuple(params))
 
 
@@ -337,8 +308,8 @@ def suite_to_jsonl(cases: list) -> str:
     memoised by identity, labels, types and attribute plans by type and
     value (a NamedTuple equals any tuple of the same values).  A
     case's last step, argument plans and producer-plan wrappers are used
-    once, and primitive and pair plans have no exact value key (True == 1),
-    so these are encoded inline and not kept.
+    once, and primitive plans have no exact value key (True == 1), so these
+    are encoded inline and not kept.
     """
     memo: dict = {}
     string = json.encoder.encode_basestring_ascii  # exactly what json.dumps does with a str
@@ -386,17 +357,11 @@ def _plan_from_json(obj: dict):
     if kind == "attribute":
         return AttributePlan(expect(obj["role"], str, "role"))
     if kind == "primitive":
-        values = tuple(expect(obj["values"], list, "values"))
-        if not values:
-            raise ValueError("primitive plan has no values")
-        return PrimitivePlan(values)
-    if kind == "pair":
-        fallback = tuple(expect(obj["fallback"], list, "fallback"))
-        if len(fallback) != 2:
-            raise ValueError(f"pair fallback must hold 2 values, got {len(fallback)}")
-        if obj["position"] not in ("lo", "hi"):
-            raise ValueError(f"pair position must be lo or hi, got {obj['position']!r}")
-        return PairPlan(expect(obj["partner"], str, "partner"), obj["position"], fallback)
+        if obj.keys() != {"strategy", "value"}:
+            raise ValueError(f"primitive plan must hold only strategy and value, got {sorted(obj)}")
+        if not isinstance(obj["value"], int):  # a bool is an int
+            raise ValueError(f"primitive value must be a boolean or an integer, got {obj['value']!r}")
+        return PrimitivePlan(obj["value"])
     raise ValueError(f"unknown strategy {kind!r}")
 
 
@@ -404,20 +369,7 @@ def _argplan_from_json(obj: dict) -> ArgPlan:
     if expect(obj, dict, "args").keys() != {"params"}:
         raise ValueError(f"step args must hold only params, got {sorted(obj)}")
     plans = expect(obj["params"], dict, "params")
-    params = tuple((name, _plan_from_json(s)) for name, s in plans.items())
-    strategies = dict(params)
-    for name, plan in params:
-        if isinstance(plan, PairPlan):
-            other = strategies.get(plan.partner)
-            # a pair is two plans of one step, lo and hi, each naming the other
-            if not (
-                isinstance(other, PairPlan) and other.partner == name and other.position != plan.position
-            ):
-                raise ValueError(f"pair plan {name!r}: {plan.partner!r} is not its other end")
-            # each end passes its own fallback value, so both ends must hold the same pair
-            if json.dumps(plan.fallback) != json.dumps(other.fallback):  # exact: true is not 1
-                raise ValueError(f"pair plan {name!r}: its fallback differs from {plan.partner!r}'s")
-    return ArgPlan(params=params)
+    return ArgPlan(params=tuple((name, _plan_from_json(s)) for name, s in plans.items()))
 
 
 def _chain_from_json(obj: dict) -> CallChain:

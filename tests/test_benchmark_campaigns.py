@@ -18,12 +18,12 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REPORT = "f7707bb501069672345b3c1a4cde622a11256a0e26813dbe0f380f73e6919beb"
 PINS = {
     "campaign-reads": {
-        "suite.jsonl": "22ae7902b6c4987de18d445d6373e29b0f3b7c7b4540ea3c4619c35d386f0330",
+        "suite.jsonl": "e87ea72a1ed10cc86794c135be7e1a9b61cf8a51ba65e5dbd53b27f759eebd15",
         "records.jsonl": "64891edab840496121a755dde4e5463a48219f31ccc1e96909750c8008a57afa",
         "report.json": REPORT,
     },
     "campaign-writes": {
-        "suite.jsonl": "501bebccf2c10832ced9300e547c16af2a34044cf708a1c4517c65ecee9c2007",
+        "suite.jsonl": "e1f5f097f36d727872ea31cca98fa5073b28e6392180f87165244657f6df5ac7",
         "records.jsonl": "17564dfaf840bf7d49e91dc2482831ea168e554c4d827d463d3fd65d086aa257",
         "report.json": REPORT,
     },

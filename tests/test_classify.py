@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permscan
+from permscan import classify
 from permscan.catalog import TypeRef, load_catalog, parse_catalog
 from permscan.classify import (
     CONF_DESCRIPTION,
@@ -84,6 +85,25 @@ def test_sharing_needs_shareable_parent():
     # Sheet is not a root product, so a marker in a Sheet method is inert
     label, _ = classify_api(_api("Sheet.hideColumn"), CORPUS)
     assert not label.touches_sharing
+
+
+def test_classify_catalog_finds_the_shareable_classes_once(monkeypatch):
+    """Classification is linear in the catalog: the shareable classes are
+    found once per catalog, not once per API whose method names a sharing
+    marker, and a label is the same by either path."""
+    calls = []
+    original = classify._shareable_classes
+
+    def counting(catalog):
+        calls.append(catalog)
+        return original(catalog)
+
+    monkeypatch.setattr(classify, "_shareable_classes", counting)
+    sheets = load_catalog(str(DATA / "spreadsheet.json"))
+    labels = classify_catalog(sheets)
+    assert calls == [sheets]
+    assert labels == {api_id: classify_api(api, sheets)[0] for api_id, api in sheets.apis.items()}
+    assert len(calls) > 2  # two arguments: found again for each sharing-marker API
 
 
 def test_description_keyword_fallback():

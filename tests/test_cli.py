@@ -56,9 +56,9 @@ def test_classify_writes_labels(tmp_path, capsys):
 
 # sha256 of `permscan gen` on each bundled catalog
 GEN_DIGESTS = {
-    "spreadsheet.json": "750af9b9590640aadc9a304526a55e1cfb2eb33aa42bfa554c846eae0abe88b4",
+    "spreadsheet.json": "422074f587d9a072a2eb7d7c632921a10eabdfceb140c8027396818d2de84dc0",
     "mini_document.json": "096235bf89b981c0861d80f25762860e320aad5cee40971ab3a48408aa26bbcf",
-    "corpus_catalog.json": "6f4a21e192906c4173faaf7216bffcaaef52e32f3ba773d590ec32ab62270514",
+    "corpus_catalog.json": "03044d86f51da958c34e11f892f700835635972e3bf9437a5f5318d45b682096",
 }
 
 
@@ -134,7 +134,7 @@ def test_pipeline_determinism(tmp_path):
 
 # sha256 of the bundled pipeline's outputs: changes that keep behaviour keep these bytes
 BUNDLED_DIGESTS = {
-    "suite.jsonl": "750af9b9590640aadc9a304526a55e1cfb2eb33aa42bfa554c846eae0abe88b4",
+    "suite.jsonl": "422074f587d9a072a2eb7d7c632921a10eabdfceb140c8027396818d2de84dc0",
     "records.jsonl": "7f0618f8a04b1502234473eccbfd0c565597b49f7ee650e3e076c0bd5430cab5",
     "report.json": "7a7ce2c9a7620001aa27447421702839a5623c9b8606af5cd0e5d9e76ffa82dd",
 }
@@ -277,10 +277,6 @@ def _digest_schema(line: str) -> str:
 def _observed(line: str, **fields) -> str:
     """The records line with an `observed` of `fields` over a viewer's plain view."""
     return _with(line, "observed", {"role": "viewer", "hidden": False, "protected": False, **fields})
-
-
-def _pair(partner: str, position: str) -> dict:
-    return {"strategy": "pair", "partner": partner, "position": position, "fallback": [0, 1]}
 
 
 def _unknown_api(line: str) -> str:
@@ -465,26 +461,30 @@ MALFORMED = {
     "suite label whose touches_sharing is 1": ("suite", lambda ok: _with(
         ok["suite"], "label", {**json.loads(ok["suite"])["label"], "touches_sharing": 1}
     )),
+    'suite label whose operation is " VIEW "': ("suite", lambda ok: _with(
+        ok["suite"], "label", {**json.loads(ok["suite"])["label"], "operation": " VIEW "}
+    )),
     'suite step whose index_zero is "no"': ("suite", lambda ok: _index_zero(ok["suite"], "no")),
     "suite attribute plan whose role is a list": ("suite", lambda ok: _with_plan(
         ok["suite"], {"params": {"p": {"strategy": "attribute", "role": ["id"]}}}
     )),
     "suite case nesting 300 producer chains": ("suite", lambda ok: _nested_producers(ok["suite"], 300)),
-    "suite primitive plan with no values": ("suite", lambda ok: _with_plan(
-        ok["suite"], {"params": {"p": {"strategy": "primitive", "values": []}}}
+    "suite primitive plan holding a values list": ("suite", lambda ok: _with_plan(
+        ok["suite"], {"params": {"p": {"strategy": "primitive", "values": [0, 1, 5, 10]}}}
     )),
-    "suite pair plan whose fallback holds 1 value": ("suite", lambda ok: _with_plan(
+    'suite primitive plan whose value is "0"': ("suite", lambda ok: _with_plan(
+        ok["suite"], {"params": {"p": {"strategy": "primitive", "value": "0"}}}
+    )),
+    "suite primitive plan whose value is null": ("suite", lambda ok: _with_plan(
+        ok["suite"], {"params": {"p": {"strategy": "primitive", "value": None}}}
+    )),
+    "suite primitive plan with a partner key": ("suite", lambda ok: _with_plan(
+        ok["suite"], {"params": {"p": {"strategy": "primitive", "value": 1, "partner": "q"}}}
+    )),
+    "suite plan whose strategy is pair": ("suite", lambda ok: _with_plan(
         ok["suite"],
-        {"params": {"p": {"strategy": "pair", "partner": "q", "position": "lo", "fallback": [1]}}},
-    )),
-    "suite pair plan whose position is mid": ("suite", lambda ok: _with_plan(
-        ok["suite"], {"params": {"p": _pair("q", "mid"), "q": _pair("p", "hi")}}
-    )),
-    "suite pair of two hi plans": ("suite", lambda ok: _with_plan(
-        ok["suite"], {"params": {"p": _pair("q", "hi"), "q": _pair("p", "hi")}}
-    )),
-    "suite pair whose two ends' fallbacks differ": ("suite", lambda ok: _with_plan(
-        ok["suite"], {"params": {"p": _pair("q", "lo"), "q": {**_pair("p", "hi"), "fallback": [0, 7]}}}
+        {"params": {"p": {"strategy": "pair", "partner": "q", "position": "lo", "fallback": [1, 2]},
+                    "q": {"strategy": "pair", "partner": "p", "position": "hi", "fallback": [1, 2]}}},
     )),
     "suite case whose chain has no steps": ("suite", lambda ok: _with(
         ok["suite"], "chain", {**json.loads(ok["suite"])["chain"], "steps": []}

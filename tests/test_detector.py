@@ -194,13 +194,14 @@ def _oracle_campaign(catalog, doc, directory, faults):
     (kind, api, installer's role, required): kind E1 for a scope denial,
     else E3 if the call changed sharing or only the sharing gate denied,
     else E2.  A triple is required unless only the sharing gate denied and
-    nothing changed."""
-    marks, last = set(), []
+    nothing changed.  Every call the oracle allows but `invoke_host_api`
+    denies goes into the over-denials as (api, installer, grant)."""
+    marks, over, last = set(), set(), []
     invoke, run_case = executor.invoke_host_api, executor.run_case
 
     def oracle_invoke(state, ctx, api_id, label, receiver=None, args=None):
         api = state.catalog.apis[api_id]
-        denied = set()
+        denied = None  # the oracle does not judge a call of the wrong receiver kind or with no target
         if receiver is None or receiver.kind == api.parent_class:
             produced = None
             if api.returns.is_class and label.operation is not Operation.CREATE:
@@ -212,6 +213,8 @@ def _oracle_campaign(catalog, doc, directory, faults):
                 denied = synth.oracle_denials(state, ctx.user, ctx.grant, label, target, produced)
         before = synth.role_maps(state)
         result = invoke(state, ctx, api_id, label, receiver, args)
+        if denied == set() and result.error_kind == "PermissionError":
+            over.add((api_id, ctx.user, ctx.grant))
         mark = None
         if result.ok and denied:
             changed = bool(synth.oracle_sharing_changes(before, synth.role_maps(state)))
@@ -230,7 +233,7 @@ def _oracle_campaign(catalog, doc, directory, faults):
     with mock.patch.object(executor, "invoke_host_api", oracle_invoke), \
             mock.patch.object(executor, "run_case", oracle_run_case):
         _, result = _campaign(catalog, doc, directory, faults)
-    return marks, result
+    return marks, over, result
 
 
 @settings(max_examples=200, deadline=None)
@@ -248,11 +251,28 @@ def test_findings_match_the_per_call_oracle(tmp_path_factory, seed, sheets):
     doc = synth.make_template(rng, catalog, roles=synth.ALL_ROLES)
     apis = sorted(catalog.apis)
     faults = [FaultSpec(rng.choice(FAULT_KINDS), rng.choice(apis)) for _ in range(rng.randint(1, 4))]
-    marks, result = _oracle_campaign(catalog, doc, tmp_path_factory.mktemp("oracle"), faults)
+    marks, _, result = _oracle_campaign(catalog, doc, tmp_path_factory.mktemp("oracle"), faults)
     confirmed = {(f.kind, f.api, f.role) for f in result.findings}
     seen = confirmed | {(f.kind, f.api, f.role) for f in result.potential_only}
     assert confirmed <= {mark[:3] for mark in marks}
     assert {mark[:3] for mark in marks if mark[3]} <= seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), sheets=st.booleans())
+def test_fault_free_campaign_denies_no_call_the_oracle_allows(tmp_path_factory, seed, sheets):
+    """Over the per-call oracle's catalogs and templates with no fault, no
+    host-API call is denied that `synth.oracle_denials` allows.  Detection
+    shares `observe` with the simulator, so only this sees a gate that
+    denies too much."""
+    rng = random.Random(seed)
+    catalog = synth.make_catalog(rng, max_classes=8, max_apis=40)
+    if sheets:
+        catalog = synth.as_sheets(catalog, rng)
+    catalog = synth.with_creators(catalog)
+    doc = synth.make_template(rng, catalog, roles=synth.ALL_ROLES)
+    _, over, _ = _oracle_campaign(catalog, doc, tmp_path_factory.mktemp("over"), ())
+    assert over == set()
 
 
 def test_root_create_and_delete_are_not_sharing_changes(tmp_path):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import permscan.testgen as testgen
 from synth import (
-    ODD_NAMES, api_doc, catalog_doc, make_catalog, make_rich_catalog, oracle_bfs_emission, oracle_suite_jsonl,
+    ODD_NAMES, api_doc, books_catalog_doc, catalog_doc, make_catalog, make_rich_catalog, oracle_bfs_emission,
+    oracle_suite_jsonl,
 )
 from permscan.catalog import TypeRef, load_catalog, parse_catalog, parse_json
 from permscan.classify import Operation, PermissionLabel, classify_catalog
@@ -17,7 +18,6 @@ from permscan.graph import CallChain, ChainStep, build_graph
 from permscan.testgen import (
     ArgPlan,
     AttributePlan,
-    PairPlan,
     PrimitivePlan,
     ProducerPlan,
     TestCase,
@@ -53,14 +53,32 @@ def test_attribute_role_inference():
 
 def test_integer_param_uses_fixed_values():
     strat = _strategies("Sheet.getRow")["rowIndex"]
-    assert isinstance(strat, PrimitivePlan) and strat.values == (0, 1, 5, 10)
+    assert isinstance(strat, PrimitivePlan) and type(strat.value) is int and strat.value == 0
 
 
 def test_pair_params_detected():
+    """An (x, xEnd) integer pair passes lo < hi: 1 and 2."""
     strats = _strategies("Range.copyFormatToRange")
-    assert isinstance(strats["column"], PairPlan) and strats["column"].position == "lo"
-    assert isinstance(strats["columnEnd"], PairPlan) and strats["columnEnd"].position == "hi"
-    assert isinstance(strats["gridId"], PrimitivePlan)
+    for name, value in (("column", 1), ("columnEnd", 2), ("row", 1), ("rowEnd", 2), ("gridId", 0)):
+        assert strats[name] == PrimitivePlan(value) and type(strats[name].value) is int, name
+
+
+def test_a_run_of_end_names_is_planned_once_and_reloads():
+    """Integer parameters x, xEnd, xEndEnd: an End name whose stem is an
+    integer parameter passes 2, and else a name with an End partner 1, so
+    the plan does not depend on set order, and the suite written loads."""
+    catalog = parse_catalog(books_catalog_doc(
+        api_doc("App.openBook", {"class": "Book"}),
+        {**api_doc("Book.setSpan", {"void": True}),
+         "params": [{"name": n, "kind": "integer", "type": "integer"} for n in ("x", "xEnd", "xEndEnd")]},
+    ))
+    suite = generate_suite(build_graph(catalog), classify_catalog(catalog)).cases
+    (case,) = [c for c in suite if c.target_api == "Book.setSpan"]
+    assert case.chain.steps[-1].args.params == (
+        ("x", PrimitivePlan(1)), ("xEnd", PrimitivePlan(2)), ("xEndEnd", PrimitivePlan(2)),
+    )
+    text = suite_to_jsonl(suite)
+    assert suite_to_jsonl(parse_json(text, TestCase.from_json, "<suite>", lines=True)) == text
 
 
 def test_enum_param_is_unresolvable():
@@ -257,7 +275,8 @@ def test_suite_jsonl_matches_the_dict_oracle(seed):
 def test_rich_catalogs_reach_every_part_of_a_suite_line():
     """The property's catalogs give suites with each thing a line can hold."""
     text = "".join(suite_to_jsonl(_rich_suite(seed)) for seed in range(30))
-    for part in ('"strategy": "producer"', '"index_zero": true', '"strategy": "pair"'):
+    parts = ('"strategy": "producer"', '"index_zero": true', '"value": 0}', '"value": 2}', '"value": true}')
+    for part in parts:
         assert part in text, part
     for name in ODD_NAMES:
         assert json.dumps(name) in text, name
@@ -291,17 +310,17 @@ def test_each_class_has_one_planned_producer_chain(monkeypatch):
 
 def test_suite_jsonl_keeps_true_and_1_apart():
     """Equal plans with different JSON (True == 1) each keep their own text."""
-    plans = [
-        PrimitivePlan((1, 0)), PrimitivePlan((True, False)),
-        PairPlan("xEnd", "lo", (True, 2)), PairPlan("xEnd", "lo", (1, 2)),
-    ]
+    plans = [PrimitivePlan(1), PrimitivePlan(True), PrimitivePlan(False), PrimitivePlan(0)]
     label = PermissionLabel(Operation.VIEW, "Doc")
     steps = [ChainStep("Doc.get", args=ArgPlan(params=(("x", p),))) for p in plans]
     suite = [
         TestCase(f"tc{n}", "Doc.get", label, CallChain((s,), TypeRef("void")))
         for n, s in enumerate(steps)
     ]
-    assert suite_to_jsonl(suite) == oracle_suite_jsonl(suite)
+    text = suite_to_jsonl(suite)
+    assert text == oracle_suite_jsonl(suite)
+    for line, value in zip(text.splitlines(), ("1", "true", "false", "0")):
+        assert f'"x": {{"strategy": "primitive", "value": {value}}}' in line
 
 
 class _UrlPlan(AttributePlan):
