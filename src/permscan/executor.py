@@ -25,6 +25,7 @@ from .simulator import (
     invoke_host_api,
     resolve_faults,
     validate_grant,
+    writes_only_content,
 )
 from .testgen import (
     ArgPlan,
@@ -127,7 +128,7 @@ def _sharing_change_from_json(entry: list) -> tuple:
 
 
 class Session:
-    __slots__ = ("state", "ctx", "role", "mode", "labels", "failed_cases", "reuse")
+    __slots__ = ("state", "ctx", "role", "mode", "labels", "failed_cases", "reuse", "writes")
 
     def __init__(self, state: WorkspaceState, ctx: Subject, role: Role, mode: str, labels: dict):
         self.state = state
@@ -136,16 +137,22 @@ class Session:
         self.mode = mode
         self.labels = labels  # api id -> PermissionLabel
         self.failed_cases = set()  # case ids that did not succeed
-        # (id(step), id(receiver)) -> (receiver, result, touched entries) of a step
-        # run in this session, replayed for any step but a case's own last one.
-        # Replay is exact: a call that returns ok under a non-VIEW label empties
-        # the map (a denied call never writes), so every entry is a VIEW or a
-        # failure; neither reads its arguments, and both depend only on the
-        # workspace, subject and faults.  Nor need a replay record attributes
-        # again: a role's entry, once set, is only ever replaced by a smaller
-        # kind, so its first run recorded all that would change.  Holding the
-        # receiver keeps its id from being reused.
+        # (id(step), id(receiver)) -> (receiver, result, touched entries) of a
+        # step that ran in this session while no call wrote, its producer
+        # chains included, replayed for any step but a case's own last one.
+        # Replay is exact.  A write is a call that returns ok under a non-VIEW
+        # label (a denied call never writes), so every entry is a VIEW or a
+        # failure.  Neither reads its arguments, and both depend only on the
+        # workspace's trees, sharing and hidden and protected flags, the
+        # subject and faults, not on content: so a write empties the map
+        # unless it changes only content (`writes_only_content`).  A VIEW's
+        # value reads content, but only a case's last step's value is
+        # recorded.  Nor need a replay record attributes again: a role's
+        # entry, once set, is only ever replaced by a smaller kind, so its
+        # first run recorded all that would change.  Holding the receiver
+        # keeps its id from being reused.
         self.reuse = {}
+        self.writes = 0  # successful non-VIEW calls so far
 
 
 class SimulatorBackend:
@@ -212,33 +219,33 @@ def _resolve_args(session: Session, plan: ArgPlan, touched: list) -> dict:
 def _run_chain(session: Session, chain: CallChain, touched: list, target: bool = True) -> InvocationResult:
     """Run the chain's steps in order; `target` is False for a producer
     chain, whose last step is not the case's call and may be replayed."""
+    state, ctx, labels, reuse = session.state, session.ctx, session.labels, session.reuse
+    last = len(chain.steps) - 1 if target else -1  # the one step never replayed
     receiver: ObjectNode | None = None
     result = InvocationResult(True)
     for i, step in enumerate(chain.steps):
-        is_final = i == len(chain.steps) - 1
         key = (id(step), id(receiver))
-        reuse = session.reuse
-        hit = None if target and is_final else reuse.get(key)
+        hit = None if i == last else reuse.get(key)
         if hit is not None:
             _, result, entries = hit
             touched.extend(entries)
         else:
-            label = session.labels.get(step.api_id)
+            label = labels.get(step.api_id)
             if label is None:
                 raise NotFound(f"case step names unknown API {step.api_id!r}")
-            start = len(touched)
-            args = _resolve_args(session, step.args or ArgPlan(), touched)
-            result = invoke_host_api(
-                session.state, session.ctx, step.api_id, label, receiver=receiver, args=args
-            )
+            start, writes = len(touched), session.writes
+            args = _resolve_args(session, step.args, touched) if step.args and step.args.params else None
+            result = invoke_host_api(state, ctx, step.api_id, label, receiver=receiver, args=args)
             if receiver is not None:
                 touched.append((receiver.id, receiver.kind))
             if result.node is not None:
                 touched.append((result.node.id, result.node.kind))
             if result.ok and label.operation is not Operation.VIEW:
-                session.reuse = {}
-            elif reuse is session.reuse:  # no call wrote while this step ran
-                session.reuse[key] = (receiver, result, touched[start:])
+                session.writes += 1
+                if not writes_only_content(state.catalog.apis[step.api_id], label):
+                    reuse.clear()
+            elif session.writes == writes:  # no call wrote while this step ran
+                reuse[key] = (receiver, result, touched[start:])
         if not result.ok:
             raise _StepFailure(result)
         receiver = result.node
@@ -276,46 +283,30 @@ def sharing_changes(state: WorkspaceState, start: int) -> list:
 def run_case(session: Session, case: TestCase, suite_index: dict | None = None) -> ExecutionRecord:
     """Execute one case in a session.  Cases whose dependency prefix already
     failed are recorded as Pruned and never sent to the backend."""
-    suite_index = suite_index or {}
-    base = dict(
-        case_id=case.id,
-        api=case.target_api,
-        mode=session.mode,
-        role=session.role,
-        installer=session.ctx.user,
-        grant=session.ctx.grant,
-    )
-    if _dependency_failed(session, case, suite_index):
+    mode, role, (user, grant) = session.mode, session.role, session.ctx
+    if case.depends_on is not None and _dependency_failed(session, case, suite_index or {}):
         session.failed_cases.add(case.id)
-        return ExecutionRecord(outcome=OUTCOME_PRUNED, **base)
+        return ExecutionRecord(case.id, case.target_api, mode, role, user, grant, OUTCOME_PRUNED)
 
-    log_start = len(session.state.sharing_log)
+    log = session.state.sharing_log
+    log_start = len(log)
     touched: list = []
     try:
         result = _run_chain(session, case.chain, touched)
     except _StepFailure as exc:
         result = exc.result
-    changes = sharing_changes(session.state, log_start)
+    changes = sharing_changes(session.state, log_start) if len(log) > log_start else []
 
     if result.ok:
-        return ExecutionRecord(
-            outcome=OUTCOME_SUCCESS,
-            sharing_changes=changes,
-            touched=touched,
-            evidence=result.value,
-            observed=result.observed,
-            **base,
-        )
-    session.failed_cases.add(case.id)
-    # failure detection keys on the Exception: prefix, like the platform log
-    is_permission = (result.error or "").startswith("Exception:")
+        outcome, evidence = OUTCOME_SUCCESS, result.value
+    else:
+        session.failed_cases.add(case.id)
+        # failure detection keys on the Exception: prefix, like the platform log
+        is_permission = (result.error or "").startswith("Exception:")
+        outcome, evidence = OUTCOME_PERMISSION_ERROR if is_permission else OUTCOME_OTHER_ERROR, None
     return ExecutionRecord(
-        outcome=OUTCOME_PERMISSION_ERROR if is_permission else OUTCOME_OTHER_ERROR,
-        error=result.error,
-        sharing_changes=changes,
-        touched=touched,
-        observed=result.observed,
-        **base,
+        case.id, case.target_api, mode, role, user, grant, outcome, result.error, changes, touched,
+        evidence, result.observed,
     )
 
 
@@ -351,18 +342,32 @@ def records_to_jsonl(records: list) -> str:
     error, sharing_changes, touched, evidence, observed).  One memo per call,
     its keys of different lengths, holds the text of each session's head
     (mode, role, installer, grant), of each touched entry of two strs and of
-    each observed value, keyed with its flags' types (True == 1).  Every
-    other field is encoded inline."""
+    each observed value, keyed with its flags' types (True == 1); another
+    holds the text of each touched list whose entries are all two strs.
+    Every other field is encoded inline."""
     memo: dict = {}
+    lists: dict = {}  # tuple of a touched list's entries -> its text
     string = json.encoder.encode_basestring_ascii  # exactly what json.dumps does with a str
 
     def text(value: str | None) -> str:
         return "null" if value is None else string(value)
 
+    def plain(t: tuple) -> bool:
+        return type(t) is tuple and len(t) == 2 and type(t[0]) is type(t[1]) is str
+
     def entry(t: tuple) -> str:
-        if type(t) is tuple and len(t) == 2 and type(t[0]) is type(t[1]) is str:
+        if plain(t):
             return memo.get(t) or memo.setdefault(t, f"[{string(t[0])}, {string(t[1])}]")
         return json.dumps(list(t))
+
+    def touched(entries: list) -> str:
+        key = tuple(entries)
+        out = lists.get(key)
+        if out is None:
+            out = ", ".join(map(entry, entries))
+            if all(map(plain, entries)):  # an equal list of other types may differ (True == 1)
+                lists[key] = out
+        return out
 
     def observed(o: Observed) -> str:
         key = (o, type(o.hidden), type(o.protected))
@@ -385,10 +390,11 @@ def records_to_jsonl(records: list) -> str:
             f'{{"case": {string(r.case_id)}, "api": {string(r.api)}, {head}, '
             f'"outcome": {string(r.outcome)}, "error": {text(r.error)}, '
             f'"sharing_changes": {json.dumps(changes) if changes else "[]"}, '
-            f'"touched": [{", ".join(map(entry, r.touched))}], "evidence": {text(r.evidence)}, '
+            f'"touched": [{touched(r.touched)}], "evidence": {text(r.evidence)}, '
             f'"observed": {"null" if r.observed is None else observed(r.observed)}}}\n'
         )
 
     lines = [line(r) for r in records]
     memo.clear()  # before the join: the texts and the whole output are never held together
+    lists.clear()
     return "".join(lines)

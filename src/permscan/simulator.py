@@ -117,9 +117,13 @@ class ObjectNode:
         self.resource = resource
 
     def walk(self):
-        yield self
-        for c in self.children:
-            yield from c.walk()
+        """This node and its subtree in pre-order, children in list order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.children:
+                stack += reversed(node.children)
 
     def copy(self) -> "ObjectNode":
         """A deep copy of this subtree; `protection` is immutable and shared."""
@@ -345,19 +349,18 @@ def observe(
     state: WorkspaceState, user: str, target: ObjectNode, produced: ObjectNode | None = None
 ) -> Observed:
     rid = target.resource
-    role = state.role_of(user, rid) if rid is not None else None
+    role = state.sharing[rid].get(user) if rid is not None else None
+    owner = role == Role.OWNER
     hidden = protected = False
-    for node in (target, produced):
-        if node is None:
-            continue
+    for node in (target,) if produced is None else (target, produced):
         if node.hidden and not (
-            role == Role.OWNER
+            owner
             or (node.protection is not None and user in node.protection)
             # editors may unhide whole sheets, but not protection-hidden finer objects
             or (role == Role.EDITOR and node.kind == "Sheet" and node.protection is None)
         ):
             hidden = True
-        if node.protection is not None and role != Role.OWNER and user not in node.protection:
+        if node.protection is not None and not owner and user not in node.protection:
             protected = True
     return Observed(role, hidden, protected)
 
@@ -434,9 +437,7 @@ class InvocationResult:
 
 
 def _deny() -> InvocationResult:
-    return InvocationResult(
-        ok=False, error=PERMISSION_DENIED_MESSAGE, error_kind="PermissionError"
-    )
+    return InvocationResult(False, "", None, PERMISSION_DENIED_MESSAGE, "PermissionError")
 
 
 def _find_of_kind(state: WorkspaceState, kind: str, receiver: ObjectNode | None):
@@ -468,6 +469,13 @@ def _detach(state: WorkspaceState, node: ObjectNode) -> None:
         state.found.pop(n.kind, None)
 
 
+def writes_only_content(api: ApiSpec, label: PermissionLabel) -> bool:
+    """Whether a successful call of `api` under `label` changes nothing but
+    its receiver's `content`: a COMMENT, or a MODIFY that neither hides,
+    unhides nor shares.  No check or lookup of a call reads `content`."""
+    return label.operation in (Operation.COMMENT, Operation.MODIFY) and effect_of(api.method, label) is None
+
+
 def _apply_effect(
     state: WorkspaceState,
     ctx: Subject,
@@ -483,8 +491,7 @@ def _apply_effect(
         rid = receiver.resource if receiver is not None else next(iter(state.resources))
         if rid is None:
             return InvocationResult(
-                ok=False, error=f"object {receiver.id!r} not attached to any resource",
-                error_kind="NotFound",
+                False, "", None, f"object {receiver.id!r} not attached to any resource", "NotFound"
             )
         roles = state.sharing[rid]
         if effect == "share_view":
@@ -519,9 +526,9 @@ def _apply_effect(
             value = produced.content or produced.id
             state.record_attribute(produced.kind, "id", produced.id)
             state.record_attribute(produced.kind, "name", produced.id)
-            return InvocationResult(True, value, node=produced)
+            return InvocationResult(True, value, produced)
         value = (receiver.content or receiver.id) if receiver is not None else ""
-        return InvocationResult(True, value, node=receiver)
+        return InvocationResult(True, value, receiver)
 
     if label.operation == Operation.CREATE:
         kind = api.returns.class_name
@@ -546,13 +553,13 @@ def _apply_effect(
                     state.set_role(new.id, user, None)
             state.record_attribute(new.kind, "id", new.id)
             state.record_attribute(new.kind, "name", new.id)
-            return InvocationResult(True, f"created {new.id}", node=new)
+            return InvocationResult(True, f"created {new.id}", new)
         return InvocationResult(True, f"created item {state._fresh_counter}")
 
     if label.operation == Operation.COMMENT:
         if receiver is not None:
             receiver.content = (receiver.content + " [comment]").strip()
-        return InvocationResult(True, "comment added", node=receiver)
+        return InvocationResult(True, "comment added", receiver)
 
     if label.operation == Operation.MODIFY:
         if receiver is None:
@@ -562,13 +569,13 @@ def _apply_effect(
             for n in unhidden:
                 n.hidden = False
             which = ",".join(n.id for n in unhidden) or receiver.id
-            return InvocationResult(True, f"unhid {which}", node=receiver)
+            return InvocationResult(True, f"unhid {which}", receiver)
         if effect == "hide":
             receiver.hidden = receiver.kind in HIDEABLE_KINDS
-            return InvocationResult(True, f"hid {receiver.id}", node=receiver)
+            return InvocationResult(True, f"hid {receiver.id}", receiver)
         new_value = next((str(v) for v in args.values()), "updated")
         receiver.content = new_value
-        return InvocationResult(True, f"set {receiver.id} content={new_value}", node=receiver)
+        return InvocationResult(True, f"set {receiver.id} content={new_value}", receiver)
 
     if label.operation == Operation.DELETE:
         target = produced if produced is not None else receiver
@@ -608,16 +615,12 @@ def invoke_host_api(
         raise NotFound(f"unknown API {api_id!r}")
     if receiver is not None and receiver.kind != api.parent_class:
         return InvocationResult(
-            ok=False,
-            error=f"receiver is {receiver.kind}, expected {api.parent_class}",
-            error_kind="TypeError",
+            False, "", None, f"receiver is {receiver.kind}, expected {api.parent_class}", "TypeError"
         )
 
-    produced: ObjectNode | None = None
-    is_create = label.operation == Operation.CREATE
-    if api.returns.is_class and not is_create:
-        produced = _find_of_kind(state, api.returns.name, receiver)
-
+    # a call that returns a class, unless it creates one, finds its product
+    kind = api.returns.name if api.returns.is_class and label.operation != Operation.CREATE else None
+    produced = None if kind is None else _find_of_kind(state, kind, receiver)
     target = receiver if receiver is not None else produced
     if target is None:
         target = next(iter(state.resources.values()), None)
@@ -627,10 +630,8 @@ def invoke_host_api(
     skipped = state.faults.get(api_id, frozenset())
     if decide(observed, ctx.grant, label, state.matrix, skipped) is not Decision.ALLOW:
         result = _deny()
-    elif api.returns.is_class and not is_create and produced is None:
-        result = InvocationResult(
-            ok=False, error=f"no {api.returns.name} object available", error_kind="NotFound"
-        )
+    elif kind is not None and produced is None:
+        result = InvocationResult(False, "", None, f"no {kind} object available", "NotFound")
     else:
         result = _apply_effect(state, ctx, api, label, receiver, produced, args)
     result.observed = observed

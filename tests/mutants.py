@@ -31,7 +31,7 @@ MUTANTS = (
      '            or (role == Role.EDITOR and node.kind == "Sheet" and node.protection is None)',
      "            or False"),
     ("protected-owner-exempt", "simulator.py",
-     "        if node.protection is not None and role != Role.OWNER and user not in node.protection:",
+     "        if node.protection is not None and not owner and user not in node.protection:",
      "        if node.protection is not None and user not in node.protection:"),
     ("protection-list-sees-hidden", "simulator.py",
      "            or (node.protection is not None and user in node.protection)",
@@ -61,10 +61,18 @@ MUTANTS = (
     ("e3-before-e1", "detector.py",
      "        if decision is Decision.DENY_SCOPE:",
      "        if decision is Decision.DENY_SCOPE and not record.sharing_changes:"),
-    # replay: a write drops every replayable step
+    # replay: a write drops every replayable step, unless it changes only
+    # content, and a step is kept only if no call wrote while it ran
     ("no-replay-reset", "executor.py",
-     "                session.reuse = {}",
-     "                pass"),
+     "                    reuse.clear()",
+     "                    pass"),
+    ("content-only-ignores-effect", "simulator.py",
+     "    return label.operation in (Operation.COMMENT, Operation.MODIFY) and effect_of(api.method, label) is None",
+     "    return label.operation in (Operation.COMMENT, Operation.MODIFY)"),
+    ("replay-stores-after-content-write", "executor.py",
+     "            args = _resolve_args(session, step.args, touched) if step.args and step.args.params else None",
+     "            args = _resolve_args(session, step.args, touched) if step.args and step.args.params else None;"
+     " writes = session.writes"),
     # the suite reader: plans and labels load only as written
     ("primitive-plan-extra-keys", "testgen.py",
      '        if obj.keys() != {"strategy", "value"}:',

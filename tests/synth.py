@@ -338,11 +338,19 @@ def with_fresh_like_ids(doc: dict, rng: random.Random) -> dict:
     return doc
 
 
+def walk(node):
+    """`node` and its subtree in pre-order, children in list order: the
+    recursive walk that `ObjectNode.walk` must match."""
+    yield node
+    for child in node.children:
+        yield from walk(child)
+
+
 def _dfs(state):
     """(resource id, node) over every attached node, in DFS order over
     `resources` in dict order."""
     for rid, root in state.resources.items():
-        for n in root.walk():
+        for n in walk(root):
             yield rid, n
 
 
@@ -358,7 +366,7 @@ def oracle_find_of_kind(state, kind: str, receiver):
     """First `kind` node strictly below `receiver`, else the first `kind`
     node in the workspace."""
     if receiver is not None:
-        for n in receiver.walk():
+        for n in walk(receiver):
             if n.kind == kind and n is not receiver:
                 return n
     return next((n for _, n in _dfs(state) if n.kind == kind), None)
@@ -436,7 +444,7 @@ def state_value(state) -> tuple:
     trees = {
         rid: [
             (n.kind, n.id, n.content, n.hidden, n.protection, n.resource, len(n.children))
-            for n in root.walk()
+            for n in walk(root)
         ]
         for rid, root in state.resources.items()
     }

@@ -8,10 +8,12 @@ import contextlib
 import hashlib
 import io
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import permscan.cli as cli
+from permscan import executor
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,8 +32,13 @@ PINS = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(PINS))
-def test_campaign_outputs_are_pinned(workload, tmp_path, monkeypatch):
+# host-API calls of one pipeline: a timing-free guard on the work replay saves
+CALLS = {"campaign-reads": 1852, "campaign-writes": 2174}
+
+
+def _pipeline(workload: str, tmp_path: Path, monkeypatch) -> Path:
+    """Run `permscan pipeline` on the workload's seed-1 inputs; returns its
+    output directory."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import inputs
 
@@ -41,5 +48,18 @@ def test_campaign_outputs_are_pinned(workload, tmp_path, monkeypatch):
             "--out-dir", str(out)]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) in (0, 2)
+    return out
+
+
+@pytest.mark.parametrize("workload", sorted(PINS))
+def test_campaign_outputs_are_pinned(workload, tmp_path, monkeypatch):
+    out = _pipeline(workload, tmp_path, monkeypatch)
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINS[workload]}
     assert got == PINS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(CALLS))
+def test_campaign_host_api_calls_are_pinned(workload, tmp_path, monkeypatch):
+    with mock.patch.object(executor, "invoke_host_api", wraps=executor.invoke_host_api) as invoke:
+        _pipeline(workload, tmp_path, monkeypatch)
+    assert invoke.call_count == CALLS[workload]

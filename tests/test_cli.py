@@ -4,11 +4,13 @@ import json
 import random
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from permscan import executor
 from permscan.cli import main
 from permscan.simulator import FAULT_KINDS
 
@@ -147,6 +149,18 @@ def test_bundled_pipeline_outputs_are_pinned(tmp_path):
     ]) == 2
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in BUNDLED_DIGESTS}
     assert digests == BUNDLED_DIGESTS
+
+
+def test_bundled_pipeline_host_api_calls_are_pinned(tmp_path, capsys):
+    """The seeded bundled pipeline makes 276 host-API calls: a timing-free
+    guard on the work that replaying prefix steps saves."""
+    with mock.patch.object(executor, "invoke_host_api", wraps=executor.invoke_host_api) as invoke:
+        assert main([
+            "pipeline", "--catalog", CATALOG, "--template", TEMPLATE,
+            "--faults", FAULTS, "--out-dir", str(tmp_path),
+        ]) == 2
+    capsys.readouterr()
+    assert invoke.call_count == 276
 
 
 def test_config_with_a_null_out_dir_writes_to_the_working_directory(tmp_path, monkeypatch):

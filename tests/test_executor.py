@@ -378,6 +378,38 @@ def test_a_step_whose_producer_chain_writes_runs_again(tmp_path):
         assert records_to_jsonl(run()) == records_to_jsonl(records)
 
 
+def test_a_step_whose_producer_chain_comments_runs_again(tmp_path):
+    """A comment keeps the replayable steps, but a view step whose argument's
+    producer chain comments is never replayed itself: running the case again
+    comments again, and the content read after it sees both comments, as it
+    does when every step runs."""
+    catalog = parse_catalog(synth.books_catalog_doc(
+        synth.api_doc("App.openBook", {"class": "Book"}),
+        synth.api_doc("Book.commentOn", {"class": "Book"}),
+        synth.api_doc("Book.getName", {"primitive": "string"}),
+    ))
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps({
+        "resources": [{"kind": "Book", "id": "b0"}], "sharing": {"b0": {"roles": {"o": "owner"}}},
+    }))
+    labels = classify_catalog(catalog)
+    assert labels["Book.commentOn"].operation is Operation.COMMENT
+    comment = CallChain((ChainStep("App.openBook"), ChainStep("Book.commentOn")), TypeRef("class", "Book"))
+    open_book = ChainStep("App.openBook", args=ArgPlan(params=(("source", ProducerPlan(comment)),)))
+    chain = CallChain((open_book, ChainStep("Book.getName")), TypeRef("primitive", "string"))
+    suite = [TestCase(f"tc{n}", "Book.getName", labels["Book.getName"], chain) for n in (1, 2)]
+    b = SimulatorBackend(catalog, path, MATRIX, labels)
+
+    def run() -> list:
+        session = b.start_session("o", GRANT_FULL)
+        return [run_case(session, case) for case in suite]
+
+    records = run()
+    assert [r.evidence for r in records] == ["[comment]", "[comment] [comment]"]
+    with mock.patch.object(executor, "_run_chain", _reuse_free([])):
+        assert records_to_jsonl(run()) == records_to_jsonl(records)
+
+
 def test_a_class_typed_argument_is_passed_as_its_id(tmp_path):
     """A MODIFY whose argument a producer chain makes writes that object's
     id, not a rendering of the object, into content and evidence."""

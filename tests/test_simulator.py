@@ -793,3 +793,27 @@ def test_copy_is_independent_of_its_source(tmp_path_factory, seed, creators, fre
     again = copy.copy()
     assert synth.state_value(again) == synth.state_value(copy)
     _check_index(again, catalog.classes, _nodes(again))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32), creators=st.booleans())
+def test_walk_matches_a_recursive_walk(seed, creators):
+    """`ObjectNode.walk` yields the nodes of a subtree in pre-order, children
+    in list order, as a recursive walk does: from every node of a random
+    template, and again after each of some random creates and deletes, from
+    every node ever seen, detached ones included."""
+    rng = random.Random(seed)
+    catalog = synth.make_catalog(rng, max_classes=8, max_apis=40)
+    if creators:
+        catalog = synth.with_creators(catalog)
+    state = _build_workspace(synth.make_template(rng, catalog, max_nodes=30), catalog, MATRIX)
+    _with_faults(state, FaultSpec("SkipRoleCheck", "*"))
+    apis = sorted(catalog.apis.values(), key=lambda a: a.id)
+    known = [n for root in state.resources.values() for n in synth.walk(root)]
+    for step in range(rng.randint(1, 12)):
+        if step:
+            node = _create_or_delete(state, rng, apis, known)
+            if node is not None and all(node is not n for n in known):
+                known.append(node)
+        for node in known:
+            assert list(map(id, node.walk())) == list(map(id, synth.walk(node)))
