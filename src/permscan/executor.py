@@ -342,32 +342,18 @@ def records_to_jsonl(records: list) -> str:
     error, sharing_changes, touched, evidence, observed).  One memo per call,
     its keys of different lengths, holds the text of each session's head
     (mode, role, installer, grant), of each touched entry of two strs and of
-    each observed value, keyed with its flags' types (True == 1); another
-    holds the text of each touched list whose entries are all two strs.
-    Every other field is encoded inline."""
+    each observed value, keyed with its flags' types (True == 1).  Every
+    other field is encoded inline."""
     memo: dict = {}
-    lists: dict = {}  # tuple of a touched list's entries -> its text
     string = json.encoder.encode_basestring_ascii  # exactly what json.dumps does with a str
 
     def text(value: str | None) -> str:
         return "null" if value is None else string(value)
 
-    def plain(t: tuple) -> bool:
-        return type(t) is tuple and len(t) == 2 and type(t[0]) is type(t[1]) is str
-
     def entry(t: tuple) -> str:
-        if plain(t):
+        if type(t) is tuple and len(t) == 2 and type(t[0]) is type(t[1]) is str:
             return memo.get(t) or memo.setdefault(t, f"[{string(t[0])}, {string(t[1])}]")
         return json.dumps(list(t))
-
-    def touched(entries: list) -> str:
-        key = tuple(entries)
-        out = lists.get(key)
-        if out is None:
-            out = ", ".join(map(entry, entries))
-            if all(map(plain, entries)):  # an equal list of other types may differ (True == 1)
-                lists[key] = out
-        return out
 
     def observed(o: Observed) -> str:
         key = (o, type(o.hidden), type(o.protected))
@@ -390,11 +376,10 @@ def records_to_jsonl(records: list) -> str:
             f'{{"case": {string(r.case_id)}, "api": {string(r.api)}, {head}, '
             f'"outcome": {string(r.outcome)}, "error": {text(r.error)}, '
             f'"sharing_changes": {json.dumps(changes) if changes else "[]"}, '
-            f'"touched": [{touched(r.touched)}], "evidence": {text(r.evidence)}, '
+            f'"touched": [{", ".join(map(entry, r.touched))}], "evidence": {text(r.evidence)}, '
             f'"observed": {"null" if r.observed is None else observed(r.observed)}}}\n'
         )
 
     lines = [line(r) for r in records]
     memo.clear()  # before the join: the texts and the whole output are never held together
-    lists.clear()
     return "".join(lines)

@@ -349,18 +349,17 @@ def observe(
     state: WorkspaceState, user: str, target: ObjectNode, produced: ObjectNode | None = None
 ) -> Observed:
     rid = target.resource
-    role = state.sharing[rid].get(user) if rid is not None else None
-    owner = role == Role.OWNER
+    role = state.role_of(user, rid) if rid is not None else None
     hidden = protected = False
     for node in (target,) if produced is None else (target, produced):
         if node.hidden and not (
-            owner
+            role == Role.OWNER
             or (node.protection is not None and user in node.protection)
             # editors may unhide whole sheets, but not protection-hidden finer objects
             or (role == Role.EDITOR and node.kind == "Sheet" and node.protection is None)
         ):
             hidden = True
-        if node.protection is not None and not owner and user not in node.protection:
+        if node.protection is not None and role != Role.OWNER and user not in node.protection:
             protected = True
     return Observed(role, hidden, protected)
 
@@ -437,7 +436,9 @@ class InvocationResult:
 
 
 def _deny() -> InvocationResult:
-    return InvocationResult(False, "", None, PERMISSION_DENIED_MESSAGE, "PermissionError")
+    return InvocationResult(
+        ok=False, error=PERMISSION_DENIED_MESSAGE, error_kind="PermissionError"
+    )
 
 
 def _find_of_kind(state: WorkspaceState, kind: str, receiver: ObjectNode | None):
@@ -491,7 +492,8 @@ def _apply_effect(
         rid = receiver.resource if receiver is not None else next(iter(state.resources))
         if rid is None:
             return InvocationResult(
-                False, "", None, f"object {receiver.id!r} not attached to any resource", "NotFound"
+                ok=False, error=f"object {receiver.id!r} not attached to any resource",
+                error_kind="NotFound",
             )
         roles = state.sharing[rid]
         if effect == "share_view":
@@ -526,9 +528,9 @@ def _apply_effect(
             value = produced.content or produced.id
             state.record_attribute(produced.kind, "id", produced.id)
             state.record_attribute(produced.kind, "name", produced.id)
-            return InvocationResult(True, value, produced)
+            return InvocationResult(True, value, node=produced)
         value = (receiver.content or receiver.id) if receiver is not None else ""
-        return InvocationResult(True, value, receiver)
+        return InvocationResult(True, value, node=receiver)
 
     if label.operation == Operation.CREATE:
         kind = api.returns.class_name
@@ -553,13 +555,13 @@ def _apply_effect(
                     state.set_role(new.id, user, None)
             state.record_attribute(new.kind, "id", new.id)
             state.record_attribute(new.kind, "name", new.id)
-            return InvocationResult(True, f"created {new.id}", new)
+            return InvocationResult(True, f"created {new.id}", node=new)
         return InvocationResult(True, f"created item {state._fresh_counter}")
 
     if label.operation == Operation.COMMENT:
         if receiver is not None:
             receiver.content = (receiver.content + " [comment]").strip()
-        return InvocationResult(True, "comment added", receiver)
+        return InvocationResult(True, "comment added", node=receiver)
 
     if label.operation == Operation.MODIFY:
         if receiver is None:
@@ -569,13 +571,13 @@ def _apply_effect(
             for n in unhidden:
                 n.hidden = False
             which = ",".join(n.id for n in unhidden) or receiver.id
-            return InvocationResult(True, f"unhid {which}", receiver)
+            return InvocationResult(True, f"unhid {which}", node=receiver)
         if effect == "hide":
             receiver.hidden = receiver.kind in HIDEABLE_KINDS
-            return InvocationResult(True, f"hid {receiver.id}", receiver)
+            return InvocationResult(True, f"hid {receiver.id}", node=receiver)
         new_value = next((str(v) for v in args.values()), "updated")
         receiver.content = new_value
-        return InvocationResult(True, f"set {receiver.id} content={new_value}", receiver)
+        return InvocationResult(True, f"set {receiver.id} content={new_value}", node=receiver)
 
     if label.operation == Operation.DELETE:
         target = produced if produced is not None else receiver
@@ -615,7 +617,9 @@ def invoke_host_api(
         raise NotFound(f"unknown API {api_id!r}")
     if receiver is not None and receiver.kind != api.parent_class:
         return InvocationResult(
-            False, "", None, f"receiver is {receiver.kind}, expected {api.parent_class}", "TypeError"
+            ok=False,
+            error=f"receiver is {receiver.kind}, expected {api.parent_class}",
+            error_kind="TypeError",
         )
 
     # a call that returns a class, unless it creates one, finds its product
@@ -631,7 +635,7 @@ def invoke_host_api(
     if decide(observed, ctx.grant, label, state.matrix, skipped) is not Decision.ALLOW:
         result = _deny()
     elif kind is not None and produced is None:
-        result = InvocationResult(False, "", None, f"no {kind} object available", "NotFound")
+        result = InvocationResult(ok=False, error=f"no {kind} object available", error_kind="NotFound")
     else:
         result = _apply_effect(state, ctx, api, label, receiver, produced, args)
     result.observed = observed

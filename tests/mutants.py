@@ -31,7 +31,7 @@ MUTANTS = (
      '            or (role == Role.EDITOR and node.kind == "Sheet" and node.protection is None)',
      "            or False"),
     ("protected-owner-exempt", "simulator.py",
-     "        if node.protection is not None and not owner and user not in node.protection:",
+     "        if node.protection is not None and role != Role.OWNER and user not in node.protection:",
      "        if node.protection is not None and user not in node.protection:"),
     ("protection-list-sees-hidden", "simulator.py",
      "            or (node.protection is not None and user in node.protection)",
