@@ -35,15 +35,6 @@ class TypeRef(NamedTuple):
     def class_name(self) -> str | None:
         return self.name if self.is_class else None
 
-    def to_json(self) -> dict:
-        if self.kind == "void":
-            return {"void": True}
-        if self.kind == "class":
-            return {"class": self.name}
-        if self.kind == "array":
-            return {"array_of": self.name}
-        return {"primitive": self.name}
-
     @staticmethod
     def from_json(obj: dict) -> "TypeRef":
         if not isinstance(obj, dict):

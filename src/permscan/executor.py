@@ -27,13 +27,7 @@ from .simulator import (
     validate_grant,
     writes_only_content,
 )
-from .testgen import (
-    ArgPlan,
-    AttributePlan,
-    PrimitivePlan,
-    ProducerPlan,
-    TestCase,
-)
+from .testgen import AttributePlan, PrimitivePlan, ProducerPlan, TestCase
 
 OUTCOME_SUCCESS = "Success"
 OUTCOME_PERMISSION_ERROR = "PermissionError"
@@ -203,9 +197,9 @@ class _StepFailure(Exception):
         super().__init__(result.error)
 
 
-def _resolve_args(session: Session, plan: ArgPlan, touched: list) -> dict:
+def _resolve_args(session: Session, params: tuple, touched: list) -> dict:
     args: dict = {}
-    for name, strat in plan.params:
+    for name, strat in params:
         if isinstance(strat, ProducerPlan):
             node = _run_chain(session, strat.chain, touched, target=False).node
             args[name] = None if node is None else node.id
@@ -234,7 +228,7 @@ def _run_chain(session: Session, chain: CallChain, touched: list, target: bool =
             if label is None:
                 raise NotFound(f"case step names unknown API {step.api_id!r}")
             start, writes = len(touched), session.writes
-            args = _resolve_args(session, step.args, touched) if step.args and step.args.params else None
+            args = _resolve_args(session, step.params, touched) if step.params else None
             result = invoke_host_api(state, ctx, step.api_id, label, receiver=receiver, args=args)
             if receiver is not None:
                 touched.append((receiver.id, receiver.kind))

@@ -11,19 +11,17 @@ from __future__ import annotations
 import heapq
 from typing import NamedTuple
 
-from .catalog import PRIMITIVES, ApiSpec, Catalog, TypeRef
+from .catalog import PRIMITIVES, ApiSpec, Catalog
 from .errors import NoProducer, UnresolvableReturn
 
 
 class ChainStep(NamedTuple):
     api_id: str
-    index_zero: bool = False  # array-typed producer: take element [0]
-    args: object | None = None  # ArgPlan, attached by testgen
+    params: tuple = ()  # (param name, plan) pairs, attached by testgen
 
 
 class CallChain(NamedTuple):
     steps: tuple[ChainStep, ...]
-    produces: TypeRef
 
 
 class DepGraph(NamedTuple):
@@ -79,8 +77,7 @@ def _best_chains(graph: DepGraph) -> dict:
         length, n_params, ids, cls = heapq.heappop(heap)
         if cls in best:
             continue
-        steps = tuple(ChainStep(i, graph.api(i).returns.kind == "array") for i in ids)
-        best[cls] = CallChain(steps, TypeRef("class", cls))
+        best[cls] = CallChain(tuple(ChainStep(i) for i in ids))
         for api_id in graph.method_edges.get(cls, ()):
             nxt = producible_class(graph, api_id)
             if nxt is None or nxt in best or not eligible_producer(graph, api_id):

@@ -9,7 +9,7 @@ import re
 from collections import deque
 from typing import NamedTuple
 
-from .catalog import ApiSpec, TypeRef, expect
+from .catalog import ApiSpec, expect
 from .classify import Operation, PermissionLabel, effect_of
 from .errors import CyclicDependency, UnresolvableParameter
 from .graph import CallChain, ChainStep, DepGraph, producible_class, shortest_producer_path
@@ -42,18 +42,12 @@ class PrimitivePlan(NamedTuple):
         return {"strategy": "primitive", "value": self.value}
 
 
-class ArgPlan(NamedTuple):
-    params: tuple = ()  # tuple of (param name, strategy)
-
-
 def chain_api_ids(chain: CallChain):
     """Every API the chain names: each step's, then those of the step's
     producer chains, depth first."""
     for step in chain.steps:
         yield step.api_id
-        if step.args is None:
-            continue
-        for _, strat in step.args.params:
+        for _, strat in step.params:
             if isinstance(strat, ProducerPlan):
                 yield from chain_api_ids(strat.chain)
 
@@ -142,10 +136,10 @@ def _parse_tutorial(api: ApiSpec, graph: DepGraph) -> CallChain:
         for spec_param, value in zip(step_api.params, literals):
             if spec_param.kind == "string":
                 params.append((spec_param.name, AttributePlan(_infer_attr_role(spec_param.name))))
-        steps.append(ChainStep(api_id, step_api.returns.kind == "array", ArgPlan(params=tuple(params))))
+        steps.append(ChainStep(api_id, tuple(params)))
     if steps[-1].api_id != api.id:
         raise UnresolvableParameter(api.id, "<tutorial>", f"(ends in {steps[-1].api_id}, not itself)")
-    return CallChain(steps=tuple(steps), produces=_produced_type(api.returns))
+    return CallChain(tuple(steps))
 
 
 def producer_plans(graph: DepGraph) -> dict:
@@ -154,13 +148,13 @@ def producer_plans(graph: DepGraph) -> dict:
     plans = {}
     for cls in graph.producer_chains:
         chain = shortest_producer_path(graph, cls)
-        steps = [s._replace(args=resolve_parameters(graph.api(s.api_id), graph, {})) for s in chain.steps]
-        plans[cls] = chain._replace(steps=tuple(steps))
+        steps = [s._replace(params=resolve_parameters(graph.api(s.api_id), graph, {})) for s in chain.steps]
+        plans[cls] = CallChain(tuple(steps))
     return plans
 
 
-def resolve_parameters(api: ApiSpec, graph: DepGraph, producers: dict) -> ArgPlan:
-    """Pick a strategy per parameter, in the fixed priority order.
+def resolve_parameters(api: ApiSpec, graph: DepGraph, producers: dict) -> tuple:
+    """One (name, plan) pair per parameter, each plan by the fixed priority order.
 
     A class-typed parameter runs its class's chain from `producers` (see
     `producer_plans`).  Raises UnresolvableParameter for enum parameters and
@@ -185,7 +179,7 @@ def resolve_parameters(api: ApiSpec, graph: DepGraph, producers: dict) -> ArgPla
             params.append((p.name, PrimitivePlan(_integer_value(p.name, integers))))
         elif p.kind == "boolean":
             params.append((p.name, PrimitivePlan(True)))
-    return ArgPlan(params=tuple(params))
+    return tuple(params)
 
 
 # --- generation -----------------------------------------------------------------
@@ -198,7 +192,7 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
     root = graph.catalog.root
     visited = {root}
     queue = deque([root])
-    class_chain: dict = {root: CallChain((), TypeRef("class", root))}
+    class_chain: dict = {root: CallChain(())}
     case_by_api: dict = {}
     producers = producer_plans(graph)
 
@@ -212,9 +206,8 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
                 if api.tutorial:
                     chain = _parse_tutorial(api, graph)
                 else:
-                    plan = resolve_parameters(api, graph, producers)
-                    step = ChainStep(api_id, api.returns.kind == "array", plan)
-                    chain = CallChain(base.steps + (step,), _produced_type(api.returns))
+                    step = ChainStep(api_id, resolve_parameters(api, graph, producers))
+                    chain = CallChain(base.steps + (step,))
             except UnresolvableParameter as exc:
                 result.excluded.append((api_id, str(exc)))
                 continue
@@ -238,10 +231,6 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
     for cls in sorted(graph.catalog.classes.keys() - visited):
         result.pruned.extend(graph.method_edges.get(cls, ()))
     return result
-
-
-def _produced_type(ret: TypeRef) -> TypeRef:
-    return TypeRef("class", ret.name) if ret.is_class else ret
 
 
 # --- ordering --------------------------------------------------------------------
@@ -300,16 +289,15 @@ def generate_suite(graph: DepGraph, labels: dict) -> GenResult:
 
 def suite_to_jsonl(cases: list) -> str:
     """The suite as JSON lines: each case as `json.dumps` writes the dict with
-    keys id, target_api, label, chain (steps, produces) and depends_on; a
-    step has api, index_zero if true and args (params) if planned.
+    keys id, target_api, label, chain (steps) and depends_on; a step has
+    api, and params (name to plan) if it has any.
 
     Shared objects are encoded once per call: chains (a producer chain is
     one object per class) and the steps of chains and case prefixes are
-    memoised by identity, labels, types and attribute plans by type and
-    value (a NamedTuple equals any tuple of the same values).  A
-    case's last step, argument plans and producer-plan wrappers are used
-    once, and primitive plans have no exact value key (True == 1), so these
-    are encoded inline and not kept.
+    memoised by identity, labels and attribute plans by type and value (a
+    NamedTuple equals any tuple of the same values).  A case's last step
+    and producer-plan wrappers are used once, and primitive plans have no
+    exact value key (True == 1), so these are encoded inline and not kept.
     """
     memo: dict = {}
     string = json.encoder.encode_basestring_ascii  # exactly what json.dumps does with a str
@@ -324,21 +312,20 @@ def suite_to_jsonl(cases: list) -> str:
         return value(p) if isinstance(p, AttributePlan) else json.dumps(p.to_json())
 
     def step(s: ChainStep) -> str:
-        text = '{"api": ' + string(s.api_id) + (', "index_zero": true' if s.index_zero else "")
-        if s.args is None:
+        text = '{"api": ' + string(s.api_id)
+        if not s.params:
             return text + "}"
-        text += ', "args": {"params": {'
-        return text + ", ".join(string(n) + ": " + plan(p) for n, p in s.args.params) + "}}}"
+        return text + ', "params": {' + ", ".join(string(n) + ": " + plan(p) for n, p in s.params) + "}}"
 
-    def steps(c: CallChain, shared: tuple, inline: list) -> str:
+    def steps(shared: tuple, inline: list) -> str:
         texts = [memo.get(id(s)) or memo.setdefault(id(s), step(s)) for s in shared] + inline
-        return '{"steps": [' + ", ".join(texts) + '], "produces": ' + value(c.produces) + "}"
+        return '{"steps": [' + ", ".join(texts) + "]}"
 
     def chain(c: CallChain) -> str:
-        return memo.get(id(c)) or memo.setdefault(id(c), steps(c, c.steps, []))
+        return memo.get(id(c)) or memo.setdefault(id(c), steps(c.steps, []))
 
     def case(c: TestCase) -> str:
-        text = steps(c.chain, c.chain.steps[:-1], [step(s) for s in c.chain.steps[-1:]])
+        text = steps(c.chain.steps[:-1], [step(s) for s in c.chain.steps[-1:]])
         depends_on = "null" if c.depends_on is None else string(c.depends_on)
         return (
             f'{{"id": {string(c.id)}, "target_api": {string(c.target_api)}, '
@@ -365,19 +352,21 @@ def _plan_from_json(obj: dict):
     raise ValueError(f"unknown strategy {kind!r}")
 
 
-def _argplan_from_json(obj: dict) -> ArgPlan:
-    if expect(obj, dict, "args").keys() != {"params"}:
-        raise ValueError(f"step args must hold only params, got {sorted(obj)}")
+def _step_from_json(obj: dict) -> ChainStep:
+    """A step as `suite_to_jsonl` writes it: api, and params if it has any."""
+    if not expect(obj, dict, "step").keys() <= {"api", "params"}:
+        raise ValueError(f"a step must hold only api and params, got {sorted(obj)}")
+    api = expect(obj["api"], str, "api")
+    if "params" not in obj:
+        return ChainStep(api)
     plans = expect(obj["params"], dict, "params")
-    return ArgPlan(params=tuple((name, _plan_from_json(s)) for name, s in plans.items()))
+    if not plans:
+        raise ValueError("a step without parameters must not hold params")
+    return ChainStep(api, tuple((name, _plan_from_json(p)) for name, p in plans.items()))
 
 
 def _chain_from_json(obj: dict) -> CallChain:
-    steps = []
-    for s in obj["steps"]:
-        args = _argplan_from_json(s["args"]) if "args" in expect(s, dict, "step") else None
-        index_zero = expect(s.get("index_zero", False), bool, "index_zero")
-        steps.append(ChainStep(expect(s["api"], str, "api"), index_zero, args))
-    ret = obj["produces"]
-    return CallChain(steps=tuple(steps), produces=TypeRef.from_json(ret))
+    if expect(obj, dict, "chain").keys() != {"steps"}:
+        raise ValueError(f"a chain must hold only steps, got {sorted(obj)}")
+    return CallChain(tuple(_step_from_json(s) for s in expect(obj["steps"], list, "steps")))
 

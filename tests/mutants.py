@@ -70,10 +70,16 @@ MUTANTS = (
      "    return label.operation in (Operation.COMMENT, Operation.MODIFY) and effect_of(api.method, label) is None",
      "    return label.operation in (Operation.COMMENT, Operation.MODIFY)"),
     ("replay-stores-after-content-write", "executor.py",
-     "            args = _resolve_args(session, step.args, touched) if step.args and step.args.params else None",
-     "            args = _resolve_args(session, step.args, touched) if step.args and step.args.params else None;"
+     "            args = _resolve_args(session, step.params, touched) if step.params else None",
+     "            args = _resolve_args(session, step.params, touched) if step.params else None;"
      " writes = session.writes"),
-    # the suite reader: plans and labels load only as written
+    # the suite reader: steps, chains, plans and labels load only as written
+    ("suite-step-extra-keys", "testgen.py",
+     '    if not expect(obj, dict, "step").keys() <= {"api", "params"}:',
+     '    if not expect(obj, dict, "step").keys() >= {"api"}:'),
+    ("suite-chain-extra-keys", "testgen.py",
+     '    if expect(obj, dict, "chain").keys() != {"steps"}:',
+     '    if not expect(obj, dict, "chain").keys() >= {"steps"}:'),
     ("primitive-plan-extra-keys", "testgen.py",
      '        if obj.keys() != {"strategy", "value"}:',
      '        if not obj.keys() >= {"strategy", "value"}:'),

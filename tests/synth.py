@@ -94,6 +94,17 @@ def make_catalog(rng: random.Random, max_classes: int = 15, max_apis: int = 60) 
     return parse_catalog(doc)
 
 
+def type_doc(ref: TypeRef) -> dict:
+    """A return type as a catalog file writes it."""
+    if ref.kind == "void":
+        return {"void": True}
+    if ref.kind == "class":
+        return {"class": ref.name}
+    if ref.kind == "array":
+        return {"array_of": ref.name}
+    return {"primitive": ref.name}
+
+
 def catalog_doc(catalog: Catalog) -> dict:
     """The catalog as a catalog file's document: classes and APIs sorted by name."""
     return {
@@ -110,7 +121,7 @@ def catalog_doc(catalog: Catalog) -> dict:
                 "method": api.method,
                 "description": api.description,
                 "params": [{"name": p.name, "kind": p.kind, "type": p.type} for p in api.params],
-                "returns": api.returns.to_json(),
+                "returns": type_doc(api.returns),
                 "tutorial": None if api.tutorial is None else list(api.tutorial),
             }
             for api in map(catalog.apis.get, sorted(catalog.apis))
@@ -272,18 +283,23 @@ def as_sheets(catalog: Catalog, rng: random.Random) -> Catalog:
     return parse_catalog(doc)
 
 
-# one collaborator per role, the same on every resource
+# one collaborator per role
 ALL_ROLES = (("o", "owner"), ("e", "editor"), ("c", "commenter"), ("v", "viewer"))
+_LESSER_ROLES = ("editor", "commenter", "viewer", None)  # None: no role on the resource
 
 
 def make_template(
     rng: random.Random, catalog: Catalog, max_nodes: int = 12, roles: tuple = (("o", "owner"),)
 ) -> dict:
     """Random template document: one to three resources of random kinds, each
-    a random tree, every resource shared with `roles` ((user, role) pairs;
-    by default owned by user "o" alone).  Nodes of a hideable kind are
-    hidden, and nodes of a protectable kind protected with a random subset
-    of the users as the privileged ones, each with probability 0.3."""
+    a random tree.  The first resource is shared with `roles` ((user, role)
+    pairs; by default owned by user "o" alone), so every role keeps a user
+    and each user's session role is the one given.  With more than one
+    user, each other resource is owned by a random one of them, and every
+    other user holds a random lesser role on it, or none.  Nodes of a
+    hideable kind are hidden, and nodes of a protectable kind protected
+    with a random subset of the users as the privileged ones, each with
+    probability 0.3."""
     kinds = sorted(catalog.classes)
     users = [user for user, _ in roles]
     ids = iter(range(max_nodes * 3))
@@ -307,10 +323,13 @@ def make_template(
         return node
 
     resources = [tree(0) for _ in range(rng.randint(1, 3))]
-    return {
-        "resources": resources,
-        "sharing": {r["id"]: {"roles": dict(roles)} for r in resources},
-    }
+    sharing = {r["id"]: {"roles": dict(roles)} for r in resources}
+    if len(users) > 1:  # no draw for a single user
+        for r in resources[1:]:
+            owner = rng.choice(users)
+            held = {user: rng.choice(_LESSER_ROLES) for user in users if user != owner}
+            sharing[r["id"]]["roles"] = {owner: "owner", **{u: role for u, role in held.items() if role}}
+    return {"resources": resources, "sharing": sharing}
 
 
 def with_fresh_like_ids(doc: dict, rng: random.Random) -> dict:
@@ -538,23 +557,21 @@ def make_rich_catalog(rng: random.Random, max_classes: int = 8, max_apis: int = 
 
 def _step_doc(step) -> dict:
     out: dict = {"api": step.api_id}
-    if step.index_zero:
-        out["index_zero"] = True
-    if step.args is not None:
-        out["args"] = _args_doc(step.args)
+    if step.params:
+        out["params"] = _params_doc(step.params)
     return out
 
 
 def _chain_doc(chain) -> dict:
-    return {"steps": [_step_doc(s) for s in chain.steps], "produces": chain.produces.to_json()}
+    return {"steps": [_step_doc(s) for s in chain.steps]}
 
 
-def _args_doc(args) -> dict:
-    return {"params": {
+def _params_doc(params) -> dict:
+    return {
         name: {"strategy": "producer", "chain": _chain_doc(plan.chain)}
         if isinstance(plan, ProducerPlan) else plan.to_json()
-        for name, plan in args.params
-    }}
+        for name, plan in params
+    }
 
 
 def oracle_suite_jsonl(cases: list) -> str:

@@ -20,12 +20,12 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REPORT = "f7707bb501069672345b3c1a4cde622a11256a0e26813dbe0f380f73e6919beb"
 PINS = {
     "campaign-reads": {
-        "suite.jsonl": "e87ea72a1ed10cc86794c135be7e1a9b61cf8a51ba65e5dbd53b27f759eebd15",
+        "suite.jsonl": "8d27908ced6f4cbec908042793aeda6d7c7427195fc90372d36959a09872c1a7",
         "records.jsonl": "64891edab840496121a755dde4e5463a48219f31ccc1e96909750c8008a57afa",
         "report.json": REPORT,
     },
     "campaign-writes": {
-        "suite.jsonl": "e1f5f097f36d727872ea31cca98fa5073b28e6392180f87165244657f6df5ac7",
+        "suite.jsonl": "0569c55622cdad9d45e9d60861484a63653b8b9788e02cc95b13bf9b9d1af4a5",
         "records.jsonl": "17564dfaf840bf7d49e91dc2482831ea168e554c4d827d463d3fd65d086aa257",
         "report.json": REPORT,
     },

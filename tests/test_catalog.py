@@ -32,7 +32,7 @@ def test_load_bundled_catalogs():
 
 def test_typeref_round_trip():
     for obj in ({"void": True}, {"class": "Document"}, {"array_of": "Row"}, {"primitive": "string"}):
-        assert TypeRef.from_json(obj).to_json() == obj
+        assert synth.type_doc(TypeRef.from_json(obj)) == obj
     with pytest.raises(SchemaViolation):
         TypeRef.from_json({"primitive": "float"})
     with pytest.raises(SchemaViolation):

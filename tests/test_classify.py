@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import permscan
 from permscan import classify
-from permscan.catalog import TypeRef, load_catalog, parse_catalog
+from permscan.catalog import load_catalog, parse_catalog
 from permscan.classify import (
     CONF_DESCRIPTION,
     CONF_FALLBACK,
@@ -263,7 +263,7 @@ def test_order_and_simulator_follow_the_one_effect_function(
     effect = effect_of(method, label)
     assert effect == _expected_effect(verb, obj), (method, label)
 
-    case = TestCase("tc0001", api_id, label, CallChain((), TypeRef("void")))
+    case = TestCase("tc0001", api_id, label, CallChain(()))
     rank = {
         "share_add": (Operation.CREATE, 0),
         "share_remove": (Operation.DELETE, 2),

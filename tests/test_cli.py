@@ -58,9 +58,9 @@ def test_classify_writes_labels(tmp_path, capsys):
 
 # sha256 of `permscan gen` on each bundled catalog
 GEN_DIGESTS = {
-    "spreadsheet.json": "422074f587d9a072a2eb7d7c632921a10eabdfceb140c8027396818d2de84dc0",
-    "mini_document.json": "096235bf89b981c0861d80f25762860e320aad5cee40971ab3a48408aa26bbcf",
-    "corpus_catalog.json": "03044d86f51da958c34e11f892f700835635972e3bf9437a5f5318d45b682096",
+    "spreadsheet.json": "f9cacdc8753f95ec93ed8de45e9ef0423565483a5b6e82351e0d221a35b45d3e",
+    "mini_document.json": "4baba1397f37ce087edb192f5fd3179bf69096013446d9363b60a03b4f822786",
+    "corpus_catalog.json": "94e24a2d4bcb8506b6f4252e630275cbba2cc5c1b964fa3c60d64c3552a1b8fa",
 }
 
 
@@ -136,7 +136,7 @@ def test_pipeline_determinism(tmp_path):
 
 # sha256 of the bundled pipeline's outputs: changes that keep behaviour keep these bytes
 BUNDLED_DIGESTS = {
-    "suite.jsonl": "422074f587d9a072a2eb7d7c632921a10eabdfceb140c8027396818d2de84dc0",
+    "suite.jsonl": "f9cacdc8753f95ec93ed8de45e9ef0423565483a5b6e82351e0d221a35b45d3e",
     "records.jsonl": "7f0618f8a04b1502234473eccbfd0c565597b49f7ee650e3e076c0bd5430cab5",
     "report.json": "7a7ce2c9a7620001aa27447421702839a5623c9b8606af5cd0e5d9e76ffa82dd",
 }
@@ -300,14 +300,19 @@ def _unknown_api(line: str) -> str:
     return json.dumps(doc)
 
 
-UNKNOWN_CHAIN = {"steps": [{"api": "Spreadsheet.noSuchMethod"}], "produces": {"class": "Sheet"}}
+UNKNOWN_CHAIN = {"steps": [{"api": "Spreadsheet.noSuchMethod"}]}
 
 
-def _with_plan(line: str, plan: dict) -> str:
-    """The suite line with `plan` as its first step's argument plan."""
+def _with_step(line: str, **fields) -> str:
+    """The suite line with `fields` set on its first step."""
     doc = json.loads(line)
-    doc["chain"]["steps"][0]["args"] = plan
+    doc["chain"]["steps"][0].update(fields)
     return json.dumps(doc)
+
+
+def _with_plan(line: str, params: dict) -> str:
+    """The suite line with `params` as its first step's parameter plans."""
+    return _with_step(line, params=params)
 
 
 def _nested_producers(line: str, depth: int) -> str:
@@ -315,12 +320,12 @@ def _nested_producers(line: str, depth: int) -> str:
     nested producer chains; built as text, since json.dumps would itself
     hit the recursion limit."""
     step = '{"api": "SpreadsheetApp.getActiveSpreadsheet"'
-    chain = '{"steps": [' + step + '}], "produces": {"class": "Spreadsheet"}}'
+    chain = '{"steps": [' + step + '}]}'
     for _ in range(depth):
-        plan = '{"params": {"p": {"strategy": "producer", "chain": ' + chain + "}}}"
-        chain = '{"steps": [' + step + ', "args": ' + plan + '}], "produces": {"class": "Spreadsheet"}}'
-    plan = '{"params": {"p": {"strategy": "producer", "chain": ' + chain + "}}}"
-    return _with_plan(line, "PLAN").replace('"PLAN"', plan)
+        params = '{"p": {"strategy": "producer", "chain": ' + chain + "}}"
+        chain = '{"steps": [' + step + ', "params": ' + params + '}]}'
+    params = '{"p": {"strategy": "producer", "chain": ' + chain + "}}"
+    return _with_plan(line, "PLAN").replace('"PLAN"', params)
 
 
 def _template_with(change) -> str:
@@ -347,12 +352,6 @@ def _superuser_matrix(_) -> str:
 def _string_false_matrix(_) -> str:
     doc = json.loads((DATA / "capability_matrix.json").read_text())
     doc["commenter"]["create"]["*"] = "false"
-    return json.dumps(doc)
-
-
-def _index_zero(line: str, value) -> str:
-    doc = json.loads(line)
-    doc["chain"]["steps"][0]["index_zero"] = value
     return json.dumps(doc)
 
 
@@ -467,10 +466,13 @@ MALFORMED = {
     ),
     "suite step names an unknown API": ("suite", lambda ok: _unknown_api(ok["suite"])),
     "suite producer chain names an unknown API": ("suite", lambda ok: _with_plan(
-        ok["suite"], {"params": {"sheet": {"strategy": "producer", "chain": UNKNOWN_CHAIN}}}
+        ok["suite"], {"sheet": {"strategy": "producer", "chain": UNKNOWN_CHAIN}}
     )),
-    "suite step args holding a tutorial": ("suite", lambda ok: _with_plan(
-        ok["suite"], {"tutorial": UNKNOWN_CHAIN, "params": {}}
+    "suite step holding a tutorial": ("suite", lambda ok: _with_step(ok["suite"], tutorial=UNKNOWN_CHAIN)),
+    "suite step that holds args": ("suite", lambda ok: _with_step(ok["suite"], args={"params": {}})),
+    "suite step whose params is empty": ("suite", lambda ok: _with_plan(ok["suite"], {})),
+    "suite chain that holds produces": ("suite", lambda ok: _with(
+        ok["suite"], "chain", {**json.loads(ok["suite"])["chain"], "produces": {"class": "Spreadsheet"}}
     )),
     "suite label whose touches_sharing is 1": ("suite", lambda ok: _with(
         ok["suite"], "label", {**json.loads(ok["suite"])["label"], "touches_sharing": 1}
@@ -478,27 +480,26 @@ MALFORMED = {
     'suite label whose operation is " VIEW "': ("suite", lambda ok: _with(
         ok["suite"], "label", {**json.loads(ok["suite"])["label"], "operation": " VIEW "}
     )),
-    'suite step whose index_zero is "no"': ("suite", lambda ok: _index_zero(ok["suite"], "no")),
     "suite attribute plan whose role is a list": ("suite", lambda ok: _with_plan(
-        ok["suite"], {"params": {"p": {"strategy": "attribute", "role": ["id"]}}}
+        ok["suite"], {"p": {"strategy": "attribute", "role": ["id"]}}
     )),
     "suite case nesting 300 producer chains": ("suite", lambda ok: _nested_producers(ok["suite"], 300)),
     "suite primitive plan holding a values list": ("suite", lambda ok: _with_plan(
-        ok["suite"], {"params": {"p": {"strategy": "primitive", "values": [0, 1, 5, 10]}}}
+        ok["suite"], {"p": {"strategy": "primitive", "values": [0, 1, 5, 10]}}
     )),
     'suite primitive plan whose value is "0"': ("suite", lambda ok: _with_plan(
-        ok["suite"], {"params": {"p": {"strategy": "primitive", "value": "0"}}}
+        ok["suite"], {"p": {"strategy": "primitive", "value": "0"}}
     )),
     "suite primitive plan whose value is null": ("suite", lambda ok: _with_plan(
-        ok["suite"], {"params": {"p": {"strategy": "primitive", "value": None}}}
+        ok["suite"], {"p": {"strategy": "primitive", "value": None}}
     )),
     "suite primitive plan with a partner key": ("suite", lambda ok: _with_plan(
-        ok["suite"], {"params": {"p": {"strategy": "primitive", "value": 1, "partner": "q"}}}
+        ok["suite"], {"p": {"strategy": "primitive", "value": 1, "partner": "q"}}
     )),
     "suite plan whose strategy is pair": ("suite", lambda ok: _with_plan(
         ok["suite"],
-        {"params": {"p": {"strategy": "pair", "partner": "q", "position": "lo", "fallback": [1, 2]},
-                    "q": {"strategy": "pair", "partner": "p", "position": "hi", "fallback": [1, 2]}}},
+        {"p": {"strategy": "pair", "partner": "q", "position": "lo", "fallback": [1, 2]},
+         "q": {"strategy": "pair", "partner": "p", "position": "hi", "fallback": [1, 2]}},
     )),
     "suite case whose chain has no steps": ("suite", lambda ok: _with(
         ok["suite"], "chain", {**json.loads(ok["suite"])["chain"], "steps": []}

@@ -161,14 +161,30 @@ def _campaign(catalog, doc, directory, faults=()):
     return records, detect_full(records, labels, MATRIX)
 
 
+def test_templates_give_users_other_roles_or_none_on_other_resources():
+    """The campaigns' templates share the first resource with one user per
+    role; on each other resource a user may hold another role, or none."""
+    seen = set()
+    for seed in range(30):
+        rng = random.Random(seed)
+        catalog = synth.make_catalog(rng, max_classes=8, max_apis=40)
+        doc = synth.make_template(rng, catalog, roles=synth.ALL_ROLES)
+        first, *others = (entry["roles"] for entry in doc["sharing"].values())
+        assert first == dict(synth.ALL_ROLES)
+        for roles in others:
+            assert list(roles.values()).count("owner") == 1
+            seen.update("none" if u not in roles else "same" if roles[u] == r else "other" for u, r in first.items())
+    assert seen == {"none", "same", "other"}
+
+
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32), creators=st.booleans(), sheets=st.booleans())
 def test_fault_free_campaign_is_silent(tmp_path_factory, seed, creators, sheets):
     """With no fault injected, a campaign over any synthetic catalog and any
-    template shared with one user per role confirms nothing and leaves
-    nothing for triage.  With `sheets`, the catalog has hideable and
-    protectable kinds, hide, unhide and sharing APIs, and the template
-    hidden and protected nodes."""
+    template with a user of every role, who may hold other roles or none on
+    other resources, confirms nothing and leaves nothing for triage.  With
+    `sheets`, the catalog has hideable and protectable kinds, hide, unhide
+    and sharing APIs, and the template hidden and protected nodes."""
     rng = random.Random(seed)
     catalog = synth.make_catalog(rng, max_classes=12, max_apis=120)
     if sheets:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permscan import executor
-from permscan.catalog import TypeRef, load_catalog, parse_catalog, parse_json
+from permscan.catalog import load_catalog, parse_catalog, parse_json
 from permscan.cli import main
 from permscan.classify import Operation, classify_catalog
 from permscan.errors import BackendUnavailable
@@ -38,7 +38,6 @@ from permscan.simulator import (
     load_faults,
 )
 from permscan.testgen import (
-    ArgPlan,
     PrimitivePlan,
     ProducerPlan,
     TestCase,
@@ -170,7 +169,7 @@ def test_a_denied_case_runs_its_chain_once(tmp_path):
     assert labels["Book.deleteRow"].operation is Operation.DELETE
     suite = generate_suite(build_graph(catalog), labels).cases
     case = next(c for c in suite if c.target_api == "Book.deleteRow")
-    assert case.chain.steps[-1].args.params == (("rowIndex", PrimitivePlan(0)),)
+    assert case.chain.steps[-1].params == (("rowIndex", PrimitivePlan(0)),)
     session = SimulatorBackend(catalog, path, MATRIX, labels).start_session("o", GRANT_READ_EDIT)
     calls = []
     invoke = executor.invoke_host_api
@@ -256,7 +255,7 @@ def _reuse_free(calls: list):
         result = InvocationResult(True)
         for i, step in enumerate(chain.steps):
             is_final = i == len(chain.steps) - 1
-            args = executor._resolve_args(session, step.args or ArgPlan(), touched)
+            args = executor._resolve_args(session, step.params, touched)
             calls.append((id(step), id(receiver), target and is_final))
             result = executor.invoke_host_api(
                 session.state, session.ctx, step.api_id, session.labels[step.api_id],
@@ -362,9 +361,9 @@ def test_a_step_whose_producer_chain_writes_runs_again(tmp_path):
         "resources": [{"kind": "Book", "id": "b0"}], "sharing": {"b0": {"roles": {"o": "owner"}}},
     }))
     labels = classify_catalog(catalog)
-    create = CallChain((ChainStep("App.createBook"),), TypeRef("class", "Book"))
-    open_book = ChainStep("App.openBook", args=ArgPlan(params=(("source", ProducerPlan(create)),)))
-    chain = CallChain((open_book, ChainStep("Book.getName")), TypeRef("primitive", "string"))
+    create = CallChain((ChainStep("App.createBook"),))
+    open_book = ChainStep("App.openBook", (("source", ProducerPlan(create)),))
+    chain = CallChain((open_book, ChainStep("Book.getName")))
     suite = [TestCase(f"tc{n}", "Book.getName", labels["Book.getName"], chain) for n in (1, 2)]
     b = SimulatorBackend(catalog, path, MATRIX, labels)
 
@@ -394,9 +393,9 @@ def test_a_step_whose_producer_chain_comments_runs_again(tmp_path):
     }))
     labels = classify_catalog(catalog)
     assert labels["Book.commentOn"].operation is Operation.COMMENT
-    comment = CallChain((ChainStep("App.openBook"), ChainStep("Book.commentOn")), TypeRef("class", "Book"))
-    open_book = ChainStep("App.openBook", args=ArgPlan(params=(("source", ProducerPlan(comment)),)))
-    chain = CallChain((open_book, ChainStep("Book.getName")), TypeRef("primitive", "string"))
+    comment = CallChain((ChainStep("App.openBook"), ChainStep("Book.commentOn")))
+    open_book = ChainStep("App.openBook", (("source", ProducerPlan(comment)),))
+    chain = CallChain((open_book, ChainStep("Book.getName")))
     suite = [TestCase(f"tc{n}", "Book.getName", labels["Book.getName"], chain) for n in (1, 2)]
     b = SimulatorBackend(catalog, path, MATRIX, labels)
 
@@ -425,9 +424,9 @@ def test_a_class_typed_argument_is_passed_as_its_id(tmp_path):
     }))
     labels = classify_catalog(catalog)
     assert labels["Book.setValue"].operation is Operation.MODIFY
-    open_book = CallChain((ChainStep("App.openBook"),), TypeRef("class", "Book"))
-    set_value = ChainStep("Book.setValue", args=ArgPlan(params=(("source", ProducerPlan(open_book)),)))
-    chain = CallChain(open_book.steps + (set_value,), TypeRef("void"))
+    open_book = CallChain((ChainStep("App.openBook"),))
+    set_value = ChainStep("Book.setValue", (("source", ProducerPlan(open_book)),))
+    chain = CallChain(open_book.steps + (set_value,))
     session = SimulatorBackend(catalog, path, MATRIX, labels).start_session("o", GRANT_FULL)
     record = run_case(session, TestCase("tc1", "Book.setValue", labels["Book.setValue"], chain))
     assert record.evidence == "set b0 content=b0"

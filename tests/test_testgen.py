@@ -11,12 +11,11 @@ from synth import (
     ODD_NAMES, api_doc, books_catalog_doc, catalog_doc, make_catalog, make_rich_catalog, oracle_bfs_emission,
     oracle_suite_jsonl,
 )
-from permscan.catalog import TypeRef, load_catalog, parse_catalog, parse_json
+from permscan.catalog import load_catalog, parse_catalog, parse_json
 from permscan.classify import Operation, PermissionLabel, classify_catalog
 from permscan.errors import UnresolvableParameter
 from permscan.graph import CallChain, ChainStep, build_graph
 from permscan.testgen import (
-    ArgPlan,
     AttributePlan,
     PrimitivePlan,
     ProducerPlan,
@@ -37,8 +36,7 @@ LABELS = classify_catalog(SHEETS)
 
 
 def _strategies(api_id):
-    plan = resolve_parameters(SHEETS.apis[api_id], GRAPH, PRODUCERS)
-    return dict(plan.params)
+    return dict(resolve_parameters(SHEETS.apis[api_id], GRAPH, PRODUCERS))
 
 
 def test_string_param_becomes_attribute_lookup():
@@ -74,7 +72,7 @@ def test_a_run_of_end_names_is_planned_once_and_reloads():
     ))
     suite = generate_suite(build_graph(catalog), classify_catalog(catalog)).cases
     (case,) = [c for c in suite if c.target_api == "Book.setSpan"]
-    assert case.chain.steps[-1].args.params == (
+    assert case.chain.steps[-1].params == (
         ("x", PrimitivePlan(1)), ("xEnd", PrimitivePlan(2)), ("xEndEnd", PrimitivePlan(2)),
     )
     text = suite_to_jsonl(suite)
@@ -101,8 +99,7 @@ def test_class_param_gets_producer_chain():
     )
     cat = parse_catalog(doc)
     g = build_graph(cat)
-    plan = resolve_parameters(cat.apis["Sheet.copyRowTo"], g, producer_plans(g))
-    strat = dict(plan.params)["row"]
+    strat = dict(resolve_parameters(cat.apis["Sheet.copyRowTo"], g, producer_plans(g)))["row"]
     assert isinstance(strat, ProducerPlan)
     assert strat.chain.steps[-1].api_id == "Sheet.getRow"
 
@@ -133,7 +130,7 @@ def test_tutorial_overrides_strategies():
         "Sheet.getRange",
         "Range.setValue",
     ]
-    assert dict(case.chain.steps[2].args.params) == {"a1Notation": AttributePlan("name")}
+    assert dict(case.chain.steps[2].params) == {"a1Notation": AttributePlan("name")}
 
 
 @pytest.mark.parametrize("tutorial", [
@@ -150,10 +147,10 @@ def test_a_producer_step_ignores_its_apis_tutorial(tutorial):
     }
     cat = _with_tutorial("Sheet.getRange", tutorial, copy_range)
     g = build_graph(cat)
-    plan = resolve_parameters(cat.apis["Sheet.copyRangeTo"], g, producer_plans(g))
-    last = dict(plan.params)["range"].chain.steps[-1]
+    plans = resolve_parameters(cat.apis["Sheet.copyRangeTo"], g, producer_plans(g))
+    last = dict(plans)["range"].chain.steps[-1]
     assert last.api_id == "Sheet.getRange"
-    assert dict(last.args.params) == {"a1Notation": AttributePlan("name")}
+    assert dict(last.params) == {"a1Notation": AttributePlan("name")}
 
 
 def test_tutorial_that_never_calls_its_api_is_excluded():
@@ -275,7 +272,7 @@ def test_suite_jsonl_matches_the_dict_oracle(seed):
 def test_rich_catalogs_reach_every_part_of_a_suite_line():
     """The property's catalogs give suites with each thing a line can hold."""
     text = "".join(suite_to_jsonl(_rich_suite(seed)) for seed in range(30))
-    parts = ('"strategy": "producer"', '"index_zero": true', '"value": 0}', '"value": 2}', '"value": true}')
+    parts = ('"strategy": "producer"', '"value": 0}', '"value": 2}', '"value": true}')
     for part in parts:
         assert part in text, part
     for name in ODD_NAMES:
@@ -296,14 +293,16 @@ def test_each_class_has_one_planned_producer_chain(monkeypatch):
     monkeypatch.setattr(testgen, "producer_plans", recording)
     seen = 0
     for seed in range(30):
-        suite = _rich_suite(seed)
+        cat = make_rich_catalog(random.Random(seed))
+        suite = generate_suite(build_graph(cat), classify_catalog(cat)).cases
         (plans,) = built  # one planning per generation
         built.clear()
         for case in suite:
             for step in case.chain.steps:
-                for _, strat in step.args.params if step.args else ():
+                types = {p.name: p.type for p in cat.apis[step.api_id].params}
+                for name, strat in step.params:
                     if isinstance(strat, ProducerPlan):
-                        assert strat.chain is plans[strat.chain.produces.name]
+                        assert strat.chain is plans[types[name]]
                         seen += 1
     assert seen > 0
 
@@ -312,9 +311,9 @@ def test_suite_jsonl_keeps_true_and_1_apart():
     """Equal plans with different JSON (True == 1) each keep their own text."""
     plans = [PrimitivePlan(1), PrimitivePlan(True), PrimitivePlan(False), PrimitivePlan(0)]
     label = PermissionLabel(Operation.VIEW, "Doc")
-    steps = [ChainStep("Doc.get", args=ArgPlan(params=(("x", p),))) for p in plans]
+    steps = [ChainStep("Doc.get", (("x", p),)) for p in plans]
     suite = [
-        TestCase(f"tc{n}", "Doc.get", label, CallChain((s,), TypeRef("void")))
+        TestCase(f"tc{n}", "Doc.get", label, CallChain((s,)))
         for n, s in enumerate(steps)
     ]
     text = suite_to_jsonl(suite)
@@ -337,9 +336,7 @@ def test_suite_jsonl_keeps_equal_values_of_different_types_apart():
     assert AttributePlan("id") == _UrlPlan("id")
     for plans in ((AttributePlan("id"), _UrlPlan("id")), (_UrlPlan("id"), AttributePlan("id"))):
         suite = [
-            TestCase(f"tc{n}", "Doc.get", label, CallChain(
-                (ChainStep("Doc.get", args=ArgPlan(params=(("x", p),))),), TypeRef("void")
-            ))
+            TestCase(f"tc{n}", "Doc.get", label, CallChain((ChainStep("Doc.get", (("x", p),)),)))
             for n, p in enumerate(plans)
         ]
         text = suite_to_jsonl(suite)
