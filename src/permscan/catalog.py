@@ -100,41 +100,40 @@ def expect(value, kind: type, where: str):
     return value
 
 
+_API_FIELDS = ("id", "parent_class", "method", "description", "params", "returns")
+_API_FIELD_SET = frozenset(_API_FIELDS)
+_PARAM_FIELDS = frozenset(("name", "kind", "type"))
+
+
 def _parse_api(entry: dict) -> ApiSpec:
     if not isinstance(entry, dict):
         raise SchemaViolation(f"bad api entry {entry!r}")
-    for key in ("id", "parent_class", "method", "description", "params", "returns"):
-        if key not in entry:
-            raise SchemaViolation(f"api entry missing field {key!r}: {entry.get('id')!r}")
+    if not entry.keys() >= _API_FIELD_SET:
+        key = next(k for k in _API_FIELDS if k not in entry)
+        raise SchemaViolation(f"api entry missing field {key!r}: {entry.get('id')!r}")
     api_id = _expect_str(entry["id"], "api.id")
     parent = _expect_str(entry["parent_class"], "api.parent_class")
     method = _expect_str(entry["method"], "api.method")
     if api_id != f"{parent}.{method}":
         raise SchemaViolation(f"api id {api_id!r} != parent_class.method")
-    params = []
+    params, names = [], set()
     for p in entry["params"]:
-        if not isinstance(p, dict) or not {"name", "kind", "type"} <= set(p):
+        if not isinstance(p, dict) or not p.keys() >= _PARAM_FIELDS:
             raise SchemaViolation(f"{api_id}: bad param entry {p!r}")
         if p["kind"] not in PARAM_KINDS:
             raise SchemaViolation(f"{api_id}: unknown param kind {p['kind']!r}")
         name = _expect_str(p["name"], "param.name")
-        if any(q.name == name for q in params):
+        if name in names:
             raise SchemaViolation(f"{api_id}: repeated param name {name!r}")
+        names.add(name)
         params.append(ParamSpec(name, p["kind"], _expect_str(p["type"], "param.type")))
     tutorial = entry.get("tutorial")
     if tutorial is not None:
         if not isinstance(tutorial, list) or not all(isinstance(s, str) for s in tutorial):
             raise SchemaViolation(f"{api_id}: tutorial must be a list of strings")
         tutorial = tuple(tutorial)
-    return ApiSpec(
-        id=api_id,
-        parent_class=parent,
-        method=method,
-        description=str(entry["description"]),
-        params=tuple(params),
-        returns=TypeRef.from_json(entry["returns"]),
-        tutorial=tutorial,
-    )
+    returns = TypeRef.from_json(entry["returns"])
+    return ApiSpec(api_id, parent, method, str(entry["description"]), tuple(params), returns, tutorial)
 
 
 def parse_catalog(doc: dict) -> Catalog:

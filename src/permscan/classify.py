@@ -125,7 +125,8 @@ def classify_api(
     if first == "new" and spec.returns.is_class and spec.returns.name.endswith("Builder"):
         return PermissionLabel(Operation.VIEW, spec.parent_class), CONF_STEM
 
-    sharing_hit = any(m in spec.method.lower() for m in SHARING_MARKERS)
+    low = spec.method.lower()
+    sharing_hit = any(m in low for m in SHARING_MARKERS)
     if sharing_hit and shareable is None:
         shareable = _shareable_classes(catalog)
     touches_sharing = sharing_hit and spec.parent_class in shareable

@@ -134,17 +134,20 @@ class Session:
         # (id(step), id(receiver)) -> (receiver, result, touched entries) of a
         # step that ran in this session while no call wrote, its producer
         # chains included, replayed for any step but a case's own last one.
-        # Replay is exact.  A write is a call that returns ok under a non-VIEW
-        # label (a denied call never writes), so every entry is a VIEW or a
-        # failure.  Neither reads its arguments, and both depend only on the
-        # workspace's trees, sharing and hidden and protected flags, the
-        # subject and faults, not on content: so a write empties the map
-        # unless it changes only content (`writes_only_content`).  A VIEW's
-        # value reads content, but only a case's last step's value is
-        # recorded.  Nor need a replay record attributes again: a role's
-        # entry, once set, is only ever replaced by a smaller kind, so its
-        # first run recorded all that would change.  Holding the receiver
-        # keeps its id from being reused.
+        # Testgen plans each API once, so one step object serves every
+        # producer chain and the API's own case: a step kept from any of them
+        # replays in the others.  The key is never the API id alone, since a
+        # step's plans decide which producer chains it runs.  Replay is exact.
+        # A write is a call that returns ok under a non-VIEW label (a denied
+        # call never writes), so every entry is a VIEW or a failure.  Neither
+        # reads its arguments, and both depend only on the workspace's trees,
+        # sharing and hidden and protected flags, the subject and faults, not
+        # on content: so a write empties the map unless it changes only
+        # content (`writes_only_content`).  A VIEW's value reads content, but
+        # only a case's last step's value is recorded.  Nor need a replay
+        # record attributes again: a role's entry, once set, is only ever
+        # replaced by a smaller kind, so its first run recorded all that would
+        # change.  Holding the receiver keeps its id from being reused.
         self.reuse = {}
         self.writes = 0  # successful non-VIEW calls so far
 

@@ -126,11 +126,18 @@ class ObjectNode:
                 stack += reversed(node.children)
 
     def copy(self) -> "ObjectNode":
-        """A deep copy of this subtree; `protection` is immutable and shared."""
-        return ObjectNode(
-            self.kind, self.id, self.content, self.hidden, self.protection,
-            [c.copy() for c in self.children], self.resource,
-        )
+        """A deep copy of this subtree, children in list order; `protection`
+        is immutable and shared."""
+        top = ObjectNode(self.kind, self.id, self.content, self.hidden, self.protection, [], self.resource)
+        stack = [(self.children, top.children)]  # (source children, their copies' list)
+        while stack:
+            children, copies = stack.pop()
+            for c in children:
+                dup = ObjectNode(c.kind, c.id, c.content, c.hidden, c.protection, [], c.resource)
+                copies.append(dup)
+                if c.children:
+                    stack.append((c.children, dup.children))
+        return top
 
 
 class FaultSpec(NamedTuple):

@@ -144,13 +144,22 @@ def _parse_tutorial(api: ApiSpec, graph: DepGraph) -> CallChain:
 
 def producer_plans(graph: DepGraph) -> dict:
     """Every produced class's producer chain with each step's plan attached.
-    A producer step has only primitive parameters, so planning cannot fail."""
-    plans = {}
-    for cls in graph.producer_chains:
-        chain = shortest_producer_path(graph, cls)
-        steps = [s._replace(params=resolve_parameters(graph.api(s.api_id), graph, {})) for s in chain.steps]
-        plans[cls] = CallChain(tuple(steps))
-    return plans
+    A producer step has only primitive parameters, so planning cannot fail
+    and needs no producers.  Each API is planned once: its one step is
+    shared by every chain that passes through it."""
+    planned: dict = {}  # api id -> its planned step
+
+    def plan(step: ChainStep) -> ChainStep:
+        hit = planned.get(step.api_id)
+        if hit is None:
+            params = resolve_parameters(graph.api(step.api_id), graph, {})
+            hit = planned[step.api_id] = step._replace(params=params)
+        return hit
+
+    return {
+        cls: CallChain(tuple(map(plan, shortest_producer_path(graph, cls).steps)))
+        for cls in graph.producer_chains
+    }
 
 
 def resolve_parameters(api: ApiSpec, graph: DepGraph, producers: dict) -> tuple:
@@ -161,7 +170,7 @@ def resolve_parameters(api: ApiSpec, graph: DepGraph, producers: dict) -> tuple:
     for class parameters with no producer; callers exclude the API from the
     suite.
     """
-    integers = {p.name for p in api.params if p.kind == "integer"}
+    integers = None  # the integer parameters' names, once one is met
     params = []
     for p in api.params:
         if p.kind == "class":
@@ -176,6 +185,8 @@ def resolve_parameters(api: ApiSpec, graph: DepGraph, producers: dict) -> tuple:
         elif p.kind == "string":
             params.append((p.name, AttributePlan(_infer_attr_role(p.name))))
         elif p.kind == "integer":
+            if integers is None:
+                integers = {q.name for q in api.params if q.kind == "integer"}
             params.append((p.name, PrimitivePlan(_integer_value(p.name, integers))))
         elif p.kind == "boolean":
             params.append((p.name, PrimitivePlan(True)))
@@ -195,6 +206,9 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
     class_chain: dict = {root: CallChain(())}
     case_by_api: dict = {}
     producers = producer_plans(graph)
+    # a producer's own case ends in its one planned step: a producer step has
+    # only primitive plans, which need no producers
+    planned = {s.api_id: s for c in producers.values() for s in c.steps}
 
     while queue:
         cls = queue.popleft()
@@ -206,7 +220,7 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
                 if api.tutorial:
                     chain = _parse_tutorial(api, graph)
                 else:
-                    step = ChainStep(api_id, resolve_parameters(api, graph, producers))
+                    step = planned.get(api_id) or ChainStep(api_id, resolve_parameters(api, graph, producers))
                     chain = CallChain(base.steps + (step,))
             except UnresolvableParameter as exc:
                 result.excluded.append((api_id, str(exc)))
@@ -295,9 +309,11 @@ def suite_to_jsonl(cases: list) -> str:
     Shared objects are encoded once per call: chains (a producer chain is
     one object per class) and the steps of chains and case prefixes are
     memoised by identity, labels and attribute plans by type and value (a
-    NamedTuple equals any tuple of the same values).  A case's last step
-    and producer-plan wrappers are used once, and primitive plans have no
-    exact value key (True == 1), so these are encoded inline and not kept.
+    NamedTuple equals any tuple of the same values).  Producer-plan
+    wrappers are used once, and so are most cases' last steps (a
+    producer's own case ends in its shared step), so these are encoded
+    inline and not kept.  A primitive plan's value, a bool or an int, is written
+    as the literal text `json.dumps` gives it.
     """
     memo: dict = {}
     string = json.encoder.encode_basestring_ascii  # exactly what json.dumps does with a str
@@ -309,7 +325,11 @@ def suite_to_jsonl(cases: list) -> str:
     def plan(p) -> str:
         if isinstance(p, ProducerPlan):
             return '{"strategy": "producer", "chain": ' + chain(p.chain) + "}"
-        return value(p) if isinstance(p, AttributePlan) else json.dumps(p.to_json())
+        if isinstance(p, AttributePlan):
+            return value(p)
+        v = p.value
+        literal = "true" if v is True else "false" if v is False else int.__repr__(v)
+        return '{"strategy": "primitive", "value": ' + literal + "}"
 
     def step(s: ChainStep) -> str:
         text = '{"api": ' + string(s.api_id)

@@ -73,6 +73,11 @@ MUTANTS = (
      "            args = _resolve_args(session, step.params, touched) if step.params else None",
      "            args = _resolve_args(session, step.params, touched) if step.params else None;"
      " writes = session.writes"),
+    # a case's own last step may be a kept step (each API is planned once),
+    # but it is the call the record observes, so it always runs
+    ("replay-own-last-step", "executor.py",
+     "        hit = None if i == last else reuse.get(key)",
+     "        hit = reuse.get(key)"),
     # the suite reader: steps, chains, plans and labels load only as written
     ("suite-step-extra-keys", "testgen.py",
      '    if not expect(obj, dict, "step").keys() <= {"api", "params"}:',

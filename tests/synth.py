@@ -15,7 +15,7 @@ from collections import deque
 
 from permscan.catalog import ApiSpec, Catalog, TypeRef, parse_catalog
 from permscan.classify import Operation
-from permscan.simulator import HIDEABLE_KINDS, PROTECTABLE_KINDS, Role
+from permscan.simulator import HIDEABLE_KINDS, PROTECTABLE_KINDS, ObjectNode, Role
 from permscan.testgen import ProducerPlan
 
 # primitive-only params keep the oracle's resolvability rule trivial:
@@ -365,6 +365,24 @@ def walk(node):
         yield from walk(child)
 
 
+def copy_tree(node):
+    """A deep copy of `node`'s subtree, built by recursion: the copy that
+    `ObjectNode.copy` must match."""
+    return ObjectNode(
+        node.kind, node.id, node.content, node.hidden, node.protection,
+        [copy_tree(c) for c in node.children], node.resource,
+    )
+
+
+def tree_value(node) -> list:
+    """`node`'s subtree as one comparable value: each node's fields and
+    child count, in pre-order."""
+    return [
+        (n.kind, n.id, n.content, n.hidden, n.protection, n.resource, len(n.children))
+        for n in walk(node)
+    ]
+
+
 def _dfs(state):
     """(resource id, node) over every attached node, in DFS order over
     `resources` in dict order."""
@@ -460,13 +478,7 @@ def state_value(state) -> tuple:
     """Everything a workspace holds but its cached lookups (`found`), as one
     comparable value: each tree is its nodes' fields and child counts in DFS
     order."""
-    trees = {
-        rid: [
-            (n.kind, n.id, n.content, n.hidden, n.protection, n.resource, len(n.children))
-            for n in walk(root)
-        ]
-        for rid, root in state.resources.items()
-    }
+    trees = {rid: tree_value(root) for rid, root in state.resources.items()}
     return (
         state.catalog, state.matrix, state.users, trees, state.sharing, state.sharing_log,
         state.faults, state.attributes, state._fresh_counter,

@@ -33,7 +33,7 @@ PINS = {
 
 
 # host-API calls of one pipeline: a timing-free guard on the work replay saves
-CALLS = {"campaign-reads": 1852, "campaign-writes": 2174}
+CALLS = {"campaign-reads": 1382, "campaign-writes": 1857}
 
 
 def _pipeline(workload: str, tmp_path: Path, monkeypatch) -> Path:

@@ -152,7 +152,7 @@ def test_bundled_pipeline_outputs_are_pinned(tmp_path):
 
 
 def test_bundled_pipeline_host_api_calls_are_pinned(tmp_path, capsys):
-    """The seeded bundled pipeline makes 276 host-API calls: a timing-free
+    """The seeded bundled pipeline makes 185 host-API calls: a timing-free
     guard on the work that replaying prefix steps saves."""
     with mock.patch.object(executor, "invoke_host_api", wraps=executor.invoke_host_api) as invoke:
         assert main([
@@ -160,7 +160,7 @@ def test_bundled_pipeline_host_api_calls_are_pinned(tmp_path, capsys):
             "--faults", FAULTS, "--out-dir", str(tmp_path),
         ]) == 2
     capsys.readouterr()
-    assert invoke.call_count == 276
+    assert invoke.call_count == 185
 
 
 def test_config_with_a_null_out_dir_writes_to_the_working_directory(tmp_path, monkeypatch):

@@ -347,6 +347,57 @@ def test_read_only_session_invokes_each_prefix_step_once_per_receiver():
     assert invocations() == expected < len(calls)
 
 
+def test_replay_crosses_producer_chains(tmp_path):
+    """`App.openFolder` begins the producer chains of both Book and Note,
+    and generation gives it one step, which its own case's last step is
+    too.  In a read-only owner session nothing writes, so after its own
+    case runs it, the chains of both classes replay it: it is invoked once,
+    and the records are those of running every step."""
+    doc = synth.books_catalog_doc(
+        synth.api_doc("App.openFolder", {"class": "Folder"}),
+        synth.api_doc("Folder.openBook", {"class": "Book"}),
+        synth.api_doc("Folder.openNote", {"class": "Note"}),
+        synth.api_doc("Book.getName", {"primitive": "string"}),
+        synth.api_doc("Note.getName", {"primitive": "string"}),
+    )
+    doc["classes"] = [
+        {"name": "App", "children": ["Folder"]}, {"name": "Folder", "children": ["Book", "Note"]},
+        {"name": "Book", "children": []}, {"name": "Note", "children": []},
+    ]
+    catalog = parse_catalog(doc)
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps({
+        "resources": [{"kind": "Folder", "id": "f0", "children": [
+            {"kind": "Book", "id": "b0"}, {"kind": "Note", "id": "n0"},
+        ]}],
+        "sharing": {"f0": {"roles": {"o": "owner"}}},
+    }))
+    labels = classify_catalog(catalog)
+    suite = generate_suite(build_graph(catalog), labels).cases
+    firsts = {id(c.chain.steps[0]) for c in suite}
+    assert len(suite) == 5 and len(firsts) == 1
+    b = SimulatorBackend(catalog, path, MATRIX, labels)
+
+    def run() -> list:
+        session = b.start_session("o", GRANT_READ, "scope-ladder")
+        index = {c.id: c for c in suite}
+        return [run_case(session, case, index) for case in suite]
+
+    calls = []
+    invoke = executor.invoke_host_api
+
+    def counting(state, ctx, api_id, label, **kwargs):
+        calls.append(api_id)
+        return invoke(state, ctx, api_id, label, **kwargs)
+
+    with mock.patch.object(executor, "invoke_host_api", counting):
+        records = run()
+    assert {r.outcome for r in records} == {OUTCOME_SUCCESS}
+    assert calls.count("App.openFolder") == 1
+    with mock.patch.object(executor, "_run_chain", _reuse_free([])):
+        assert records_to_jsonl(run()) == records_to_jsonl(records)
+
+
 def test_a_step_whose_producer_chain_writes_runs_again(tmp_path):
     """A view step whose argument's producer chain creates a book is never
     replayed: running the case again creates another book, as it does when

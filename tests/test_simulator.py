@@ -795,13 +795,10 @@ def test_copy_is_independent_of_its_source(tmp_path_factory, seed, creators, fre
     _check_index(again, catalog.classes, _nodes(again))
 
 
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32), creators=st.booleans())
-def test_walk_matches_a_recursive_walk(seed, creators):
-    """`ObjectNode.walk` yields the nodes of a subtree in pre-order, children
-    in list order, as a recursive walk does: from every node of a random
-    template, and again after each of some random creates and deletes, from
-    every node ever seen, detached ones included."""
+def _nodes_through_changes(seed: int, creators: bool):
+    """Every node of a random template, and again after each of some random
+    creates and deletes, every node ever seen, detached ones included: one
+    list per stage, the same list grown."""
     rng = random.Random(seed)
     catalog = synth.make_catalog(rng, max_classes=8, max_apis=40)
     if creators:
@@ -815,5 +812,37 @@ def test_walk_matches_a_recursive_walk(seed, creators):
             node = _create_or_delete(state, rng, apis, known)
             if node is not None and all(node is not n for n in known):
                 known.append(node)
+        yield known
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32), creators=st.booleans())
+def test_walk_matches_a_recursive_walk(seed, creators):
+    """`ObjectNode.walk` yields the nodes of a subtree in pre-order, children
+    in list order, as a recursive walk does: from every node of a random
+    template, and again after each of some random creates and deletes, from
+    every node ever seen, detached ones included."""
+    for known in _nodes_through_changes(seed, creators):
         for node in known:
             assert list(map(id, node.walk())) == list(map(id, synth.walk(node)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32), creators=st.booleans())
+def test_copy_matches_a_recursive_copy(seed, creators):
+    """`ObjectNode.copy` gives what a recursive copy gives: the same fields,
+    content included, in the same pre-order with the same child counts, no
+    node or child list of the source, and the source's `protection` objects
+    themselves.  Checked from every node of a random template, and again
+    after each of some random creates and deletes, from every node ever
+    seen, detached ones included."""
+    for stage, known in enumerate(_nodes_through_changes(seed, creators)):
+        if stage == 0:
+            for node in known[::2]:
+                node.content = f"text of {node.id}"
+        for node in known:
+            got, want = node.copy(), synth.copy_tree(node)
+            assert synth.tree_value(got) == synth.tree_value(want) == synth.tree_value(node)
+            assert not {id(n) for n in synth.walk(got)} & {id(n) for n in synth.walk(node)}
+            pairs = zip(synth.walk(got), synth.walk(node))
+            assert all(c.children is not n.children and c.protection is n.protection for c, n in pairs)

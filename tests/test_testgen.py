@@ -307,6 +307,51 @@ def test_each_class_has_one_planned_producer_chain(monkeypatch):
     assert seen > 0
 
 
+def _steps_below(chain):
+    """Every step of `chain` and of its steps' producer chains, depth first."""
+    for step in chain.steps:
+        yield step
+        for _, strat in step.params:
+            if isinstance(strat, ProducerPlan):
+                yield from _steps_below(strat.chain)
+
+
+def test_each_api_is_planned_once(monkeypatch):
+    """In one generation, every step of an API outside tutorials is one
+    object: in each class's producer plan, in BFS prefixes and as the last
+    step of the API's own case.  `resolve_parameters` runs once per API."""
+    built, resolved = [], []
+    plan_chains, resolve = testgen.producer_plans, testgen.resolve_parameters
+
+    def recording(graph):
+        built.append(plan_chains(graph))
+        return built[-1]
+
+    def counting(api, graph, producers):
+        resolved.append(api.id)
+        return resolve(api, graph, producers)
+
+    monkeypatch.setattr(testgen, "producer_plans", recording)
+    monkeypatch.setattr(testgen, "resolve_parameters", counting)
+    shared = 0
+    for cat in [SHEETS] + [make_rich_catalog(random.Random(seed)) for seed in range(30)]:
+        suite = generate_suite(build_graph(cat), classify_catalog(cat)).cases
+        (plans,) = built
+        assert sorted(resolved) == sorted(set(resolved))
+        built.clear()
+        resolved.clear()
+        tutorial = {id(s) for c in suite if cat.apis[c.target_api].tutorial for s in c.chain.steps}
+        steps = [s for chain in plans.values() for s in chain.steps]
+        steps += [s for case in suite for s in _steps_below(case.chain) if id(s) not in tutorial]
+        objects: dict = {}  # api id -> ids of its step objects
+        for step in steps:
+            objects.setdefault(step.api_id, set()).add(id(step))
+        assert {api: len(ids) for api, ids in objects.items() if len(ids) > 1} == {}
+        planned = {id(s) for chain in plans.values() for s in chain.steps}
+        shared += sum(id(c.chain.steps[-1]) in planned for c in suite)
+    assert shared > 0
+
+
 def test_suite_jsonl_keeps_true_and_1_apart():
     """Equal plans with different JSON (True == 1) each keep their own text."""
     plans = [PrimitivePlan(1), PrimitivePlan(True), PrimitivePlan(False), PrimitivePlan(0)]
