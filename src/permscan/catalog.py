@@ -210,24 +210,28 @@ def validate_catalog(catalog: Catalog) -> list:
             if c not in catalog.classes:
                 add("DanglingTypeRef", f"class {name!r} lists unknown child {c!r}")
 
-    # hierarchy cycle check over the children edges
+    # hierarchy cycle check over the children edges: a depth-first search
+    # with an explicit stack of (class, its unvisited children), so a deep
+    # hierarchy cannot exhaust the interpreter's recursion limit
     WHITE, GREY, BLACK = 0, 1, 2
     color = {name: WHITE for name in catalog.classes}
-
-    def visit(name: str, path: tuple) -> None:
-        color[name] = GREY
-        for c in catalog.classes.get(name, ()):
-            if c not in color:
-                continue
-            if color[c] == GREY:
-                add("CycleDetected", " -> ".join(path + (name, c)))
-            elif color[c] == WHITE:
-                visit(c, path + (name,))
-        color[name] = BLACK
-
     for name in sorted(catalog.classes):
-        if color[name] == WHITE:
-            visit(name, ())
+        if color[name] != WHITE:
+            continue
+        color[name] = GREY
+        stack = [(name, iter(catalog.classes[name]))]
+        while stack:
+            top, children = stack[-1]
+            for c in children:
+                if color.get(c) == GREY:
+                    add("CycleDetected", " -> ".join([n for n, _ in stack] + [c]))
+                elif color.get(c) == WHITE:
+                    color[c] = GREY
+                    stack.append((c, iter(catalog.classes[c])))
+                    break
+            else:
+                color[top] = BLACK
+                stack.pop()
 
     for name in sorted(catalog.classes):
         if name not in referenced and name not in child_of:

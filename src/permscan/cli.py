@@ -1,7 +1,7 @@
 """Command-line entry point wiring the pipeline stages together.
 
 Exit codes: 0 = ran clean, 2 = ran clean but findings were emitted
-(CI-friendly), 1 = any stage error.
+(CI-friendly), 1 = a usage error or any stage error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 from .catalog import expect, load_catalog, object_census, read_json
 from .classify import classify_catalog
 from .detector import build_report, detect_full, report_to_json
-from .errors import NotFound, PermscanError
+from .errors import NotFound, PermscanError, UsageError
 from .executor import (
     ExecutionRecord,
     SimulatorBackend,
@@ -187,8 +187,16 @@ def cmd_pipeline(args) -> int:
     return EXIT_FINDINGS if report.findings else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line, through `main`'s error path: the
+    subcommands' parsers are of this class too."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permscan",
         description="Permission-escalation testing for add-on host APIs",
     )
@@ -248,12 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
     except (PermscanError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -5,6 +5,11 @@ class PermscanError(Exception):
     """Base class for all errors raised by permscan."""
 
 
+class UsageError(PermscanError):
+    """The command line does not fit the parser: an unknown flag, a missing
+    required one or no subcommand."""
+
+
 # --- catalog ---------------------------------------------------------------
 
 class MalformedFile(PermscanError):

@@ -131,23 +131,19 @@ class Session:
         self.mode = mode
         self.labels = labels  # api id -> PermissionLabel
         self.failed_cases = set()  # case ids that did not succeed
-        # (id(step), id(receiver)) -> (receiver, result, touched entries) of a
-        # step that ran in this session while no call wrote, its producer
-        # chains included, replayed for any step but a case's own last one.
-        # Testgen plans each API once, so one step object serves every
-        # producer chain and the API's own case: a step kept from any of them
-        # replays in the others.  The key is never the API id alone, since a
-        # step's plans decide which producer chains it runs.  Replay is exact.
-        # A write is a call that returns ok under a non-VIEW label (a denied
-        # call never writes), so every entry is a VIEW or a failure.  Neither
-        # reads its arguments, and both depend only on the workspace's trees,
-        # sharing and hidden and protected flags, the subject and faults, not
-        # on content: so a write empties the map unless it changes only
-        # content (`writes_only_content`).  A VIEW's value reads content, but
-        # only a case's last step's value is recorded.  Nor need a replay
-        # record attributes again: a role's entry, once set, is only ever
-        # replaced by a smaller kind, so its first run recorded all that would
-        # change.  Holding the receiver keeps its id from being reused.
+        # (step, receiver) -> (result, touched entries) of a step that ran in
+        # this session while no call wrote, its producer chains included,
+        # replayed for any step but a case's own last one.  The key is the
+        # step's value, so a loaded suite replays what a generated one does,
+        # but never its API id alone: a step's plans decide which producer
+        # chains it runs.  Replay is exact.  A write is a call that returns
+        # ok under a non-VIEW label (a denied call never writes), so every
+        # entry is a VIEW or a failure.  Neither reads its arguments (equal
+        # plans may pass True and 1), and both depend only on the workspace's
+        # trees, sharing and hidden and protected flags, the subject and
+        # faults, not on content: so a write empties the map unless it
+        # changes only content (`writes_only_content`).  A VIEW's value reads
+        # content, but only a case's last step's value is recorded.
         self.reuse = {}
         self.writes = 0  # successful non-VIEW calls so far
 
@@ -221,10 +217,10 @@ def _run_chain(session: Session, chain: CallChain, touched: list, target: bool =
     receiver: ObjectNode | None = None
     result = InvocationResult(True)
     for i, step in enumerate(chain.steps):
-        key = (id(step), id(receiver))
+        key = (step, receiver)
         hit = None if i == last else reuse.get(key)
         if hit is not None:
-            _, result, entries = hit
+            result, entries = hit
             touched.extend(entries)
         else:
             label = labels.get(step.api_id)
@@ -242,7 +238,7 @@ def _run_chain(session: Session, chain: CallChain, touched: list, target: bool =
                 if not writes_only_content(state.catalog.apis[step.api_id], label):
                     reuse.clear()
             elif session.writes == writes:  # no call wrote while this step ran
-                reuse[key] = (receiver, result, touched[start:])
+                reuse[key] = (result, touched[start:])
         if not result.ok:
             raise _StepFailure(result)
         receiver = result.node

@@ -532,10 +532,7 @@ def _apply_effect(
 
     if label.operation == Operation.VIEW:
         if produced is not None:
-            value = produced.content or produced.id
-            state.record_attribute(produced.kind, "id", produced.id)
-            state.record_attribute(produced.kind, "name", produced.id)
-            return InvocationResult(True, value, node=produced)
+            return InvocationResult(True, produced.content or produced.id, node=produced)
         value = (receiver.content or receiver.id) if receiver is not None else ""
         return InvocationResult(True, value, node=receiver)
 

@@ -73,6 +73,11 @@ MUTANTS = (
      "            args = _resolve_args(session, step.params, touched) if step.params else None",
      "            args = _resolve_args(session, step.params, touched) if step.params else None;"
      " writes = session.writes"),
+    # replay is keyed by a step's value: a loaded suite's equal steps are
+    # distinct objects
+    ("replay-by-identity", "executor.py",
+     "        key = (step, receiver)",
+     "        key = (id(step), receiver)"),
     # a case's own last step may be a kept step (each API is planned once),
     # but it is the call the record observes, so it always runs
     ("replay-own-last-step", "executor.py",

@@ -36,13 +36,18 @@ PINS = {
 CALLS = {"campaign-reads": 1382, "campaign-writes": 1857}
 
 
-def _pipeline(workload: str, tmp_path: Path, monkeypatch) -> Path:
-    """Run `permscan pipeline` on the workload's seed-1 inputs; returns its
-    output directory."""
+def _inputs(workload: str, tmp_path: Path, monkeypatch) -> dict:
+    """The workload's seed-1 catalog and template, written under `tmp_path`."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import inputs
 
-    paths = inputs.write_inputs(workload, 1, tmp_path / "inputs")
+    return inputs.write_inputs(workload, 1, tmp_path / "inputs")
+
+
+def _pipeline(workload: str, tmp_path: Path, monkeypatch) -> Path:
+    """Run `permscan pipeline` on the workload's seed-1 inputs; returns its
+    output directory."""
+    paths = _inputs(workload, tmp_path, monkeypatch)
     out = tmp_path / "out"
     argv = ["pipeline", "--catalog", str(paths["catalog"]), "--template", str(paths["template"]),
             "--out-dir", str(out)]
@@ -60,6 +65,18 @@ def test_campaign_outputs_are_pinned(workload, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workload", sorted(CALLS))
 def test_campaign_host_api_calls_are_pinned(workload, tmp_path, monkeypatch):
+    """`pipeline`, and `gen` then `run` in both modes, make the pinned calls."""
     with mock.patch.object(executor, "invoke_host_api", wraps=executor.invoke_host_api) as invoke:
         _pipeline(workload, tmp_path, monkeypatch)
+    assert invoke.call_count == CALLS[workload]
+    paths = _inputs(workload, tmp_path, monkeypatch)
+    catalog, suite = ["--catalog", str(paths["catalog"])], tmp_path / "suite.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen", *catalog, "--out", str(suite)]) == 0
+        with mock.patch.object(executor, "invoke_host_api", wraps=executor.invoke_host_api) as invoke:
+            for mode in ("role-matrix", "scope-ladder"):
+                assert cli.main([
+                    "run", "--suite", str(suite), *catalog, "--template", str(paths["template"]),
+                    "--mode", mode, "--out", str(tmp_path / f"{mode}.jsonl"),
+                ]) == 0
     assert invoke.call_count == CALLS[workload]

@@ -3,9 +3,12 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permscan.catalog import (
     Catalog,
+    Problem,
     TypeRef,
     load_catalog,
     object_census,
@@ -78,6 +81,46 @@ def test_validation_flags_hierarchy_cycle():
     doc["classes"][1]["children"] = ["DocumentApp"]  # Document -> DocumentApp -> Document
     problems = validate_catalog(parse_catalog(doc))
     assert any(p.kind == "CycleDetected" for p in problems)
+
+
+def _recursive_cycles(catalog: Catalog) -> list:
+    """The hierarchy cycle check as a recursive depth-first walk: its
+    CycleDetected problems, in the order found."""
+    problems, color = [], dict.fromkeys(catalog.classes, "white")
+
+    def visit(name: str, path: tuple) -> None:
+        color[name] = "grey"
+        for c in catalog.classes[name]:
+            if color.get(c) == "grey":
+                problems.append(Problem("CycleDetected", " -> ".join(path + (name, c))))
+            elif color.get(c) == "white":
+                visit(c, path + (name,))
+        color[name] = "black"
+
+    for name in sorted(catalog.classes):
+        if color[name] == "white":
+            visit(name, ())
+    return problems
+
+
+NAMES = ("A", "B", "C", "D", "E", "F")
+
+
+@st.composite
+def hierarchies(draw) -> Catalog:
+    """A catalog of up to six classes without APIs, each listing up to four
+    children: classes of the catalog or not, repeated, itself."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, unique=True))
+    children = st.lists(st.sampled_from(NAMES + ("Ghost",)), max_size=4).map(tuple)
+    classes = {name: draw(children) for name in names}
+    return Catalog("drive", names[0], {}, classes, frozenset())
+
+
+@settings(max_examples=300, deadline=None)
+@given(catalog=hierarchies())
+def test_cycle_check_matches_the_recursive_walk(catalog):
+    problems = validate_catalog(catalog)
+    assert [p for p in problems if p.kind == "CycleDetected"] == _recursive_cycles(catalog)
 
 
 def test_validation_flags_only_unused_classes_as_orphans():

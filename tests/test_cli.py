@@ -34,6 +34,44 @@ def test_ingest_missing_file_is_exit_1(capsys):
     assert "ingest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["pipeline", "--bogus"], id="unknown-flag"),
+    pytest.param(["report", "--records", "x"], id="missing-required-flags"),
+    pytest.param([], id="no-subcommand"),
+])
+def test_usage_error_is_one_line_exit_1(argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith("permscan"), err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--help"])
+    assert exc.value.code == 0
+    assert "--catalog" in capsys.readouterr().out
+
+
+def test_a_deep_hierarchy_loads_and_generates(tmp_path, capsys):
+    """App -> C0 -> ... -> C1199, each class with a getter of its child: a
+    schema-valid catalog far deeper than the recursion limit.  `ingest` and
+    `gen` exit 0 on it; the last class's producer chain has 1200 steps."""
+    names = ["App"] + [f"C{i}" for i in range(1200)]
+    doc = synth.books_catalog_doc(*(
+        synth.api_doc(f"{parent}.get{child}", {"class": child}) for parent, child in zip(names, names[1:])
+    ))
+    doc["classes"] = [{"name": n, "children": names[i + 1:i + 2]} for i, n in enumerate(names)]
+    path, suite = tmp_path / "deep.json", tmp_path / "suite.jsonl"
+    path.write_text(json.dumps(doc))
+    assert main(["ingest", "--catalog", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] == 1201
+    assert main(["gen", "--catalog", str(path), "--out", str(suite)]) == 0
+    capsys.readouterr()
+    last = json.loads(suite.read_text().splitlines()[-1])
+    assert len(last["chain"]["steps"]) == 1200
+
+
 # sha256 of `permscan classify` on each bundled catalog: the labels of every
 # API, including those the suite leaves out as excluded or pruned
 LABEL_DIGESTS = {
@@ -153,12 +191,23 @@ def test_bundled_pipeline_outputs_are_pinned(tmp_path):
 
 def test_bundled_pipeline_host_api_calls_are_pinned(tmp_path, capsys):
     """The seeded bundled pipeline makes 185 host-API calls: a timing-free
-    guard on the work that replaying prefix steps saves."""
+    guard on the work that replaying prefix steps saves.  `gen` then `run`
+    in both modes makes the same 185: a loaded suite replays as much."""
     with mock.patch.object(executor, "invoke_host_api", wraps=executor.invoke_host_api) as invoke:
         assert main([
             "pipeline", "--catalog", CATALOG, "--template", TEMPLATE,
             "--faults", FAULTS, "--out-dir", str(tmp_path),
         ]) == 2
+    capsys.readouterr()
+    assert invoke.call_count == 185
+    suite = tmp_path / "gen.jsonl"
+    assert main(["gen", "--catalog", CATALOG, "--out", str(suite)]) == 0
+    with mock.patch.object(executor, "invoke_host_api", wraps=executor.invoke_host_api) as invoke:
+        for mode in ("role-matrix", "scope-ladder"):
+            assert main([
+                "run", "--suite", str(suite), "--catalog", CATALOG, "--template", TEMPLATE,
+                "--faults", FAULTS, "--mode", mode, "--out", str(tmp_path / f"{mode}.jsonl"),
+            ]) == 0
     capsys.readouterr()
     assert invoke.call_count == 185
 
@@ -676,9 +725,8 @@ def test_mutated_template_or_faults_exit_cleanly(seed, bundled, target, data, tm
 @given(seed=st.integers(0, 2**32), creators=st.booleans())
 def test_gen_then_run_writes_the_pipeline_records(seed, creators, tmp_path, capsys):
     """On a random rich catalog and template with 0-4 random faults, `gen`
-    then `run` in both modes writes the suite and records `pipeline` does.
-    A loaded suite shares no step between cases and the in-memory one does,
-    so the two replay different prefix steps."""
+    then `run` in both modes writes the suite and records `pipeline` does,
+    with as many host-API calls."""
     rng = random.Random(seed)
     catalog = synth.make_rich_catalog(rng)
     if creators:
@@ -695,14 +743,18 @@ def test_gen_then_run_writes_the_pipeline_records(seed, creators, tmp_path, caps
     inputs = ["--catalog", str(paths["catalog"]), "--template", str(paths["template"])]
     out, suite = tmp_path / "out", tmp_path / "suite.jsonl"
     faults_arg = ["--faults", str(paths["faults"])]
-    assert main(["pipeline", *inputs, *faults_arg, "--out-dir", str(out)]) in (0, 2)
+    with mock.patch.object(executor, "invoke_host_api", wraps=executor.invoke_host_api) as invoke:
+        assert main(["pipeline", *inputs, *faults_arg, "--out-dir", str(out)]) in (0, 2)
+    calls = invoke.call_count
     assert main(["gen", "--catalog", str(paths["catalog"]), "--out", str(suite)]) == 0
     records = ""
-    for mode in ("role-matrix", "scope-ladder"):
-        path = tmp_path / f"{mode}.jsonl"
-        run = ["run", "--suite", str(suite), *inputs, *faults_arg, "--mode", mode, "--out", str(path)]
-        assert main(run) == 0
-        records += path.read_text()
+    with mock.patch.object(executor, "invoke_host_api", wraps=executor.invoke_host_api) as invoke:
+        for mode in ("role-matrix", "scope-ladder"):
+            path = tmp_path / f"{mode}.jsonl"
+            run = ["run", "--suite", str(suite), *inputs, *faults_arg, "--mode", mode, "--out", str(path)]
+            assert main(run) == 0
+            records += path.read_text()
     capsys.readouterr()
     assert suite.read_text() == (out / "suite.jsonl").read_text()
     assert records == (out / "records.jsonl").read_text()
+    assert invoke.call_count == calls

@@ -42,6 +42,7 @@ from permscan.testgen import (
     ProducerPlan,
     TestCase,
     generate_suite,
+    suite_to_jsonl,
 )
 
 import synth
@@ -247,8 +248,8 @@ def test_records_jsonl_round_trip():
 
 def _reuse_free(calls: list):
     """`executor._run_chain` as it was before prefix reuse: every step of
-    every chain runs.  Each call appends (step id, receiver id, whether the
-    step is the case's own last step) to `calls`."""
+    every chain runs.  Each call appends (step, receiver, whether the step
+    is the case's own last step) to `calls`."""
 
     def run_chain(session, chain, touched, target=True):
         receiver = None
@@ -256,7 +257,7 @@ def _reuse_free(calls: list):
         for i, step in enumerate(chain.steps):
             is_final = i == len(chain.steps) - 1
             args = executor._resolve_args(session, step.params, touched)
-            calls.append((id(step), id(receiver), target and is_final))
+            calls.append((step, receiver, target and is_final))
             result = executor.invoke_host_api(
                 session.state, session.ctx, step.api_id, session.labels[step.api_id],
                 receiver=receiver, args=args,
@@ -347,12 +348,9 @@ def test_read_only_session_invokes_each_prefix_step_once_per_receiver():
     assert invocations() == expected < len(calls)
 
 
-def test_replay_crosses_producer_chains(tmp_path):
-    """`App.openFolder` begins the producer chains of both Book and Note,
-    and generation gives it one step, which its own case's last step is
-    too.  In a read-only owner session nothing writes, so after its own
-    case runs it, the chains of both classes replay it: it is invoked once,
-    and the records are those of running every step."""
+def _folder_campaign(tmp_path) -> tuple:
+    """(suite, backend): `App.openFolder` begins the producer chains of both
+    Book and Note, and each class has a getter."""
     doc = synth.books_catalog_doc(
         synth.api_doc("App.openFolder", {"class": "Folder"}),
         synth.api_doc("Folder.openBook", {"class": "Book"}),
@@ -374,15 +372,11 @@ def test_replay_crosses_producer_chains(tmp_path):
     }))
     labels = classify_catalog(catalog)
     suite = generate_suite(build_graph(catalog), labels).cases
-    firsts = {id(c.chain.steps[0]) for c in suite}
-    assert len(suite) == 5 and len(firsts) == 1
-    b = SimulatorBackend(catalog, path, MATRIX, labels)
+    return suite, SimulatorBackend(catalog, path, MATRIX, labels)
 
-    def run() -> list:
-        session = b.start_session("o", GRANT_READ, "scope-ladder")
-        index = {c.id: c for c in suite}
-        return [run_case(session, case, index) for case in suite]
 
+def _read_only_run(b, suite: list) -> tuple:
+    """(records, API ids invoked) of `suite` in a read-only owner session."""
     calls = []
     invoke = executor.invoke_host_api
 
@@ -390,12 +384,81 @@ def test_replay_crosses_producer_chains(tmp_path):
         calls.append(api_id)
         return invoke(state, ctx, api_id, label, **kwargs)
 
+    session = b.start_session("o", GRANT_READ, "scope-ladder")
+    index = {c.id: c for c in suite}
     with mock.patch.object(executor, "invoke_host_api", counting):
-        records = run()
+        return [run_case(session, case, index) for case in suite], calls
+
+
+def test_replay_crosses_producer_chains(tmp_path):
+    """`App.openFolder` begins the producer chains of both Book and Note,
+    and generation gives it one step, which its own case's last step is
+    too.  In a read-only owner session nothing writes, so after its own
+    case runs it, the chains of both classes replay it: it is invoked once,
+    and the records are those of running every step."""
+    suite, b = _folder_campaign(tmp_path)
+    firsts = {id(c.chain.steps[0]) for c in suite}
+    assert len(suite) == 5 and len(firsts) == 1
+    records, calls = _read_only_run(b, suite)
     assert {r.outcome for r in records} == {OUTCOME_SUCCESS}
     assert calls.count("App.openFolder") == 1
     with mock.patch.object(executor, "_run_chain", _reuse_free([])):
-        assert records_to_jsonl(run()) == records_to_jsonl(records)
+        assert records_to_jsonl(_read_only_run(b, suite)[0]) == records_to_jsonl(records)
+
+
+def test_a_loaded_suite_replays_equal_steps(tmp_path):
+    """Read back from its JSON lines, the suite of
+    `test_replay_crosses_producer_chains` holds five distinct but equal
+    `App.openFolder` steps.  Replay is keyed by a step's value, so it is
+    still invoked once, and the records are those of the generated suite."""
+    generated, b = _folder_campaign(tmp_path)
+    suite = parse_json(suite_to_jsonl(generated), TestCase.from_json, "<suite>", lines=True)
+    assert suite == generated
+    assert len({id(c.chain.steps[0]) for c in suite}) == 5
+    records, calls = _read_only_run(b, suite)
+    assert calls.count("App.openFolder") == 1
+    assert records_to_jsonl(records) == records_to_jsonl(_read_only_run(b, generated)[0])
+
+
+def test_a_prefix_step_passing_true_replays_for_one_passing_1(tmp_path):
+    """A loaded suite whose `App.openBook` prefix step passes `true` in one
+    case and `1` in another: the two steps are equal (True == 1), so the
+    second replays the first in a read-only session.  Neither a view nor a
+    failure reads its arguments, so in every session of both campaigns the
+    records are those of running every step."""
+    open_book = {**synth.api_doc("App.openBook", {"class": "Book"}),
+                 "params": [{"name": "fresh", "kind": "boolean", "type": "boolean"}]}
+    set_value = {**synth.api_doc("Book.setValue", {"void": True}),
+                 "params": [{"name": "value", "kind": "integer", "type": "integer"}]}
+    catalog = parse_catalog(synth.books_catalog_doc(
+        open_book, set_value, synth.api_doc("Book.getName", {"primitive": "string"}),
+    ))
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps({
+        "resources": [{"kind": "Book", "id": "b0"}],
+        "sharing": {"b0": {"roles": {"o": "owner", "v": "viewer", "c": "commenter", "e": "editor"}}},
+    }))
+    labels = classify_catalog(catalog)
+
+    def line(n: int, fresh: bool | int, last: str) -> str:
+        steps = [{"api": "App.openBook", "params": {"fresh": {"strategy": "primitive", "value": fresh}}}]
+        steps.append({"api": last, "params": {"value": {"strategy": "primitive", "value": 1}}}
+                     if last == "Book.setValue" else {"api": last})
+        return json.dumps({"id": f"tc{n}", "target_api": last, "label": labels[last].to_json(),
+                           "chain": {"steps": steps}, "depends_on": None})
+
+    text = "\n".join([
+        line(1, True, "Book.getName"), line(2, 1, "Book.getName"),
+        line(3, 1, "Book.setValue"), line(4, True, "Book.getName"),
+    ])
+    suite = parse_json(text, TestCase.from_json, "<suite>", lines=True)
+    values = [c.chain.steps[0].params[0][1].value for c in suite]
+    assert [type(v) for v in values] == [bool, int, int, bool] and values == [1, 1, 1, 1]
+    b = SimulatorBackend(catalog, path, MATRIX, labels)
+    assert _read_only_run(b, suite)[1].count("App.openBook") == 1
+    got = _campaign_jsonl(suite, b)
+    with mock.patch.object(executor, "_run_chain", _reuse_free([])):
+        assert got == _campaign_jsonl(suite, b)
 
 
 def test_a_step_whose_producer_chain_writes_runs_again(tmp_path):
