@@ -7,6 +7,8 @@ Exit codes: 0 = ran clean, 2 = ran clean but findings were emitted
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import json
 import sys
 from importlib import resources
@@ -195,6 +197,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache  # one per process: parsing leaves it as it was, and `main` may run many times
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="permscan",
@@ -256,9 +259,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  The cyclic collector is paused while it runs: a
+    run makes no reference cycles, so a pass would only walk the live
+    catalog, suite and records and free nothing.  A caller that had it
+    paused finds it paused."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return args.func(args)
+        finally:
+            if collecting:
+                gc.enable()
     except UsageError as exc:
         print(exc, file=sys.stderr)
     except (PermscanError, OSError) as exc:

@@ -329,31 +329,46 @@ def run_scope_ladder(suite: list, backend) -> list:
     return records
 
 
+class _EntryTexts(dict):
+    """The JSON text of each touched entry, looked up in C.  Only an entry of
+    two strs is kept: other entries may equal one of different text
+    (True == 1)."""
+
+    def __missing__(self, entry) -> str:
+        text = json.dumps(list(entry))
+        if type(entry) is tuple and len(entry) == 2 and type(entry[0]) is type(entry[1]) is str:
+            self[entry] = text
+        return text
+
+
 def records_to_jsonl(records: list) -> str:
     """The records as JSON lines, byte for byte as `json.dumps` writes each
     record's dict (keys case, api, mode, role, installer, grant, outcome,
     error, sharing_changes, touched, evidence, observed).  One memo per call,
     its keys of different lengths, holds the text of each session's head
-    (mode, role, installer, grant), of each touched entry of two strs and of
-    each observed value, keyed with its flags' types (True == 1).  Every
-    other field is encoded inline."""
+    (mode, role, installer, grant) and of each observed value, keyed with
+    its flags' types (True == 1); another holds each touched entry's.
+    Every other field is encoded inline."""
     memo: dict = {}
+    entries = _EntryTexts()
     string = json.encoder.encode_basestring_ascii  # exactly what json.dumps does with a str
 
     def text(value: str | None) -> str:
         return "null" if value is None else string(value)
 
-    def entry(t: tuple) -> str:
-        if type(t) is tuple and len(t) == 2 and type(t[0]) is type(t[1]) is str:
-            return memo.get(t) or memo.setdefault(t, f"[{string(t[0])}, {string(t[1])}]")
-        return json.dumps(list(t))
+    def touched(t: list) -> str:
+        try:
+            return ", ".join(map(entries.__getitem__, t))
+        except TypeError:  # an unhashable entry
+            return ", ".join(json.dumps(list(e)) for e in t)
 
     def observed(o: Observed) -> str:
         key = (o, type(o.hidden), type(o.protected))
-        role = None if o.role is None else o.role.label
-        return memo.get(key) or memo.setdefault(key, json.dumps(
-            {"role": role, "hidden": o.hidden, "protected": o.protected}
-        ))
+        found = memo.get(key)
+        if found is None:
+            role = None if o.role is None else o.role.label
+            found = memo[key] = json.dumps({"role": role, "hidden": o.hidden, "protected": o.protected})
+        return found
 
     def line(r: ExecutionRecord) -> str:
         key = (r.mode, r.role, r.installer, r.grant)
@@ -369,10 +384,11 @@ def records_to_jsonl(records: list) -> str:
             f'{{"case": {string(r.case_id)}, "api": {string(r.api)}, {head}, '
             f'"outcome": {string(r.outcome)}, "error": {text(r.error)}, '
             f'"sharing_changes": {json.dumps(changes) if changes else "[]"}, '
-            f'"touched": [{", ".join(map(entry, r.touched))}], "evidence": {text(r.evidence)}, '
+            f'"touched": [{touched(r.touched)}], "evidence": {text(r.evidence)}, '
             f'"observed": {"null" if r.observed is None else observed(r.observed)}}}\n'
         )
 
     lines = [line(r) for r in records]
     memo.clear()  # before the join: the texts and the whole output are never held together
+    entries.clear()
     return "".join(lines)

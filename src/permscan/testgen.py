@@ -301,6 +301,9 @@ def generate_suite(graph: DepGraph, labels: dict) -> GenResult:
 # --- serialization -----------------------------------------------------------------
 
 
+_string = json.encoder.encode_basestring_ascii  # exactly what json.dumps does with a str
+
+
 def suite_to_jsonl(cases: list) -> str:
     """The suite as JSON lines: each case as `json.dumps` writes the dict with
     keys id, target_api, label, chain (steps) and depends_on; a step has
@@ -313,48 +316,55 @@ def suite_to_jsonl(cases: list) -> str:
     wrappers are used once, and so are most cases' last steps (a
     producer's own case ends in its shared step), so these are encoded
     inline and not kept.  A primitive plan's value, a bool or an int, is written
-    as the literal text `json.dumps` gives it.
+    as the literal text `json.dumps` gives it.  The writers below are
+    module functions that take the memo, not closures, because closures
+    that call each other are a reference cycle.
     """
     memo: dict = {}
-    string = json.encoder.encode_basestring_ascii  # exactly what json.dumps does with a str
-
-    def value(obj) -> str:
-        key = (type(obj), obj)
-        return memo.get(key) or memo.setdefault(key, json.dumps(obj.to_json()))
-
-    def plan(p) -> str:
-        if isinstance(p, ProducerPlan):
-            return '{"strategy": "producer", "chain": ' + chain(p.chain) + "}"
-        if isinstance(p, AttributePlan):
-            return value(p)
-        v = p.value
-        literal = "true" if v is True else "false" if v is False else int.__repr__(v)
-        return '{"strategy": "primitive", "value": ' + literal + "}"
-
-    def step(s: ChainStep) -> str:
-        text = '{"api": ' + string(s.api_id)
-        if not s.params:
-            return text + "}"
-        return text + ', "params": {' + ", ".join(string(n) + ": " + plan(p) for n, p in s.params) + "}}"
-
-    def steps(shared: tuple, inline: list) -> str:
-        texts = [memo.get(id(s)) or memo.setdefault(id(s), step(s)) for s in shared] + inline
-        return '{"steps": [' + ", ".join(texts) + "]}"
-
-    def chain(c: CallChain) -> str:
-        return memo.get(id(c)) or memo.setdefault(id(c), steps(c.steps, []))
-
-    def case(c: TestCase) -> str:
-        text = steps(c.chain.steps[:-1], [step(s) for s in c.chain.steps[-1:]])
-        depends_on = "null" if c.depends_on is None else string(c.depends_on)
-        return (
-            f'{{"id": {string(c.id)}, "target_api": {string(c.target_api)}, '
-            f'"label": {value(c.label)}, "chain": {text}, "depends_on": {depends_on}}}\n'
-        )
-
-    lines = [case(c) for c in cases]
+    lines = [_case_text(memo, c) for c in cases]
     memo.clear()  # before the join: the texts and the whole suite are never held together
     return "".join(lines)
+
+
+def _case_text(memo: dict, c: TestCase) -> str:
+    text = _steps_text(memo, c.chain.steps[:-1], [_step_text(memo, s) for s in c.chain.steps[-1:]])
+    depends_on = "null" if c.depends_on is None else _string(c.depends_on)
+    return (
+        f'{{"id": {_string(c.id)}, "target_api": {_string(c.target_api)}, '
+        f'"label": {_value_text(memo, c.label)}, "chain": {text}, "depends_on": {depends_on}}}\n'
+    )
+
+
+def _value_text(memo: dict, obj) -> str:
+    key = (type(obj), obj)
+    return memo.get(key) or memo.setdefault(key, json.dumps(obj.to_json()))
+
+
+def _plan_text(memo: dict, p) -> str:
+    if isinstance(p, ProducerPlan):
+        return '{"strategy": "producer", "chain": ' + _chain_text(memo, p.chain) + "}"
+    if isinstance(p, AttributePlan):
+        return _value_text(memo, p)
+    v = p.value
+    literal = "true" if v is True else "false" if v is False else int.__repr__(v)
+    return '{"strategy": "primitive", "value": ' + literal + "}"
+
+
+def _step_text(memo: dict, s: ChainStep) -> str:
+    text = '{"api": ' + _string(s.api_id)
+    if not s.params:
+        return text + "}"
+    plans = ", ".join(_string(n) + ": " + _plan_text(memo, p) for n, p in s.params)
+    return text + ', "params": {' + plans + "}}"
+
+
+def _steps_text(memo: dict, shared: tuple, inline: list) -> str:
+    texts = [memo.get(id(s)) or memo.setdefault(id(s), _step_text(memo, s)) for s in shared] + inline
+    return '{"steps": [' + ", ".join(texts) + "]}"
+
+
+def _chain_text(memo: dict, c: CallChain) -> str:
+    return memo.get(id(c)) or memo.setdefault(id(c), _steps_text(memo, c.steps, []))
 
 
 def _plan_from_json(obj: dict):

@@ -83,6 +83,10 @@ MUTANTS = (
     ("replay-own-last-step", "executor.py",
      "        hit = None if i == last else reuse.get(key)",
      "        hit = reuse.get(key)"),
+    # a command runs with the cyclic collector paused
+    ("collector-left-running", "cli.py",
+     "        gc.disable()",
+     "        pass"),
     # the suite reader: steps, chains, plans and labels load only as written
     ("suite-step-extra-keys", "testgen.py",
      '    if not expect(obj, dict, "step").keys() <= {"api", "params"}:',

@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import json
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from permscan import executor
+from permscan import cli, executor
 from permscan.cli import main
 from permscan.simulator import FAULT_KINDS
 
@@ -21,6 +22,7 @@ CATALOG = str(DATA / "spreadsheet.json")
 TEMPLATE = str(DATA / "template_spreadsheet.json")
 FAULTS = str(DATA / "faults_seeded.json")
 MATRIX = str(DATA / "capability_matrix.json")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_ingest_prints_census(capsys):
@@ -758,3 +760,84 @@ def test_gen_then_run_writes_the_pipeline_records(seed, creators, tmp_path, caps
     assert suite.read_text() == (out / "suite.jsonl").read_text()
     assert records == (out / "records.jsonl").read_text()
     assert invoke.call_count == calls
+
+
+# --- the cyclic collector ----------------------------------------------------------------
+
+
+def _of_permscan(obj) -> bool:
+    module = getattr(obj, "__module__", None)
+    return isinstance(module, str) and module.startswith("permscan")
+
+
+def test_no_run_leaves_cyclic_garbage_of_permscan(tmp_path, monkeypatch):
+    """`gen`, the bundled seeded pipeline and a benchmark campaign make no
+    reference cycles of permscan's own, so pausing the collector while a
+    command runs leaves nothing of permscan's uncollected.  Nothing the
+    collector finds after each is of a permscan type or is a permscan
+    function (closures are of type `function`); argparse and json make a
+    few cycles of their own."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import inputs
+
+    campaign = inputs.write_inputs("campaign-writes", 1, tmp_path / "inputs")
+    runs = (
+        ["gen", "--catalog", CATALOG, "--out", str(tmp_path / "suite.jsonl")],
+        ["pipeline", "--catalog", CATALOG, "--template", TEMPLATE, "--faults", FAULTS,
+         "--out-dir", str(tmp_path / "bundled")],
+        ["pipeline", "--catalog", str(campaign["catalog"]), "--template", str(campaign["template"]),
+         "--out-dir", str(tmp_path / "campaign")],
+    )
+    flags = gc.get_debug()
+    try:
+        for argv in runs:
+            gc.collect()
+            gc.set_debug(flags | gc.DEBUG_SAVEALL)
+            assert main(argv) in (0, 2)
+            gc.collect()
+            ours = [obj for obj in gc.garbage if _of_permscan(type(obj)) or _of_permscan(obj)]
+            assert ours == [], argv
+            gc.set_debug(flags)
+            gc.garbage.clear()
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+def test_main_runs_the_command_with_the_collector_paused(tmp_path, monkeypatch):
+    """The command body runs with the collector off; after exit 0, 2 or 1,
+    or an exception out of `main`, it is as the caller left it."""
+    seen = []
+    load_catalog = cli.load_catalog
+
+    def load(path):
+        seen.append(gc.isenabled())
+        return load_catalog(path)
+
+    def fail(path):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    malformed = tmp_path / "catalog.json"
+    malformed.write_text("{")
+    runs = (
+        (["ingest", "--catalog", CATALOG], 0),
+        (["pipeline", "--catalog", CATALOG, "--template", TEMPLATE, "--faults", FAULTS,
+          "--out-dir", str(tmp_path / "out")], 2),
+        (["ingest", "--catalog", str(malformed)], 1),
+    )
+    collecting = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            monkeypatch.setattr(cli, "load_catalog", load)
+            for argv, code in runs:
+                assert main(argv) == code
+                assert gc.isenabled() is enabled, (argv, enabled)
+            monkeypatch.setattr(cli, "load_catalog", fail)
+            with pytest.raises(RuntimeError, match="boom"):
+                main(["ingest", "--catalog", CATALOG])
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if collecting else gc.disable()
+    assert seen == [False] * 8

@@ -584,13 +584,15 @@ def test_records_jsonl_matches_the_dict_oracle(tmp_path_factory, seed, rich, she
 def test_records_jsonl_keeps_true_and_1_apart():
     """Equal values of different types are different texts: the writer's
     memo does not give an observed flag 1 the text of True, nor a touched
-    id True the text of 1."""
+    id True the text of 1.  A touched entry that is not a tuple of two
+    strs, an unhashable one included, is written as `json.dumps` writes it."""
     base = ExecutionRecord(
         "tc1", "Sheet.getName", "role-matrix", Role.VIEWER, "v", GRANT_FULL, OUTCOME_SUCCESS
     )
     ints = base._replace(observed=Observed(Role.VIEWER, 1, 0), touched=[(1, "x")])
     bools = base._replace(observed=Observed(Role.VIEWER, True, False), touched=[(True, "x")])
-    for records in ([ints, bools], [bools, ints]):
+    unhashable = base._replace(touched=[("a", "b"), ["a", "b"], (["a"], "b"), ("a", 1)])
+    for records in ([ints, bools], [bools, ints], [unhashable, ints, unhashable]):
         assert records_to_jsonl(records) == synth.oracle_records_jsonl(records)
     lines = records_to_jsonl([ints, bools]).splitlines()
     assert '"touched": [[1, "x"]]' in lines[0] and '"hidden": 1, "protected": 0' in lines[0]
