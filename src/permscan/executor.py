@@ -8,9 +8,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .catalog import expect
-from .classify import Operation
+from .classify import Operation, PermissionLabel
 from .errors import BackendUnavailable, NotFound
-from .graph import CallChain
+from .graph import CallChain, ChainStep
 from .simulator import (
     GRANT_FULL,
     GRANT_READ,
@@ -27,7 +27,7 @@ from .simulator import (
     validate_grant,
     writes_only_content,
 )
-from .testgen import AttributePlan, PrimitivePlan, ProducerPlan, TestCase
+from .testgen import AttributePlan, PrimitivePlan, ProducerPlan, TestCase, chain_api_ids
 
 OUTCOME_SUCCESS = "Success"
 OUTCOME_PERMISSION_ERROR = "PermissionError"
@@ -122,9 +122,11 @@ def _sharing_change_from_json(entry: list) -> tuple:
 
 
 class Session:
-    __slots__ = ("state", "ctx", "role", "mode", "labels", "failed_cases", "reuse", "writes")
+    __slots__ = (
+        "state", "ctx", "role", "mode", "labels", "failed_cases", "reuse", "by_kind", "kinds", "writes",
+    )
 
-    def __init__(self, state: WorkspaceState, ctx: Subject, role: Role, mode: str, labels: dict):
+    def __init__(self, state: WorkspaceState, ctx: Subject, role: Role, mode: str, labels: dict, kinds: dict):
         self.state = state
         self.ctx = ctx
         self.role = role
@@ -141,10 +143,21 @@ class Session:
         # entry is a VIEW or a failure.  Neither reads its arguments (equal
         # plans may pass True and 1), and both depend only on the workspace's
         # trees, sharing and hidden and protected flags, the subject and
-        # faults, not on content: so a write empties the map unless it
-        # changes only content (`writes_only_content`).  A VIEW's value reads
-        # content, but only a case's last step's value is recorded.
+        # faults, not on content: so a write that changes only content
+        # (`writes_only_content`) keeps every entry.  A VIEW's value reads
+        # content, but only a case's last step's value is recorded.  A create
+        # that adds a class object as a leaf, under its receiver or as a new
+        # root after the others (a root create needs a resource as its
+        # target, so the first resource, an app-level call's target, stays),
+        # drops only the entries whose step can look up its kind (`by_kind`):
+        # as `simulator._find_of_kind` says, a new leaf changes no other
+        # kind's lookup, and it changes no role, flag or resource of another
+        # node.  A create that makes no class object drops nothing.  Any
+        # other write (a root create that replaces a resource, a delete,
+        # hide, unhide or sharing change) empties the map.
         self.reuse = {}
+        self.by_kind = {}  # kind -> keys of `reuse` whose step can look up that kind
+        self.kinds = kinds  # step -> `_lookup_kinds(step)`, shared by a backend's sessions
         self.writes = 0  # successful non-VIEW calls so far
 
 
@@ -161,6 +174,7 @@ class SimulatorBackend:
         self.matrix = matrix
         self.labels = labels
         self.faults = resolve_faults(faults, catalog)  # shared by every session
+        self.step_kinds = {}  # step -> the kinds it can look up, shared by every session
 
     @cached_property
     def template(self) -> WorkspaceState:
@@ -183,7 +197,8 @@ class SimulatorBackend:
         if role is None:
             raise BackendUnavailable(f"installer {installer!r} is not a collaborator")
         return Session(
-            state=state, ctx=Subject(installer, grant), role=role, mode=mode, labels=self.labels
+            state=state, ctx=Subject(installer, grant), role=role, mode=mode, labels=self.labels,
+            kinds=self.step_kinds,
         )
 
 
@@ -209,6 +224,20 @@ def _resolve_args(session: Session, params: tuple, touched: list) -> dict:
     return args
 
 
+def _lookup_kinds(session: Session, step: ChainStep) -> frozenset:
+    """The kinds whose objects a run of `step` can look up: the product of
+    each API in the step and its producer chains that returns a class and
+    does not create it.  One frozenset per step, shared by equal steps."""
+    kinds = session.kinds.get(step)
+    if kinds is None:
+        apis, labels = session.state.catalog.apis, session.labels
+        kinds = session.kinds[step] = frozenset(
+            apis[a].returns.name for a in chain_api_ids(CallChain((step,)))
+            if apis[a].returns.is_class and labels[a].operation is not Operation.CREATE
+        )
+    return kinds
+
+
 def _run_chain(session: Session, chain: CallChain, touched: list, target: bool = True) -> InvocationResult:
     """Run the chain's steps in order; `target` is False for a producer
     chain, whose last step is not the case's call and may be replayed."""
@@ -228,6 +257,7 @@ def _run_chain(session: Session, chain: CallChain, touched: list, target: bool =
                 raise NotFound(f"case step names unknown API {step.api_id!r}")
             start, writes = len(touched), session.writes
             args = _resolve_args(session, step.params, touched) if step.params else None
+            roots = len(state.resources)
             result = invoke_host_api(state, ctx, step.api_id, label, receiver=receiver, args=args)
             if receiver is not None:
                 touched.append((receiver.id, receiver.kind))
@@ -235,14 +265,36 @@ def _run_chain(session: Session, chain: CallChain, touched: list, target: bool =
                 touched.append((result.node.id, result.node.kind))
             if result.ok and label.operation is not Operation.VIEW:
                 session.writes += 1
-                if not writes_only_content(state.catalog.apis[step.api_id], label):
-                    reuse.clear()
+                _drop_changed(session, step.api_id, label, receiver, result.node, roots)
             elif session.writes == writes:  # no call wrote while this step ran
                 reuse[key] = (result, touched[start:])
+                for kind in _lookup_kinds(session, step):
+                    session.by_kind.setdefault(kind, set()).add(key)
         if not result.ok:
             raise _StepFailure(result)
         receiver = result.node
     return result
+
+
+def _drop_changed(
+    session: Session, api_id: str, label: PermissionLabel, receiver: ObjectNode | None,
+    node: ObjectNode | None, roots: int,
+) -> None:
+    """Drop the replay entries that a write, a call of `api_id` under
+    `label` on `receiver` that returned `node` while the workspace had
+    `roots` resources, may have changed (see `Session.reuse`)."""
+    state, reuse = session.state, session.reuse
+    if label.operation is Operation.CREATE and not label.touches_sharing:
+        if node is None:  # no class object made
+            return
+        if receiver is not None or roots < len(state.resources):  # a new leaf, not a replacement
+            for key in session.by_kind.pop(node.kind, ()):
+                reuse.pop(key, None)
+            return
+    elif writes_only_content(state.catalog.apis[api_id], label):
+        return
+    reuse.clear()
+    session.by_kind.clear()
 
 
 def _dependency_failed(session: Session, case: TestCase, suite_index: dict) -> bool:
@@ -344,12 +396,18 @@ class _EntryTexts(dict):
 def records_to_jsonl(records: list) -> str:
     """The records as JSON lines, byte for byte as `json.dumps` writes each
     record's dict (keys case, api, mode, role, installer, grant, outcome,
-    error, sharing_changes, touched, evidence, observed).  One memo per call,
-    its keys of different lengths, holds the text of each session's head
-    (mode, role, installer, grant) and of each observed value, keyed with
-    its flags' types (True == 1); another holds each touched entry's.
-    Every other field is encoded inline."""
-    memo: dict = {}
+    error, sharing_changes, touched, evidence, observed).  Each text below
+    is encoded once per call and kept in a memo of its own, so no two kinds
+    of key share one: each case's case and api, each session's head (mode,
+    role, installer, grant), each (outcome, error), each observed value,
+    keyed with its flags' types (True == 1), each touched entry, and each
+    touched list whose entries are all tuples of two strs.  Every other
+    field is encoded inline."""
+    cases: dict = {}
+    heads: dict = {}
+    outcomes: dict = {}
+    observations: dict = {}
+    lists: dict = {}
     entries = _EntryTexts()
     string = json.encoder.encode_basestring_ascii  # exactly what json.dumps does with a str
 
@@ -357,38 +415,50 @@ def records_to_jsonl(records: list) -> str:
         return "null" if value is None else string(value)
 
     def touched(t: list) -> str:
+        key = tuple(t)
         try:
-            return ", ".join(map(entries.__getitem__, t))
+            found = lists.get(key)
         except TypeError:  # an unhashable entry
             return ", ".join(json.dumps(list(e)) for e in t)
+        if found is None:
+            found = ", ".join(map(entries.__getitem__, t))
+            if all(type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is str for e in t):
+                lists[key] = found
+        return found
 
     def observed(o: Observed) -> str:
         key = (o, type(o.hidden), type(o.protected))
-        found = memo.get(key)
+        found = observations.get(key)
         if found is None:
             role = None if o.role is None else o.role.label
-            found = memo[key] = json.dumps({"role": role, "hidden": o.hidden, "protected": o.protected})
+            found = observations[key] = json.dumps(
+                {"role": role, "hidden": o.hidden, "protected": o.protected}
+            )
         return found
 
     def line(r: ExecutionRecord) -> str:
+        key = (r.case_id, r.api)
+        case = cases.get(key) or cases.setdefault(key, f'"case": {string(r.case_id)}, "api": {string(r.api)}')
         key = (r.mode, r.role, r.installer, r.grant)
-        head = memo.get(key) or memo.setdefault(key, (
+        head = heads.get(key) or heads.setdefault(key, (
             f'"mode": {string(r.mode)}, "role": {string(r.role.label)}, '
             f'"installer": {string(r.installer)}, "grant": {json.dumps(sorted(r.grant))}'
         ))
-        changes = [
+        key = (r.outcome, r.error)
+        outcome = outcomes.get(key) or outcomes.setdefault(
+            key, f'"outcome": {string(r.outcome)}, "error": {text(r.error)}'
+        )
+        changes = "[]" if not r.sharing_changes else json.dumps([
             [rid, user, *(None if x is None else x.label for x in (old, new))]
             for rid, user, old, new in r.sharing_changes
-        ]
+        ])
         return (
-            f'{{"case": {string(r.case_id)}, "api": {string(r.api)}, {head}, '
-            f'"outcome": {string(r.outcome)}, "error": {text(r.error)}, '
-            f'"sharing_changes": {json.dumps(changes) if changes else "[]"}, '
+            f'{{{case}, {head}, {outcome}, "sharing_changes": {changes}, '
             f'"touched": [{touched(r.touched)}], "evidence": {text(r.evidence)}, '
             f'"observed": {"null" if r.observed is None else observed(r.observed)}}}\n'
         )
 
     lines = [line(r) for r in records]
-    memo.clear()  # before the join: the texts and the whole output are never held together
-    entries.clear()
+    for memo in (cases, heads, outcomes, observations, lists, entries):
+        memo.clear()  # before the join: the texts and the whole output are never held together
     return "".join(lines)

@@ -146,7 +146,10 @@ class FaultSpec(NamedTuple):
     note: str = ""
 
     def matches(self, api_id: str) -> bool:
-        return fnmatch.fnmatchcase(api_id, self.api_pattern)
+        pattern = self.api_pattern
+        if "*" in pattern or "?" in pattern or "[" in pattern:
+            return fnmatch.fnmatchcase(api_id, pattern)
+        return api_id == pattern  # what fnmatchcase returns, with no regex compiled
 
 
 FAULT_KINDS = ("SkipScopeCheck", "SkipRoleCheck", "AllowSharingMutation")

@@ -62,10 +62,11 @@ MUTANTS = (
      "        if decision is Decision.DENY_SCOPE:",
      "        if decision is Decision.DENY_SCOPE and not record.sharing_changes:"),
     # replay: a write drops every replayable step, unless it changes only
-    # content, and a step is kept only if no call wrote while it ran
+    # content or adds a leaf, and a step is kept only if no call wrote while
+    # it ran
     ("no-replay-reset", "executor.py",
-     "                    reuse.clear()",
-     "                    pass"),
+     "    reuse.clear()",
+     "    pass"),
     ("content-only-ignores-effect", "simulator.py",
      "    return label.operation in (Operation.COMMENT, Operation.MODIFY) and effect_of(api.method, label) is None",
      "    return label.operation in (Operation.COMMENT, Operation.MODIFY)"),
@@ -73,6 +74,18 @@ MUTANTS = (
      "            args = _resolve_args(session, step.params, touched) if step.params else None",
      "            args = _resolve_args(session, step.params, touched) if step.params else None;"
      " writes = session.writes"),
+    # a create that adds a leaf drops only the kept steps that can look up
+    # its kind, its producer chains' lookups included; a root create that
+    # replaces a resource drops every kept step
+    ("create-lookup-kinds-own-api-only", "executor.py",
+     "            apis[a].returns.name for a in chain_api_ids(CallChain((step,)))",
+     "            apis[a].returns.name for a in (step.api_id,)"),
+    ("root-replacement-as-leaf-create", "executor.py",
+     "        if receiver is not None or roots < len(state.resources):  # a new leaf, not a replacement",
+     "        if True:"),
+    ("leaf-create-drops-every-step", "executor.py",
+     "        if receiver is not None or roots < len(state.resources):  # a new leaf, not a replacement",
+     "        if False:"),
     # replay is keyed by a step's value: a loaded suite's equal steps are
     # distinct objects
     ("replay-by-identity", "executor.py",

@@ -192,16 +192,16 @@ def test_bundled_pipeline_outputs_are_pinned(tmp_path):
 
 
 def test_bundled_pipeline_host_api_calls_are_pinned(tmp_path, capsys):
-    """The seeded bundled pipeline makes 185 host-API calls: a timing-free
+    """The seeded bundled pipeline makes 164 host-API calls: a timing-free
     guard on the work that replaying prefix steps saves.  `gen` then `run`
-    in both modes makes the same 185: a loaded suite replays as much."""
+    in both modes makes the same 164: a loaded suite replays as much."""
     with mock.patch.object(executor, "invoke_host_api", wraps=executor.invoke_host_api) as invoke:
         assert main([
             "pipeline", "--catalog", CATALOG, "--template", TEMPLATE,
             "--faults", FAULTS, "--out-dir", str(tmp_path),
         ]) == 2
     capsys.readouterr()
-    assert invoke.call_count == 185
+    assert invoke.call_count == 164
     suite = tmp_path / "gen.jsonl"
     assert main(["gen", "--catalog", CATALOG, "--out", str(suite)]) == 0
     with mock.patch.object(executor, "invoke_host_api", wraps=executor.invoke_host_api) as invoke:
@@ -211,7 +211,7 @@ def test_bundled_pipeline_host_api_calls_are_pinned(tmp_path, capsys):
                 "--faults", FAULTS, "--mode", mode, "--out", str(tmp_path / f"{mode}.jsonl"),
             ]) == 0
     capsys.readouterr()
-    assert invoke.call_count == 185
+    assert invoke.call_count == 164
 
 
 def test_config_with_a_null_out_dir_writes_to_the_working_directory(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from permscan.cli import main
 from permscan.classify import Operation, classify_catalog
 from permscan.errors import BackendUnavailable
 from permscan.executor import (
+    OUTCOME_OTHER_ERROR,
     OUTCOME_PERMISSION_ERROR,
     OUTCOME_PRUNED,
     OUTCOME_SUCCESS,
@@ -278,8 +279,10 @@ def _campaign_jsonl(suite, b) -> str:
     return records_to_jsonl(run_role_matrix(suite, b) + run_scope_ladder(suite, b))
 
 
-def _random_campaign(tmp_path_factory, seed, rich, sheets, creators) -> tuple:
-    """(suite, backend) on a random catalog and template with 0-4 random faults."""
+def _random_campaign(tmp_path_factory, seed, rich, sheets, creators, fresh) -> tuple:
+    """(suite, backend) on a random catalog and template with 0-4 random
+    faults; with `fresh`, about half the template's ids are ones that
+    creates mint, so a root create may replace a resource."""
     rng = random.Random(seed)
     if rich:
         catalog = synth.make_rich_catalog(rng)
@@ -290,7 +293,8 @@ def _random_campaign(tmp_path_factory, seed, rich, sheets, creators) -> tuple:
     if creators:
         catalog = synth.with_creators(catalog)
     path = tmp_path_factory.mktemp("campaign") / "template.json"
-    path.write_text(json.dumps(synth.make_template(rng, catalog, roles=synth.ALL_ROLES)))
+    template = synth.make_template(rng, catalog, roles=synth.ALL_ROLES)
+    path.write_text(json.dumps(synth.with_fresh_like_ids(template, rng) if fresh else template))
     apis = sorted(catalog.apis)
     faults = [FaultSpec(rng.choice(FAULT_KINDS), rng.choice(apis)) for _ in range(rng.randint(0, 4))]
     labels = classify_catalog(catalog)
@@ -298,16 +302,20 @@ def _random_campaign(tmp_path_factory, seed, rich, sheets, creators) -> tuple:
     return suite, SimulatorBackend(catalog, path, MATRIX, labels, faults)
 
 
-CAMPAIGNS = dict(seed=st.integers(0, 2**32), rich=st.booleans(), sheets=st.booleans(), creators=st.booleans())
+CAMPAIGNS = dict(
+    seed=st.integers(0, 2**32), rich=st.booleans(), sheets=st.booleans(), creators=st.booleans(),
+    fresh=st.booleans(),
+)
 
 
 @settings(max_examples=200, deadline=None)
 @given(**CAMPAIGNS)
-def test_reuse_gives_the_records_of_running_every_step(tmp_path_factory, seed, rich, sheets, creators):
-    """On random catalogs and templates with 0-4 random faults, a campaign
-    that replays prefix steps writes, byte for byte, the records of one
-    that runs every step of every chain."""
-    suite, b = _random_campaign(tmp_path_factory, seed, rich, sheets, creators)
+def test_reuse_gives_the_records_of_running_every_step(tmp_path_factory, seed, rich, sheets, creators, fresh):
+    """On random catalogs and templates with 0-4 random faults, some with
+    ids that creates mint, a campaign that replays prefix steps writes,
+    byte for byte, the records of one that runs every step of every
+    chain."""
+    suite, b = _random_campaign(tmp_path_factory, seed, rich, sheets, creators, fresh)
     got = _campaign_jsonl(suite, b)
     with mock.patch.object(executor, "_run_chain", _reuse_free([])):
         assert got == _campaign_jsonl(suite, b)
@@ -375,8 +383,9 @@ def _folder_campaign(tmp_path) -> tuple:
     return suite, SimulatorBackend(catalog, path, MATRIX, labels)
 
 
-def _read_only_run(b, suite: list) -> tuple:
-    """(records, API ids invoked) of `suite` in a read-only owner session."""
+def _run_as_owner(b, suite: list, grant: frozenset = GRANT_READ) -> tuple:
+    """(records, API ids invoked) of `suite` in an owner session, by
+    default a read-only one."""
     calls = []
     invoke = executor.invoke_host_api
 
@@ -384,7 +393,7 @@ def _read_only_run(b, suite: list) -> tuple:
         calls.append(api_id)
         return invoke(state, ctx, api_id, label, **kwargs)
 
-    session = b.start_session("o", GRANT_READ, "scope-ladder")
+    session = b.start_session("o", grant, "scope-ladder")
     index = {c.id: c for c in suite}
     with mock.patch.object(executor, "invoke_host_api", counting):
         return [run_case(session, case, index) for case in suite], calls
@@ -399,11 +408,11 @@ def test_replay_crosses_producer_chains(tmp_path):
     suite, b = _folder_campaign(tmp_path)
     firsts = {id(c.chain.steps[0]) for c in suite}
     assert len(suite) == 5 and len(firsts) == 1
-    records, calls = _read_only_run(b, suite)
+    records, calls = _run_as_owner(b, suite)
     assert {r.outcome for r in records} == {OUTCOME_SUCCESS}
     assert calls.count("App.openFolder") == 1
     with mock.patch.object(executor, "_run_chain", _reuse_free([])):
-        assert records_to_jsonl(_read_only_run(b, suite)[0]) == records_to_jsonl(records)
+        assert records_to_jsonl(_run_as_owner(b, suite)[0]) == records_to_jsonl(records)
 
 
 def test_a_loaded_suite_replays_equal_steps(tmp_path):
@@ -415,9 +424,9 @@ def test_a_loaded_suite_replays_equal_steps(tmp_path):
     suite = parse_json(suite_to_jsonl(generated), TestCase.from_json, "<suite>", lines=True)
     assert suite == generated
     assert len({id(c.chain.steps[0]) for c in suite}) == 5
-    records, calls = _read_only_run(b, suite)
+    records, calls = _run_as_owner(b, suite)
     assert calls.count("App.openFolder") == 1
-    assert records_to_jsonl(records) == records_to_jsonl(_read_only_run(b, generated)[0])
+    assert records_to_jsonl(records) == records_to_jsonl(_run_as_owner(b, generated)[0])
 
 
 def test_a_prefix_step_passing_true_replays_for_one_passing_1(tmp_path):
@@ -455,7 +464,7 @@ def test_a_prefix_step_passing_true_replays_for_one_passing_1(tmp_path):
     values = [c.chain.steps[0].params[0][1].value for c in suite]
     assert [type(v) for v in values] == [bool, int, int, bool] and values == [1, 1, 1, 1]
     b = SimulatorBackend(catalog, path, MATRIX, labels)
-    assert _read_only_run(b, suite)[1].count("App.openBook") == 1
+    assert _run_as_owner(b, suite)[1].count("App.openBook") == 1
     got = _campaign_jsonl(suite, b)
     with mock.patch.object(executor, "_run_chain", _reuse_free([])):
         assert got == _campaign_jsonl(suite, b)
@@ -559,12 +568,14 @@ ODD_TEXT = st.text(st.sampled_from('a"\\\t\u00e9\u96ea\u2028'), max_size=6)
     odd=st.tuples(ODD_TEXT, ODD_TEXT, ODD_TEXT, ODD_TEXT | st.none()),
     roleless=st.builds(Observed, st.none(), st.booleans(), st.booleans()),
 )
-def test_records_jsonl_matches_the_dict_oracle(tmp_path_factory, seed, rich, sheets, creators, odd, roleless):
+def test_records_jsonl_matches_the_dict_oracle(
+    tmp_path_factory, seed, rich, sheets, creators, fresh, odd, roleless
+):
     """On random campaigns with 0-4 random faults, plus copies of some of
     their records with odd text in case, installer, error and evidence and
     an observed role of null, the memoised writer writes `json.dumps` of
     each record's dict, and its records load back to the same text."""
-    suite, b = _random_campaign(tmp_path_factory, seed, rich, sheets, creators)
+    suite, b = _random_campaign(tmp_path_factory, seed, rich, sheets, creators, fresh)
     records = run_role_matrix(suite, b) + run_scope_ladder(suite, b)
     case, installer, error, evidence = odd
     records += [
@@ -597,3 +608,104 @@ def test_records_jsonl_keeps_true_and_1_apart():
     lines = records_to_jsonl([ints, bools]).splitlines()
     assert '"touched": [[1, "x"]]' in lines[0] and '"hidden": 1, "protected": 0' in lines[0]
     assert '"touched": [[true, "x"]]' in lines[1] and '"hidden": true, "protected": false' in lines[1]
+
+
+# --- a create drops only the replay entries that look up its kind ---------------
+
+
+def _notes_backend(tmp_path, resources: list, *apis: dict) -> SimulatorBackend:
+    """Classes App -> Book -> Note, `apis`, and a template of `resources`,
+    each owned by "o"."""
+    doc = synth.books_catalog_doc(*apis)
+    doc["classes"] = [
+        {"name": "App", "children": ["Book"]}, {"name": "Book", "children": ["Note"]},
+        {"name": "Note", "children": []},
+    ]
+    catalog = parse_catalog(doc)
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps({
+        "resources": resources, "sharing": {r["id"]: {"roles": {"o": "owner"}} for r in resources},
+    }))
+    return SimulatorBackend(catalog, path, MATRIX, classify_catalog(catalog))
+
+
+def _owner_run(b, *chains) -> tuple:
+    """(records, API ids invoked): each chain, its steps given by API id or
+    as `ChainStep`s, run as one case in an owner session with the full
+    grant.  The records must be those of running every step."""
+    steps = [tuple(ChainStep(s) if isinstance(s, str) else s for s in chain) for chain in chains]
+    suite = [
+        TestCase(f"tc{n}", c[-1].api_id, b.labels[c[-1].api_id], CallChain(c)) for n, c in enumerate(steps, 1)
+    ]
+    got = _run_as_owner(b, suite, GRANT_FULL)
+    with mock.patch.object(executor, "_run_chain", _reuse_free([])):
+        assert records_to_jsonl(_run_as_owner(b, suite, GRANT_FULL)[0]) == records_to_jsonl(got[0])
+    return got
+
+
+def test_a_create_keeps_the_replay_of_other_kinds(tmp_path):
+    """Creating a note keeps the kept `App.openBook` step, which looks up
+    only books, and so does a create that makes no class object: the later
+    cases replay the step, so it is invoked once, and the records are those
+    of running every step."""
+    b = _notes_backend(
+        tmp_path, [{"kind": "Book", "id": "b0"}],
+        synth.api_doc("App.openBook", {"class": "Book"}),
+        synth.api_doc("Book.createNote", {"class": "Note"}),
+        synth.api_doc("Book.createItem", {"primitive": "string"}),
+        synth.api_doc("Book.getName", {"primitive": "string"}),
+    )
+    records, calls = _owner_run(
+        b, ("App.openBook", "Book.getName"), ("App.openBook", "Book.createNote"),
+        ("App.openBook", "Book.createItem"), ("App.openBook", "Book.getName"),
+    )
+    assert [r.evidence for r in records[1:3]] == ["created note-1", "created item 2"]
+    assert calls.count("App.openBook") == 1 and len(calls) == 5
+
+
+def test_a_create_drops_a_step_whose_producer_chain_replayed_its_kind(tmp_path):
+    """`App.openBook`'s argument comes from a producer chain that looks up a
+    note.  That chain's step was kept by an earlier case, so it is replayed
+    while `App.openBook` runs and is kept with it.  A new note under the
+    first book is the workspace's first note, so the create must drop both
+    steps: the last case looks up the new note, as when every step runs."""
+    note = {**synth.api_doc("App.openBook", {"class": "Book"}),
+            "params": [{"name": "source", "kind": "class", "type": "Note"}]}
+    b = _notes_backend(
+        tmp_path,
+        [{"kind": "Book", "id": "b0"},
+         {"kind": "Book", "id": "b1", "children": [{"kind": "Note", "id": "n1"}]}],
+        note,
+        synth.api_doc("App.openNote", {"class": "Note"}),
+        synth.api_doc("Book.createNote", {"class": "Note"}),
+        synth.api_doc("Book.getName", {"primitive": "string"}),
+        synth.api_doc("Note.getName", {"primitive": "string"}),
+    )
+    find_note = ProducerPlan(CallChain((ChainStep("App.openNote"),)))
+    open_book = ChainStep("App.openBook", (("source", find_note),))
+    chains = [
+        ("App.openNote", "Note.getName"), (open_book, "Book.getName"),
+        ("App.openBook", "Book.createNote"), (open_book, "Book.getName"),
+    ]
+    assert _owner_run(b, *chains[:2])[1] == ["App.openNote", "Note.getName", "App.openBook", "Book.getName"]
+    records, _ = _owner_run(b, *chains)
+    assert records[1].touched[:2] == [("n1", "Note"), ("b0", "Book")]
+    assert records[3].touched[:2] == [("note-1", "Note"), ("b0", "Book")]
+
+
+def test_a_root_create_that_replaces_a_resource_drops_every_step(tmp_path):
+    """The template's book `book-1` holds the only note.  `App.createBook`
+    mints `book-1` too, which replaces that resource and detaches its note,
+    so the kept `App.openNote` step, though it looks up no book, must run
+    again and find no note, as when every step runs."""
+    b = _notes_backend(
+        tmp_path, [{"kind": "Book", "id": "book-1", "children": [{"kind": "Note", "id": "n0"}]}],
+        synth.api_doc("App.openNote", {"class": "Note"}),
+        synth.api_doc("App.createBook", {"class": "Book"}),
+        synth.api_doc("Note.getName", {"primitive": "string"}),
+    )
+    find_note = ("App.openNote", "Note.getName")
+    records, _ = _owner_run(b, find_note, ("App.createBook",), find_note)
+    assert records[1].evidence == "created book-1"
+    assert (records[2].outcome, records[2].error) == (OUTCOME_OTHER_ERROR, "no Note object available")
+

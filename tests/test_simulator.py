@@ -1,6 +1,8 @@
+import fnmatch
 import json
 import random
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -412,6 +414,21 @@ def test_fault_glob_and_idempotence():
     assert resolve_faults([fault, fault], SHEETS) == once
     assert "SkipRoleCheck" in once["Spreadsheet.setName"]
     assert "Sheet.sort" not in once
+
+
+# API-id-like text with every regex metacharacter but fnmatch's own (*, ? and [)
+LITERAL = st.text(st.sampled_from("aS.]\\()+$^{}|-_é"), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern=LITERAL, api_id=LITERAL, same=st.booleans())
+def test_a_literal_fault_pattern_matches_as_fnmatchcase(pattern, api_id, same):
+    """A pattern with no `*`, `?` or `[` matches exactly the ids that
+    `fnmatchcase` matches, and compiles no regex to find them."""
+    api_id = pattern if same else api_id
+    expected = fnmatch.fnmatchcase(api_id, pattern)
+    with mock.patch.object(fnmatch, "fnmatchcase", side_effect=AssertionError("regex compiled")):
+        assert FaultSpec("SkipRoleCheck", pattern).matches(api_id) is expected
 
 
 def test_faults_resolve_to_apis_at_injection():
