@@ -8,9 +8,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .catalog import expect
-from .classify import Operation, PermissionLabel
+from .classify import Operation
 from .errors import BackendUnavailable, NotFound
-from .graph import CallChain, ChainStep
+from .graph import CallChain
 from .simulator import (
     GRANT_FULL,
     GRANT_READ,
@@ -25,9 +25,8 @@ from .simulator import (
     invoke_host_api,
     resolve_faults,
     validate_grant,
-    writes_only_content,
 )
-from .testgen import AttributePlan, PrimitivePlan, ProducerPlan, TestCase, chain_api_ids
+from .testgen import AttributePlan, PrimitivePlan, ProducerPlan, TestCase
 
 OUTCOME_SUCCESS = "Success"
 OUTCOME_PERMISSION_ERROR = "PermissionError"
@@ -123,41 +122,33 @@ def _sharing_change_from_json(entry: list) -> tuple:
 
 class Session:
     __slots__ = (
-        "state", "ctx", "role", "mode", "labels", "failed_cases", "reuse", "by_kind", "kinds", "writes",
+        "state", "ctx", "role", "mode", "labels", "failed_cases", "reuse", "by_kind", "writes",
     )
 
-    def __init__(self, state: WorkspaceState, ctx: Subject, role: Role, mode: str, labels: dict, kinds: dict):
+    def __init__(self, state: WorkspaceState, ctx: Subject, role: Role, mode: str, labels: dict):
         self.state = state
         self.ctx = ctx
         self.role = role
         self.mode = mode
         self.labels = labels  # api id -> PermissionLabel
         self.failed_cases = set()  # case ids that did not succeed
-        # (step, receiver) -> (result, touched entries) of a step that ran in
-        # this session while no call wrote, its producer chains included,
-        # replayed for any step but a case's own last one.  The key is the
-        # step's value, so a loaded suite replays what a generated one does,
-        # but never its API id alone: a step's plans decide which producer
-        # chains it runs.  Replay is exact.  A write is a call that returns
-        # ok under a non-VIEW label (a denied call never writes), so every
-        # entry is a VIEW or a failure.  Neither reads its arguments (equal
-        # plans may pass True and 1), and both depend only on the workspace's
-        # trees, sharing and hidden and protected flags, the subject and
-        # faults, not on content: so a write that changes only content
-        # (`writes_only_content`) keeps every entry.  A VIEW's value reads
-        # content, but only a case's last step's value is recorded.  A create
-        # that adds a class object as a leaf, under its receiver or as a new
-        # root after the others (a root create needs a resource as its
-        # target, so the first resource, an app-level call's target, stays),
-        # drops only the entries whose step can look up its kind (`by_kind`):
-        # as `simulator._find_of_kind` says, a new leaf changes no other
-        # kind's lookup, and it changes no role, flag or resource of another
-        # node.  A create that makes no class object drops nothing.  Any
-        # other write (a root create that replaces a resource, a delete,
-        # hide, unhide or sharing change) empties the map.
+        # (step, receiver) -> (result, touched entries, kinds looked up) of a
+        # step that ran in this session while no call wrote, its producer
+        # chains included, replayed for any step but a case's own last one.
+        # The key is the step's value, so a loaded suite replays what a
+        # generated one does, but never its API id alone: a step's plans
+        # decide which producer chains it runs.  Replay is exact.  A write is
+        # a call that returns ok under a non-VIEW label, so every entry is a
+        # VIEW or a failure: neither reads its arguments (equal plans may pass
+        # True and 1), and both depend only on roles, flags, trees and the
+        # kinds they look up (`state.lookups`, logged again on replay), not on
+        # content.  A VIEW's value reads content, but only a case's last
+        # step's value is recorded.  A write that moves `state.epoch` empties
+        # the map; any other changes trees only by appending one leaf, so a
+        # create that returns a node drops the entries that looked up its kind
+        # (`by_kind`) and every other write keeps them all.
         self.reuse = {}
-        self.by_kind = {}  # kind -> keys of `reuse` whose step can look up that kind
-        self.kinds = kinds  # step -> `_lookup_kinds(step)`, shared by a backend's sessions
+        self.by_kind = {}  # kind -> keys of `reuse` whose entry looked up that kind
         self.writes = 0  # successful non-VIEW calls so far
 
 
@@ -174,7 +165,6 @@ class SimulatorBackend:
         self.matrix = matrix
         self.labels = labels
         self.faults = resolve_faults(faults, catalog)  # shared by every session
-        self.step_kinds = {}  # step -> the kinds it can look up, shared by every session
 
     @cached_property
     def template(self) -> WorkspaceState:
@@ -198,7 +188,6 @@ class SimulatorBackend:
             raise BackendUnavailable(f"installer {installer!r} is not a collaborator")
         return Session(
             state=state, ctx=Subject(installer, grant), role=role, mode=mode, labels=self.labels,
-            kinds=self.step_kinds,
         )
 
 
@@ -224,20 +213,6 @@ def _resolve_args(session: Session, params: tuple, touched: list) -> dict:
     return args
 
 
-def _lookup_kinds(session: Session, step: ChainStep) -> frozenset:
-    """The kinds whose objects a run of `step` can look up: the product of
-    each API in the step and its producer chains that returns a class and
-    does not create it.  One frozenset per step, shared by equal steps."""
-    kinds = session.kinds.get(step)
-    if kinds is None:
-        apis, labels = session.state.catalog.apis, session.labels
-        kinds = session.kinds[step] = frozenset(
-            apis[a].returns.name for a in chain_api_ids(CallChain((step,)))
-            if apis[a].returns.is_class and labels[a].operation is not Operation.CREATE
-        )
-    return kinds
-
-
 def _run_chain(session: Session, chain: CallChain, touched: list, target: bool = True) -> InvocationResult:
     """Run the chain's steps in order; `target` is False for a producer
     chain, whose last step is not the case's call and may be replayed."""
@@ -249,15 +224,16 @@ def _run_chain(session: Session, chain: CallChain, touched: list, target: bool =
         key = (step, receiver)
         hit = None if i == last else reuse.get(key)
         if hit is not None:
-            result, entries = hit
+            result, entries, kinds = hit
             touched.extend(entries)
+            state.lookups.extend(kinds)
         else:
             label = labels.get(step.api_id)
             if label is None:
                 raise NotFound(f"case step names unknown API {step.api_id!r}")
-            start, writes = len(touched), session.writes
+            start, looked, writes = len(touched), len(state.lookups), session.writes
             args = _resolve_args(session, step.params, touched) if step.params else None
-            roots = len(state.resources)
+            epoch = state.epoch
             result = invoke_host_api(state, ctx, step.api_id, label, receiver=receiver, args=args)
             if receiver is not None:
                 touched.append((receiver.id, receiver.kind))
@@ -265,36 +241,21 @@ def _run_chain(session: Session, chain: CallChain, touched: list, target: bool =
                 touched.append((result.node.id, result.node.kind))
             if result.ok and label.operation is not Operation.VIEW:
                 session.writes += 1
-                _drop_changed(session, step.api_id, label, receiver, result.node, roots)
+                if state.epoch != epoch:
+                    reuse.clear()
+                    session.by_kind.clear()
+                elif label.operation is Operation.CREATE and result.node is not None:
+                    for dropped in session.by_kind.pop(result.node.kind, ()):
+                        reuse.pop(dropped, None)
             elif session.writes == writes:  # no call wrote while this step ran
-                reuse[key] = (result, touched[start:])
-                for kind in _lookup_kinds(session, step):
+                kinds = state.lookups[looked:]
+                reuse[key] = (result, touched[start:], kinds)
+                for kind in kinds:
                     session.by_kind.setdefault(kind, set()).add(key)
         if not result.ok:
             raise _StepFailure(result)
         receiver = result.node
     return result
-
-
-def _drop_changed(
-    session: Session, api_id: str, label: PermissionLabel, receiver: ObjectNode | None,
-    node: ObjectNode | None, roots: int,
-) -> None:
-    """Drop the replay entries that a write, a call of `api_id` under
-    `label` on `receiver` that returned `node` while the workspace had
-    `roots` resources, may have changed (see `Session.reuse`)."""
-    state, reuse = session.state, session.reuse
-    if label.operation is Operation.CREATE and not label.touches_sharing:
-        if node is None:  # no class object made
-            return
-        if receiver is not None or roots < len(state.resources):  # a new leaf, not a replacement
-            for key in session.by_kind.pop(node.kind, ()):
-                reuse.pop(key, None)
-            return
-    elif writes_only_content(state.catalog.apis[api_id], label):
-        return
-    reuse.clear()
-    session.by_kind.clear()
 
 
 def _dependency_failed(session: Session, case: TestCase, suite_index: dict) -> bool:

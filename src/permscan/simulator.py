@@ -209,7 +209,7 @@ class WorkspaceState:
 
     __slots__ = (
         "catalog", "matrix", "users", "resources", "sharing", "sharing_log", "faults",
-        "attributes", "found", "_fresh_counter",
+        "attributes", "found", "lookups", "epoch", "_fresh_counter",
     )
 
     def __init__(self, catalog: Catalog, matrix: RoleCapabilityMatrix):
@@ -222,6 +222,11 @@ class WorkspaceState:
         self.faults = {}  # api id -> skipped gates; read-only, shared
         self.attributes = {}  # role -> (least kind, first value under it)
         self.found = {}  # kind -> {receiver: `_find_of_kind`'s answer}; a cache
+        self.lookups = []  # the kind each `invoke_host_api` call looked up, in call order
+        # moved by each effect that may change a role, a flag or a tree's
+        # shape other than by appending one leaf: a non-view sharing effect,
+        # hide, unhide and `_detach`
+        self.epoch = 0
         self._fresh_counter = 0
 
     def copy(self) -> "WorkspaceState":
@@ -235,6 +240,8 @@ class WorkspaceState:
         state.sharing_log = list(self.sharing_log)
         state.faults = self.faults
         state.attributes = dict(self.attributes)  # values are tuples of strs
+        state.lookups = list(self.lookups)
+        state.epoch = self.epoch
         state._fresh_counter = self._fresh_counter
         return state
 
@@ -458,7 +465,8 @@ def _find_of_kind(state: WorkspaceState, kind: str, receiver: ObjectNode | None)
     Answers are cached in `state.found[kind]`.  A new node has no children
     and the DFS order of the others never changes, so only a create of
     `kind` or a `_detach` over a `kind` node can change one; both drop the
-    kind's answers."""
+    kind's answers.  So while `state.epoch`, which a `_detach` moves, stays
+    as it is, an answer changes only on a create of its kind."""
     answers = state.found.setdefault(kind, {})
     if receiver in answers:
         return answers[receiver]
@@ -473,18 +481,13 @@ def _find_of_kind(state: WorkspaceState, kind: str, receiver: ObjectNode | None)
 
 
 def _detach(state: WorkspaceState, node: ObjectNode) -> None:
-    """Mark `node`'s subtree, just cut from its tree, as detached, and drop
-    the cached lookups of each kind in it."""
+    """Mark `node`'s subtree, just cut from its tree, as detached, drop the
+    cached lookups of each kind in it and move `state.epoch`: a delete or a
+    replaced root changes a tree's shape."""
+    state.epoch += 1
     for n in node.walk():
         n.resource = None
         state.found.pop(n.kind, None)
-
-
-def writes_only_content(api: ApiSpec, label: PermissionLabel) -> bool:
-    """Whether a successful call of `api` under `label` changes nothing but
-    its receiver's `content`: a COMMENT, or a MODIFY that neither hides,
-    unhides nor shares.  No check or lookup of a call reads `content`."""
-    return label.operation in (Operation.COMMENT, Operation.MODIFY) and effect_of(api.method, label) is None
 
 
 def _apply_effect(
@@ -508,6 +511,7 @@ def _apply_effect(
         roles = state.sharing[rid]
         if effect == "share_view":
             return InvocationResult(True, ",".join(sorted(roles)))
+        state.epoch += 1  # any other sharing effect may change a role
         subject_user = str(args.get(api.params[0].name)) if api.params else "collaborator-1"
         if effect == "share_transfer_owner":
             old_owner = next(u for u, r in roles.items() if r == Role.OWNER)
@@ -573,6 +577,8 @@ def _apply_effect(
     if label.operation == Operation.MODIFY:
         if receiver is None:
             return InvocationResult(True, "modified")
+        if effect in ("hide", "unhide"):
+            state.epoch += 1
         if effect == "unhide":
             unhidden = [n for n in receiver.walk() if n.hidden]
             for n in unhidden:
@@ -616,8 +622,9 @@ def invoke_host_api(
     """Execute one chain step: the two-level check with this API's faults
     skipped, then the semantic effect.  The check's target is the receiver,
     else the produced object, else the root of the first resource (an
-    app-level call); with none of these the call is denied.  Denials never
-    mutate state."""
+    app-level call); with none of these the call is denied.  The kind of
+    a product looked up is logged to `state.lookups`; denials change
+    nothing else."""
     args = args or {}
     api = state.catalog.apis.get(api_id)
     if api is None:
@@ -631,7 +638,10 @@ def invoke_host_api(
 
     # a call that returns a class, unless it creates one, finds its product
     kind = api.returns.name if api.returns.is_class and label.operation != Operation.CREATE else None
-    produced = None if kind is None else _find_of_kind(state, kind, receiver)
+    produced = None
+    if kind is not None:
+        state.lookups.append(kind)
+        produced = _find_of_kind(state, kind, receiver)
     target = receiver if receiver is not None else produced
     if target is None:
         target = next(iter(state.resources.values()), None)

@@ -61,31 +61,35 @@ MUTANTS = (
     ("e3-before-e1", "detector.py",
      "        if decision is Decision.DENY_SCOPE:",
      "        if decision is Decision.DENY_SCOPE and not record.sharing_changes:"),
-    # replay: a write drops every replayable step, unless it changes only
-    # content or adds a leaf, and a step is kept only if no call wrote while
-    # it ran
-    ("no-replay-reset", "executor.py",
-     "    reuse.clear()",
+    # replay: a write that moves the epoch drops every replayable step, and
+    # a step is kept only if no call wrote while it ran
+    ("sharing-keeps-epoch", "simulator.py",
+     "        state.epoch += 1  # any other sharing effect may change a role",
+     "        pass"),
+    ("hide-keeps-epoch", "simulator.py",
+     "            state.epoch += 1",
+     "            pass"),
+    ("detach-keeps-epoch", "simulator.py",
+     "    state.epoch += 1",
      "    pass"),
-    ("content-only-ignores-effect", "simulator.py",
-     "    return label.operation in (Operation.COMMENT, Operation.MODIFY) and effect_of(api.method, label) is None",
-     "    return label.operation in (Operation.COMMENT, Operation.MODIFY)"),
     ("replay-stores-after-content-write", "executor.py",
      "            args = _resolve_args(session, step.params, touched) if step.params else None",
      "            args = _resolve_args(session, step.params, touched) if step.params else None;"
      " writes = session.writes"),
-    # a create that adds a leaf drops only the kept steps that can look up
-    # its kind, its producer chains' lookups included; a root create that
-    # replaces a resource drops every kept step
-    ("create-lookup-kinds-own-api-only", "executor.py",
-     "            apis[a].returns.name for a in chain_api_ids(CallChain((step,)))",
-     "            apis[a].returns.name for a in (step.api_id,)"),
-    ("root-replacement-as-leaf-create", "executor.py",
-     "        if receiver is not None or roots < len(state.resources):  # a new leaf, not a replacement",
-     "        if True:"),
+    # a create that adds a leaf drops only the kept steps that looked up its
+    # kind, their replayed producer chains' lookups included
+    ("no-lookup-logged", "simulator.py",
+     "        state.lookups.append(kind)",
+     "        pass"),
+    ("replay-not-relogged", "executor.py",
+     "            state.lookups.extend(kinds)",
+     "            pass"),
+    ("leaf-create-keeps-every-step", "executor.py",
+     "                elif label.operation is Operation.CREATE and result.node is not None:",
+     "                elif False:"),
     ("leaf-create-drops-every-step", "executor.py",
-     "        if receiver is not None or roots < len(state.resources):  # a new leaf, not a replacement",
-     "        if False:"),
+     "                    for dropped in session.by_kind.pop(result.node.kind, ()):",
+     "                    for dropped in list(reuse):"),
     # replay is keyed by a step's value: a loaded suite's equal steps are
     # distinct objects
     ("replay-by-identity", "executor.py",

@@ -481,7 +481,7 @@ def state_value(state) -> tuple:
     trees = {rid: tree_value(root) for rid, root in state.resources.items()}
     return (
         state.catalog, state.matrix, state.users, trees, state.sharing, state.sharing_log,
-        state.faults, state.attributes, state._fresh_counter,
+        state.faults, state.attributes, state.lookups, state.epoch, state._fresh_counter,
     )
 
 

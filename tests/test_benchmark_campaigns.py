@@ -33,7 +33,7 @@ PINS = {
 
 
 # host-API calls of one pipeline: a timing-free guard on the work replay saves
-CALLS = {"campaign-reads": 1272, "campaign-writes": 1308}
+CALLS = {"campaign-reads": 1271, "campaign-writes": 1291}
 
 
 def _inputs(workload: str, tmp_path: Path, monkeypatch) -> dict:

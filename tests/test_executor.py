@@ -709,3 +709,22 @@ def test_a_root_create_that_replaces_a_resource_drops_every_step(tmp_path):
     assert records[1].evidence == "created book-1"
     assert (records[2].outcome, records[2].error) == (OUTCOME_OTHER_ERROR, "no Note object available")
 
+
+
+def test_a_delete_that_removes_nothing_keeps_the_replay_of_every_step(tmp_path):
+    """`Note.remove` on a note, which has no children and is not a root,
+    removes nothing, so the kept `App.openNote` step is replayed by the
+    last case: it is invoked once, not twice, and the records are those of
+    running every step."""
+    b = _notes_backend(
+        tmp_path, [{"kind": "Book", "id": "b0", "children": [{"kind": "Note", "id": "n0"}]}],
+        synth.api_doc("App.openNote", {"class": "Note"}),
+        synth.api_doc("Note.remove", {"void": True}),
+        synth.api_doc("Note.getName", {"primitive": "string"}),
+    )
+    assert b.labels["Note.remove"].operation is Operation.DELETE
+    find_note = ("App.openNote", "Note.getName")
+    records, calls = _owner_run(b, find_note, ("App.openNote", "Note.remove"), find_note)
+    assert [r.outcome for r in records] == [OUTCOME_SUCCESS] * 3
+    assert records[1].evidence == "deleted n0"
+    assert calls.count("App.openNote") == 1 and len(calls) == 4

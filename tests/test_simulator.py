@@ -757,10 +757,10 @@ def _nodes(state):
     return [n for root in state.resources.values() for n in root.walk()]
 
 
-def _create_or_delete(state, rng, apis, known):
-    """One random create or delete, by the owner, on a receiver from `known`
-    or on none; returns the created node, if any."""
-    op = rng.choice([Operation.CREATE, Operation.DELETE])
+def _random_write(state, rng, apis, known, ops=(Operation.CREATE, Operation.DELETE)):
+    """One random call of an operation in `ops`, by the owner, on a receiver
+    from `known` or on none; returns its result."""
+    op = rng.choice(ops)
     receiver = rng.choice([None, *known])
     fitting = [
         a for a in apis
@@ -768,7 +768,7 @@ def _create_or_delete(state, rng, apis, known):
     ]
     api = rng.choice(fitting or apis)
     label = PermissionLabel(op, api.parent_class, False)
-    return invoke_host_api(state, Subject("o"), api.id, label, receiver).node
+    return invoke_host_api(state, Subject("o"), api.id, label, receiver)
 
 
 @settings(max_examples=100, deadline=None)
@@ -800,7 +800,7 @@ def test_copy_is_independent_of_its_source(tmp_path_factory, seed, creators, fre
     apis = sorted(catalog.apis.values(), key=lambda a: a.id)
     known = _nodes(copy)
     for _ in range(rng.randint(1, 12)):
-        node = _create_or_delete(copy, rng, apis, known)
+        node = _random_write(copy, rng, apis, known).node
         if node is not None and all(node is not n for n in known):
             known.append(node)
     _check_index(copy, catalog.classes, known)
@@ -826,7 +826,7 @@ def _nodes_through_changes(seed: int, creators: bool):
     known = [n for root in state.resources.values() for n in synth.walk(root)]
     for step in range(rng.randint(1, 12)):
         if step:
-            node = _create_or_delete(state, rng, apis, known)
+            node = _random_write(state, rng, apis, known).node
             if node is not None and all(node is not n for n in known):
                 known.append(node)
         yield known
@@ -863,3 +863,65 @@ def test_copy_matches_a_recursive_copy(seed, creators):
             assert not {id(n) for n in synth.walk(got)} & {id(n) for n in synth.walk(node)}
             pairs = zip(synth.walk(got), synth.walk(node))
             assert all(c.children is not n.children and c.protection is n.protection for c, n in pairs)
+
+
+# --- the epoch: what a write that keeps it may change --------------------------------
+
+_WRITE_OPERATIONS = (Operation.CREATE, Operation.COMMENT, Operation.MODIFY, Operation.DELETE)
+
+
+def _shape(state, known, new=None) -> tuple:
+    """What a write that keeps `state.epoch` leaves as it was, the node
+    `new` left out: each known node's `resource`, flags and children, the
+    roots in order with their roles, and (kind, receiver) -> the first node
+    of that kind from no receiver and from each known node."""
+    def ids(nodes) -> list:
+        return [id(n) for n in nodes if n is not new]
+
+    return (
+        [(n.resource, n.hidden, n.protection, ids(n.children)) for n in known],
+        [(rid, id(root), dict(state.sharing[rid])) for rid, root in state.resources.items() if root is not new],
+        {
+            (kind, id(receiver)): synth.oracle_find_of_kind(state, kind, receiver)
+            for kind in state.catalog.classes for receiver in (None, *known)
+        },
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=st.sampled_from(["bundled", "books"]), seed=st.integers(0, 2**32), data=st.data())
+def test_a_write_that_keeps_the_epoch_appends_at_most_one_leaf(source, seed, data):
+    """Replay's contract: a successful write that leaves `state.epoch` as it
+    was, such as a content write, a create that makes no class object or a
+    delete that removes nothing, changes no role, `resource`, `hidden` or
+    `protection`, and no tree but by appending one leaf or root, which
+    changes no lookup of another kind.  Writes are sharing mutations, root
+    creates whose ids may collide, root deletes and random creates,
+    deletes, comments and modifies, on attached and detached receivers."""
+    rng = random.Random(seed)
+    catalog, labels, users, state = _workspace_for(source, rng)
+    _with_faults(state, FaultSpec("SkipRoleCheck", "*"))
+    apis = sorted(catalog.apis.values(), key=lambda a: a.id)
+    known = _nodes(state)
+    for _ in range(data.draw(st.integers(1, 12), label="calls")):
+        before, epoch = _shape(state, known), state.epoch
+        if data.draw(st.booleans(), label="sharing, root create or root delete"):
+            api_id, label, receiver, args = _draw_call(data, state, catalog, labels, users)
+            subject = Subject(data.draw(st.sampled_from(users), label="subject"), GRANT_FULL)
+            result = invoke_host_api(state, subject, api_id, label, receiver, args)
+        else:
+            result = _random_write(state, rng, apis, known, _WRITE_OPERATIONS)
+        new = result.node if all(result.node is not n for n in known) else None
+        if new is not None:
+            known.append(new)
+        if not result.ok or state.epoch != epoch:
+            continue
+        if new is not None:
+            holders = [n.children for n in known if new in n.children]
+            holders += [list(state.resources.values())] if new in state.resources.values() else []
+            assert not new.children and len(holders) == 1 and holders[0][-1] is new
+        nodes, roots, found = _shape(state, known[:len(before[0])], new)
+        assert (nodes, roots) == before[:2]
+        assert {k: v for k, v in found.items() if new is None or k[0] != new.kind} == {
+            k: v for k, v in before[2].items() if new is None or k[0] != new.kind
+        }
