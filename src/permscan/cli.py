@@ -99,6 +99,28 @@ def _known_apis(catalog, parse, api_ids):
     return build
 
 
+def _in_suite_order(build):
+    """`build` for the lines of one suite, which must list each case once
+    and after the case it depends on: Pruning #2 checks only a case's
+    direct dependency.  A dependency that names no case of the suite is
+    allowed, since it never runs and so never fails."""
+    seen: set = set()
+    waiting: dict = {}  # case id -> the first earlier case that depends on it
+
+    def check(doc):
+        case = build(doc)
+        if case.id in seen:
+            raise ValueError(f"case id {case.id!r} is repeated")
+        if case.id in waiting:
+            raise ValueError(f"case {case.id!r} comes after {waiting[case.id]!r}, which depends on it")
+        seen.add(case.id)
+        if case.depends_on is not None and case.depends_on not in seen:
+            waiting.setdefault(case.depends_on, case.id)
+        return case
+
+    return check
+
+
 def _backend(catalog, template_path, matrix, labels, faults_path) -> SimulatorBackend:
     """The backend with the faults file at `faults_path`, if any, resolved
     once against `catalog`; an error in the faults names the file."""
@@ -115,7 +137,7 @@ def cmd_run(args) -> int:
     catalog = load_catalog(args.catalog)
     labels = classify_catalog(catalog)
     build = _known_apis(catalog, TestCase.from_json, lambda case: chain_api_ids(case.chain))
-    suite = read_json(args.suite, build, lines=True)
+    suite = read_json(args.suite, _in_suite_order(build), lines=True)
     matrix = _load_matrix(args.matrix)
     backend = _backend(catalog, args.template, matrix, labels, args.faults)
     if args.mode == "role-matrix":

@@ -10,7 +10,7 @@ from typing import NamedTuple
 from .catalog import expect
 from .classify import Operation
 from .errors import BackendUnavailable, NotFound
-from .graph import CallChain
+from .graph import CallChain, ChainStep
 from .simulator import (
     GRANT_FULL,
     GRANT_READ,
@@ -169,7 +169,8 @@ class SimulatorBackend:
     @cached_property
     def template(self) -> WorkspaceState:
         """The template's workspace, read and validated once and never run
-        on or given faults: every session starts from a copy of it."""
+        on or given faults: every session starts from a copy of it, which
+        shares its `facts`."""
         return instantiate_template(self.template_path, self.catalog, self.matrix)
 
     def user_with_role(self, role: Role) -> str:
@@ -216,58 +217,57 @@ def _resolve_args(session: Session, params: tuple, touched: list) -> dict:
 def _run_chain(session: Session, chain: CallChain, touched: list, target: bool = True) -> InvocationResult:
     """Run the chain's steps in order; `target` is False for a producer
     chain, whose last step is not the case's call and may be replayed."""
-    state, ctx, labels, reuse = session.state, session.ctx, session.labels, session.reuse
+    reuse, lookups = session.reuse, session.state.lookups
     last = len(chain.steps) - 1 if target else -1  # the one step never replayed
     receiver: ObjectNode | None = None
     result = InvocationResult(True)
     for i, step in enumerate(chain.steps):
         key = (step, receiver)
         hit = None if i == last else reuse.get(key)
-        if hit is not None:
+        if hit is None:
+            result = _invoke_step(session, step, receiver, key, touched)
+        else:
             result, entries, kinds = hit
             touched.extend(entries)
-            state.lookups.extend(kinds)
-        else:
-            label = labels.get(step.api_id)
-            if label is None:
-                raise NotFound(f"case step names unknown API {step.api_id!r}")
-            start, looked, writes = len(touched), len(state.lookups), session.writes
-            args = _resolve_args(session, step.params, touched) if step.params else None
-            epoch = state.epoch
-            result = invoke_host_api(state, ctx, step.api_id, label, receiver=receiver, args=args)
-            if receiver is not None:
-                touched.append((receiver.id, receiver.kind))
-            if result.node is not None:
-                touched.append((result.node.id, result.node.kind))
-            if result.ok and label.operation is not Operation.VIEW:
-                session.writes += 1
-                if state.epoch != epoch:
-                    reuse.clear()
-                    session.by_kind.clear()
-                elif label.operation is Operation.CREATE and result.node is not None:
-                    for dropped in session.by_kind.pop(result.node.kind, ()):
-                        reuse.pop(dropped, None)
-            elif session.writes == writes:  # no call wrote while this step ran
-                kinds = state.lookups[looked:]
-                reuse[key] = (result, touched[start:], kinds)
-                for kind in kinds:
-                    session.by_kind.setdefault(kind, set()).add(key)
+            lookups.extend(kinds)
         if not result.ok:
             raise _StepFailure(result)
         receiver = result.node
     return result
 
 
-def _dependency_failed(session: Session, case: TestCase, suite_index: dict) -> bool:
-    dep = case.depends_on
-    seen = set()
-    while dep is not None and dep not in seen:
-        if dep in session.failed_cases:
-            return True
-        seen.add(dep)
-        parent = suite_index.get(dep)
-        dep = parent.depends_on if parent is not None else None
-    return False
+def _invoke_step(
+    session: Session, step: ChainStep, receiver: ObjectNode | None, key: tuple, touched: list
+) -> InvocationResult:
+    """Call the host API for `step` on `receiver`; keep the result for
+    replay under `key` if no call wrote meanwhile, else drop the replay
+    entries the write may have changed."""
+    state, reuse = session.state, session.reuse
+    label = session.labels.get(step.api_id)
+    if label is None:
+        raise NotFound(f"case step names unknown API {step.api_id!r}")
+    start, looked, writes = len(touched), len(state.lookups), session.writes
+    args = _resolve_args(session, step.params, touched) if step.params else None
+    epoch = state.epoch
+    result = invoke_host_api(state, session.ctx, step.api_id, label, receiver=receiver, args=args)
+    if receiver is not None:
+        touched.append((receiver.id, receiver.kind))
+    if result.node is not None:
+        touched.append((result.node.id, result.node.kind))
+    if result.ok and label.operation is not Operation.VIEW:
+        session.writes += 1
+        if state.epoch != epoch:
+            reuse.clear()
+            session.by_kind.clear()
+        elif label.operation is Operation.CREATE and result.node is not None:
+            for dropped in session.by_kind.pop(result.node.kind, ()):
+                reuse.pop(dropped, None)
+    elif session.writes == writes:  # no call wrote while this step ran
+        kinds = state.lookups[looked:]
+        reuse[key] = (result, touched[start:], kinds)
+        for kind in kinds:
+            session.by_kind.setdefault(kind, set()).add(key)
+    return result
 
 
 def sharing_changes(state: WorkspaceState, start: int) -> list:
@@ -287,10 +287,14 @@ def sharing_changes(state: WorkspaceState, start: int) -> list:
 
 
 def run_case(session: Session, case: TestCase, suite_index: dict | None = None) -> ExecutionRecord:
-    """Execute one case in a session.  Cases whose dependency prefix already
-    failed are recorded as Pruned and never sent to the backend."""
+    """Execute one case in a session.  A case whose dependency did not
+    succeed in this session is recorded as Pruned and never sent to the
+    backend (Pruning #2).  Only the direct dependency is checked: a suite
+    lists each case after the one it depends on, so a dependency whose own
+    ancestry failed was pruned, and so failed, before this case runs.
+    `suite_index` is accepted and ignored."""
     mode, role, (user, grant) = session.mode, session.role, session.ctx
-    if case.depends_on is not None and _dependency_failed(session, case, suite_index or {}):
+    if case.depends_on in session.failed_cases:
         session.failed_cases.add(case.id)
         return ExecutionRecord(case.id, case.target_api, mode, role, user, grant, OUTCOME_PRUNED)
 
@@ -318,8 +322,7 @@ def run_case(session: Session, case: TestCase, suite_index: dict | None = None) 
 
 def _run_session(backend, installer: str, grant: frozenset, suite: list, mode: str) -> list:
     session = backend.start_session(installer, grant, mode=mode)
-    index = {c.id: c for c in suite}
-    return [run_case(session, case, index) for case in suite]
+    return [run_case(session, case) for case in suite]
 
 
 def run_role_matrix(suite: list, backend) -> list:

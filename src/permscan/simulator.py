@@ -208,7 +208,7 @@ class WorkspaceState:
     """An empty workspace over `catalog` and `matrix`; compared by identity."""
 
     __slots__ = (
-        "catalog", "matrix", "users", "resources", "sharing", "sharing_log", "faults",
+        "catalog", "matrix", "users", "resources", "sharing", "sharing_log", "faults", "facts",
         "attributes", "found", "lookups", "epoch", "_fresh_counter",
     )
 
@@ -220,6 +220,7 @@ class WorkspaceState:
         self.sharing = {}  # resource id -> {user: Role}
         self.sharing_log = []  # (resource, user, old, new); None = no role
         self.faults = {}  # api id -> skipped gates; read-only, shared
+        self.facts = {}  # (api id, label) -> its `_CallFacts`; a cache, shared
         self.attributes = {}  # role -> (least kind, first value under it)
         self.found = {}  # kind -> {receiver: `_find_of_kind`'s answer}; a cache
         self.lookups = []  # the kind each `invoke_host_api` call looked up, in call order
@@ -231,14 +232,15 @@ class WorkspaceState:
 
     def copy(self) -> "WorkspaceState":
         """An independent copy: it shares no node or role map with this
-        state, only its read-only `faults`, and starts with no cached
-        lookups."""
+        state, only its read-only `faults` and its `facts` cache, and starts
+        with no cached lookups."""
         state = WorkspaceState(self.catalog, self.matrix)
         state.users = set(self.users)
         state.resources = {rid: root.copy() for rid, root in self.resources.items()}
         state.sharing = {rid: dict(roles) for rid, roles in self.sharing.items()}
         state.sharing_log = list(self.sharing_log)
         state.faults = self.faults
+        state.facts = self.facts
         state.attributes = dict(self.attributes)  # values are tuples of strs
         state.lookups = list(self.lookups)
         state.epoch = self.epoch
@@ -339,12 +341,16 @@ def _build_workspace(doc: dict, catalog: Catalog, matrix: RoleCapabilityMatrix) 
     unshared = [rid for rid in state.resources if rid not in state.sharing]
     if unshared:
         raise SchemaViolation(f"resource {unshared[0]!r} has no sharing entry")
+    first = None  # the first node of the least kind: the one `record_attribute` keeps
     for rid, root in state.resources.items():
         for n in root.walk():
             n.resource = rid
-            state.record_attribute(n.kind, "id", n.id)
-            state.record_attribute(n.kind, "name", n.id)
-            state.record_attribute(n.kind, "url", f"https://workspace.local/{n.id}")
+            if first is None or n.kind < first.kind:
+                first = n
+    if first is not None:
+        state.record_attribute(first.kind, "id", first.id)
+        state.record_attribute(first.kind, "name", first.id)
+        state.record_attribute(first.kind, "url", f"https://workspace.local/{first.id}")
     return state
 
 
@@ -460,22 +466,33 @@ def _deny() -> InvocationResult:
 
 def _find_of_kind(state: WorkspaceState, kind: str, receiver: ObjectNode | None):
     """First `kind` node strictly below the receiver, else the first in the
-    workspace; DFS order over `resources` in dict order.
+    workspace; DFS order over `resources` in dict order, each tree parent
+    first and children in list order.
 
     Answers are cached in `state.found[kind]`.  A new node has no children
     and the DFS order of the others never changes, so only a create of
     `kind` or a `_detach` over a `kind` node can change one; both drop the
     kind's answers.  So while `state.epoch`, which a `_detach` moves, stays
     as it is, an answer changes only on a create of its kind."""
-    answers = state.found.setdefault(kind, {})
-    if receiver in answers:
+    answers = state.found.get(kind)
+    if answers is None:
+        answers = state.found[kind] = {}
+    elif receiver in answers:
         return answers[receiver]
     if receiver is None:
-        found = next((n for root in state.resources.values() for n in root.walk() if n.kind == kind), None)
+        stack = [*reversed(state.resources.values())]
     else:
-        found = next((n for n in receiver.walk() if n.kind == kind and n is not receiver), None)
-        if found is None:
-            found = _find_of_kind(state, kind, None)
+        stack = receiver.children[::-1]
+    found = None
+    while stack:
+        node = stack.pop()
+        if node.kind == kind:
+            found = node
+            break
+        if node.children:
+            stack += reversed(node.children)
+    if found is None and receiver is not None:
+        found = _find_of_kind(state, kind, None)
     answers[receiver] = found
     return found
 
@@ -490,16 +507,43 @@ def _detach(state: WorkspaceState, node: ObjectNode) -> None:
         state.found.pop(n.kind, None)
 
 
+class _CallFacts(NamedTuple):
+    """What a call of one API under one label does, whatever its receiver:
+    worked out once per (API, label) by `_call_facts`."""
+
+    api: ApiSpec
+    kind: str | None  # the class of the product the call looks up; None = none
+    effect: str  # `effect_of`'s effect, "" for None
+    added_role: str  # the role a `share_add` effect gives, else ""
+
+
+def _call_facts(state: WorkspaceState, api_id: str, label: PermissionLabel) -> _CallFacts:
+    """`api_id`'s facts under `label`, from `state.facts` or worked out and
+    kept there: a call that returns a class, unless it creates one, looks up
+    its product."""
+    key = (api_id, label)
+    facts = state.facts.get(key)
+    if facts is None:
+        api = state.catalog.apis.get(api_id)
+        if api is None:
+            raise NotFound(f"unknown API {api_id!r}")
+        returns = api.returns
+        kind = returns.name if returns.is_class and label.operation != Operation.CREATE else None
+        effect, _, added_role = (effect_of(api.method, label) or "").partition(":")
+        facts = state.facts[key] = _CallFacts(api, kind, effect, added_role)
+    return facts
+
+
 def _apply_effect(
     state: WorkspaceState,
     ctx: Subject,
-    api: ApiSpec,
+    facts: _CallFacts,
     label: PermissionLabel,
     receiver: ObjectNode | None,
     produced: ObjectNode | None,
     args: dict,
 ) -> InvocationResult:
-    effect, _, added_role = (effect_of(api.method, label) or "").partition(":")
+    api, _, effect, added_role = facts
 
     if label.touches_sharing:
         rid = receiver.resource if receiver is not None else next(iter(state.resources))
@@ -626,9 +670,8 @@ def invoke_host_api(
     a product looked up is logged to `state.lookups`; denials change
     nothing else."""
     args = args or {}
-    api = state.catalog.apis.get(api_id)
-    if api is None:
-        raise NotFound(f"unknown API {api_id!r}")
+    facts = _call_facts(state, api_id, label)
+    api, kind, _, _ = facts
     if receiver is not None and receiver.kind != api.parent_class:
         return InvocationResult(
             ok=False,
@@ -636,8 +679,6 @@ def invoke_host_api(
             error_kind="TypeError",
         )
 
-    # a call that returns a class, unless it creates one, finds its product
-    kind = api.returns.name if api.returns.is_class and label.operation != Operation.CREATE else None
     produced = None
     if kind is not None:
         state.lookups.append(kind)
@@ -654,7 +695,7 @@ def invoke_host_api(
     elif kind is not None and produced is None:
         result = InvocationResult(ok=False, error=f"no {kind} object available", error_kind="NotFound")
     else:
-        result = _apply_effect(state, ctx, api, label, receiver, produced, args)
+        result = _apply_effect(state, ctx, facts, label, receiver, produced, args)
     result.observed = observed
     return result
 

@@ -73,8 +73,8 @@ MUTANTS = (
      "    state.epoch += 1",
      "    pass"),
     ("replay-stores-after-content-write", "executor.py",
-     "            args = _resolve_args(session, step.params, touched) if step.params else None",
-     "            args = _resolve_args(session, step.params, touched) if step.params else None;"
+     "    args = _resolve_args(session, step.params, touched) if step.params else None",
+     "    args = _resolve_args(session, step.params, touched) if step.params else None;"
      " writes = session.writes"),
     # a create that adds a leaf drops only the kept steps that looked up its
     # kind, their replayed producer chains' lookups included
@@ -82,14 +82,14 @@ MUTANTS = (
      "        state.lookups.append(kind)",
      "        pass"),
     ("replay-not-relogged", "executor.py",
-     "            state.lookups.extend(kinds)",
+     "            lookups.extend(kinds)",
      "            pass"),
     ("leaf-create-keeps-every-step", "executor.py",
-     "                elif label.operation is Operation.CREATE and result.node is not None:",
-     "                elif False:"),
+     "        elif label.operation is Operation.CREATE and result.node is not None:",
+     "        elif False:"),
     ("leaf-create-drops-every-step", "executor.py",
-     "                    for dropped in session.by_kind.pop(result.node.kind, ()):",
-     "                    for dropped in list(reuse):"),
+     "            for dropped in session.by_kind.pop(result.node.kind, ()):",
+     "            for dropped in list(reuse):"),
     # replay is keyed by a step's value: a loaded suite's equal steps are
     # distinct objects
     ("replay-by-identity", "executor.py",
@@ -100,6 +100,18 @@ MUTANTS = (
     ("replay-own-last-step", "executor.py",
      "        hit = None if i == last else reuse.get(key)",
      "        hit = reuse.get(key)"),
+    # Pruning #2 checks a case's direct dependency, which the suite reader
+    # makes sure comes first
+    ("pruning-ignores-failed-dependency", "executor.py",
+     "    if case.depends_on in session.failed_cases:",
+     "    if False:"),
+    ("suite-order-unchecked", "cli.py",
+     "    suite = read_json(args.suite, _in_suite_order(build), lines=True)",
+     "    suite = read_json(args.suite, build, lines=True)"),
+    # a product is looked up strictly below its receiver
+    ("lookup-includes-receiver", "simulator.py",
+     "        stack = receiver.children[::-1]",
+     "        stack = [receiver]"),
     # a command runs with the cyclic collector paused
     ("collector-left-running", "cli.py",
      "        gc.disable()",

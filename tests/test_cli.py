@@ -580,6 +580,41 @@ def test_malformed_input_is_one_line_exit_1(case, bundled, tmp_path, capsys):
         assert not (tmp_path / "out" / "suite.jsonl").exists()
 
 
+# (id, depends_on) of each line of a suite of the bundled first case, and
+# the line `run` rejects (None: the suite runs)
+SUITE_ORDERS = {
+    "a case that depends on a later line": ([("a", None), ("b", "c"), ("c", None)], 3),
+    "a repeated case id": ([("a", None), ("b", "a"), ("a", None)], 3),
+    "a case that depends on no case of the suite": ([("a", "gone"), ("b", "a")], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_ORDERS))
+def test_run_reads_each_case_after_its_dependency(name, bundled, tmp_path, capsys):
+    """Pruning #2 checks only a case's direct dependency, so `run` rejects a
+    suite that lists a case before the case it depends on, or lists a case
+    id twice: exit 1, one stderr line naming the file and line, and no case
+    runs.  A dependency that names no case of the suite is allowed: that
+    case never runs, so never fails, and prunes nothing."""
+    lines, bad = SUITE_ORDERS[name]
+    path = tmp_path / "suite.jsonl"
+    path.write_text("".join(
+        json.dumps({**json.loads(bundled["suite"]), "id": i, "depends_on": dep}) + "\n"
+        for i, dep in lines
+    ))
+    argv = _argv("suite", str(path), tmp_path)
+    if bad is None:
+        assert main(argv) == 0
+        records = (tmp_path / "records.jsonl").read_text().splitlines()
+        assert len(records) == 3 * len(lines)
+        assert all(json.loads(r)["outcome"] == "Success" for r in records)
+        return
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"run: {path}:{bad}: "), err
+    assert not (tmp_path / "records.jsonl").exists()
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permscan import executor
+from permscan import executor, simulator
 from permscan.catalog import load_catalog, parse_catalog, parse_json
 from permscan.cli import main
 from permscan.classify import Operation, classify_catalog
@@ -319,6 +319,53 @@ def test_reuse_gives_the_records_of_running_every_step(tmp_path_factory, seed, r
     got = _campaign_jsonl(suite, b)
     with mock.patch.object(executor, "_run_chain", _reuse_free([])):
         assert got == _campaign_jsonl(suite, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**CAMPAIGNS)
+def test_a_case_is_pruned_iff_an_ancestor_did_not_succeed(tmp_path_factory, seed, rich, sheets, creators, fresh):
+    """Acceptance 05's rule on random campaigns with 0-4 random faults: in
+    each session a record is Pruned iff some ancestor of its case, followed
+    through `depends_on` within the suite, has a record other than Success
+    in that session."""
+    suite, b = _random_campaign(tmp_path_factory, seed, rich, sheets, creators, fresh)
+    index = {c.id: c for c in suite}
+    assert len(index) == len(suite)
+    records = run_role_matrix(suite, b) + run_scope_ladder(suite, b)
+    n = len(suite)
+    for session in range(5):
+        outcomes = {r.case_id: r.outcome for r in records[session * n:(session + 1) * n]}
+        for case in suite:
+            ancestors = []
+            dep = case.depends_on
+            while dep in index and dep not in ancestors:
+                ancestors.append(dep)
+                dep = index[dep].depends_on
+            failed = any(outcomes[a] != OUTCOME_SUCCESS for a in ancestors)
+            assert (outcomes[case.id] == OUTCOME_PRUNED) == failed, case.id
+
+
+def test_a_campaign_works_out_each_apis_call_facts_once():
+    """A backend's sessions share one map of call facts: over a faulty
+    role-matrix and scope-ladder campaign, `effect_of` runs once for each
+    API the sessions invoke, under its one label."""
+    b = backend(load_faults(str(DATA / "faults_seeded.json")))
+    effects, invoked = [], set()
+    effect_of, invoke = simulator.effect_of, executor.invoke_host_api
+
+    def counted_effect(method, label):
+        effects.append((method, label))
+        return effect_of(method, label)
+
+    def counted_invoke(state, ctx, api_id, label, **kwargs):
+        invoked.add(api_id)
+        return invoke(state, ctx, api_id, label, **kwargs)
+
+    with mock.patch.object(simulator, "effect_of", counted_effect), \
+            mock.patch.object(executor, "invoke_host_api", counted_invoke):
+        run_role_matrix(SUITE, b) + run_scope_ladder(SUITE, b)
+    assert sorted(effects) == sorted((SHEETS.apis[a].method, b.labels[a]) for a in invoked)
+    assert len(invoked) > 10
 
 
 def test_read_only_session_invokes_each_prefix_step_once_per_receiver():

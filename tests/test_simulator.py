@@ -812,6 +812,29 @@ def test_copy_is_independent_of_its_source(tmp_path_factory, seed, creators, fre
     _check_index(again, catalog.classes, _nodes(again))
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32), sheets=st.booleans())
+def test_template_attributes_are_those_of_the_per_node_loop(seed, sheets):
+    """A template's attributes are seeded in one pass, from the first node
+    of the least kind: the workspace equals one whose id, name and url are
+    recorded at every node in DFS order."""
+    rng = random.Random(seed)
+    catalog = synth.make_catalog(rng, max_classes=8, max_apis=40)
+    if sheets:
+        catalog = synth.as_sheets(catalog, rng)
+    doc = synth.make_template(rng, catalog, max_nodes=30, roles=synth.ALL_ROLES)
+    state = _build_workspace(doc, catalog, MATRIX)
+    oracle = state.copy()
+    oracle.attributes = {}
+    for root in oracle.resources.values():
+        for n in synth.walk(root):
+            oracle.record_attribute(n.kind, "id", n.id)
+            oracle.record_attribute(n.kind, "name", n.id)
+            oracle.record_attribute(n.kind, "url", f"https://workspace.local/{n.id}")
+    assert synth.state_value(state) == synth.state_value(oracle)
+    assert list(state.attributes) == ["id", "name", "url"]
+
+
 def _nodes_through_changes(seed: int, creators: bool):
     """Every node of a random template, and again after each of some random
     creates and deletes, every node ever seen, detached ones included: one
