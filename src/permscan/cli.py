@@ -11,7 +11,6 @@ import functools
 import gc
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .catalog import expect, load_catalog, object_census, read_json
@@ -40,7 +39,7 @@ TEMPLATE_HELP = (
 
 
 def default_matrix_path() -> Path:
-    return Path(str(resources.files("permscan").joinpath("data/capability_matrix.json")))
+    return Path(__file__).with_name("data") / "capability_matrix.json"
 
 
 def _load_matrix(path):
@@ -301,5 +300,18 @@ def main(argv=None) -> int:
     return EXIT_ERROR
 
 
+def entry() -> None:
+    """The process entry point: `python -m permscan.cli` and the `permscan`
+    script.  Runs `main` on `sys.argv`, then freezes the heap before
+    exiting with its code, so the collections of interpreter shutdown skip
+    every module, class and function the process loaded; they would free
+    nothing the run needs.  Unlike `os._exit`, exiting this way still runs
+    atexit handlers and flushes stdout and stderr.  `main` itself never
+    freezes: an in-process caller keeps a heap the collector can clean."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

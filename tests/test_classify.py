@@ -4,7 +4,7 @@ import subprocess
 import sys
 from importlib import resources
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import permscan
@@ -246,6 +246,9 @@ def _shape(state) -> list:
     children=st.lists(st.tuples(st.booleans(), st.text("xyz", max_size=3)), min_size=1, max_size=3),
     user=st.sampled_from(["o", "e", "c", "v", "newcomer"]),
 )
+# removing the owner removes another collaborator instead
+@example(verb="remove", obj="Editor", upper=False, collaborators={"e": Role.EDITOR}, children=[(False, "")],
+         user="o")
 def test_order_and_simulator_follow_the_one_effect_function(
     verb, obj, upper, collaborators, children, user
 ):

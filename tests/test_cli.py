@@ -2,7 +2,10 @@ import copy
 import gc
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -212,6 +215,37 @@ def test_bundled_pipeline_host_api_calls_are_pinned(tmp_path, capsys):
             ]) == 0
     capsys.readouterr()
     assert invoke.call_count == 164
+
+
+def _spawn_cli(*argv) -> subprocess.CompletedProcess:
+    """`python -m permscan.cli *argv` in a fresh process that imports the
+    permscan these tests import.  Its stdout is block-buffered, as a pipe's
+    is by default, so what it prints reaches the test only if exiting
+    flushes it."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "permscan.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_a_spawned_cli_process_writes_the_pins_and_prints_the_report(tmp_path):
+    """The process entry point freezes the heap before the interpreter
+    exits.  A spawned bundled seeded pipeline still exits 2, writes the
+    pinned outputs and prints exactly the report text, so stdout is flushed
+    at exit; a spawned usage error exits 1 with one line on stderr."""
+    proc = _spawn_cli("pipeline", "--catalog", CATALOG, "--template", TEMPLATE,
+                      "--faults", FAULTS, "--out-dir", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in BUNDLED_DIGESTS}
+    assert digests == BUNDLED_DIGESTS
+    assert proc.stdout == (tmp_path / "report.txt").read_bytes() + b"\n"
+    assert proc.stderr == b""
+
+    proc = _spawn_cli("pipeline", "--bogus")
+    assert proc.returncode == 1
+    assert proc.stdout == b"" and len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith(b"permscan"), proc.stderr
 
 
 def test_config_with_a_null_out_dir_writes_to_the_working_directory(tmp_path, monkeypatch):
@@ -876,3 +910,37 @@ def test_main_runs_the_command_with_the_collector_paused(tmp_path, monkeypatch):
     finally:
         gc.enable() if collecting else gc.disable()
     assert seen == [False] * 8
+
+
+def test_only_the_process_entry_point_freezes_the_heap(tmp_path, monkeypatch):
+    """`main` leaves the permanent generation as it found it after exit 0,
+    2 or 1, or an exception out of `main`: an in-process caller keeps a heap
+    the collector can clean.  `entry`, the `permscan` script's target too,
+    runs `main` on `sys.argv`, freezes the heap and exits with `main`'s
+    code."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'permscan = "permscan.cli:entry"' in pyproject.splitlines()
+    malformed = tmp_path / "catalog.json"
+    malformed.write_text("{")
+    pipeline = ["pipeline", "--catalog", CATALOG, "--template", TEMPLATE, "--faults", FAULTS,
+                "--out-dir", str(tmp_path / "out")]
+    runs = ((["ingest", "--catalog", CATALOG], 0), (pipeline, 2), (["ingest", "--catalog", str(malformed)], 1))
+    frozen = gc.get_freeze_count()
+    for argv, code in runs:
+        assert main(argv) == code
+        assert gc.get_freeze_count() == frozen, argv
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "load_catalog", mock.Mock(side_effect=RuntimeError("boom")))
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["ingest", "--catalog", CATALOG])
+    assert gc.get_freeze_count() == frozen
+
+    for argv, code in runs:
+        monkeypatch.setattr(sys, "argv", ["permscan", *argv])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.entry()
+            assert exc.value.code == code, argv
+            assert gc.get_freeze_count() > frozen, argv
+        finally:
+            gc.unfreeze()

@@ -313,6 +313,11 @@ _FIRST_DENIAL = (
     "olivia.owner", GRANT_FULL, Operation.MODIFY, False,
     ("Range", False, frozenset({"alice.editor"}), True), None,
 )
+# a viewer the protection lists sees a hidden range
+@example(
+    "victor.viewer", GRANT_FULL, Operation.VIEW, False,
+    ("Range", True, frozenset({"victor.viewer"}), True), None,
+)
 def test_check_access_on_random_nodes_matches_the_oracle(user, grant, op, sharing, target, produced):
     """On a random target, and a random produced object or none, of any
     kind, hidden or not, protected for any set of users (the owner in it
