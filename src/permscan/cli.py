@@ -26,16 +26,13 @@ from .executor import (
 )
 from .graph import build_graph, to_dot
 from .simulator import Role, faults_from_json, load_capability_matrix
-from .testgen import TestCase, chain_api_ids, generate_suite, suite_to_jsonl
+from .testgen import TestCase, generate_suite, suite_to_jsonl
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FINDINGS = 2
 
 SEED_HELP = "ignored: generation is deterministic (kept so existing scripts still run)"
-TEMPLATE_HELP = (
-    "ignored: each record carries what its call observed (kept so existing scripts still run)"
-)
 
 
 def default_matrix_path() -> Path:
@@ -75,7 +72,8 @@ def cmd_gen(args) -> int:
     labels = classify_catalog(catalog)
     graph = build_graph(catalog)
     result = generate_suite(graph, labels)
-    Path(args.out).write_text(suite_to_jsonl(result.cases), encoding="utf-8")
+    with open(args.out, "w", encoding="utf-8") as out:
+        suite_to_jsonl(result.cases, out)
     print(
         f"generated {len(result.cases)} cases "
         f"(excluded {len(result.excluded)}, pruned {len(result.pruned)}) -> {args.out}"
@@ -85,12 +83,11 @@ def cmd_gen(args) -> int:
 
 def _known_apis(catalog, parse, api_ids):
     """Builder for one suite or records line: `parse(doc)`, once every API
-    `api_ids` finds in it (a case's producer chains included)
-    is in `catalog`."""
+    `api_ids(doc)` finds in the parsed line is in `catalog`."""
 
     def build(doc):
         item = parse(doc)
-        for api_id in api_ids(item):
+        for api_id in api_ids(doc):
             if api_id not in catalog.apis:
                 raise NotFound(f"unknown API {api_id!r}")
         return item
@@ -135,7 +132,10 @@ def _backend(catalog, template_path, matrix, labels, faults_path) -> SimulatorBa
 def cmd_run(args) -> int:
     catalog = load_catalog(args.catalog)
     labels = classify_catalog(catalog)
-    build = _known_apis(catalog, TestCase.from_json, lambda case: chain_api_ids(case.chain))
+    # a suite line names the chains earlier lines defined, and its own
+    # definitions hold the one step of each chain they add
+    parse = functools.partial(TestCase.from_json, chains={})
+    build = _known_apis(catalog, parse, lambda doc: [d["step"]["api"] for d in doc["chains"]])
     suite = read_json(args.suite, _in_suite_order(build), lines=True)
     matrix = _load_matrix(args.matrix)
     backend = _backend(catalog, args.template, matrix, labels, args.faults)
@@ -143,7 +143,8 @@ def cmd_run(args) -> int:
         records = run_role_matrix(suite, backend)
     else:
         records = run_scope_ladder(suite, backend)
-    Path(args.out).write_text(records_to_jsonl(records), encoding="utf-8")
+    with open(args.out, "w", encoding="utf-8") as out:
+        records_to_jsonl(records, out)
     print(f"executed {len(suite)} cases in mode {args.mode} -> {args.out}")
     return EXIT_OK
 
@@ -152,7 +153,7 @@ def cmd_report(args) -> int:
     catalog = load_catalog(args.catalog)
     labels = classify_catalog(catalog)
     matrix = _load_matrix(args.matrix)
-    build = _known_apis(catalog, ExecutionRecord.from_json, lambda record: (record.api,))
+    build = _known_apis(catalog, ExecutionRecord.from_json, lambda doc: (doc["api"],))
     records = read_json(args.records, build, lines=True)
     detection = detect_full(records, labels, matrix)
     report = build_report(detection, records, catalog)
@@ -191,11 +192,13 @@ def cmd_pipeline(args) -> int:
     graph = build_graph(catalog)
     result = generate_suite(graph, labels)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "suite.jsonl").write_text(suite_to_jsonl(result.cases), encoding="utf-8")
+    with (out_dir / "suite.jsonl").open("w", encoding="utf-8") as out:
+        suite_to_jsonl(result.cases, out)
 
     records = run_role_matrix(result.cases, backend)
     records += run_scope_ladder(result.cases, backend)
-    (out_dir / "records.jsonl").write_text(records_to_jsonl(records), encoding="utf-8")
+    with (out_dir / "records.jsonl").open("w", encoding="utf-8") as out:
+        records_to_jsonl(records, out)
 
     detection = detect_full(records, labels, matrix)
     exclusions = {
@@ -245,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate the ordered test suite")
     p.add_argument("--catalog", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("run", help="execute a suite against the simulator")
@@ -261,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="classify records into findings")
     p.add_argument("--records", required=True)
     p.add_argument("--catalog", required=True)
-    p.add_argument("--template", help=TEMPLATE_HELP)
     p.add_argument("--matrix")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)

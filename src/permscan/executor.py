@@ -135,9 +135,10 @@ class Session:
         # (step, receiver) -> (result, touched entries, kinds looked up) of a
         # step that ran in this session while no call wrote, its producer
         # chains included, replayed for any step but a case's own last one.
-        # The key is the step's value, so a loaded suite replays what a
-        # generated one does, but never its API id alone: a step's plans
-        # decide which producer chains it runs.  Replay is exact.  A write is
+        # The key is the step's value, so equal steps that are distinct
+        # objects, as lines that each define their own chains load, replay
+        # as one, but never its API id alone: a step's plans decide which
+        # producer chains it runs.  Replay is exact.  A write is
         # a call that returns ok under a non-VIEW label, so every entry is a
         # VIEW or a failure: neither reads its arguments (equal plans may pass
         # True and 1), and both depend only on roles, flags, trees and the
@@ -357,16 +358,16 @@ class _EntryTexts(dict):
         return text
 
 
-def records_to_jsonl(records: list) -> str:
-    """The records as JSON lines, byte for byte as `json.dumps` writes each
-    record's dict (keys case, api, mode, role, installer, grant, outcome,
-    error, sharing_changes, touched, evidence, observed).  Each text below
-    is encoded once per call and kept in a memo of its own, so no two kinds
-    of key share one: each case's case and api, each session's head (mode,
-    role, installer, grant), each (outcome, error), each observed value,
-    keyed with its flags' types (True == 1), each touched entry, and each
-    touched list whose entries are all tuples of two strs.  Every other
-    field is encoded inline."""
+def records_to_jsonl(records: list, out) -> None:
+    """Write the records to the text file `out`, one line per record, byte
+    for byte as `json.dumps` writes each record's dict (keys case, api,
+    mode, role, installer, grant, outcome, error, sharing_changes, touched,
+    evidence, observed).  Each text below is encoded once per call and kept
+    in a memo of its own, so no two kinds of key share one: each case's
+    case and api, each session's head (mode, role, installer, grant), each
+    (outcome, error), each observed value, keyed with its flags' types
+    (True == 1), each touched entry, and each touched list whose entries
+    are all tuples of two strs.  Every other field is encoded inline."""
     cases: dict = {}
     heads: dict = {}
     outcomes: dict = {}
@@ -422,7 +423,4 @@ def records_to_jsonl(records: list) -> str:
             f'"observed": {"null" if r.observed is None else observed(r.observed)}}}\n'
         )
 
-    lines = [line(r) for r in records]
-    for memo in (cases, heads, outcomes, observations, lists, entries):
-        memo.clear()  # before the join: the texts and the whole output are never held together
-    return "".join(lines)
+    out.writelines(map(line, records))

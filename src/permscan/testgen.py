@@ -42,16 +42,6 @@ class PrimitivePlan(NamedTuple):
         return {"strategy": "primitive", "value": self.value}
 
 
-def chain_api_ids(chain: CallChain):
-    """Every API the chain names: each step's, then those of the step's
-    producer chains, depth first."""
-    for step in chain.steps:
-        yield step.api_id
-        for _, strat in step.params:
-            if isinstance(strat, ProducerPlan):
-                yield from chain_api_ids(strat.chain)
-
-
 # --- test cases ---------------------------------------------------------------
 
 
@@ -65,13 +55,19 @@ class TestCase(NamedTuple):
     depends_on: str | None = None
 
     @staticmethod
-    def from_json(obj: dict) -> "TestCase":
+    def from_json(obj: dict, chains: dict) -> "TestCase":
+        """The case of one suite line as `suite_to_jsonl` writes it.
+        `chains` maps the name of each chain the suite's earlier lines
+        defined to (chain, whether a step of it takes a producer plan); the
+        chains this line defines are added to it."""
         expect(obj, dict, "test case")
         for key in ("id", "target_api"):
             expect(obj[key], str, key)
         if obj["depends_on"] is not None:
             expect(obj["depends_on"], str, "depends_on")
-        chain = _chain_from_json(obj["chain"])
+        for definition in expect(obj["chains"], list, "chains"):
+            _define_chain(definition, chains)
+        chain = _chain_named(obj["chain"], chains)[0]
         # the last step is the call the case's records observe
         if not chain.steps:
             raise ValueError("case chain has no steps")
@@ -304,73 +300,126 @@ def generate_suite(graph: DepGraph, labels: dict) -> GenResult:
 _string = json.encoder.encode_basestring_ascii  # exactly what json.dumps does with a str
 
 
-def suite_to_jsonl(cases: list) -> str:
-    """The suite as JSON lines: each case as `json.dumps` writes the dict with
-    keys id, target_api, label, chain (steps) and depends_on; a step has
-    api, and params (name to plan) if it has any.
+def suite_to_jsonl(cases: list, out) -> None:
+    """Write the suite to the text file `out`, one line per case, each as
+    `json.dumps` writes the dict with keys id, target_api, label, chains,
+    chain and depends_on.
 
-    Shared objects are encoded once per call: chains (a producer chain is
-    one object per class) and the steps of chains and case prefixes are
-    memoised by identity, labels and attribute plans by type and value (a
-    NamedTuple equals any tuple of the same values).  Producer-plan
-    wrappers are used once, and so are most cases' last steps (a
-    producer's own case ends in its shared step), so these are encoded
-    inline and not kept.  A primitive plan's value, a bool or an int, is written
-    as the literal text `json.dumps` gives it.  The writers below are
-    module functions that take the memo, not closures, because closures
-    that call each other are a reference cycle.
+    Each chain is named on the first line that uses it: `chains` lists the
+    line's new definitions, each with keys name ("c1", "c2", ... in order
+    of first use), parent (the name of the chain of all its steps but the
+    last; null for none) and step, its last step.  A step has api, and
+    params (name to plan) if it has any; a producer plan names its chain.
+    A definition comes after those of its parent and of its step's producer
+    chains, and `chain` names the case's chain.  So each step is written
+    once, and a suite grows with its distinct steps, not with the square of
+    hierarchy depth.
+
+    A chain is named by the identity of its steps: each API's planned step
+    is one object (see `producer_plans`), so shared prefixes share names,
+    while equal steps that are distinct objects, such as a plan passing
+    true and one passing 1, keep their own text.  Labels and attribute
+    plans are encoded once per call, keyed by type and value (a NamedTuple
+    equals any tuple of the same values).
     """
-    memo: dict = {}
-    lines = [_case_text(memo, c) for c in cases]
-    memo.clear()  # before the join: the texts and the whole suite are never held together
-    return "".join(lines)
+    out.writelines(map(_SuiteWriter().line, cases))
 
 
-def _case_text(memo: dict, c: TestCase) -> str:
-    text = _steps_text(memo, c.chain.steps[:-1], [_step_text(memo, s) for s in c.chain.steps[-1:]])
-    depends_on = "null" if c.depends_on is None else _string(c.depends_on)
-    return (
-        f'{{"id": {_string(c.id)}, "target_api": {_string(c.target_api)}, '
-        f'"label": {_value_text(memo, c.label)}, "chain": {text}, "depends_on": {depends_on}}}\n'
-    )
+class _SuiteWriter:
+    """What one `suite_to_jsonl` call has named and encoded."""
+
+    __slots__ = ("names", "count", "texts")
+
+    def __init__(self):
+        # name texts: of (parent's name text, id(step)), the chain of the
+        # parent's steps and `step`; of id(chain), each chain object met
+        self.names: dict = {}
+        self.count = 0  # chains named so far
+        self.texts: dict = {}  # (type, value) -> JSON text
+
+    def line(self, c: TestCase) -> str:
+        defined: list = []
+        chain = self.name(c.chain, defined)
+        depends_on = "null" if c.depends_on is None else _string(c.depends_on)
+        return (
+            f'{{"id": {_string(c.id)}, "target_api": {_string(c.target_api)}, '
+            f'"label": {self.value(c.label)}, "chains": [{", ".join(defined)}], '
+            f'"chain": {chain}, "depends_on": {depends_on}}}\n'
+        )
+
+    def name(self, chain: CallChain, defined: list) -> str:
+        """The JSON text of `chain`'s name; each chain first named here
+        appends its definition to `defined`."""
+        names = self.names
+        found = names.get(id(chain))
+        if found is None:
+            found = "null"
+            for step in chain.steps:
+                found = names.get((found, id(step))) or self.define(found, step, defined)
+            names[id(chain)] = found
+        return found
+
+    def define(self, parent: str, step: ChainStep, defined: list) -> str:
+        if step.params:
+            plans = ", ".join([_string(n) + ": " + self.plan(p, defined) for n, p in step.params])
+            text = f'{{"api": {_string(step.api_id)}, "params": {{{plans}}}}}'
+        else:
+            text = f'{{"api": {_string(step.api_id)}}}'
+        self.count += 1
+        name = self.names[(parent, id(step))] = f'"c{self.count}"'
+        defined.append(f'{{"name": {name}, "parent": {parent}, "step": {text}}}')
+        return name
+
+    def plan(self, p, defined: list) -> str:
+        if isinstance(p, ProducerPlan):
+            return '{"strategy": "producer", "chain": ' + self.name(p.chain, defined) + "}"
+        if isinstance(p, AttributePlan):
+            return self.value(p)
+        v = p.value
+        literal = "true" if v is True else "false" if v is False else int.__repr__(v)
+        return '{"strategy": "primitive", "value": ' + literal + "}"
+
+    def value(self, obj) -> str:
+        key = (type(obj), obj)
+        return self.texts.get(key) or self.texts.setdefault(key, json.dumps(obj.to_json()))
 
 
-def _value_text(memo: dict, obj) -> str:
-    key = (type(obj), obj)
-    return memo.get(key) or memo.setdefault(key, json.dumps(obj.to_json()))
+_NO_CHAIN = (CallChain(()), False)
 
 
-def _plan_text(memo: dict, p) -> str:
-    if isinstance(p, ProducerPlan):
-        return '{"strategy": "producer", "chain": ' + _chain_text(memo, p.chain) + "}"
-    if isinstance(p, AttributePlan):
-        return _value_text(memo, p)
-    v = p.value
-    literal = "true" if v is True else "false" if v is False else int.__repr__(v)
-    return '{"strategy": "primitive", "value": ' + literal + "}"
+def _chain_named(ref, chains: dict) -> tuple:
+    """(chain, whether a step of it takes a producer plan) of the chain an
+    earlier definition named `ref`; null is the empty chain."""
+    if ref is None:
+        return _NO_CHAIN
+    found = chains.get(expect(ref, str, "chain name"))
+    if found is None:
+        raise ValueError(f"chain {ref!r} is used before it is defined")
+    return found
 
 
-def _step_text(memo: dict, s: ChainStep) -> str:
-    text = '{"api": ' + _string(s.api_id)
-    if not s.params:
-        return text + "}"
-    plans = ", ".join(_string(n) + ": " + _plan_text(memo, p) for n, p in s.params)
-    return text + ', "params": {' + plans + "}}"
+def _define_chain(obj: dict, chains: dict) -> None:
+    """Add the chain `obj` defines to `chains`: its parent's steps, then its step."""
+    if expect(obj, dict, "chain").keys() != {"name", "parent", "step"}:
+        raise ValueError(f"a chain must hold only name, parent and step, got {sorted(obj)}")
+    name = expect(obj["name"], str, "chain name")
+    if name in chains:
+        raise ValueError(f"chain {name!r} is defined twice")
+    parent, nested = _chain_named(obj["parent"], chains)
+    step = _step_from_json(obj["step"], chains)
+    nested = nested or any(isinstance(p, ProducerPlan) for _, p in step.params)
+    chains[name] = (CallChain(parent.steps + (step,)), nested)
 
 
-def _steps_text(memo: dict, shared: tuple, inline: list) -> str:
-    texts = [memo.get(id(s)) or memo.setdefault(id(s), _step_text(memo, s)) for s in shared] + inline
-    return '{"steps": [' + ", ".join(texts) + "]}"
-
-
-def _chain_text(memo: dict, c: CallChain) -> str:
-    return memo.get(id(c)) or memo.setdefault(id(c), _steps_text(memo, c.steps, []))
-
-
-def _plan_from_json(obj: dict):
+def _plan_from_json(obj: dict, chains: dict):
     kind = obj["strategy"]
     if kind == "producer":
-        return ProducerPlan(_chain_from_json(obj["chain"]))
+        # a producer step takes only primitive parameters, so a producer
+        # chain takes no producer plan, and chains never nest
+        chain, nested = _chain_named(obj["chain"], chains)
+        if nested:
+            raise ValueError(f"producer chain {obj['chain']!r} itself takes a producer plan")
+        return ProducerPlan(chain)
     if kind == "attribute":
         return AttributePlan(expect(obj["role"], str, "role"))
     if kind == "primitive":
@@ -382,7 +431,7 @@ def _plan_from_json(obj: dict):
     raise ValueError(f"unknown strategy {kind!r}")
 
 
-def _step_from_json(obj: dict) -> ChainStep:
+def _step_from_json(obj: dict, chains: dict) -> ChainStep:
     """A step as `suite_to_jsonl` writes it: api, and params if it has any."""
     if not expect(obj, dict, "step").keys() <= {"api", "params"}:
         raise ValueError(f"a step must hold only api and params, got {sorted(obj)}")
@@ -392,11 +441,4 @@ def _step_from_json(obj: dict) -> ChainStep:
     plans = expect(obj["params"], dict, "params")
     if not plans:
         raise ValueError("a step without parameters must not hold params")
-    return ChainStep(api, tuple((name, _plan_from_json(p)) for name, p in plans.items()))
-
-
-def _chain_from_json(obj: dict) -> CallChain:
-    if expect(obj, dict, "chain").keys() != {"steps"}:
-        raise ValueError(f"a chain must hold only steps, got {sorted(obj)}")
-    return CallChain(tuple(_step_from_json(s) for s in expect(obj["steps"], list, "steps")))
-
+    return ChainStep(api, tuple((name, _plan_from_json(p, chains)) for name, p in plans.items()))

@@ -89,7 +89,8 @@ MUTANTS = (
     ("hide-keeps-epoch", "simulator.py",
      "            state.epoch += 1",
      "            pass",
-     ("tests/test_cli.py::test_bundled_pipeline_host_api_calls_are_pinned",)),
+     ("tests/test_cli.py::test_bundled_pipeline_host_api_calls_are_pinned",
+      "tests/test_simulator.py::test_a_write_that_keeps_the_epoch_appends_at_most_one_leaf")),
     ("detach-keeps-epoch", "simulator.py",
      "    state.epoch += 1",
      "    pass",
@@ -162,15 +163,20 @@ MUTANTS = (
      "    sys.exit(code)",
      '    __import__("os")._exit(code)',
      ("tests/test_cli.py::test_a_spawned_cli_process_writes_the_pins_and_prints_the_report",)),
-    # the suite reader: steps, chains, plans and labels load only as written
+    # the suite reader: steps, chains, plans and labels load only as written,
+    # and a chain name only after its definition
     ("suite-step-extra-keys", "testgen.py",
      '    if not expect(obj, dict, "step").keys() <= {"api", "params"}:',
      '    if not expect(obj, dict, "step").keys() >= {"api"}:',
      ("tests/test_cli.py::test_malformed_input_is_one_line_exit_1[suite step that holds args]",)),
     ("suite-chain-extra-keys", "testgen.py",
-     '    if expect(obj, dict, "chain").keys() != {"steps"}:',
-     '    if not expect(obj, dict, "chain").keys() >= {"steps"}:',
+     '    if expect(obj, dict, "chain").keys() != {"name", "parent", "step"}:',
+     '    if not expect(obj, dict, "chain").keys() >= {"name", "parent", "step"}:',
      ("tests/test_cli.py::test_malformed_input_is_one_line_exit_1[suite chain that holds produces]",)),
+    ("undefined-chain-is-empty", "testgen.py",
+     '    found = chains.get(expect(ref, str, "chain name"))',
+     '    found = chains.get(expect(ref, str, "chain name"), _NO_CHAIN)',
+     ("tests/test_cli.py::test_malformed_input_is_one_line_exit_1[suite chain whose parent is defined after it]",)),
     ("primitive-plan-extra-keys", "testgen.py",
      '        if obj.keys() != {"strategy", "value"}:',
      '        if not obj.keys() >= {"strategy", "value"}:',

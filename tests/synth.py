@@ -8,15 +8,18 @@ be checked against them.
 
 from __future__ import annotations
 
+import functools
+import io
 import json
 import random
 import re
 from collections import deque
 
-from permscan.catalog import ApiSpec, Catalog, TypeRef, parse_catalog
+from permscan.catalog import ApiSpec, Catalog, TypeRef, parse_catalog, parse_json
 from permscan.classify import Operation
+from permscan.executor import records_to_jsonl
 from permscan.simulator import HIDEABLE_KINDS, PROTECTABLE_KINDS, ObjectNode, Role
-from permscan.testgen import ProducerPlan
+from permscan.testgen import ProducerPlan, TestCase, suite_to_jsonl
 
 # primitive-only params keep the oracle's resolvability rule trivial:
 # string/integer/boolean resolve, enum does not
@@ -567,38 +570,83 @@ def make_rich_catalog(rng: random.Random, max_classes: int = 8, max_apis: int = 
     return parse_catalog(doc)
 
 
-def _step_doc(step) -> dict:
+def _step_doc(step, names: dict, defined: list) -> dict:
     out: dict = {"api": step.api_id}
     if step.params:
-        out["params"] = _params_doc(step.params)
+        out["params"] = {
+            name: {"strategy": "producer", "chain": _chain_name(plan.chain.steps, names, defined)}
+            if isinstance(plan, ProducerPlan) else plan.to_json()
+            for name, plan in step.params
+        }
     return out
 
 
-def _chain_doc(chain) -> dict:
-    return {"steps": [_step_doc(s) for s in chain.steps]}
-
-
-def _params_doc(params) -> dict:
-    return {
-        name: {"strategy": "producer", "chain": _chain_doc(plan.chain)}
-        if isinstance(plan, ProducerPlan) else plan.to_json()
-        for name, plan in params
-    }
+def _chain_name(steps: tuple, names: dict, defined: list) -> str | None:
+    """The name of the chain of `steps`, keyed by their identities; a chain
+    named here for the first time is defined after its parent and its
+    last step's producer chains, and its definition appended to `defined`."""
+    if not steps:
+        return None
+    key = tuple(map(id, steps))
+    if key not in names:
+        parent = _chain_name(steps[:-1], names, defined)
+        step = _step_doc(steps[-1], names, defined)
+        names[key] = f"c{len(names) + 1}"
+        defined.append({"name": names[key], "parent": parent, "step": step})
+    return names[key]
 
 
 def oracle_suite_jsonl(cases: list) -> str:
     """The suite as `json.dumps` of each case's dict, built field by field
-    as the writer's schema describes it, nothing shared or memoised."""
-    return "".join(
-        json.dumps({
+    as the writer's schema describes it, nothing memoised but the chain
+    names: a chain, known by its steps' identities, is named c1, c2, ...
+    in order of first definition and defined on the first line that uses
+    it."""
+    names: dict = {}  # identities of a chain's steps -> its name
+    lines = []
+    for c in cases:
+        defined: list = []
+        chain = _chain_name(c.chain.steps, names, defined)
+        lines.append(json.dumps({
             "id": c.id,
             "target_api": c.target_api,
             "label": c.label.to_json(),
-            "chain": _chain_doc(c.chain),
+            "chains": defined,
+            "chain": chain,
             "depends_on": c.depends_on,
-        }) + "\n"
-        for c in cases
-    )
+        }) + "\n")
+    return "".join(lines)
+
+
+def suite_line(case_id: str, target_api: str, label: dict, steps: list, depends_on: str | None = None) -> str:
+    """A suite line whose case runs the step documents `steps`, each chain
+    of them defined afresh on this line as `<case_id>.1`, `<case_id>.2`,
+    ...: read back, no step is shared with another line."""
+    chains, parent = [], None
+    for n, step in enumerate(steps, 1):
+        chains.append({"name": f"{case_id}.{n}", "parent": parent, "step": step})
+        parent = chains[-1]["name"]
+    return json.dumps({"id": case_id, "target_api": target_api, "label": label, "chains": chains,
+                       "chain": parent, "depends_on": depends_on})
+
+
+def suite_text(cases: list) -> str:
+    """What `suite_to_jsonl` writes for `cases`."""
+    out = io.StringIO()
+    suite_to_jsonl(cases, out)
+    return out.getvalue()
+
+
+def records_text(records: list) -> str:
+    """What `records_to_jsonl` writes for `records`."""
+    out = io.StringIO()
+    records_to_jsonl(records, out)
+    return out.getvalue()
+
+
+def load_suite(text: str) -> list:
+    """The cases of a suite's JSON lines, read as `permscan run` reads them."""
+    return parse_json(text, functools.partial(TestCase.from_json, chains={}), "<suite>", lines=True)
 
 
 def oracle_records_jsonl(records: list) -> str:

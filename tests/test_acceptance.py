@@ -12,7 +12,7 @@ from importlib import resources
 
 import pytest
 
-from synth import make_catalog, oracle_bfs_emission, oracle_shortest_chain
+from synth import make_catalog, oracle_bfs_emission, oracle_shortest_chain, suite_text
 from permscan.catalog import load_catalog
 from permscan.classify import Operation, classify_api, classify_catalog
 from permscan.cli import main
@@ -41,7 +41,7 @@ from permscan.simulator import (
     load_faults,
     scope_covers,
 )
-from permscan.testgen import generate_cases, generate_suite, suite_to_jsonl
+from permscan.testgen import generate_cases, generate_suite
 
 DATA = resources.files("permscan.data")
 SHEETS = load_catalog(str(DATA / "spreadsheet.json"))
@@ -312,7 +312,7 @@ def test_acceptance_10_determinism(capsys, tmp_path):
             b = (dirs[1] / name).read_bytes()
             assert a == b, f"{name} differs between runs"
         # in-process generation is byte-stable as well
-        assert suite_to_jsonl(SUITE) == suite_to_jsonl(generate_suite(GRAPH, LABELS).cases)
+        assert suite_text(SUITE) == suite_text(generate_suite(GRAPH, LABELS).cases)
         return "suite, records and both reports byte-identical across runs"
 
     _criterion(capsys, 10, "same-seed pipeline runs are byte-identical", check)

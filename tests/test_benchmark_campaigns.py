@@ -20,12 +20,12 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REPORT = "f7707bb501069672345b3c1a4cde622a11256a0e26813dbe0f380f73e6919beb"
 PINS = {
     "campaign-reads": {
-        "suite.jsonl": "8d27908ced6f4cbec908042793aeda6d7c7427195fc90372d36959a09872c1a7",
+        "suite.jsonl": "04e595178673a78470f09f13bd932054f629416b2315d2d79f90e8529e8d79a1",
         "records.jsonl": "64891edab840496121a755dde4e5463a48219f31ccc1e96909750c8008a57afa",
         "report.json": REPORT,
     },
     "campaign-writes": {
-        "suite.jsonl": "0569c55622cdad9d45e9d60861484a63653b8b9788e02cc95b13bf9b9d1af4a5",
+        "suite.jsonl": "d9f9bd69a5dbef537f2f029c384c6d8cf8109c8da741eb33b4718823cd86b699",
         "records.jsonl": "17564dfaf840bf7d49e91dc2482831ea168e554c4d827d463d3fd65d086aa257",
         "report.json": REPORT,
     },

@@ -42,6 +42,9 @@ def test_ingest_missing_file_is_exit_1(capsys):
 @pytest.mark.parametrize("argv", [
     pytest.param(["pipeline", "--bogus"], id="unknown-flag"),
     pytest.param(["report", "--records", "x"], id="missing-required-flags"),
+    pytest.param(["gen", "--catalog", CATALOG, "--out", "x", "--seed", "3"], id="gen-seed-is-gone"),
+    pytest.param(["report", "--records", "x", "--catalog", CATALOG, "--template", TEMPLATE, "--out", "y"],
+                 id="report-template-is-gone"),
     pytest.param([], id="no-subcommand"),
 ])
 def test_usage_error_is_one_line_exit_1(argv, capsys):
@@ -61,7 +64,10 @@ def test_help_exits_0(capsys):
 def test_a_deep_hierarchy_loads_and_generates(tmp_path, capsys):
     """App -> C0 -> ... -> C1199, each class with a getter of its child: a
     schema-valid catalog far deeper than the recursion limit.  `ingest` and
-    `gen` exit 0 on it; the last class's producer chain has 1200 steps."""
+    `gen` exit 0 on it, and the suite reader gives the last case the last
+    class's producer chain, 1200 steps.  Each chain is written once, as its
+    parent's name and one step, so the suite grows linearly with depth: it
+    held 720,600 steps in 18.0 MB when each case wrote its chain inline."""
     names = ["App"] + [f"C{i}" for i in range(1200)]
     doc = synth.books_catalog_doc(*(
         synth.api_doc(f"{parent}.get{child}", {"class": child}) for parent, child in zip(names, names[1:])
@@ -73,8 +79,12 @@ def test_a_deep_hierarchy_loads_and_generates(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["total"] == 1201
     assert main(["gen", "--catalog", str(path), "--out", str(suite)]) == 0
     capsys.readouterr()
-    last = json.loads(suite.read_text().splitlines()[-1])
-    assert len(last["chain"]["steps"]) == 1200
+    assert suite.stat().st_size <= 1_800_000
+    cases = synth.load_suite(suite.read_text())
+    assert len(cases) == 1200
+    assert [s.api_id for s in cases[-1].chain.steps] == [
+        f"{parent}.get{child}" for parent, child in zip(names, names[1:])
+    ]
 
 
 # sha256 of `permscan classify` on each bundled catalog: the labels of every
@@ -101,9 +111,9 @@ def test_classify_writes_labels(tmp_path, capsys):
 
 # sha256 of `permscan gen` on each bundled catalog
 GEN_DIGESTS = {
-    "spreadsheet.json": "f9cacdc8753f95ec93ed8de45e9ef0423565483a5b6e82351e0d221a35b45d3e",
-    "mini_document.json": "4baba1397f37ce087edb192f5fd3179bf69096013446d9363b60a03b4f822786",
-    "corpus_catalog.json": "94e24a2d4bcb8506b6f4252e630275cbba2cc5c1b964fa3c60d64c3552a1b8fa",
+    "spreadsheet.json": "2e449f84ffc1169c644a8d91b5e9227def90b21ef5c71f22ef66984c754a01e3",
+    "mini_document.json": "d39d4affe82f527be3170a03a1a10af3000ddaa5f06464680928ad34a927b631",
+    "corpus_catalog.json": "0fd6fc20c200dccc00e45e44803f001658987d662acae2044b4b5a7a8a0f22ac",
 }
 
 
@@ -136,8 +146,7 @@ def test_gen_and_run_and_report(tmp_path, capsys):
     assert records.read_text().count('"outcome"') == 3 * 27
 
     assert main([
-        "report", "--records", str(records), "--catalog", CATALOG,
-        "--template", TEMPLATE, "--out", str(report),
+        "report", "--records", str(records), "--catalog", CATALOG, "--out", str(report),
     ]) == 0
     doc = json.loads(report.read_text())
     assert doc["per_kind"] == {"E1": 0, "E2": 0, "E3": 0}
@@ -179,7 +188,7 @@ def test_pipeline_determinism(tmp_path):
 
 # sha256 of the bundled pipeline's outputs: changes that keep behaviour keep these bytes
 BUNDLED_DIGESTS = {
-    "suite.jsonl": "f9cacdc8753f95ec93ed8de45e9ef0423565483a5b6e82351e0d221a35b45d3e",
+    "suite.jsonl": "2e449f84ffc1169c644a8d91b5e9227def90b21ef5c71f22ef66984c754a01e3",
     "records.jsonl": "7f0618f8a04b1502234473eccbfd0c565597b49f7ee650e3e076c0bd5430cab5",
     "report.json": "7a7ce2c9a7620001aa27447421702839a5623c9b8606af5cd0e5d9e76ffa82dd",
 }
@@ -257,9 +266,8 @@ def test_config_with_a_null_out_dir_writes_to_the_working_directory(tmp_path, mo
     assert (tmp_path / "report.json").exists()
 
 
-def test_report_confirms_the_pipeline_findings_with_or_without_template(tmp_path):
-    """`report` on the bundled seeded records finds what `pipeline` found;
-    its `--template` is ignored."""
+def test_report_confirms_the_pipeline_findings(tmp_path):
+    """`report` on the bundled seeded records finds what `pipeline` found."""
     out = tmp_path / "out"
     assert main([
         "pipeline", "--catalog", CATALOG, "--template", TEMPLATE,
@@ -267,14 +275,12 @@ def test_report_confirms_the_pipeline_findings_with_or_without_template(tmp_path
     ]) == 2
     want = json.loads((out / "report.json").read_text())
     assert len(want["findings"]) == 20
-    for template in ([], ["--template", TEMPLATE]):
-        report = tmp_path / "report.json"
-        assert main([
-            "report", "--records", str(out / "records.jsonl"), "--catalog", CATALOG,
-            *template, "--out", str(report),
-        ]) == 2
-        got = json.loads(report.read_text())
-        assert (got["findings"], got["potential_only"]) == (want["findings"], want["potential_only"])
+    report = tmp_path / "report.json"
+    assert main([
+        "report", "--records", str(out / "records.jsonl"), "--catalog", CATALOG, "--out", str(report),
+    ]) == 2
+    got = json.loads(report.read_text())
+    assert (got["findings"], got["potential_only"]) == (want["findings"], want["potential_only"])
 
 
 def test_sharing_calls_outside_the_effect_verbs_change_nothing(tmp_path):
@@ -380,37 +386,61 @@ def _observed(line: str, **fields) -> str:
 
 def _unknown_api(line: str) -> str:
     doc = json.loads(line)
-    for step in doc["chain"]["steps"]:
-        step["api"] = "Spreadsheet.noSuchMethod"
+    for definition in doc["chains"]:
+        definition["step"]["api"] = "Spreadsheet.noSuchMethod"
+    doc["target_api"] = "Spreadsheet.noSuchMethod"
     return json.dumps(doc)
 
 
-UNKNOWN_CHAIN = {"steps": [{"api": "Spreadsheet.noSuchMethod"}]}
+UNKNOWN_STEP = {"api": "Spreadsheet.noSuchMethod"}
+
+
+def _with_definitions(line: str, *definitions: tuple) -> str:
+    """The suite line with `definitions` (name, parent, step) ahead of its own."""
+    doc = json.loads(line)
+    doc["chains"][:0] = [{"name": name, "parent": parent, "step": step} for name, parent, step in definitions]
+    return json.dumps(doc)
 
 
 def _with_step(line: str, **fields) -> str:
-    """The suite line with `fields` set on its first step."""
+    """The suite line with `fields` set on its first chain's step."""
     doc = json.loads(line)
-    doc["chain"]["steps"][0].update(fields)
+    doc["chains"][0]["step"].update(fields)
     return json.dumps(doc)
 
 
 def _with_plan(line: str, params: dict) -> str:
-    """The suite line with `params` as its first step's parameter plans."""
+    """The suite line with `params` as its first chain's step's parameter plans."""
     return _with_step(line, params=params)
 
 
 def _nested_producers(line: str, depth: int) -> str:
     """The suite line with its first step's argument produced by `depth`
-    nested producer chains; built as text, since json.dumps would itself
-    hit the recursion limit."""
-    step = '{"api": "SpreadsheetApp.getActiveSpreadsheet"'
-    chain = '{"steps": [' + step + '}]}'
-    for _ in range(depth):
-        params = '{"p": {"strategy": "producer", "chain": ' + chain + "}}"
-        chain = '{"steps": [' + step + ', "params": ' + params + '}]}'
-    params = '{"p": {"strategy": "producer", "chain": ' + chain + "}}"
-    return _with_plan(line, "PLAN").replace('"PLAN"', params)
+    nested producer chains, each named: flat text that a reader taking any
+    nesting would hand the executor to recurse through."""
+    step = {"api": "SpreadsheetApp.getActiveSpreadsheet"}
+    nested = [(f"p{n}", None, {**step, "params": {"p": {"strategy": "producer", "chain": f"p{n - 1}"}}})
+              for n in range(1, depth + 1)]
+    line = _with_definitions(line, ("p0", None, step), *nested)
+    doc = json.loads(line)
+    doc["chains"][-1]["step"]["params"] = {"p": {"strategy": "producer", "chain": f"p{depth}"}}
+    return json.dumps(doc)
+
+
+def _later_parent(line: str) -> str:
+    """A suite line whose case calls `Spreadsheet.getActiveSheet` through
+    a chain whose parent is defined after it."""
+    doc = json.loads(line)
+    doc.update(target_api="Spreadsheet.getActiveSheet", chain="c2", chains=[
+        {"name": "c2", "parent": "c1", "step": {"api": "Spreadsheet.getActiveSheet"}},
+        {"name": "c1", "parent": None, "step": {"api": "SpreadsheetApp.getActiveSpreadsheet"}},
+    ])
+    return json.dumps(doc)
+
+
+def _defined_again(line: str) -> str:
+    """The suite line, then a line that defines its chains again."""
+    return line + "\n" + _with(line, "id", "tc0002")
 
 
 def _template_with(change) -> str:
@@ -550,15 +580,24 @@ MALFORMED = {
         lambda ok: _template_with(lambda doc: doc["sharing"]["spreadsheet1"]["roles"].pop("victor.viewer")),
     ),
     "suite step names an unknown API": ("suite", lambda ok: _unknown_api(ok["suite"])),
-    "suite producer chain names an unknown API": ("suite", lambda ok: _with_plan(
-        ok["suite"], {"sheet": {"strategy": "producer", "chain": UNKNOWN_CHAIN}}
+    "suite producer chain names an unknown API": ("suite", lambda ok: _with_definitions(
+        _with_plan(ok["suite"], {"sheet": {"strategy": "producer", "chain": "u1"}}),
+        ("u1", None, UNKNOWN_STEP),
     )),
-    "suite step holding a tutorial": ("suite", lambda ok: _with_step(ok["suite"], tutorial=UNKNOWN_CHAIN)),
+    "suite step holding a tutorial": ("suite", lambda ok: _with_step(
+        ok["suite"], tutorial={"steps": [UNKNOWN_STEP]}
+    )),
     "suite step that holds args": ("suite", lambda ok: _with_step(ok["suite"], args={"params": {}})),
     "suite step whose params is empty": ("suite", lambda ok: _with_plan(ok["suite"], {})),
     "suite chain that holds produces": ("suite", lambda ok: _with(
-        ok["suite"], "chain", {**json.loads(ok["suite"])["chain"], "produces": {"class": "Spreadsheet"}}
+        ok["suite"], "chains", [{**json.loads(ok["suite"])["chains"][0], "produces": {"class": "Spreadsheet"}}]
     )),
+    "suite chain that holds steps": ("suite", lambda ok: _with(
+        ok["suite"], "chain", {"steps": [d["step"] for d in json.loads(ok["suite"])["chains"]]}
+    )),
+    "suite chain name that no line defines": ("suite", lambda ok: _with(ok["suite"], "chain", "c9")),
+    "suite chain whose parent is defined after it": ("suite", lambda ok: _later_parent(ok["suite"])),
+    "suite chain name defined on two lines": ("suite", lambda ok: _defined_again(ok["suite"])),
     "suite label whose touches_sharing is 1": ("suite", lambda ok: _with(
         ok["suite"], "label", {**json.loads(ok["suite"])["label"], "touches_sharing": 1}
     )),
@@ -586,9 +625,7 @@ MALFORMED = {
         {"p": {"strategy": "pair", "partner": "q", "position": "lo", "fallback": [1, 2]},
          "q": {"strategy": "pair", "partner": "p", "position": "hi", "fallback": [1, 2]}},
     )),
-    "suite case whose chain has no steps": ("suite", lambda ok: _with(
-        ok["suite"], "chain", {**json.loads(ok["suite"])["chain"], "steps": []}
-    )),
+    "suite case whose chain has no steps": ("suite", lambda ok: _with(ok["suite"], "chain", None)),
     "suite case whose last step is not its target_api": (
         "suite", lambda ok: _with(ok["suite"], "target_api", "Sheet.insertRow")
     ),
@@ -632,9 +669,11 @@ def test_run_reads_each_case_after_its_dependency(name, bundled, tmp_path, capsy
     case never runs, so never fails, and prunes nothing."""
     lines, bad = SUITE_ORDERS[name]
     path = tmp_path / "suite.jsonl"
+    # the first line defines the case's chain, and the others name it
     path.write_text("".join(
-        json.dumps({**json.loads(bundled["suite"]), "id": i, "depends_on": dep}) + "\n"
-        for i, dep in lines
+        json.dumps({**json.loads(bundled["suite"]), "id": i, "depends_on": dep, **({"chains": []} if n else {})})
+        + "\n"
+        for n, (i, dep) in enumerate(lines)
     ))
     argv = _argv("suite", str(path), tmp_path)
     if bad is None:

@@ -19,7 +19,6 @@ from permscan.executor import (
     OUTCOME_SUCCESS,
     ExecutionRecord,
     SimulatorBackend,
-    records_to_jsonl,
     run_case,
     run_role_matrix,
     run_scope_ladder,
@@ -43,7 +42,6 @@ from permscan.testgen import (
     ProducerPlan,
     TestCase,
     generate_suite,
-    suite_to_jsonl,
 )
 
 import synth
@@ -237,9 +235,9 @@ def test_fault_patterns_are_matched_once_per_backend(tmp_path, capsys):
 
 def test_records_jsonl_round_trip():
     records = run_role_matrix(SUITE, backend())
-    text = records_to_jsonl(records)
+    text = synth.records_text(records)
     back = parse_json(text, ExecutionRecord.from_json, "<records>", lines=True)
-    assert records_to_jsonl(back) == text
+    assert synth.records_text(back) == text
     assert back[0].role is records[0].role
     assert back[0].grant == records[0].grant
 
@@ -276,7 +274,7 @@ def _reuse_free(calls: list):
 
 
 def _campaign_jsonl(suite, b) -> str:
-    return records_to_jsonl(run_role_matrix(suite, b) + run_scope_ladder(suite, b))
+    return synth.records_text(run_role_matrix(suite, b) + run_scope_ladder(suite, b))
 
 
 def _random_campaign(tmp_path_factory, seed, rich, sheets, creators, fresh) -> tuple:
@@ -459,21 +457,26 @@ def test_replay_crosses_producer_chains(tmp_path):
     assert {r.outcome for r in records} == {OUTCOME_SUCCESS}
     assert calls.count("App.openFolder") == 1
     with mock.patch.object(executor, "_run_chain", _reuse_free([])):
-        assert records_to_jsonl(_run_as_owner(b, suite)[0]) == records_to_jsonl(records)
+        assert synth.records_text(_run_as_owner(b, suite)[0]) == synth.records_text(records)
 
 
 def test_a_loaded_suite_replays_equal_steps(tmp_path):
-    """Read back from its JSON lines, the suite of
-    `test_replay_crosses_producer_chains` holds five distinct but equal
+    """The suite of `test_replay_crosses_producer_chains`, read back from
+    lines that each define their own chains, holds five distinct but equal
     `App.openFolder` steps.  Replay is keyed by a step's value, so it is
     still invoked once, and the records are those of the generated suite."""
     generated, b = _folder_campaign(tmp_path)
-    suite = parse_json(suite_to_jsonl(generated), TestCase.from_json, "<suite>", lines=True)
+    assert not any(s.params for c in generated for s in c.chain.steps)
+    suite = synth.load_suite("\n".join(
+        synth.suite_line(c.id, c.target_api, c.label.to_json(), [{"api": s.api_id} for s in c.chain.steps],
+                         c.depends_on)
+        for c in generated
+    ))
     assert suite == generated
     assert len({id(c.chain.steps[0]) for c in suite}) == 5
     records, calls = _run_as_owner(b, suite)
     assert calls.count("App.openFolder") == 1
-    assert records_to_jsonl(records) == records_to_jsonl(_run_as_owner(b, generated)[0])
+    assert synth.records_text(records) == synth.records_text(_run_as_owner(b, generated)[0])
 
 
 def test_a_prefix_step_passing_true_replays_for_one_passing_1(tmp_path):
@@ -500,14 +503,13 @@ def test_a_prefix_step_passing_true_replays_for_one_passing_1(tmp_path):
         steps = [{"api": "App.openBook", "params": {"fresh": {"strategy": "primitive", "value": fresh}}}]
         steps.append({"api": last, "params": {"value": {"strategy": "primitive", "value": 1}}}
                      if last == "Book.setValue" else {"api": last})
-        return json.dumps({"id": f"tc{n}", "target_api": last, "label": labels[last].to_json(),
-                           "chain": {"steps": steps}, "depends_on": None})
+        return synth.suite_line(f"tc{n}", last, labels[last].to_json(), steps)
 
     text = "\n".join([
         line(1, True, "Book.getName"), line(2, 1, "Book.getName"),
         line(3, 1, "Book.setValue"), line(4, True, "Book.getName"),
     ])
-    suite = parse_json(text, TestCase.from_json, "<suite>", lines=True)
+    suite = synth.load_suite(text)
     values = [c.chain.steps[0].params[0][1].value for c in suite]
     assert [type(v) for v in values] == [bool, int, int, bool] and values == [1, 1, 1, 1]
     b = SimulatorBackend(catalog, path, MATRIX, labels)
@@ -544,7 +546,7 @@ def test_a_step_whose_producer_chain_writes_runs_again(tmp_path):
     records = run()
     assert [r.touched[0] for r in records] == [("book-1", "Book"), ("book-2", "Book")]
     with mock.patch.object(executor, "_run_chain", _reuse_free([])):
-        assert records_to_jsonl(run()) == records_to_jsonl(records)
+        assert synth.records_text(run()) == synth.records_text(records)
 
 
 def test_a_step_whose_producer_chain_comments_runs_again(tmp_path):
@@ -576,7 +578,7 @@ def test_a_step_whose_producer_chain_comments_runs_again(tmp_path):
     records = run()
     assert [r.evidence for r in records] == ["[comment]", "[comment] [comment]"]
     with mock.patch.object(executor, "_run_chain", _reuse_free([])):
-        assert records_to_jsonl(run()) == records_to_jsonl(records)
+        assert synth.records_text(run()) == synth.records_text(records)
 
 
 def test_a_class_typed_argument_is_passed_as_its_id(tmp_path):
@@ -632,11 +634,11 @@ def test_records_jsonl_matches_the_dict_oracle(
         )
         for n, r in enumerate(records[::7])
     ]
-    text = records_to_jsonl(records)
+    text = synth.records_text(records)
     assert text == synth.oracle_records_jsonl(records)
     for line in text.splitlines():
         assert json.dumps(json.loads(line)) == line
-    assert records_to_jsonl(parse_json(text, ExecutionRecord.from_json, "<records>", lines=True)) == text
+    assert synth.records_text(parse_json(text, ExecutionRecord.from_json, "<records>", lines=True)) == text
 
 
 def test_records_jsonl_keeps_true_and_1_apart():
@@ -651,8 +653,8 @@ def test_records_jsonl_keeps_true_and_1_apart():
     bools = base._replace(observed=Observed(Role.VIEWER, True, False), touched=[(True, "x")])
     unhashable = base._replace(touched=[("a", "b"), ["a", "b"], (["a"], "b"), ("a", 1)])
     for records in ([ints, bools], [bools, ints], [unhashable, ints, unhashable]):
-        assert records_to_jsonl(records) == synth.oracle_records_jsonl(records)
-    lines = records_to_jsonl([ints, bools]).splitlines()
+        assert synth.records_text(records) == synth.oracle_records_jsonl(records)
+    lines = synth.records_text([ints, bools]).splitlines()
     assert '"touched": [[1, "x"]]' in lines[0] and '"hidden": 1, "protected": 0' in lines[0]
     assert '"touched": [[true, "x"]]' in lines[1] and '"hidden": true, "protected": false' in lines[1]
 
@@ -686,7 +688,7 @@ def _owner_run(b, *chains) -> tuple:
     ]
     got = _run_as_owner(b, suite, GRANT_FULL)
     with mock.patch.object(executor, "_run_chain", _reuse_free([])):
-        assert records_to_jsonl(_run_as_owner(b, suite, GRANT_FULL)[0]) == records_to_jsonl(got[0])
+        assert synth.records_text(_run_as_owner(b, suite, GRANT_FULL)[0]) == synth.records_text(got[0])
     return got
 
 

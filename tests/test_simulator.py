@@ -925,15 +925,21 @@ def test_a_write_that_keeps_the_epoch_appends_at_most_one_leaf(source, seed, dat
     `protection`, and no tree but by appending one leaf or root, which
     changes no lookup of another kind.  Writes are sharing mutations, root
     creates whose ids may collide, root deletes and random creates,
-    deletes, comments and modifies, on attached and detached receivers."""
+    deletes, comments and modifies, on attached and detached receivers.  On
+    the bundled workspace the first write always unhides the sheet that
+    holds hidden nodes: random writes seldom draw a hide or an unhide."""
     rng = random.Random(seed)
     catalog, labels, users, state = _workspace_for(source, rng)
     _with_faults(state, FaultSpec("SkipRoleCheck", "*"))
     apis = sorted(catalog.apis.values(), key=lambda a: a.id)
     known = _nodes(state)
-    for _ in range(data.draw(st.integers(1, 12), label="calls")):
+    for n in range(data.draw(st.integers(1, 12), label="calls")):
         before, epoch = _shape(state, known), state.epoch
-        if data.draw(st.booleans(), label="sharing, root create or root delete"):
+        if n == 0 and source == "bundled":
+            sheet = next(node for node in known if node.kind == "Sheet" and any(m.hidden for m in node.walk()))
+            unhide = "Sheet.unhideColumn"
+            result = invoke_host_api(state, Subject("olivia.owner", GRANT_FULL), unhide, labels[unhide], sheet)
+        elif data.draw(st.booleans(), label="sharing, root create or root delete"):
             api_id, label, receiver, args = _draw_call(data, state, catalog, labels, users)
             subject = Subject(data.draw(st.sampled_from(users), label="subject"), GRANT_FULL)
             result = invoke_host_api(state, subject, api_id, label, receiver, args)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import permscan.testgen as testgen
 from synth import (
-    ODD_NAMES, api_doc, books_catalog_doc, catalog_doc, make_catalog, make_rich_catalog, oracle_bfs_emission,
-    oracle_suite_jsonl,
+    ODD_NAMES, api_doc, books_catalog_doc, catalog_doc, load_suite, make_catalog, make_rich_catalog,
+    oracle_bfs_emission, oracle_suite_jsonl, suite_text,
 )
 from permscan.catalog import load_catalog, parse_catalog, parse_json
 from permscan.classify import Operation, PermissionLabel, classify_catalog
@@ -25,7 +25,6 @@ from permscan.testgen import (
     order_suite,
     producer_plans,
     resolve_parameters,
-    suite_to_jsonl,
 )
 
 DATA = resources.files("permscan.data")
@@ -75,8 +74,8 @@ def test_a_run_of_end_names_is_planned_once_and_reloads():
     assert case.chain.steps[-1].params == (
         ("x", PrimitivePlan(1)), ("xEnd", PrimitivePlan(2)), ("xEndEnd", PrimitivePlan(2)),
     )
-    text = suite_to_jsonl(suite)
-    assert suite_to_jsonl(parse_json(text, TestCase.from_json, "<suite>", lines=True)) == text
+    text = suite_text(suite)
+    assert suite_text(load_suite(text)) == text
 
 
 def test_enum_param_is_unresolvable():
@@ -240,15 +239,33 @@ def test_ordering_constraints_hold():
 
 def test_suite_jsonl_round_trip():
     suite = generate_suite(GRAPH, LABELS).cases
-    text = suite_to_jsonl(suite)
-    back = parse_json(text, TestCase.from_json, "<suite>", lines=True)
+    text = suite_text(suite)
+    back = load_suite(text)
     assert back == suite
-    assert suite_to_jsonl(back) == text
+    assert suite_text(back) == text
+
+
+def _sharing(suite: list) -> list:
+    """Each step of `suite`, its producer chains' included, depth first, as
+    the index of the first step met that is the same object."""
+    first: dict = {}
+    return [first.setdefault(id(s), len(first)) for c in suite for s in _steps_below(c.chain)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_a_loaded_suite_is_the_generated_object_graph(seed):
+    """Read back, a suite shares its steps as the generated suite does:
+    each chain is defined once, and each definition's step is one object."""
+    for suite in (generate_suite(GRAPH, LABELS).cases, _rich_suite(seed)):
+        back = load_suite(suite_text(suite))
+        assert back == suite
+        assert _sharing(back) == _sharing(suite)
 
 
 def test_generation_is_deterministic():
-    a = suite_to_jsonl(generate_suite(GRAPH, LABELS).cases)
-    b = suite_to_jsonl(generate_suite(GRAPH, LABELS).cases)
+    a = suite_text(generate_suite(GRAPH, LABELS).cases)
+    b = suite_text(generate_suite(GRAPH, LABELS).cases)
     assert a == b
 
 
@@ -262,16 +279,16 @@ def _rich_suite(seed: int) -> list:
 def test_suite_jsonl_matches_the_dict_oracle(seed):
     """The writer gives, byte for byte, `json.dumps` of each case's dict."""
     suite = _rich_suite(seed)
-    text = suite_to_jsonl(suite)
+    text = suite_text(suite)
     assert text == oracle_suite_jsonl(suite)
     for line in text.splitlines():
         assert json.dumps(json.loads(line)) == line
-    assert suite_to_jsonl(parse_json(text, TestCase.from_json, "<suite>", lines=True)) == text
+    assert suite_text(load_suite(text)) == text
 
 
 def test_rich_catalogs_reach_every_part_of_a_suite_line():
     """The property's catalogs give suites with each thing a line can hold."""
-    text = "".join(suite_to_jsonl(_rich_suite(seed)) for seed in range(30))
+    text = "".join(suite_text(_rich_suite(seed)) for seed in range(30))
     parts = ('"strategy": "producer"', '"value": 0}', '"value": 2}', '"value": true}')
     for part in parts:
         assert part in text, part
@@ -281,8 +298,8 @@ def test_rich_catalogs_reach_every_part_of_a_suite_line():
 
 def test_each_class_has_one_planned_producer_chain(monkeypatch):
     """Every producer plan of a class holds the one chain `producer_plans`
-    built for it in that generation; the suite writer's identity memo
-    relies on this."""
+    built for it in that generation, so the suite writer names each
+    class's chain once and finds it again by its identity."""
     built = []
     original = testgen.producer_plans
 
@@ -361,7 +378,7 @@ def test_suite_jsonl_keeps_true_and_1_apart():
         TestCase(f"tc{n}", "Doc.get", label, CallChain((s,)))
         for n, s in enumerate(steps)
     ]
-    text = suite_to_jsonl(suite)
+    text = suite_text(suite)
     assert text == oracle_suite_jsonl(suite)
     for line, value in zip(text.splitlines(), ("1", "true", "false", "0")):
         assert f'"x": {{"strategy": "primitive", "value": {value}}}' in line
@@ -384,6 +401,6 @@ def test_suite_jsonl_keeps_equal_values_of_different_types_apart():
             TestCase(f"tc{n}", "Doc.get", label, CallChain((ChainStep("Doc.get", (("x", p),)),)))
             for n, p in enumerate(plans)
         ]
-        text = suite_to_jsonl(suite)
+        text = suite_text(suite)
         assert text == oracle_suite_jsonl(suite)
         assert '"role": "id"' in text and '"role": "id-url"' in text
