@@ -132,8 +132,11 @@ def _parse_api(entry: dict) -> ApiSpec:
         if not isinstance(tutorial, list) or not all(isinstance(s, str) for s in tutorial):
             raise SchemaViolation(f"{api_id}: tutorial must be a list of strings")
         tutorial = tuple(tutorial)
+    description = entry["description"]
+    if not isinstance(description, str):
+        raise SchemaViolation(f"{api_id}: description must be a string, got {type(description).__name__}")
     returns = TypeRef.from_json(entry["returns"])
-    return ApiSpec(api_id, parent, method, str(entry["description"]), tuple(params), returns, tutorial)
+    return ApiSpec(api_id, parent, method, description, tuple(params), returns, tutorial)
 
 
 def parse_catalog(doc: dict) -> Catalog:

@@ -87,6 +87,7 @@ LEXICON = {
 SHARING_MARKERS = frozenset(
     {"editor", "viewer", "owner", "collaborator", "sharing", "commenter"}
 )
+_SHARING_MARKER = re.compile("|".join(sorted(SHARING_MARKERS)))  # any of them, anywhere
 
 # stems that mutate the sharing configuration when combined with a marker
 _SHARING_MUTATORS = ("add", "remove", "set", "transfer", "revoke", "delete")
@@ -126,7 +127,7 @@ def classify_api(
         return PermissionLabel(Operation.VIEW, spec.parent_class), CONF_STEM
 
     low = spec.method.lower()
-    sharing_hit = any(m in low for m in SHARING_MARKERS)
+    sharing_hit = _SHARING_MARKER.search(low) is not None
     if sharing_hit and shareable is None:
         shareable = _shareable_classes(catalog)
     touches_sharing = sharing_hit and spec.parent_class in shareable

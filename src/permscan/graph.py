@@ -69,21 +69,25 @@ def _best_chains(graph: DepGraph) -> dict:
     step grows the key and keeps the order of any two keys, so a class is
     final when first popped.  Each reachable class is expanded once, so
     each of its APIs is checked once.  The root is ambient: it has no chain.
+
+    Only a final class pushes, so every chain is its parent class's chain
+    plus one step: it is built from that chain's steps and one new
+    `ChainStep`, one per class, and is stored after its parent's.
     """
     root = graph.catalog.root
     best: dict = {}
-    heap = [(0, 0, (), root)]
+    heap = [(0, 0, (), root, None)]  # key, class, the class that pushed it
     while heap:
-        length, n_params, ids, cls = heapq.heappop(heap)
+        length, n_params, ids, cls, parent = heapq.heappop(heap)
         if cls in best:
             continue
-        best[cls] = CallChain(tuple(ChainStep(i) for i in ids))
+        best[cls] = CallChain(best[parent].steps + (ChainStep(ids[-1]),) if ids else ())
         for api_id in graph.method_edges.get(cls, ()):
             nxt = producible_class(graph, api_id)
             if nxt is None or nxt in best or not eligible_producer(graph, api_id):
                 continue
             parameterized = 1 if graph.api(api_id).params else 0
-            heapq.heappush(heap, (length + 1, n_params + parameterized, ids + (api_id,), nxt))
+            heapq.heappush(heap, (length + 1, n_params + parameterized, ids + (api_id,), nxt, cls))
     del best[root]  # ambient, not produced
     return best
 

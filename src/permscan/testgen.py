@@ -7,6 +7,7 @@ import heapq
 import json
 import re
 from collections import deque
+from operator import is_
 from typing import NamedTuple
 
 from .catalog import ApiSpec, expect
@@ -141,21 +142,23 @@ def _parse_tutorial(api: ApiSpec, graph: DepGraph) -> CallChain:
 def producer_plans(graph: DepGraph) -> dict:
     """Every produced class's producer chain with each step's plan attached.
     A producer step has only primitive parameters, so planning cannot fail
-    and needs no producers.  Each API is planned once: its one step is
-    shared by every chain that passes through it."""
-    planned: dict = {}  # api id -> its planned step
+    and needs no producers.
 
-    def plan(step: ChainStep) -> ChainStep:
-        hit = planned.get(step.api_id)
-        if hit is None:
-            params = resolve_parameters(graph.api(step.api_id), graph, {})
-            hit = planned[step.api_id] = step._replace(params=params)
-        return hit
-
-    return {
-        cls: CallChain(tuple(map(plan, shortest_producer_path(graph, cls).steps)))
-        for cls in graph.producer_chains
-    }
+    A class's chain is its parent class's chain plus one step, and
+    `build_graph` stores the parent's first (see `graph._best_chains`), so
+    each planned chain is its parent's planned chain plus the class's last
+    step, planned.  The parent is the class that the chain's next-to-last
+    step produces.  So each API is planned once, as the last step of the
+    class it produces, and that one step is shared by every chain that
+    passes through the API."""
+    plans: dict = {}
+    for cls in graph.producer_chains:
+        steps = shortest_producer_path(graph, cls).steps
+        prefix = plans[producible_class(graph, steps[-2].api_id)].steps if len(steps) > 1 else ()
+        last = steps[-1]
+        params = resolve_parameters(graph.api(last.api_id), graph, {})
+        plans[cls] = CallChain(prefix + (last._replace(params=params),))
+    return plans
 
 
 def resolve_parameters(api: ApiSpec, graph: DepGraph, producers: dict) -> tuple:
@@ -196,22 +199,24 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
     """BFS from the root; every method of an expanded class is emitted once,
     but an already-visited return class is never re-expanded (Pruning #1)."""
     result = GenResult()
+    cases, apis, classes = result.cases, graph.catalog.apis, graph.catalog.classes
     root = graph.catalog.root
     visited = {root}
     queue = deque([root])
     class_chain: dict = {root: CallChain(())}
     case_by_api: dict = {}
     producers = producer_plans(graph)
-    # a producer's own case ends in its one planned step: a producer step has
-    # only primitive plans, which need no producers
-    planned = {s.api_id: s for c in producers.values() for s in c.steps}
+    # a producer's own case ends in its one planned step, the last of the
+    # class it produces: a producer step has only primitive plans, which
+    # need no producers
+    planned = {c.steps[-1].api_id: c.steps[-1] for c in producers.values()}
 
     while queue:
         cls = queue.popleft()
         base = class_chain[cls]
         producer_case = case_by_api.get(base.steps[-1].api_id) if base.steps else None
         for api_id in graph.method_edges.get(cls, ()):
-            api = graph.api(api_id)
+            api = apis[api_id]
             try:
                 if api.tutorial:
                     chain = _parse_tutorial(api, graph)
@@ -221,16 +226,11 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
             except UnresolvableParameter as exc:
                 result.excluded.append((api_id, str(exc)))
                 continue
-            case = TestCase(
-                id=f"tc{len(result.cases) + 1:04d}",
-                target_api=api_id,
-                label=labels[api_id],
-                chain=chain,
-                depends_on=producer_case,
-            )
-            result.cases.append(case)
+            case = TestCase(f"tc{len(cases) + 1:04d}", api_id, labels[api_id], chain, producer_case)
+            cases.append(case)
             case_by_api.setdefault(api_id, case.id)
-            nxt = producible_class(graph, api_id)
+            ret = api.returns
+            nxt = ret.name if ret.is_class and ret.name in classes else None
             if nxt is not None and nxt not in visited:
                 visited.add(nxt)
                 queue.append(nxt)
@@ -238,7 +238,7 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
                 # parameterized producers reach the class
                 class_chain[nxt] = producers.get(nxt, chain)
 
-    for cls in sorted(graph.catalog.classes.keys() - visited):
+    for cls in sorted(classes.keys() - visited):
         result.pruned.extend(graph.method_edges.get(cls, ()))
     return result
 
@@ -246,6 +246,8 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
 # --- ordering --------------------------------------------------------------------
 
 def _order_key(case: TestCase, seq: int) -> tuple:
+    if not case.label.touches_sharing:  # only a share_* effect moves a case
+        return (case.label.operation, 1, seq)
     effect = (effect_of(case.target_api.split(".", 1)[1], case.label) or "").partition(":")[0]
     if effect == "share_add":
         return (Operation.CREATE, 0, seq)
@@ -258,31 +260,24 @@ def order_suite(cases: list) -> list:
     """Stable operation-rank ordering (Create first, Delete last), sharing
     additions first and removals/ownership transfers last, with every
     dependency prefix case kept ahead of its dependents."""
-    by_id = {c.id: c for c in cases}
-    dependents: dict = {c.id: [] for c in cases}
-    blocked: dict = {}
-    for c in cases:
-        dep = c.depends_on
-        if dep is not None and dep in by_id:
-            dependents[dep].append(c.id)
-            blocked[c.id] = 1
+    index = {c.id: i for i, c in enumerate(cases)}
+    dependents: list = [[] for _ in cases]  # by index: the indices of the cases that wait on it
+    heap = []
+    for i, c in enumerate(cases):
+        dep = index.get(c.depends_on)  # a case depends on at most one case
+        if dep is None:
+            heap.append((_order_key(c, i), i))
         else:
-            blocked[c.id] = 0
-
-    seq = {c.id: i for i, c in enumerate(cases)}
-    heap = [(_order_key(c, seq[c.id]), c.id) for c in cases if blocked[c.id] == 0]
+            dependents[dep].append(i)
     heapq.heapify(heap)
     out = []
     while heap:
-        _, cid = heapq.heappop(heap)
-        case = by_id[cid]
-        out.append(case)
-        for d in dependents[cid]:
-            blocked[d] -= 1
-            if blocked[d] == 0:
-                heapq.heappush(heap, (_order_key(by_id[d], seq[d]), d))
+        i = heapq.heappop(heap)[1]
+        out.append(cases[i])
+        for d in dependents[i]:
+            heapq.heappush(heap, (_order_key(cases[d], d), d))
     if len(out) != len(cases):
-        stuck = sorted(set(by_id) - {c.id for c in out})
+        stuck = sorted(index.keys() - {c.id for c in out})
         raise CyclicDependency(f"unorderable cases: {stuck}")
     return out
 
@@ -318,9 +313,11 @@ def suite_to_jsonl(cases: list, out) -> None:
     A chain is named by the identity of its steps: each API's planned step
     is one object (see `producer_plans`), so shared prefixes share names,
     while equal steps that are distinct objects, such as a plan passing
-    true and one passing 1, keep their own text.  Labels and attribute
-    plans are encoded once per call, keyed by type and value (a NamedTuple
-    equals any tuple of the same values).
+    true and one passing 1, keep their own text.  A chain whose steps but
+    the last are those of a chain object already named is named from that
+    chain's name and its last step, with no walk over its steps.  Labels
+    and attribute plans are encoded once per call, keyed by type and value
+    (a NamedTuple equals any tuple of the same values).
     """
     out.writelines(map(_SuiteWriter().line, cases))
 
@@ -328,12 +325,13 @@ def suite_to_jsonl(cases: list, out) -> None:
 class _SuiteWriter:
     """What one `suite_to_jsonl` call has named and encoded."""
 
-    __slots__ = ("names", "count", "texts")
+    __slots__ = ("names", "ends", "count", "texts")
 
     def __init__(self):
         # name texts: of (parent's name text, id(step)), the chain of the
         # parent's steps and `step`; of id(chain), each chain object met
         self.names: dict = {}
+        self.ends: dict = {}  # id(last step) -> [(steps, name text)] of each chain object met
         self.count = 0  # chains named so far
         self.texts: dict = {}  # (type, value) -> JSON text
 
@@ -343,7 +341,7 @@ class _SuiteWriter:
         depends_on = "null" if c.depends_on is None else _string(c.depends_on)
         return (
             f'{{"id": {_string(c.id)}, "target_api": {_string(c.target_api)}, '
-            f'"label": {self.value(c.label)}, "chains": [{", ".join(defined)}], '
+            f'"label": {self.label(c.label)}, "chains": [{", ".join(defined)}], '
             f'"chain": {chain}, "depends_on": {depends_on}}}\n'
         )
 
@@ -353,10 +351,18 @@ class _SuiteWriter:
         names = self.names
         found = names.get(id(chain))
         if found is None:
+            steps = rest = chain.steps
             found = "null"
-            for step in chain.steps:
+            if len(steps) > 1:
+                for named, text in self.ends.get(id(steps[-2]), ()):
+                    if len(named) == len(steps) - 1 and all(map(is_, named, steps)):
+                        found, rest = text, steps[-1:]
+                        break
+            for step in rest:
                 found = names.get((found, id(step))) or self.define(found, step, defined)
             names[id(chain)] = found
+            if steps:
+                self.ends.setdefault(id(steps[-1]), []).append((steps, found))
         return found
 
     def define(self, parent: str, step: ChainStep, defined: list) -> str:
@@ -382,6 +388,18 @@ class _SuiteWriter:
     def value(self, obj) -> str:
         key = (type(obj), obj)
         return self.texts.get(key) or self.texts.setdefault(key, json.dumps(obj.to_json()))
+
+    def label(self, label: PermissionLabel) -> str:
+        """`json.dumps(label.to_json())`, by hand."""
+        key = (type(label), label)
+        text = self.texts.get(key)
+        if text is None:
+            sharing = "true" if label.touches_sharing else "false"
+            text = self.texts[key] = (
+                f'{{"operation": "{label.operation.label}", "object_kind": '
+                f'{_string(label.object_kind)}, "touches_sharing": {sharing}}}'
+            )
+        return text
 
 
 _NO_CHAIN = (CallChain(()), False)

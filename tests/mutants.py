@@ -163,6 +163,16 @@ MUTANTS = (
      "    sys.exit(code)",
      '    __import__("os")._exit(code)',
      ("tests/test_cli.py::test_a_spawned_cli_process_writes_the_pins_and_prints_the_report",)),
+    # each producer chain is built, and planned, as its parent class's chain
+    # plus one step
+    ("chain-from-the-root", "graph.py",
+     "            heapq.heappush(heap, (length + 1, n_params + parameterized, ids + (api_id,), nxt, cls))",
+     "            heapq.heappush(heap, (length + 1, n_params + parameterized, ids + (api_id,), nxt, root))",
+     ("tests/test_acceptance.py::test_acceptance_06_shortest_path_oracle",)),
+    ("plan-from-the-first-steps-class", "testgen.py",
+     "        prefix = plans[producible_class(graph, steps[-2].api_id)].steps if len(steps) > 1 else ()",
+     "        prefix = plans[producible_class(graph, steps[0].api_id)].steps if len(steps) > 1 else ()",
+     ("tests/test_cli.py::test_gen_output_is_pinned",)),
     # the suite reader: steps, chains, plans and labels load only as written,
     # and a chain name only after its definition
     ("suite-step-extra-keys", "testgen.py",

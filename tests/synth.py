@@ -477,6 +477,18 @@ def books_catalog_doc(*apis: dict) -> dict:
     }
 
 
+def getter_chain_doc(depth: int) -> dict:
+    """Catalog document App -> C0 -> ... -> C{depth-1}: each class holds
+    the next and has one getter of it, so the last class's producer chain
+    has `depth` steps."""
+    names = ["App"] + [f"C{i}" for i in range(depth)]
+    doc = books_catalog_doc(*(
+        api_doc(f"{parent}.get{child}", {"class": child}) for parent, child in zip(names, names[1:])
+    ))
+    doc["classes"] = [{"name": n, "children": names[i + 1:i + 2]} for i, n in enumerate(names)]
+    return doc
+
+
 def state_value(state) -> tuple:
     """Everything a workspace holds but its cached lookups (`found`), as one
     comparable value: each tree is its nodes' fields and child counts in DFS

@@ -69,12 +69,8 @@ def test_a_deep_hierarchy_loads_and_generates(tmp_path, capsys):
     parent's name and one step, so the suite grows linearly with depth: it
     held 720,600 steps in 18.0 MB when each case wrote its chain inline."""
     names = ["App"] + [f"C{i}" for i in range(1200)]
-    doc = synth.books_catalog_doc(*(
-        synth.api_doc(f"{parent}.get{child}", {"class": child}) for parent, child in zip(names, names[1:])
-    ))
-    doc["classes"] = [{"name": n, "children": names[i + 1:i + 2]} for i, n in enumerate(names)]
     path, suite = tmp_path / "deep.json", tmp_path / "suite.jsonl"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(synth.getter_chain_doc(1200)))
     assert main(["ingest", "--catalog", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["total"] == 1201
     assert main(["gen", "--catalog", str(path), "--out", str(suite)]) == 0
@@ -450,6 +446,19 @@ def _template_with(change) -> str:
     return json.dumps(doc)
 
 
+def _catalog_with(change):
+    """A MALFORMED maker: the bundled catalog after `change(doc)`."""
+    def make(_) -> str:
+        doc = json.loads((DATA / "spreadsheet.json").read_text())
+        change(doc)
+        return json.dumps(doc)
+    return make
+
+
+def _first_param(doc) -> dict:
+    return next(a for a in doc["apis"] if a["params"])["params"][0]
+
+
 def _repeated_param_catalog(_) -> str:
     """The bundled catalog with an API's first parameter named twice."""
     doc = json.loads((DATA / "spreadsheet.json").read_text())
@@ -557,6 +566,32 @@ MALFORMED = {
     ),
     "catalog nested 100000 deep": ("catalog", lambda ok: "[" * 100000 + "]" * 100000),
     "catalog API that names a parameter twice": ("catalog", _repeated_param_catalog),
+    "catalog API entry that is a list": ("catalog", _catalog_with(lambda doc: doc["apis"].append([1]))),
+    "catalog API without returns": ("catalog", _catalog_with(lambda doc: doc["apis"][0].pop("returns"))),
+    "catalog API whose id is not parent_class.method": (
+        "catalog", _catalog_with(lambda doc: doc["apis"][0].update(id="SpreadsheetApp.other"))
+    ),
+    "catalog parameter with an unknown kind": (
+        "catalog", _catalog_with(lambda doc: _first_param(doc).update(kind="float"))
+    ),
+    "catalog parameter without type": ("catalog", _catalog_with(lambda doc: _first_param(doc).pop("type"))),
+    "catalog API returning an unknown primitive": (
+        "catalog", _catalog_with(lambda doc: doc["apis"][0].update(returns={"primitive": "float"}))
+    ),
+    "catalog API whose returns has no known key": (
+        "catalog", _catalog_with(lambda doc: doc["apis"][0].update(returns={"nothing": True}))
+    ),
+    "catalog tutorial that is not a list of strings": (
+        "catalog", _catalog_with(lambda doc: doc["apis"][0].update(tutorial=["Sheet.getRange()", 1]))
+    ),
+    "catalog class declared twice": ("catalog", _catalog_with(lambda doc: doc["classes"].append(doc["classes"][1]))),
+    "catalog API id given twice": ("catalog", _catalog_with(lambda doc: doc["apis"].append(doc["apis"][0]))),
+    "catalog description that is a list": ("catalog", _catalog_with(
+        lambda doc: doc["apis"][0].update(description=[doc["apis"][0]["description"]])
+    )),
+    "catalog description that is null": (
+        "catalog", _catalog_with(lambda doc: doc["apis"][0].update(description=None))
+    ),
     "template with an unknown kind": (
         "template", lambda ok: _template_with(lambda doc: doc["resources"][0].update(kind="Nope"))
     ),

@@ -1,10 +1,11 @@
+import operator
 import random
 from importlib import resources
 
 import pytest
 
 import permscan.graph as graph_module
-from synth import catalog_doc, make_catalog, oracle_best_chain, oracle_shortest_chain
+from synth import catalog_doc, getter_chain_doc, make_catalog, oracle_best_chain, oracle_shortest_chain
 from permscan.catalog import load_catalog, parse_catalog
 from permscan.errors import NoProducer, UnresolvableReturn
 from permscan.graph import (
@@ -166,3 +167,27 @@ def test_chains_are_computed_once_per_graph(monkeypatch):
         except NoProducer:
             pass
     assert len(checked) == built
+
+
+def _assert_each_chain_extends_its_parents(g) -> None:
+    """Every stored chain is its parent class's chain object's steps, the
+    same objects, plus one step: the parent is the class the chain's
+    next-to-last step produces.  So each produced class adds one step."""
+    chains = g.producer_chains
+    for cls, chain in chains.items():
+        *prefix, last = chain.steps
+        assert producible_class(g, last.api_id) == cls
+        if prefix:
+            parent = chains[producible_class(g, prefix[-1].api_id)].steps
+            assert len(parent) == len(prefix) and all(map(operator.is_, parent, prefix)), cls
+    assert len({id(s) for chain in chains.values() for s in chain.steps}) == len(chains)
+
+
+def test_each_chain_is_its_parents_plus_one_step():
+    rng = random.Random(20261021)
+    for _ in range(40):
+        cat = make_catalog(rng, max_classes=rng.randint(2, 40), max_apis=rng.randint(20, 150))
+        _assert_each_chain_extends_its_parents(build_graph(cat))
+    deep = build_graph(parse_catalog(getter_chain_doc(1200)))
+    assert len(deep.producer_chains["C1199"].steps) == 1200
+    _assert_each_chain_extends_its_parents(deep)

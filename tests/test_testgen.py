@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 from importlib import resources
 
@@ -8,13 +9,13 @@ from hypothesis import strategies as st
 
 import permscan.testgen as testgen
 from synth import (
-    ODD_NAMES, api_doc, books_catalog_doc, catalog_doc, load_suite, make_catalog, make_rich_catalog,
-    oracle_bfs_emission, oracle_suite_jsonl, suite_text,
+    ODD_NAMES, api_doc, books_catalog_doc, catalog_doc, getter_chain_doc, load_suite, make_catalog,
+    make_rich_catalog, oracle_bfs_emission, oracle_suite_jsonl, suite_text,
 )
 from permscan.catalog import load_catalog, parse_catalog, parse_json
 from permscan.classify import Operation, PermissionLabel, classify_catalog
 from permscan.errors import UnresolvableParameter
-from permscan.graph import CallChain, ChainStep, build_graph
+from permscan.graph import CallChain, ChainStep, build_graph, producible_class
 from permscan.testgen import (
     AttributePlan,
     PrimitivePlan,
@@ -404,3 +405,26 @@ def test_suite_jsonl_keeps_equal_values_of_different_types_apart():
         text = suite_text(suite)
         assert text == oracle_suite_jsonl(suite)
         assert '"role": "id"' in text and '"role": "id-url"' in text
+
+
+def test_each_planned_chain_is_its_parents_plus_one_planned_step():
+    """A class's planned producer chain is its parent class's planned chain,
+    the same step objects, plus its graph chain's last step with that
+    API's plans."""
+    rng = random.Random(7)
+    catalogs = [SHEETS, parse_catalog(getter_chain_doc(300))]
+    catalogs += [make_rich_catalog(rng) for _ in range(20)] + [make_catalog(rng, 40, 150) for _ in range(20)]
+    multi_step = 0
+    for cat in catalogs:
+        g = build_graph(cat)
+        plans = producer_plans(g)
+        assert list(plans) == list(g.producer_chains)
+        for cls, chain in plans.items():
+            *prefix, last = chain.steps
+            want = g.producer_chains[cls].steps[-1]
+            assert last == want._replace(params=resolve_parameters(cat.apis[want.api_id], g, {}))
+            if prefix:
+                parent = plans[producible_class(g, prefix[-1].api_id)].steps
+                assert len(parent) == len(prefix) and all(map(operator.is_, parent, prefix)), cls
+                multi_step += 1
+    assert multi_step > 0
