@@ -9,6 +9,7 @@ documentation so the whole pipeline stays hermetic.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -103,9 +104,20 @@ def expect(value, kind: type, where: str):
 _API_FIELDS = ("id", "parent_class", "method", "description", "params", "returns")
 _API_FIELD_SET = frozenset(_API_FIELDS)
 _PARAM_FIELDS = frozenset(("name", "kind", "type"))
+_PARAM_KEY = itemgetter("name", "kind", "type")
 
 
-def _parse_api(entry: dict) -> ApiSpec:
+def _expect_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaViolation(f"{where} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _parse_api(entry: dict, signatures: dict) -> ApiSpec:
+    """`signatures` maps each parameter list parsed so far, as its (name,
+    kind, type) triples, to its ParamSpecs: an equal list is checked once.
+    Only a list that passed every check is stored, so every stored field is
+    a str, and no other JSON value equals a str."""
     if not isinstance(entry, dict):
         raise SchemaViolation(f"bad api entry {entry!r}")
     if not entry.keys() >= _API_FIELD_SET:
@@ -116,17 +128,25 @@ def _parse_api(entry: dict) -> ApiSpec:
     method = _expect_str(entry["method"], "api.method")
     if api_id != f"{parent}.{method}":
         raise SchemaViolation(f"api id {api_id!r} != parent_class.method")
-    params, names = [], set()
-    for p in entry["params"]:
-        if not isinstance(p, dict) or not p.keys() >= _PARAM_FIELDS:
-            raise SchemaViolation(f"{api_id}: bad param entry {p!r}")
-        if p["kind"] not in PARAM_KINDS:
-            raise SchemaViolation(f"{api_id}: unknown param kind {p['kind']!r}")
-        name = _expect_str(p["name"], "param.name")
-        if name in names:
-            raise SchemaViolation(f"{api_id}: repeated param name {name!r}")
-        names.add(name)
-        params.append(ParamSpec(name, p["kind"], _expect_str(p["type"], "param.type")))
+    raw = entry["params"]
+    if not isinstance(raw, list):
+        raise SchemaViolation(f"{api_id}: params must be a list, got {type(raw).__name__}")
+    try:
+        key = tuple(map(_PARAM_KEY, raw))
+        params = signatures[key]
+    except (KeyError, TypeError):  # not seen yet, or it fails a check below
+        params, names = [], set()
+        for p in raw:
+            if not isinstance(p, dict) or not p.keys() >= _PARAM_FIELDS:
+                raise SchemaViolation(f"{api_id}: bad param entry {p!r}")
+            if p["kind"] not in PARAM_KINDS:
+                raise SchemaViolation(f"{api_id}: unknown param kind {p['kind']!r}")
+            name = _expect_str(p["name"], "param.name")
+            if name in names:
+                raise SchemaViolation(f"{api_id}: repeated param name {name!r}")
+            names.add(name)
+            params.append(ParamSpec(name, p["kind"], _expect_str(p["type"], "param.type")))
+        params = signatures[key] = tuple(params)
     tutorial = entry.get("tutorial")
     if tutorial is not None:
         if not isinstance(tutorial, list) or not all(isinstance(s, str) for s in tutorial):
@@ -136,7 +156,7 @@ def _parse_api(entry: dict) -> ApiSpec:
     if not isinstance(description, str):
         raise SchemaViolation(f"{api_id}: description must be a string, got {type(description).__name__}")
     returns = TypeRef.from_json(entry["returns"])
-    return ApiSpec(api_id, parent, method, description, tuple(params), returns, tutorial)
+    return ApiSpec(api_id, parent, method, description, params, returns, tutorial)
 
 
 def parse_catalog(doc: dict) -> Catalog:
@@ -155,7 +175,7 @@ def parse_catalog(doc: dict) -> Catalog:
         raise SchemaViolation("external_types must be a list of strings")
 
     classes: dict = {}
-    for entry in doc["classes"]:
+    for entry in _expect_list(doc["classes"], "classes"):
         if not isinstance(entry, dict) or "name" not in entry:
             raise SchemaViolation(f"bad class entry {entry!r}")
         name = _expect_str(entry["name"], "class.name")
@@ -169,8 +189,9 @@ def parse_catalog(doc: dict) -> Catalog:
         raise SchemaViolation(f"root {root!r} not in class set")
 
     apis: dict = {}
-    for entry in doc["apis"]:
-        api = _parse_api(entry)
+    signatures: dict = {}
+    for entry in _expect_list(doc["apis"], "apis"):
+        api = _parse_api(entry, signatures)
         if api.id in apis:
             raise DuplicateApi(f"duplicate API id {api.id!r}")
         apis[api.id] = api

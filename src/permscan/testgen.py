@@ -152,13 +152,27 @@ def producer_plans(graph: DepGraph) -> dict:
     class it produces, and that one step is shared by every chain that
     passes through the API."""
     plans: dict = {}
+    signatures: dict = {}  # see `_plans_of`
     for cls in graph.producer_chains:
         steps = shortest_producer_path(graph, cls).steps
         prefix = plans[producible_class(graph, steps[-2].api_id)].steps if len(steps) > 1 else ()
         last = steps[-1]
-        params = resolve_parameters(graph.api(last.api_id), graph, {})
+        params = _plans_of(graph.api(last.api_id), graph, {}, signatures)
         plans[cls] = CallChain(prefix + (last._replace(params=params),))
     return plans
+
+
+def _plans_of(api: ApiSpec, graph: DepGraph, producers: dict, signatures: dict) -> tuple:
+    """`resolve_parameters`' plans, kept in `signatures` by parameter list,
+    so APIs with equal lists share one plans tuple.  Plans depend on
+    nothing else of the API, and a list planned without producers has no
+    class-typed parameter.  A failure is not kept: each unresolvable API
+    raises its own error."""
+    key = api.params
+    found = signatures.get(key)
+    if found is None:
+        found = signatures[key] = resolve_parameters(api, graph, producers)
+    return found
 
 
 def resolve_parameters(api: ApiSpec, graph: DepGraph, producers: dict) -> tuple:
@@ -208,8 +222,9 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
     producers = producer_plans(graph)
     # a producer's own case ends in its one planned step, the last of the
     # class it produces: a producer step has only primitive plans, which
-    # need no producers
+    # need no producers, so other APIs share them too (see `_plans_of`)
     planned = {c.steps[-1].api_id: c.steps[-1] for c in producers.values()}
+    signatures = {apis[api_id].params: step.params for api_id, step in planned.items()}
 
     while queue:
         cls = queue.popleft()
@@ -221,7 +236,7 @@ def generate_cases(graph: DepGraph, labels: dict) -> GenResult:
                 if api.tutorial:
                     chain = _parse_tutorial(api, graph)
                 else:
-                    step = planned.get(api_id) or ChainStep(api_id, resolve_parameters(api, graph, producers))
+                    step = planned.get(api_id) or ChainStep(api_id, _plans_of(api, graph, producers, signatures))
                     chain = CallChain(base.steps + (step,))
             except UnresolvableParameter as exc:
                 result.excluded.append((api_id, str(exc)))
@@ -325,7 +340,7 @@ def suite_to_jsonl(cases: list, out) -> None:
 class _SuiteWriter:
     """What one `suite_to_jsonl` call has named and encoded."""
 
-    __slots__ = ("names", "ends", "count", "texts")
+    __slots__ = ("names", "ends", "count", "texts", "params")
 
     def __init__(self):
         # name texts: of (parent's name text, id(step)), the chain of the
@@ -334,6 +349,7 @@ class _SuiteWriter:
         self.ends: dict = {}  # id(last step) -> [(steps, name text)] of each chain object met
         self.count = 0  # chains named so far
         self.texts: dict = {}  # (type, value) -> JSON text
+        self.params: dict = {}  # id(step.params) -> the JSON text of its plans
 
     def line(self, c: TestCase) -> str:
         defined: list = []
@@ -367,7 +383,14 @@ class _SuiteWriter:
 
     def define(self, parent: str, step: ChainStep, defined: list) -> str:
         if step.params:
-            plans = ", ".join([_string(n) + ": " + self.plan(p, defined) for n, p in step.params])
+            # a producer chain is defined on the first line that uses it
+            # and keeps its name, so the text of a plans tuple, shared by
+            # the APIs with equal parameter lists, is written once
+            plans = self.params.get(id(step.params))
+            if plans is None:
+                plans = self.params[id(step.params)] = ", ".join(
+                    [_string(n) + ": " + self.plan(p, defined) for n, p in step.params]
+                )
             text = f'{{"api": {_string(step.api_id)}, "params": {{{plans}}}}}'
         else:
             text = f'{{"api": {_string(step.api_id)}}}'

@@ -173,6 +173,23 @@ MUTANTS = (
      "        prefix = plans[producible_class(graph, steps[-2].api_id)].steps if len(steps) > 1 else ()",
      "        prefix = plans[producible_class(graph, steps[0].api_id)].steps if len(steps) > 1 else ()",
      ("tests/test_cli.py::test_gen_output_is_pinned",)),
+    # each distinct parameter list is parsed, planned and written once per
+    # run: the parse memo is keyed by every (name, kind, type) triple in
+    # order, the plan memo by the whole parameter list, and the writer's
+    # plans texts live for one call
+    ("parse-memo-drops-repeated-names", "catalog.py",
+     "        key = tuple(map(_PARAM_KEY, raw))",
+     '        key = tuple({p["name"]: _PARAM_KEY(p) for p in raw}.values())',
+     ("tests/test_cli.py::test_malformed_input_is_one_line_exit_1"
+      "[catalog parameter list seen twice whose second copy repeats a name]",)),
+    ("plan-memo-keyed-by-names", "testgen.py",
+     "    key = api.params",
+     "    key = tuple(p.name for p in api.params)",
+     ("tests/test_testgen.py::test_equal_parameter_lists_share_one_plans_tuple",)),
+    ("plan-texts-kept-across-writes", "testgen.py",
+     "        self.params: dict = {}  # id(step.params) -> the JSON text of its plans",
+     '        self.params = globals().setdefault("_plan_texts", {})',
+     ("tests/test_testgen.py::test_a_shared_class_typed_parameter_list_names_its_producer_chain_once",)),
     # the suite reader: steps, chains, plans and labels load only as written,
     # and a chain name only after its definition
     ("suite-step-extra-keys", "testgen.py",

@@ -69,6 +69,22 @@ def test_api_id_must_match_parent_and_method():
         parse_catalog(doc)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("params", ""), ("params", None), ("params", {"name": "x", "kind": "string", "type": "string"}),
+    ("apis", {}), ("classes", "DocumentApp"),
+])
+def test_a_container_that_is_not_a_list_is_named(field, value):
+    """params, apis and classes must be JSON lists; anything else is one
+    SchemaViolation that names the field, and for params the API."""
+    doc = _doc()
+    api = doc["apis"][0]
+    (api if field == "params" else doc)[field] = value
+    where = f"{api['id']}: params" if field == "params" else field
+    with pytest.raises(SchemaViolation) as caught:
+        parse_catalog(doc)
+    assert str(caught.value) == f"{where} must be a list, got {type(value).__name__}"
+
+
 def test_validation_flags_dangling_return():
     doc = _doc()
     doc["apis"][0]["returns"] = {"class": "Ghost"}

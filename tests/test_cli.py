@@ -467,6 +467,15 @@ def _repeated_param_catalog(_) -> str:
     return json.dumps(doc)
 
 
+def _repeated_copy_catalog(_) -> str:
+    """The bundled catalog whose last API takes a copy of an earlier API's
+    parameter list with the list's first parameter repeated."""
+    doc = json.loads((DATA / "spreadsheet.json").read_text())
+    params = next(a for a in doc["apis"] if a["params"])["params"]
+    doc["apis"][-1]["params"] = params + params[:1]
+    return json.dumps(doc)
+
+
 def _superuser_matrix(_) -> str:
     doc = json.loads((DATA / "capability_matrix.json").read_text())
     doc["superuser"] = doc["owner"]
@@ -592,6 +601,16 @@ MALFORMED = {
     "catalog description that is null": (
         "catalog", _catalog_with(lambda doc: doc["apis"][0].update(description=None))
     ),
+    'catalog params that is ""': ("catalog", _catalog_with(lambda doc: doc["apis"][0].update(params=""))),
+    "catalog apis that is an object": ("catalog", _catalog_with(lambda doc: doc.update(apis={}))),
+    "catalog classes that is an object": ("catalog", _catalog_with(
+        lambda doc: doc.update(classes={c["name"]: c for c in doc["classes"]})
+    )),
+    # the bundled catalog's earlier APIs return {"void": true}, which equals {"void": 1}
+    'catalog API returning {"void": 1} after one returning {"void": true}': (
+        "catalog", _catalog_with(lambda doc: doc["apis"][-1].update(returns={"void": 1}))
+    ),
+    "catalog parameter list seen twice whose second copy repeats a name": ("catalog", _repeated_copy_catalog),
     "template with an unknown kind": (
         "template", lambda ok: _template_with(lambda doc: doc["resources"][0].update(kind="Nope"))
     ),

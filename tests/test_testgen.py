@@ -428,3 +428,52 @@ def test_each_planned_chain_is_its_parents_plus_one_planned_step():
                 assert len(parent) == len(prefix) and all(map(operator.is_, parent, prefix)), cls
                 multi_step += 1
     assert multi_step > 0
+
+
+def test_equal_parameter_lists_share_one_plans_tuple():
+    """In one generation every step outside tutorials holds the plans a
+    fresh `resolve_parameters` gives its API, and the APIs with equal
+    parameter lists share one plans tuple."""
+    catalogs = [SHEETS, load_catalog(str(DATA / "corpus_catalog.json")), parse_catalog(getter_chain_doc(40))]
+    catalogs += [make_rich_catalog(random.Random(seed)) for seed in range(30)]
+    shared = 0
+    for cat in catalogs:
+        g = build_graph(cat)
+        suite = generate_suite(g, classify_catalog(cat)).cases
+        producers = producer_plans(g)
+        tutorial = {id(s) for c in suite if cat.apis[c.target_api].tutorial for s in c.chain.steps}
+        plans: dict = {}  # parameter list -> {id of its plans tuple: the APIs holding it}
+        for case in suite:
+            for step in _steps_below(case.chain):
+                if id(step) not in tutorial:
+                    api = cat.apis[step.api_id]
+                    assert step.params == resolve_parameters(api, g, producers), api.id
+                    plans.setdefault(api.params, {}).setdefault(id(step.params), set()).add(api.id)
+        assert [p for p, held in plans.items() if len(held) > 1] == []
+        shared += sum(len(apis) > 1 for held in plans.values() for apis in held.values())
+    assert shared > 0
+
+
+def test_a_shared_class_typed_parameter_list_names_its_producer_chain_once():
+    """Two APIs that take the same class-typed parameter list share one
+    plans tuple, so their lines name one producer chain, defined on the
+    first line that uses it; two writes of the suite are the same text,
+    and it reads back to equal cases."""
+    book = [{"name": "book", "kind": "class", "type": "Book"}]
+    doc = books_catalog_doc(
+        api_doc("App.getBook", {"class": "Book"}),
+        {**api_doc("App.copyBook", {"void": True}), "params": book},
+        {**api_doc("App.insertBook", {"void": True}), "params": book},
+    )
+    cat = parse_catalog(doc)
+    suite = generate_suite(build_graph(cat), classify_catalog(cat)).cases
+    steps = {c.target_api: c.chain.steps[-1] for c in suite}
+    assert steps["App.copyBook"].params is steps["App.insertBook"].params
+    text = suite_text(suite)
+    assert suite_text(suite) == text == oracle_suite_jsonl(suite)
+    lines = [json.loads(line) for line in text.splitlines()]
+    (producer,) = [(n, d["name"]) for n, line in enumerate(lines) for d in line["chains"]
+                   if d["step"]["api"] == "App.getBook"]
+    users = [n for n, line in enumerate(lines) if f'"chain": "{producer[1]}"' in json.dumps(line)]
+    assert producer[0] == users[0] == 0  # a case that takes the book comes first
+    assert load_suite(text) == suite
