@@ -101,16 +101,18 @@ def expect(value, kind: type, where: str):
     return value
 
 
+def expect_list(value, where: str) -> list:
+    """Return `value` if it is a JSON list; raise SchemaViolation naming
+    `where` if not."""
+    if not isinstance(value, list):
+        raise SchemaViolation(f"{where} must be a list, got {type(value).__name__}")
+    return value
+
+
 _API_FIELDS = ("id", "parent_class", "method", "description", "params", "returns")
 _API_FIELD_SET = frozenset(_API_FIELDS)
 _PARAM_FIELDS = frozenset(("name", "kind", "type"))
 _PARAM_KEY = itemgetter("name", "kind", "type")
-
-
-def _expect_list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaViolation(f"{where} must be a list, got {type(value).__name__}")
-    return value
 
 
 def _parse_api(entry: dict, signatures: dict) -> ApiSpec:
@@ -175,7 +177,7 @@ def parse_catalog(doc: dict) -> Catalog:
         raise SchemaViolation("external_types must be a list of strings")
 
     classes: dict = {}
-    for entry in _expect_list(doc["classes"], "classes"):
+    for entry in expect_list(doc["classes"], "classes"):
         if not isinstance(entry, dict) or "name" not in entry:
             raise SchemaViolation(f"bad class entry {entry!r}")
         name = _expect_str(entry["name"], "class.name")
@@ -190,7 +192,7 @@ def parse_catalog(doc: dict) -> Catalog:
 
     apis: dict = {}
     signatures: dict = {}
-    for entry in _expect_list(doc["apis"], "apis"):
+    for entry in expect_list(doc["apis"], "apis"):
         api = _parse_api(entry, signatures)
         if api.id in apis:
             raise DuplicateApi(f"duplicate API id {api.id!r}")

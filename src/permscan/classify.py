@@ -37,6 +37,15 @@ class Operation(enum.IntEnum):
         return Operation[name]
 
 
+# Each member bound once as a module global for the campaign hot path: on
+# CPython 3.11 loading `Operation.VIEW` goes through `EnumType`, ~100 ns,
+# against a few ns for a global.
+CREATE = Operation.CREATE
+VIEW = Operation.VIEW
+COMMENT = Operation.COMMENT
+MODIFY = Operation.MODIFY
+DELETE = Operation.DELETE
+
 _OPERATIONS = {op.label: op for op in Operation}
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .catalog import Catalog
 from .errors import MissingLabel
 from .executor import OUTCOME_PRUNED, OUTCOME_SUCCESS
-from .simulator import Decision, Role, RoleCapabilityMatrix, decide
+from .simulator import ALLOW, DENY_ROLE, DENY_SCOPE, Role, RoleCapabilityMatrix, decide
 
 KIND_E1 = "E1"
 KIND_E2 = "E2"
@@ -65,6 +65,9 @@ def detect_full(
     """Findings and potential-only findings of `records`.  `ground_truth` is
     accepted and ignored: each record carries what its call observed."""
     result = DetectionResult([], [])
+    # (observed, grant, label) -> `decide`'s decision with nothing skipped;
+    # exact for equal keys, as `simulator.invoke_host_api`'s cache is
+    decisions: dict = {}
     for record in records:
         if record.outcome != OUTCOME_SUCCESS:
             continue
@@ -73,14 +76,17 @@ def detect_full(
             raise MissingLabel(f"record {record.case_id}: no label for {record.api}")
         if record.observed is None:  # a case with no step checked nothing
             continue
-        decision = decide(record.observed, record.grant, label, matrix)
-        if decision is Decision.ALLOW:
+        key = (record.observed, record.grant, label)
+        decision = decisions.get(key)
+        if decision is None:
+            decision = decisions[key] = decide(record.observed, record.grant, label, matrix)
+        if decision is ALLOW:
             continue
-        if decision is Decision.DENY_SCOPE:
+        if decision is DENY_SCOPE:
             note = "scope bypass"
             if record.sharing_changes and decide(
                 record.observed, record.grant, label, matrix, _PAST_SCOPE
-            ) is not Decision.ALLOW:
+            ) is not ALLOW:
                 note += "; also mutated sharing configuration (E3 annotation)"
             result.findings.append(
                 Finding(KIND_E1, record.api, record.role, record.grant, record.evidence or "", note)
@@ -93,7 +99,7 @@ def detect_full(
                     "sharing configuration changed without administrator action",
                 )
             )
-        elif decision is Decision.DENY_ROLE:
+        elif decision is DENY_ROLE:
             finding = Finding(
                 KIND_E2, record.api, record.role, record.grant,
                 record.evidence or "",

@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .catalog import expect
-from .classify import Operation
+from .classify import CREATE, VIEW
 from .errors import BackendUnavailable, NotFound
 from .graph import CallChain, ChainStep
 from .simulator import (
@@ -218,10 +218,11 @@ def _resolve_args(session: Session, params: tuple, touched: list) -> dict:
 def _run_chain(session: Session, chain: CallChain, touched: list, target: bool = True) -> InvocationResult:
     """Run the chain's steps in order; `target` is False for a producer
     chain, whose last step is not the case's call and may be replayed."""
+    if not chain.steps:
+        return InvocationResult(True)
     reuse, lookups = session.reuse, session.state.lookups
     last = len(chain.steps) - 1 if target else -1  # the one step never replayed
     receiver: ObjectNode | None = None
-    result = InvocationResult(True)
     for i, step in enumerate(chain.steps):
         key = (step, receiver)
         hit = None if i == last else reuse.get(key)
@@ -255,12 +256,12 @@ def _invoke_step(
         touched.append((receiver.id, receiver.kind))
     if result.node is not None:
         touched.append((result.node.id, result.node.kind))
-    if result.ok and label.operation is not Operation.VIEW:
+    if result.ok and label.operation is not VIEW:
         session.writes += 1
         if state.epoch != epoch:
             reuse.clear()
             session.by_kind.clear()
-        elif label.operation is Operation.CREATE and result.node is not None:
+        elif label.operation is CREATE and result.node is not None:
             for dropped in session.by_kind.pop(result.node.kind, ()):
                 reuse.pop(dropped, None)
     elif session.writes == writes:  # no call wrote while this step ran

@@ -18,8 +18,8 @@ import fnmatch
 from pathlib import Path
 from typing import NamedTuple
 
-from .catalog import ApiSpec, Catalog, expect, read_json
-from .classify import Operation, PermissionLabel, effect_of
+from .catalog import ApiSpec, Catalog, expect, expect_list, read_json
+from .classify import COMMENT, CREATE, DELETE, MODIFY, VIEW, Operation, PermissionLabel, effect_of
 from .errors import (
     DuplicateResourceId,
     NotFound,
@@ -50,6 +50,10 @@ class Role(enum.IntEnum):
             raise ValueError(f"unknown role {text!r}")
         return Role[name]
 
+
+# the members the hot path compares against, as module globals (see `VIEW`)
+EDITOR = Role.EDITOR
+OWNER = Role.OWNER
 
 # OAuth scope lattice: {read} < {read, edit} < {read, edit, delete}
 SCOPE_READ = "read"
@@ -88,6 +92,11 @@ class Decision(enum.Enum):
     DENY_ROLE = "deny_role"
     DENY_SHARING = "deny_sharing"
 
+
+ALLOW = Decision.ALLOW
+DENY_SCOPE = Decision.DENY_SCOPE
+DENY_ROLE = Decision.DENY_ROLE
+DENY_SHARING = Decision.DENY_SHARING
 
 PROTECTABLE_KINDS = frozenset({"Range", "Sheet", "Row", "Column"})
 HIDEABLE_KINDS = frozenset({"Range", "Sheet", "Row", "Column", "Cell"})
@@ -209,7 +218,7 @@ class WorkspaceState:
 
     __slots__ = (
         "catalog", "matrix", "users", "resources", "sharing", "sharing_log", "faults", "facts",
-        "attributes", "found", "lookups", "epoch", "_fresh_counter",
+        "decisions", "attributes", "found", "lookups", "epoch", "_fresh_counter",
     )
 
     def __init__(self, catalog: Catalog, matrix: RoleCapabilityMatrix):
@@ -221,6 +230,9 @@ class WorkspaceState:
         self.sharing_log = []  # (resource, user, old, new); None = no role
         self.faults = {}  # api id -> skipped gates; read-only, shared
         self.facts = {}  # (api id, label) -> its `_CallFacts`; a cache, shared
+        # (observed, grant, label, skipped gates) -> `decide`'s decision for
+        # them under `matrix`; a cache, shared
+        self.decisions = {}
         self.attributes = {}  # role -> (least kind, first value under it)
         self.found = {}  # kind -> {receiver: `_find_of_kind`'s answer}; a cache
         self.lookups = []  # the kind each `invoke_host_api` call looked up, in call order
@@ -232,8 +244,8 @@ class WorkspaceState:
 
     def copy(self) -> "WorkspaceState":
         """An independent copy: it shares no node or role map with this
-        state, only its read-only `faults` and its `facts` cache, and starts
-        with no cached lookups."""
+        state, only its read-only `faults` and its `facts` and `decisions`
+        caches, and starts with no cached lookups."""
         state = WorkspaceState(self.catalog, self.matrix)
         state.users = set(self.users)
         state.resources = {rid: root.copy() for rid, root in self.resources.items()}
@@ -241,6 +253,7 @@ class WorkspaceState:
         state.sharing_log = list(self.sharing_log)
         state.faults = self.faults
         state.facts = self.facts
+        state.decisions = self.decisions
         state.attributes = dict(self.attributes)  # values are tuples of strs
         state.lookups = list(self.lookups)
         state.epoch = self.epoch
@@ -307,7 +320,7 @@ def _parse_node(entry: dict, catalog: Catalog, seen: set) -> ObjectNode:
         protection = frozenset(expect(user, str, f"{node_id} protection user") for user in users)
     content = expect(attrs.get("content", ""), str, f"{node_id} content")
     node = ObjectNode(kind, node_id, content, hidden, protection)
-    for child in entry.get("children", []):
+    for child in expect_list(entry.get("children", []), f"{node_id} children"):
         node.children.append(_parse_node(child, catalog, seen))
     return node
 
@@ -323,7 +336,7 @@ def instantiate_template(
 def _build_workspace(doc: dict, catalog: Catalog, matrix: RoleCapabilityMatrix) -> WorkspaceState:
     state = WorkspaceState(catalog, matrix)
     seen: set = set()
-    for entry in expect(doc, dict, "template").get("resources", []):
+    for entry in expect_list(expect(doc, dict, "template").get("resources", []), "template resources"):
         node = _parse_node(entry, catalog, seen)
         state.resources[node.id] = node
     # keys of a sharing entry other than its roles are accepted and ignored
@@ -368,6 +381,13 @@ class Observed(NamedTuple):
     protected: bool
 
 
+# every value `observe` can give, each made once: (role, hidden, protected) -> it
+_OBSERVED = {
+    (role, hidden, protected): Observed(role, hidden, protected)
+    for role in (None, *Role) for hidden in (False, True) for protected in (False, True)
+}
+
+
 def observe(
     state: WorkspaceState, user: str, target: ObjectNode, produced: ObjectNode | None = None
 ) -> Observed:
@@ -376,18 +396,19 @@ def observe(
     hidden = protected = False
     for node in (target,) if produced is None else (target, produced):
         if node.hidden and not (
-            role == Role.OWNER
+            role == OWNER
             or (node.protection is not None and user in node.protection)
             # editors may unhide whole sheets, but not protection-hidden finer objects
-            or (role == Role.EDITOR and node.kind == "Sheet" and node.protection is None)
+            or (role == EDITOR and node.kind == "Sheet" and node.protection is None)
         ):
             hidden = True
-        if node.protection is not None and role != Role.OWNER and user not in node.protection:
+        if node.protection is not None and role != OWNER and user not in node.protection:
             protected = True
-    return Observed(role, hidden, protected)
+    return _OBSERVED[role, hidden, protected]
 
 
-_WRITES = (Operation.CREATE, Operation.MODIFY, Operation.DELETE)
+_WRITES = (CREATE, MODIFY, DELETE)
+_NONE_SKIPPED = frozenset()  # the skipped gates of an API that no fault matches
 
 
 def decide(
@@ -404,7 +425,7 @@ def decide(
     left out; without any, this is the fault-free reference."""
     operation = label.operation
     if grant is not None and "SkipScopeCheck" not in skipped and not scope_covers(grant, operation):
-        return Decision.DENY_SCOPE
+        return DENY_SCOPE
     role = observed.role
     if "SkipRoleCheck" not in skipped and (
         role is None
@@ -412,15 +433,15 @@ def decide(
         or observed.hidden
         or (observed.protected and operation in _WRITES)
     ):
-        return Decision.DENY_ROLE
+        return DENY_ROLE
     if (
         "AllowSharingMutation" not in skipped
         and label.touches_sharing
-        and operation != Operation.VIEW
-        and role != Role.OWNER
+        and operation != VIEW
+        and role != OWNER
     ):
-        return Decision.DENY_SHARING
-    return Decision.ALLOW
+        return DENY_SHARING
+    return ALLOW
 
 
 def check_access(
@@ -528,7 +549,7 @@ def _call_facts(state: WorkspaceState, api_id: str, label: PermissionLabel) -> _
         if api is None:
             raise NotFound(f"unknown API {api_id!r}")
         returns = api.returns
-        kind = returns.name if returns.is_class and label.operation != Operation.CREATE else None
+        kind = returns.name if returns.is_class and label.operation != CREATE else None
         effect, _, added_role = (effect_of(api.method, label) or "").partition(":")
         facts = state.facts[key] = _CallFacts(api, kind, effect, added_role)
     return facts
@@ -558,13 +579,13 @@ def _apply_effect(
         state.epoch += 1  # any other sharing effect may change a role
         subject_user = str(args.get(api.params[0].name)) if api.params else "collaborator-1"
         if effect == "share_transfer_owner":
-            old_owner = next(u for u, r in roles.items() if r == Role.OWNER)
-            state.set_role(rid, old_owner, Role.EDITOR)
-            state.set_role(rid, subject_user, Role.OWNER)
+            old_owner = next(u for u, r in roles.items() if r == OWNER)
+            state.set_role(rid, old_owner, EDITOR)
+            state.set_role(rid, subject_user, OWNER)
             return InvocationResult(True, f"ownership transferred to {subject_user}")
         if effect == "share_add":
             # the one owner stays, so no removal leaves a resource unshared
-            if roles.get(subject_user) == Role.OWNER:
+            if roles.get(subject_user) == OWNER:
                 return InvocationResult(True, f"{subject_user} stays owner")
             new_role = Role.parse(added_role)
             state.set_role(rid, subject_user, new_role)
@@ -572,8 +593,8 @@ def _apply_effect(
         if effect == "share_remove":
             # unknown collaborator ids resolve to an arbitrary existing
             # non-owner collaborator so revocation paths stay exercisable
-            if subject_user not in roles or roles[subject_user] == Role.OWNER:
-                others = sorted(u for u, r in roles.items() if r != Role.OWNER)
+            if subject_user not in roles or roles[subject_user] == OWNER:
+                others = sorted(u for u, r in roles.items() if r != OWNER)
                 subject_user = others[0] if others else None
             if subject_user is not None:
                 state.set_role(rid, subject_user, None)
@@ -581,13 +602,13 @@ def _apply_effect(
             return InvocationResult(True, "no collaborator removed")
         return InvocationResult(True, f"sharing of {rid} unchanged")  # share_other
 
-    if label.operation == Operation.VIEW:
+    if label.operation == VIEW:
         if produced is not None:
             return InvocationResult(True, produced.content or produced.id, node=produced)
         value = (receiver.content or receiver.id) if receiver is not None else ""
         return InvocationResult(True, value, node=receiver)
 
-    if label.operation == Operation.CREATE:
+    if label.operation == CREATE:
         kind = api.returns.class_name
         state._fresh_counter += 1
         if kind is not None and kind in state.catalog.classes:
@@ -605,7 +626,7 @@ def _apply_effect(
                 if replaced is not None:
                     _detach(state, replaced)
                 state.resources[new.id] = new
-                state.set_role(new.id, ctx.user, Role.OWNER)
+                state.set_role(new.id, ctx.user, OWNER)
                 for user in [u for u in state.sharing[new.id] if u != ctx.user]:
                     state.set_role(new.id, user, None)
             state.record_attribute(new.kind, "id", new.id)
@@ -613,12 +634,12 @@ def _apply_effect(
             return InvocationResult(True, f"created {new.id}", node=new)
         return InvocationResult(True, f"created item {state._fresh_counter}")
 
-    if label.operation == Operation.COMMENT:
+    if label.operation == COMMENT:
         if receiver is not None:
             receiver.content = (receiver.content + " [comment]").strip()
         return InvocationResult(True, "comment added", node=receiver)
 
-    if label.operation == Operation.MODIFY:
+    if label.operation == MODIFY:
         if receiver is None:
             return InvocationResult(True, "modified")
         if effect in ("hide", "unhide"):
@@ -636,7 +657,7 @@ def _apply_effect(
         receiver.content = new_value
         return InvocationResult(True, f"set {receiver.id} content={new_value}", node=receiver)
 
-    if label.operation == Operation.DELETE:
+    if label.operation == DELETE:
         target = produced if produced is not None else receiver
         if target is None:
             return InvocationResult(True, "deleted nothing")
@@ -689,8 +710,14 @@ def invoke_host_api(
     if target is None:
         return _deny()
     observed = observe(state, ctx.user, target, produced)
-    skipped = state.faults.get(api_id, frozenset())
-    if decide(observed, ctx.grant, label, state.matrix, skipped) is not Decision.ALLOW:
+    # `decide` reads the flags only for their truth and the grant and skipped
+    # gates only through `in`, so equal keys get equal decisions
+    skipped = state.faults.get(api_id, _NONE_SKIPPED)
+    key = (observed, ctx.grant, label, skipped)
+    decision = state.decisions.get(key)
+    if decision is None:
+        decision = state.decisions[key] = decide(observed, ctx.grant, label, state.matrix, skipped)
+    if decision is not ALLOW:
         result = _deny()
     elif kind is not None and produced is None:
         result = InvocationResult(ok=False, error=f"no {kind} object available", error_kind="NotFound")

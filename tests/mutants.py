@@ -35,11 +35,11 @@ ROOT = Path(__file__).resolve().parents[1]
 MUTANTS = (
     # observe: what a user sees of a target
     ("editor-unhide-exception", "simulator.py",
-     '            or (role == Role.EDITOR and node.kind == "Sheet" and node.protection is None)',
+     '            or (role == EDITOR and node.kind == "Sheet" and node.protection is None)',
      "            or False",
      ("tests/test_simulator.py::test_check_access_on_random_nodes_matches_the_oracle",)),
     ("protected-owner-exempt", "simulator.py",
-     "        if node.protection is not None and role != Role.OWNER and user not in node.protection:",
+     "        if node.protection is not None and role != OWNER and user not in node.protection:",
      "        if node.protection is not None and user not in node.protection:",
      ("tests/test_simulator.py::test_check_access_on_random_nodes_matches_the_oracle",)),
     ("protection-list-sees-hidden", "simulator.py",
@@ -57,18 +57,32 @@ MUTANTS = (
      ("tests/test_simulator.py::test_check_access_matches_truth_table",
       "tests/test_detector.py::test_e2_role_bypass_protected_range")),
     ("sharing-gate-denies-owner", "simulator.py",
-     "        and role != Role.OWNER",
+     "        and role != OWNER",
      "        and True",
      ("tests/test_simulator.py::test_sharing_mutation_is_owner_only",)),
     # _apply_effect's sharing branch
     ("share-add-demotes-owner", "simulator.py",
-     "            if roles.get(subject_user) == Role.OWNER:",
+     "            if roles.get(subject_user) == OWNER:",
      "            if False:",
      ("tests/test_simulator.py::test_adding_the_owner_keeps_the_owner",)),
     ("share-remove-drops-owner", "simulator.py",
-     "            if subject_user not in roles or roles[subject_user] == Role.OWNER:",
+     "            if subject_user not in roles or roles[subject_user] == OWNER:",
      "            if subject_user not in roles:",
      ("tests/test_classify.py::test_order_and_simulator_follow_the_one_effect_function",)),
+    # each distinct access check is decided once: the simulator's cache is
+    # keyed by every input of `decide`, the detector's by all it passes
+    ("decision-memo-drops-skipped", "simulator.py",
+     "    key = (observed, ctx.grant, label, skipped)",
+     "    key = (observed, ctx.grant, label)",
+     ("tests/test_simulator.py::test_the_decision_cache_keys_every_input_of_decide",)),
+    ("decision-memo-drops-grant", "simulator.py",
+     "    key = (observed, ctx.grant, label, skipped)",
+     "    key = (observed, label, skipped)",
+     ("tests/test_simulator.py::test_the_decision_cache_keys_every_input_of_decide",)),
+    ("detect-memo-drops-grant", "detector.py",
+     "        key = (record.observed, record.grant, label)",
+     "        key = (record.observed, label)",
+     ("tests/test_detector.py::test_each_grant_gets_its_own_decision",)),
     # sharing_changes: a new root resource is not a sharing change
     ("root-create-is-sharing-change", "executor.py",
      "        if now and (any(r is not None for r in users.values()) or now.keys() - users.keys()):",
@@ -76,8 +90,8 @@ MUTANTS = (
      ("tests/test_detector.py::test_root_create_and_delete_are_not_sharing_changes",)),
     # the detector's E1 > E3 > E2 order
     ("e3-before-e1", "detector.py",
-     "        if decision is Decision.DENY_SCOPE:",
-     "        if decision is Decision.DENY_SCOPE and not record.sharing_changes:",
+     "        if decision is DENY_SCOPE:",
+     "        if decision is DENY_SCOPE and not record.sharing_changes:",
      ("tests/test_detector.py::test_precedence_e1_over_e3",)),
     # replay: a write that moves the epoch drops every replayable step, and
     # a step is kept only if no call wrote while it ran
@@ -112,7 +126,7 @@ MUTANTS = (
      "            pass",
      ("tests/test_executor.py::test_a_create_drops_a_step_whose_producer_chain_replayed_its_kind",)),
     ("leaf-create-keeps-every-step", "executor.py",
-     "        elif label.operation is Operation.CREATE and result.node is not None:",
+     "        elif label.operation is CREATE and result.node is not None:",
      "        elif False:",
      ("tests/test_executor.py::test_a_create_drops_a_step_whose_producer_chain_replayed_its_kind",)),
     ("leaf-create-drops-every-step", "executor.py",

@@ -446,6 +446,17 @@ def _template_with(change) -> str:
     return json.dumps(doc)
 
 
+def _template_node(doc: dict, node_id: str) -> dict:
+    """The node entry of template `doc` whose id is `node_id`."""
+    stack = list(doc["resources"])
+    while stack:
+        entry = stack.pop()
+        if entry["id"] == node_id:
+            return entry
+        stack += entry.get("children", [])
+    raise KeyError(node_id)
+
+
 def _catalog_with(change):
     """A MALFORMED maker: the bundled catalog after `change(doc)`."""
     def make(_) -> str:
@@ -633,6 +644,30 @@ MALFORMED = {
         "template",
         lambda ok: _template_with(lambda doc: doc["sharing"]["spreadsheet1"]["roles"].pop("victor.viewer")),
     ),
+    'template leaf whose children is ""': ("template", lambda ok: _template_with(
+        lambda doc: _template_node(doc, "r1").update(children="")
+    )),
+    "template leaf whose children is {}": ("template", lambda ok: _template_with(
+        lambda doc: _template_node(doc, "r1").update(children={})
+    )),
+    "template node whose children is null": ("template", lambda ok: _template_with(
+        lambda doc: _template_node(doc, "sheet1").update(children=None)
+    )),
+    'template node whose children is "r1"': ("template", lambda ok: _template_with(
+        lambda doc: _template_node(doc, "sheet1").update(children="r1")
+    )),
+    "template node whose children is one node object": ("template", lambda ok: _template_with(
+        lambda doc: _template_node(doc, "sheet1").update(children=_template_node(doc, "r1"))
+    )),
+    "template resources that is {}": ("template", lambda ok: _template_with(
+        lambda doc: doc.update(resources={})
+    )),
+    "template resources that is null": ("template", lambda ok: _template_with(
+        lambda doc: doc.update(resources=None)
+    )),
+    "template resources that is one node object": ("template", lambda ok: _template_with(
+        lambda doc: doc.update(resources=doc["resources"][0])
+    )),
     "suite step names an unknown API": ("suite", lambda ok: _unknown_api(ok["suite"])),
     "suite producer chain names an unknown API": ("suite", lambda ok: _with_definitions(
         _with_plan(ok["suite"], {"sheet": {"strategy": "producer", "chain": "u1"}}),

@@ -15,6 +15,7 @@ from permscan.errors import MissingLabel
 from permscan.executor import (
     OUTCOME_PRUNED,
     OUTCOME_SUCCESS,
+    ExecutionRecord,
     SimulatorBackend,
     run_role_matrix,
     run_scope_ladder,
@@ -22,7 +23,10 @@ from permscan.executor import (
 from permscan.graph import build_graph
 from permscan.simulator import (
     FAULT_KINDS,
+    GRANT_FULL,
+    GRANT_READ,
     FaultSpec,
+    Observed,
     Role,
     instantiate_template,
     load_capability_matrix,
@@ -358,4 +362,20 @@ def test_skipped_role_check_on_create_is_the_only_finding(tmp_path):
     _, result = _campaign(BOOKS_AND_FOLDER, FOLDER_TEMPLATE, tmp_path, faults)
     found = sorted((f.kind, f.api, f.role) for f in result.findings)
     assert found == [("E2", "App.createBook", Role.VIEWER), ("E2", "App.createBook", Role.COMMENTER)]
+    assert result.potential_only == []
+
+
+@pytest.mark.parametrize("grants", [(GRANT_READ, GRANT_FULL), (GRANT_FULL, GRANT_READ)])
+def test_each_grant_gets_its_own_decision(grants):
+    """Two successful records with equal observation and label but different
+    grants: only the one whose grant lacks the edit scope is E1, in either
+    order."""
+    api = "Spreadsheet.setName"
+    records = [
+        ExecutionRecord(f"case-{i}", api, "scope-ladder", Role.OWNER, "olivia.owner", grant,
+                        OUTCOME_SUCCESS, evidence="renamed", observed=Observed(Role.OWNER, False, False))
+        for i, grant in enumerate(grants)
+    ]
+    result = detect_full(records, LABELS, MATRIX)
+    assert [(f.kind, f.grant) for f in result.findings] == [("E1", GRANT_READ)]
     assert result.potential_only == []

@@ -1,6 +1,9 @@
+import ast
 import fnmatch
+import inspect
 import json
 import random
+import textwrap
 from importlib import resources
 from unittest import mock
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from permscan import detector, executor, simulator
 from permscan.catalog import load_catalog, parse_catalog
 from permscan.classify import Operation, PermissionLabel, classify_catalog
 from permscan.errors import PatternMatchesNothing, SchemaViolation
@@ -20,13 +24,16 @@ from permscan.simulator import (
     Decision,
     FaultSpec,
     ObjectNode,
+    Observed,
     Role,
     Subject,
     check_access,
+    decide,
     instantiate_template,
     invoke_host_api,
     load_capability_matrix,
     load_faults,
+    observe,
     resolve_faults,
     scope_covers,
     validate_grant,
@@ -41,6 +48,7 @@ DATA = resources.files("permscan.data")
 SHEETS = load_catalog(str(DATA / "spreadsheet.json"))
 MATRIX = load_capability_matrix(str(DATA / "capability_matrix.json"))
 TEMPLATE = str(DATA / "template_spreadsheet.json")
+LABELS = classify_catalog(SHEETS)
 
 
 def fresh_state():
@@ -173,6 +181,30 @@ def test_template_owner_required(tmp_path):
         instantiate_template(path, SHEETS, MATRIX)
 
 
+_NOT_LISTS = ["", {}, None, "r1", {"kind": "Row", "id": "r9"}]
+
+
+@pytest.mark.parametrize("value", _NOT_LISTS)
+@pytest.mark.parametrize("depth", [1, 2])  # sheet1, which has children, and its leaf r1
+def test_template_children_that_are_not_a_list_name_the_node(depth, value):
+    doc = json.loads((DATA / "template_spreadsheet.json").read_text())
+    entry = doc["resources"][0]
+    for _ in range(depth):
+        entry = entry["children"][0]
+    node_id = entry["id"]
+    entry["children"] = value
+    with pytest.raises(SchemaViolation, match=f"^{node_id} children must be a list, got "):
+        _build_workspace(doc, SHEETS, MATRIX)
+
+
+@pytest.mark.parametrize("value", _NOT_LISTS)
+def test_template_resources_that_are_not_a_list_are_rejected(value):
+    doc = json.loads((DATA / "template_spreadsheet.json").read_text())
+    doc["resources"] = value
+    with pytest.raises(SchemaViolation, match="^template resources must be a list, got "):
+        _build_workspace(doc, SHEETS, MATRIX)
+
+
 # --- access decisions ----------------------------------------------------------------
 
 
@@ -224,6 +256,53 @@ def test_non_collaborator_denied():
     subj = Subject("mallory", GRANT_FULL)
     decision = check_access(state, subj, _label(Operation.VIEW, "Row"), oracle_node(state, "r1"))
     assert decision is Decision.DENY_ROLE
+
+
+# (user, target, produced) -> what the user observes, written out by hand
+_OBSERVATIONS = {
+    ("olivia.owner", "c_salary", None): (Role.OWNER, False, False),
+    ("victor.viewer", "c_salary", None): (Role.VIEWER, True, False),
+    ("victor.viewer", "rng_protected", None): (Role.VIEWER, False, True),
+    ("alice.editor", "sheet1", "col_salary"): (Role.EDITOR, True, True),
+    ("carol.commenter", "r1", None): (Role.COMMENTER, False, False),
+    ("mallory", "r1", None): (None, False, False),
+    ("mallory", "rng_protected", "c_salary"): (None, True, True),
+}
+
+
+@pytest.mark.parametrize("user, target, produced", sorted(_OBSERVATIONS, key=str))
+def test_observe_gives_the_value_built_by_hand(user, target, produced):
+    """`observe` hands out one object per value, equal to the `Observed`
+    built from its fields."""
+    state = fresh_state()
+    produced = None if produced is None else oracle_node(state, produced)
+    got = observe(state, user, oracle_node(state, target), produced)
+    want = Observed(*_OBSERVATIONS[user, target, produced and produced.id])
+    assert type(got) is Observed
+    assert got == want and tuple(map(type, got)) == tuple(map(type, want))
+    assert observe(state, user, oracle_node(state, target), produced) is got
+
+
+# each function the campaign calls once or more per host-API call
+_HOT_FUNCTIONS = (
+    simulator.observe, simulator.decide, simulator._call_facts, simulator._apply_effect,
+    simulator.invoke_host_api, executor._run_chain, executor._invoke_step, detector.detect_full,
+)
+
+
+@pytest.mark.parametrize("function", _HOT_FUNCTIONS, ids=lambda f: f"{f.__module__}.{f.__name__}")
+def test_the_hot_path_loads_no_enum_member_as_a_class_attribute(function):
+    """On CPython 3.11 loading `Role.OWNER` goes through `EnumType` and
+    costs ~100 ns against a few for a module global, so the hot functions
+    use the globals each module binds (`OWNER`, `VIEW`, `ALLOW`, ...)."""
+    enums = {"Role": Role, "Operation": Operation, "Decision": Decision}
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    loads = [
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in enums and node.attr in enums[node.value.id].__members__
+    ]
+    assert loads == []
 
 
 # truth-table oracle: an independent restatement of the documented decision
@@ -341,6 +420,37 @@ def test_check_access_on_random_nodes_matches_the_oracle(user, grant, op, sharin
 
 
 # --- invocation and faults ------------------------------------------------------------
+
+
+def test_the_decision_cache_keys_every_input_of_decide():
+    """One state makes the same call with its faults changed and under two
+    grants: each call is allowed exactly when a fresh `decide` on what it
+    observed allows it, and each cached decision is `decide`'s."""
+    state = fresh_state()
+    api_id = "Spreadsheet.setName"
+    label = LABELS[api_id]
+    target = oracle_node(state, "spreadsheet1")
+    calls = 0
+    for faults in ([], ["SkipRoleCheck"], ["SkipScopeCheck"], ["SkipRoleCheck", "SkipScopeCheck"], []):
+        _with_faults(state, *(FaultSpec(kind, api_id) for kind in faults))
+        skipped = state.faults.get(api_id, frozenset())
+        for grant in (GRANT_FULL, GRANT_READ):
+            result = invoke_host_api(state, Subject("victor.viewer", grant), api_id, label, target)
+            want = decide(result.observed, grant, label, MATRIX, skipped)
+            assert result.ok is (want is Decision.ALLOW), (faults, sorted(grant))
+            calls += 1
+    assert len(state.decisions) == calls - 2  # the last two calls repeat the first two
+    for (observed, grant, key_label, skipped), decision in state.decisions.items():
+        assert decision is decide(observed, grant, key_label, MATRIX, skipped)
+
+
+def test_a_copy_shares_the_facts_and_decisions_caches():
+    state = fresh_state()
+    copy = state.copy()
+    assert copy.facts is state.facts and copy.decisions is state.decisions
+    invoke_host_api(copy, Subject("victor.viewer", GRANT_READ), "Spreadsheet.setName",
+                    LABELS["Spreadsheet.setName"], oracle_node(copy, "spreadsheet1"))
+    assert state.decisions  # the copy's call filled the shared map
 
 
 def test_denied_invocation_uses_exact_message():
